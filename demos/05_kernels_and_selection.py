@@ -10,7 +10,7 @@ Run: python3 demos/05_kernels_and_selection.py
 
 import numpy as np
 
-from diverank.data import CandidateSet, ExperimentConfig, ItemRecord
+from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestProfile
 from diverank.kernels import KernelHyperparams, KernelMatrix, composite_matrix
 from diverank.metrics import ilad
@@ -26,26 +26,28 @@ def section(title):
 
 
 def catalog(rng):
-    """Three tight groups: rock, rap, folk; four items each."""
+    """Three tight groups: rock, rap, folk; four items each.
+
+    Returns the item ids and their unit embeddings as (12, DIM) rows.
+    """
     centers = {
         "rock": np.array([1.0, 0.0, 0.0, 0.0]),
         "rap": np.array([0.0, 1.0, 0.0, 0.0]),
         "folk": np.array([0.0, 0.0, 1.0, 0.0]),
     }
-    items = []
+    ids, rows = [], []
     for name, center in centers.items():
         for j in range(4):
             emb = center + 0.08 * rng.normal(size=DIM)
-            items.append(ItemRecord(f"{name}_{j}", emb / np.linalg.norm(emb)))
-    return items
+            ids.append(f"{name}_{j}")
+            rows.append(emb / np.linalg.norm(emb))
+    return ids, np.stack(rows)
 
 
 def main():
     np.set_printoptions(precision=2, suppress=True, linewidth=120)
     rng = np.random.default_rng(7)
-    items = catalog(rng)
-    ids = [rec.item_id for rec in items]
-    embs = np.stack([rec.embedding for rec in items])
+    ids, embs = catalog(rng)
     hp = KernelHyperparams.from_config(ExperimentConfig())
 
     section("1. The kernel sees group structure")
@@ -75,11 +77,12 @@ def main():
         ids=("a", "a_copy", "b"),
         values=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
     )
-    twins = CandidateSet(user_id="u", items=(
-        ItemRecord("a", np.array([1.0, 0.0]), base_score=0.9),
-        ItemRecord("a_copy", np.array([1.0, 0.0]), base_score=0.9),
-        ItemRecord("b", np.array([0.0, 1.0]), base_score=0.5),
-    ))
+    twins = CandidateSet(
+        user_id="u",
+        ids=("a", "a_copy", "b"),
+        embeddings=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        base_scores=np.array([0.9, 0.9, 0.5]),
+    )
     result, trace = bs_dpp_select(
         twins, twin_kernel, constant_scorer(np.array([0.9, 0.9, 0.5])),
         ExperimentConfig(alpha=1.0, k=2), collect_trace=True,
@@ -93,10 +96,7 @@ def main():
 
     section("4. The alpha dial")
     scores = np.concatenate([np.full(4, 0.9), np.full(4, 0.6), np.full(4, 0.3)])
-    pool = CandidateSet(user_id="u", items=tuple(
-        ItemRecord(ids[i], embs[i], base_score=float(scores[i]))
-        for i in range(len(ids))
-    ))
+    pool = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores)
     for alpha in (0.0, 1.0, 4.0):
         cfg = ExperimentConfig(alpha=alpha, k=4)
         res = bs_dpp_select(pool, kernel, constant_scorer(scores), cfg)

@@ -253,7 +253,7 @@ def cmd_rerank(args) -> None:
     diag_rows = []
     for cs in candidates:
         profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
-        kernel = composite_matrix(cs.ids, cs.embeddings(), profile, hp)
+        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
         if args.dump_kernel:
             _dump_kernel(args.dump_kernel, cs.user_id, kernel.values)
         scorer = profile_scorer(cs, profile, params)
@@ -371,16 +371,17 @@ def cmd_sweep(args) -> None:
     prepared = []
     for cs in candidates:
         profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
-        kernel = composite_matrix(cs.ids, cs.embeddings(), profile, hp)
+        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
+        row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)
-        prepared.append((cs, profile, kernel, user_labels, ideal))
+        prepared.append((cs, row_of, profile, kernel, user_labels, ideal))
 
-    def evaluate(cs: CandidateSet, ids: list[str], user_labels, ideal) -> tuple[float, float]:
-        rel = [user_labels.get(i, 0) for i in ids]
-        embs = np.stack([cs.items[cs.ids.index(i)].embedding for i in ids])
+    def evaluate(cs: CandidateSet, rows: list[int], user_labels, ideal) -> tuple[float, float]:
+        rel = [user_labels.get(cs.ids[r], 0) for r in rows]
+        embs = cs.embeddings[rows]
         ndcg = ndcg_at_k(rel, cfg.k, ideal_relevances=ideal)
-        diversity = ilad(embs) if len(ids) >= 2 else float("nan")
+        diversity = ilad(embs) if len(rows) >= 2 else float("nan")
         return ndcg, diversity
 
     table_rows = []
@@ -389,25 +390,25 @@ def cmd_sweep(args) -> None:
         lam = 1.0 / (1.0 + alpha)
         acc: dict[str, list[list[float]]] = {m: [] for m in ("bs_dpp", "fixed_dpp", "mmr")}
         times = {m: 0.0 for m in acc}
-        for cs, profile, kernel, user_labels, ideal in prepared:
+        for cs, row_of, profile, kernel, user_labels, ideal in prepared:
             t0 = time.perf_counter()
             res = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a)
             times["bs_dpp"] += time.perf_counter() - t0
-            ndcg, div = evaluate(cs, list(res.item_ids), user_labels, ideal)
+            ndcg, div = evaluate(cs, [row_of[i] for i in res.item_ids], user_labels, ideal)
             acc["bs_dpp"].append([ndcg, div, res.objective])
 
             t0 = time.perf_counter()
             res_f = fixed_score_dpp_select(cs, kernel, cfg_a)
             times["fixed_dpp"] += time.perf_counter() - t0
-            ndcg, div = evaluate(cs, list(res_f.item_ids), user_labels, ideal)
+            ndcg, div = evaluate(cs, [row_of[i] for i in res_f.item_ids], user_labels, ideal)
             acc["fixed_dpp"].append([ndcg, div, res_f.objective])
 
             t0 = time.perf_counter()
-            ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings()), lam, cfg.k)
+            ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings), lam, cfg.k)
             times["mmr"] += time.perf_counter() - t0
-            ndcg, div = evaluate(cs, ids_m, user_labels, ideal)
-            idx_m = [cs.ids.index(i) for i in ids_m]
-            h_m = _subset_objective(kernel.values, cs.base_scores(), idx_m, alpha)
+            idx_m = [row_of[i] for i in ids_m]
+            ndcg, div = evaluate(cs, idx_m, user_labels, ideal)
+            h_m = _subset_objective(kernel.values, cs.base_scores, idx_m, alpha)
             acc["mmr"].append([ndcg, div, h_m])
 
         for method in ("bs_dpp", "fixed_dpp", "mmr"):

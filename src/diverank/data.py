@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -35,7 +37,10 @@ class NumericalError(RuntimeError):
 
 
 def _as_embedding(values: Sequence[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("embedding must hold numbers only") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError("embedding must be a non-empty 1-D float vector")
     if not np.all(np.isfinite(arr)):
@@ -197,67 +202,106 @@ class EmbeddingTable:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """The per-user input to re-ranking: ordered items with base scores."""
+    """The per-user input to re-ranking, held as columns.
+
+    Row r of `embeddings` (n, d) and of `base_scores` (n,) belongs to
+    `ids[r]`.  Both arrays are read-only float64 copies, validated once
+    as whole arrays.
+    """
 
     user_id: str
-    items: tuple[ItemRecord, ...]
+    ids: tuple[str, ...]
+    embeddings: np.ndarray
+    base_scores: np.ndarray
 
     def __post_init__(self):
         if not self.user_id:
             raise ValidationError("user_id must be non-empty")
-        items = tuple(self.items)
-        object.__setattr__(self, "items", items)
-        if not items:
-            raise ValidationError(f"candidate set {self.user_id}: needs >= 1 item")
-        seen: set[str] = set()
-        dim = items[0].dim
-        for rec in items:
-            if rec.item_id in seen:
-                raise ValidationError(
-                    f"candidate set {self.user_id}: duplicate item {rec.item_id!r}"
-                )
-            seen.add(rec.item_id)
-            if rec.dim != dim:
-                raise ValidationError(
-                    f"candidate set {self.user_id}: mixed embedding dims"
-                )
-            if rec.base_score is None:
-                raise ValidationError(
-                    f"candidate set {self.user_id}: item {rec.item_id} lacks base_score"
-                )
+        where = f"candidate set {self.user_id}"
+        ids = tuple(self.ids)
+        n = len(ids)
+        if not n:
+            raise ValidationError(f"{where}: needs >= 1 item")
+        if not all(ids):
+            raise ValidationError(f"{where}: item_id must be non-empty")
+        if len(set(ids)) != n:
+            dup = next(i for i, count in Counter(ids).items() if count > 1)
+            raise ValidationError(f"{where}: duplicate item {dup!r}")
+        embs = np.array(self.embeddings, dtype=np.float64)
+        scores = np.array(self.base_scores, dtype=np.float64)
+        if embs.ndim != 2 or embs.shape[0] != n or embs.shape[1] == 0:
+            raise ValidationError(f"{where}: embeddings must be ({n}, d) with d >= 1")
+        if scores.shape != (n,):
+            raise ValidationError(f"{where}: base_scores must be ({n},)")
+        bad = ~np.isfinite(embs).all(axis=1)
+        if bad.any():
+            raise ValidationError(
+                f"{where}: item {ids[int(np.argmax(bad))]}: embedding contains non-finite values"
+            )
+        bad = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both sides
+        if bad.any():
+            raise ValidationError(
+                f"{where}: item {ids[int(np.argmax(bad))]}: base_score must lie in [0, 1]"
+            )
+        embs.flags.writeable = False
+        scores.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "embeddings", embs)
+        object.__setattr__(self, "base_scores", scores)
 
     @property
     def size(self) -> int:
-        return len(self.items)
+        return len(self.ids)
 
     @property
     def dim(self) -> int:
-        return self.items[0].dim
-
-    @property
-    def ids(self) -> list[str]:
-        return [rec.item_id for rec in self.items]
-
-    def embeddings(self) -> np.ndarray:
-        return np.stack([rec.embedding for rec in self.items])
-
-    def base_scores(self) -> np.ndarray:
-        return np.array([rec.base_score for rec in self.items], dtype=np.float64)
+        return self.embeddings.shape[1]
 
     def to_json(self) -> str:
-        doc = {
-            "user_id": self.user_id,
-            "items": [json.loads(rec.to_json()) for rec in self.items],
-        }
+        items = [
+            {"base_score": score, "embedding": emb, "item_id": item_id}
+            for item_id, emb, score in zip(
+                self.ids, self.embeddings.tolist(), self.base_scores.tolist()
+            )
+        ]
+        doc = {"items": items, "user_id": self.user_id}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CandidateSet":
+        """Build the columns straight from one parsed candidates line."""
         try:
-            items = tuple(ItemRecord.from_dict(d) for d in doc["items"])
-            return cls(user_id=doc["user_id"], items=items)
+            user_id, items = doc["user_id"], doc["items"]
         except KeyError as exc:
             raise ValidationError(f"candidate set missing field {exc}") from exc
+        where = f"candidate set {user_id}"
+        if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
+            raise ValidationError(f"{where}: items must be a list of objects")
+        try:
+            ids = [it["item_id"] for it in items]
+            rows = [it["embedding"] for it in items]
+        except KeyError as exc:
+            raise ValidationError(f"{where}: item record missing field {exc}") from exc
+        scores = [it.get("base_score") for it in items]
+        if None in scores:
+            raise ValidationError(f"{where}: item {ids[scores.index(None)]} lacks base_score")
+        try:
+            embs = np.array(rows, dtype=np.float64)
+        except (TypeError, ValueError):
+            embs = None
+        if items and (embs is None or embs.ndim != 2):
+            # Name the first row that is bad on its own; else rows disagree in length.
+            for item_id, row in zip(ids, rows):
+                try:
+                    _as_embedding(row)
+                except ValidationError as exc:
+                    raise ValidationError(f"{where}: item {item_id}: {exc}") from None
+            raise ValidationError(f"{where}: mixed embedding dims")
+        try:
+            base_scores = np.array(scores, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{where}: base_score must be a number") from None
+        return cls(user_id=user_id, ids=tuple(ids), embeddings=embs, base_scores=base_scores)
 
 
 @dataclass(frozen=True)
@@ -370,9 +414,20 @@ class ExperimentConfig:
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+# Field annotation -> accepted runtime types; bools never count as numbers.
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
+
+
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check every constraint; the error message names each violation."""
     problems: list[str] = []
+    for f in fields(cfg):
+        kind = f.type.removesuffix(" | None")
+        val = getattr(cfg, f.name)
+        if not isinstance(val, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(val, bool)):
+            problems.append(f"{f.name} must be of type {kind}, got {type(val).__name__}")
+    if problems:  # range checks below assume the declared types
+        raise ValidationError("; ".join(problems))
     if not (cfg.alpha >= 0.0) or not math.isfinite(cfg.alpha):
         problems.append("alpha must be >= 0")
     for name in ("beta1", "beta2"):

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .clustering import load_clusters  # re-exported convenience  # noqa: F401
 from .data import BehaviorEvent, EmbeddingTable, ParseError, ValidationError
 
 SECONDS_PER_HOUR = 3600

@@ -1,38 +1,13 @@
 """Ranking and classification metrics used across evaluation and sweeps.
 
-All functions are pure numpy and operate on plain arrays; LabeledRanking
-bundles the per-user inputs the evaluators need.
+All functions are pure numpy and operate on plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import ValidationError
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledRanking:
-    """An ordered ranking with aligned binary relevance and embeddings."""
-
-    item_ids: tuple[str, ...]
-    labels: np.ndarray
-    embeddings: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        embs = np.asarray(self.embeddings, dtype=np.float64)
-        n = len(self.item_ids)
-        if labels.shape != (n,):
-            raise ValidationError("labels must align with item_ids")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ValidationError("labels must be binary")
-        if embs.ndim != 2 or embs.shape[0] != n:
-            raise ValidationError("embeddings must be (n, d) aligned with item_ids")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "embeddings", embs)
 
 
 def _check_k(k: int) -> None:

@@ -51,7 +51,7 @@ def profile_scorer(
     candidates: CandidateSet, profile: InterestProfile, params: ScorerParams
 ) -> Scorer:
     """Context-aware scorer backed by the trained accuracy model."""
-    embs = candidates.embeddings()
+    embs = candidates.embeddings
 
     def scorer(ctx: ContextState, indices: np.ndarray) -> np.ndarray:
         return score_batch(embs[indices], profile, ctx, params)
@@ -99,7 +99,7 @@ def bs_dpp_select(
     log(d_i^2) alone.  Ties break to the lowest candidate index.
     """
     n = candidates.size
-    if tuple(candidates.ids) != kernel.ids:
+    if candidates.ids != kernel.ids:
         raise ValidationError("kernel ids must match candidate order")
     if cfg.k < 1:
         raise ValidationError("k must be >= 1")
@@ -108,7 +108,7 @@ def bs_dpp_select(
     k = min(cfg.k, n)
 
     d_matrix = kernel.values
-    embs = candidates.embeddings()
+    embs = candidates.embeddings
     d2 = np.diag(d_matrix).astype(np.float64).copy()
     cis = np.zeros((k, n))
     trace = SelectionTrace()
@@ -210,7 +210,7 @@ def fixed_score_dpp_select(
     Identical machinery to bs_dpp_select; only the score source differs,
     so it doubles as the fast-greedy comparator baseline.
     """
-    frozen = candidates.base_scores() if scores is None else np.asarray(scores, dtype=np.float64)
+    frozen = candidates.base_scores if scores is None else np.asarray(scores, dtype=np.float64)
     if frozen.shape != (candidates.size,):
         raise ValidationError("scores must align with candidates")
     result = bs_dpp_select(candidates, kernel, constant_scorer(frozen), cfg)
@@ -274,7 +274,7 @@ def mmr_select(
         raise ValidationError("k must be >= 1")
     n = candidates.size
     k = min(k, n)
-    scores = candidates.base_scores()
+    scores = candidates.base_scores
     # -inf floor: the max over selected similarities may be negative, and
     # a zero floor would erase that boost for anti-correlated candidates.
     max_sim = np.full(n, -np.inf)

@@ -163,22 +163,19 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
         true_p = _sigmoid(spec.sharpness * (affinities - spec.threshold))
         drawn = rng.random(n_cand) < true_p
 
-        cand_items = []
-        for pos, idx in enumerate(chosen_arr):
-            item_id = item_ids[int(idx)]
-            cand_items.append(
-                ItemRecord(
-                    item_id=item_id,
-                    embedding=item_embs[int(idx)],
-                    base_score=float(base_scores[pos]),
-                )
+        cand_ids = tuple(item_ids[int(idx)] for idx in chosen_arr)
+        labels.extend(
+            BehaviorEvent(user_id=user_id, item_id=item_id, ts=0, label=int(hit))
+            for item_id, hit in zip(cand_ids, drawn)
+        )
+        candidates.append(
+            CandidateSet(
+                user_id=user_id,
+                ids=cand_ids,
+                embeddings=item_embs[chosen_arr],
+                base_scores=base_scores,
             )
-            labels.append(
-                BehaviorEvent(
-                    user_id=user_id, item_id=item_id, ts=0, label=int(drawn[pos])
-                )
-            )
-        candidates.append(CandidateSet(user_id=user_id, items=tuple(cand_items)))
+        )
 
     return SyntheticWorld(
         items=items,

@@ -17,7 +17,7 @@ from scipy import stats
 from diverank import cli
 from diverank.accuracy import Impression, init_scorer_params, train_scorer
 from diverank.clustering import BipartiteGraph, louvain, modularity
-from diverank.data import CandidateSet, ExperimentConfig, ItemRecord
+from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestPoint, InterestProfile
 import diverank.autodiff as ad
 from diverank.interests import (
@@ -51,11 +51,8 @@ def random_instance(rng, n, d=None, identity_weight=None):
     values = w * np.eye(n) + (1.0 - w) * (unit @ unit.T)
     ids = tuple(f"i{i:04d}" for i in range(n))
     scores = rng.uniform(0.0, 1.0, n)
-    items = tuple(
-        ItemRecord(ids[i], embs[i], base_score=float(scores[i])) for i in range(n)
-    )
     kernel = KernelMatrix(ids=ids, values=values)
-    return kernel, CandidateSet(user_id="u", items=items), scores
+    return kernel, CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores), scores
 
 
 def test_criterion_01_incremental_determinant_oracle(capsys):
@@ -139,10 +136,7 @@ def test_criterion_03_duplicate_suppression(capsys):
     kernel = KernelMatrix(ids=ids, values=values)
     embs = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     scores = np.array([0.9, 0.9, 0.5])
-    items = tuple(
-        ItemRecord(ids[i], embs[i], base_score=float(scores[i])) for i in range(3)
-    )
-    cands = CandidateSet(user_id="u", items=items)
+    cands = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores)
     cfg = ExperimentConfig(alpha=1.0, k=2)
     greedy = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
     subset, optimum = exhaustive_map(kernel, scores, 1.0, 2)
@@ -439,10 +433,8 @@ def _bench_instance(rng, n, d):
     values = 0.5 * np.eye(n) + 0.5 * (unit @ unit.T)
     ids = tuple(f"i{i}" for i in range(n))
     scores = rng.uniform(0.5, 1.0, n)
-    items = tuple(
-        ItemRecord(ids[i], embs[i], base_score=float(scores[i])) for i in range(n)
-    )
-    return KernelMatrix(ids=ids, values=values), CandidateSet(user_id="u", items=items), scores
+    cands = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores)
+    return KernelMatrix(ids=ids, values=values), cands, scores
 
 
 def _kernel_build_slope(rounds=15) -> float:
@@ -511,10 +503,7 @@ def test_criterion_07_complexity_contract(capsys):
     n, d = 500, 64
     embs = rng2.normal(size=(n, d))
     ids = tuple(f"i{i:04d}" for i in range(n))
-    items = tuple(
-        ItemRecord(ids[i], embs[i], base_score=float(rng2.random())) for i in range(n)
-    )
-    cands = CandidateSet(user_id="u", items=items)
+    cands = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=rng2.random(n))
     profile = InterestProfile(
         user_id="u", h_macro=rng2.normal(size=d), h_micro=rng2.normal(size=d)
     )
@@ -524,7 +513,7 @@ def test_criterion_07_complexity_contract(capsys):
     rerank_best = np.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        kernel = composite_matrix(cands.ids, cands.embeddings(), profile, hp)
+        kernel = composite_matrix(cands.ids, cands.embeddings, profile, hp)
         result = bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
         rerank_best = min(rerank_best, time.perf_counter() - t0)
     assert len(result.item_ids) == 50

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from diverank import cli
 from diverank.accuracy import init_scorer_params
 from diverank.autodiff import save_checkpoint
-from diverank.data import CandidateSet, ItemRecord, load_results, save_candidates
+from diverank.data import CandidateSet, load_results, save_candidates
 from diverank.interests import save_profiles
 
 SYNTH_ARGS = [
@@ -228,11 +232,9 @@ def write_duplicate_fixture(root):
     """Two identical high-score items plus one orthogonal low-score item."""
     cands = CandidateSet(
         user_id="u1",
-        items=(
-            ItemRecord("i1", np.array([1.0, 0.0]), base_score=0.9),
-            ItemRecord("i2", np.array([1.0, 0.0]), base_score=0.9),
-            ItemRecord("i3", np.array([0.0, 1.0]), base_score=0.5),
-        ),
+        ids=("i1", "i2", "i3"),
+        embeddings=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        base_scores=np.array([0.9, 0.9, 0.5]),
     )
     save_candidates(root / "candidates.jsonl", [cands])
     save_profiles(root / "profiles.jsonl", [])
@@ -386,3 +388,104 @@ class TestExitCodes:
             run("--version")
         assert err.value.code == 0
         assert "diverank" in capsys.readouterr().out
+
+
+def _item(**overrides):
+    doc = {"item_id": "i1", "embedding": [1.0, 0.0], "base_score": 0.5}
+    doc.update(overrides)
+    return doc
+
+
+def _line(*items):
+    return {"user_id": "u1", "items": list(items)}
+
+
+# (stage reading the line, the line, a fragment its error must name)
+MALFORMED_LINES = {
+    "non-numeric embedding": ("rerank", _line(_item(embedding=["x", 0.0])), "embedding"),
+    "ragged dims": ("rerank", _line(_item(), _item(item_id="i2", embedding=[1.0])),
+                    "mixed embedding dims"),
+    "nan embedding": ("rerank", _line(_item(embedding=[float("nan"), 0.0])), "non-finite"),
+    "items not a list": ("rerank", {"user_id": "u1", "items": "x"}, "items"),
+    "item not an object": ("rerank", _line(["i1", [1.0, 0.0], 0.5]), "items"),
+    "missing base_score": ("rerank", _line(_item(base_score=None)), "base_score"),
+    "base_score above one": ("rerank", _line(_item(base_score=1.5)), "base_score"),
+    "duplicate id": ("rerank", _line(_item(), _item()), "duplicate"),
+    "catalog non-numeric embedding": ("eval", {"item_id": "i1", "embedding": ["x", 0.0]},
+                                      "embedding"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
+    def test_malformed_line_is_one_error_line(self, case, tmp_path, capsys):
+        stage, doc, fragment = MALFORMED_LINES[case]
+        write_duplicate_fixture(tmp_path)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(doc) + "\n")
+        if stage == "rerank":
+            argv = [
+                "rerank",
+                "--candidates", bad,
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json",
+                "--out", tmp_path / "results.jsonl",
+            ]
+        else:
+            empty = tmp_path / "empty.jsonl"
+            empty.write_text("")
+            argv = [
+                "eval",
+                "--results", empty,
+                "--labels", empty,
+                "--items", bad,
+                "--out", tmp_path / "eval.csv",
+            ]
+        assert run(*map(str, argv)) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: line 1:")
+        assert fragment in lines[0]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k", "10"),
+            ("k", True),
+            ("k", 2.0),
+            ("alpha", "1"),
+            ("alpha", False),
+            ("jitter", None),
+            ("normalize_embeddings", 1),
+        ],
+    )
+    def test_wrong_config_type_is_one_error_line(self, field, value, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code = run(
+            "rerank",
+            "--candidates", str(tmp_path / "candidates.jsonl"),
+            "--profiles", str(tmp_path / "profiles.jsonl"),
+            "--checkpoint", str(tmp_path / "checkpoint.json"),
+            "--out", str(tmp_path / "results.jsonl"),
+            "--config", str(cfg),
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: {field} must be of type")
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diverank", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "diverank 0.1.0"

@@ -165,41 +165,58 @@ class TestBehaviorIO:
         assert loaded == events
 
 
+def candidate_set(user_id, *items):
+    """Build a CandidateSet from item records the way a candidates line does."""
+    return CandidateSet.from_dict(
+        {"user_id": user_id, "items": [json.loads(rec.to_json()) for rec in items]}
+    )
+
+
 class TestCandidateSet:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError):
-            CandidateSet("u1", (make_item("a"), make_item("a")))
+            candidate_set("u1", make_item("a"), make_item("a"))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValidationError):
-            CandidateSet("u1", (make_item("a", dim=4), make_item("b", dim=3)))
+            candidate_set("u1", make_item("a", dim=4), make_item("b", dim=3))
 
     def test_missing_base_score_rejected(self):
         with pytest.raises(ValidationError):
-            CandidateSet("u1", (make_item("a", base_score=None),))
+            candidate_set("u1", make_item("a", base_score=None))
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            CandidateSet("u1", ())
+            candidate_set("u1")
 
     def test_accessors(self):
-        cs = CandidateSet("u1", (make_item("a", base_score=0.9), make_item("b", base_score=0.1)))
-        assert cs.ids == ["a", "b"]
+        cs = candidate_set("u1", make_item("a", base_score=0.9), make_item("b", base_score=0.1))
+        assert cs.ids == ("a", "b")
         assert cs.size == 2
-        assert np.array_equal(cs.base_scores(), np.array([0.9, 0.1]))
-        assert cs.embeddings().shape == (2, 4)
+        assert np.array_equal(cs.base_scores, np.array([0.9, 0.1]))
+        assert cs.embeddings.shape == (2, 4)
+
+    def test_columns_are_read_only_copies(self):
+        embs = np.zeros((2, 3))
+        cs = CandidateSet("u1", ("a", "b"), embs, np.array([0.5, 0.5]))
+        embs[0, 0] = 9.0
+        assert cs.embeddings[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            cs.embeddings[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cs.base_scores[0] = 1.0
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "candidates.jsonl"
         sets = [
-            CandidateSet("u1", (make_item("a", base_score=0.9),)),
-            CandidateSet("u2", (make_item("b", base_score=0.2), make_item("c", base_score=0.3))),
+            candidate_set("u1", make_item("a", base_score=0.9)),
+            candidate_set("u2", make_item("b", base_score=0.2), make_item("c", base_score=0.3)),
         ]
         save_candidates(str(path), sets)
         loaded = load_candidates(str(path))
         assert [cs.user_id for cs in loaded] == ["u1", "u2"]
-        assert loaded[1].ids == ["b", "c"]
-        assert np.array_equal(loaded[1].embeddings(), sets[1].embeddings())
+        assert loaded[1].ids == ("b", "c")
+        assert np.array_equal(loaded[1].embeddings, sets[1].embeddings)
 
 
 class TestItemRoundTrip:

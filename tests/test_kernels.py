@@ -273,7 +273,7 @@ class TestPsdGuard:
     def test_default_kernels_admit_cholesky_updates(self, rng):
         # The positive-exponent composite form must keep every candidate's
         # conditional variance non-negative throughout greedy selection.
-        from diverank.data import CandidateSet, ItemRecord
+        from diverank.data import CandidateSet
         from diverank.selection import bs_dpp_select, constant_scorer
 
         for trial in range(10):
@@ -282,12 +282,9 @@ class TestPsdGuard:
             prof = profile_of(rng.normal(size=6), rng.normal(size=6))
             hp = KernelHyperparams()
             kernel = composite_matrix([f"i{k}" for k in range(n)], embs, prof, hp)
-            items = tuple(
-                ItemRecord(f"i{k}", embs[k], None, float(rng.random())) for k in range(n)
-            )
-            cands = CandidateSet(f"u{trial}", items)
+            cands = CandidateSet(f"u{trial}", kernel.ids, embs, rng.random(n))
             cfg = ExperimentConfig(alpha=1.0, k=8)
             _, trace = bs_dpp_select(
-                cands, kernel, constant_scorer(cands.base_scores()), cfg, collect_trace=True
+                cands, kernel, constant_scorer(cands.base_scores), cfg, collect_trace=True
             )
             assert trace.min_d2_before_clamp >= -1e-8

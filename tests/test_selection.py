@@ -14,7 +14,6 @@ import pytest
 from diverank.data import (
     CandidateSet,
     ExperimentConfig,
-    ItemRecord,
     NumericalError,
     ValidationError,
 )
@@ -35,11 +34,8 @@ def make_candidates(scores, dim=2, embs=None):
     if embs is None:
         rng = np.random.default_rng(99)
         embs = rng.normal(size=(n, dim))
-    items = tuple(
-        ItemRecord(f"i{k + 1}", np.asarray(embs[k], dtype=float), None, float(scores[k]))
-        for k in range(n)
-    )
-    return CandidateSet("u1", items)
+    ids = tuple(f"i{k + 1}" for k in range(n))
+    return CandidateSet("u1", ids, embs, scores)
 
 
 def kernel_of(matrix):
@@ -64,7 +60,7 @@ class TestGreedyBasics:
         kernel = kernel_of(np.eye(3))
         for alpha in (0.0, 0.7, 3.0):
             cfg = ExperimentConfig(alpha=alpha, k=3)
-            result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores()), cfg)
+            result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
             assert result.item_ids == ("i1", "i2", "i3")
 
     def test_duplicate_suppression_fixture(self):
@@ -94,7 +90,7 @@ class TestGreedyBasics:
         cands = make_candidates([0.9, 0.1])
         cfg = ExperimentConfig(alpha=0.0, k=2)
         _, trace = bs_dpp_select(
-            cands, kernel, constant_scorer(cands.base_scores()), cfg, collect_trace=True
+            cands, kernel, constant_scorer(cands.base_scores), cfg, collect_trace=True
         )
         second = trace.steps[1]
         assert second.selected_before == (0,)
@@ -122,14 +118,14 @@ class TestGreedyBasics:
         cands = make_candidates([0.3, 0.6])
         kernel = kernel_of(np.eye(2))
         cfg = ExperimentConfig(alpha=0.5, k=9)
-        result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores()), cfg)
+        result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
         assert len(result.item_ids) == 2
 
     def test_kernel_id_mismatch_rejected(self, rng):
         cands = make_candidates([0.5, 0.5])
         kernel = KernelMatrix(ids=("x", "y"), values=np.eye(2))
         with pytest.raises(ValidationError):
-            bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores()), ExperimentConfig())
+            bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), ExperimentConfig())
 
 
 class TestNumericalBehavior:
@@ -150,7 +146,7 @@ class TestNumericalBehavior:
         cands = make_candidates([0.5, 0.5])
         cfg = ExperimentConfig(alpha=1.0, k=2)
         with pytest.raises(NumericalError):
-            bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores()), cfg)
+            bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
 
     def test_d2_tracks_naive_determinant_ratio(self, rng):
         # d_i^2 produced by the incremental recursion equals
@@ -279,7 +275,7 @@ class TestMmr:
     def test_lambda_one_pure_score_order(self, rng):
         scores = rng.random(6)
         cands = make_candidates(scores, dim=3)
-        sim = cosine_similarity_fn(cands.embeddings())
+        sim = cosine_similarity_fn(cands.embeddings)
         order = mmr_select(cands, sim, lam=1.0, k=6)
         expected = [f"i{j + 1}" for j in np.argsort(-scores, kind="stable")]
         assert order == expected
@@ -317,7 +313,7 @@ class TestMmr:
 
     def test_lambda_out_of_range_rejected(self, rng):
         cands = make_candidates([0.5])
-        sim = cosine_similarity_fn(cands.embeddings())
+        sim = cosine_similarity_fn(cands.embeddings)
         with pytest.raises(ValidationError):
             mmr_select(cands, sim, lam=1.5, k=1)
 

@@ -105,8 +105,8 @@ class TestWorldShape:
         world = generate(small_spec())
         for cs in world.candidates:
             assert len(set(cs.ids)) == cs.size
-            for it in cs.items:
-                assert 0.0 <= it.base_score <= 1.0
+            for score in cs.base_scores:
+                assert 0.0 <= score <= 1.0
 
     def test_labels_align_with_candidates(self):
         world = generate(small_spec())
@@ -127,7 +127,7 @@ class TestDeterminism:
             assert np.array_equal(ia.embedding, ib.embedding)
         for ca, cb in zip(a.candidates, b.candidates):
             assert ca.ids == cb.ids
-            assert np.array_equal(ca.base_scores(), cb.base_scores())
+            assert np.array_equal(ca.base_scores, cb.base_scores)
 
     def test_serialized_bytes_identical(self, tmp_path):
         for tag in ("a", "b"):
@@ -166,9 +166,9 @@ class TestWorldModel:
         for ia, ib in zip(quiet.items, loud.items):
             assert np.array_equal(ia.embedding, ib.embedding)
         diffs = [
-            abs(qa.base_score - la.base_score)
+            abs(qa - la)
             for qc, lc in zip(quiet.candidates, loud.candidates)
-            for qa, la in zip(qc.items, lc.items)
+            for qa, la in zip(qc.base_scores, lc.base_scores)
         ]
         assert max(diffs) > 0.0
 
@@ -180,7 +180,7 @@ class TestWorldModel:
         label_of = {(ev.user_id, ev.item_id): ev.label for ev in world.labels}
         high, low = [], []
         for cs in world.candidates:
-            order = np.argsort(cs.base_scores())
+            order = np.argsort(cs.base_scores)
             ids = cs.ids
             low.extend(label_of[(cs.user_id, ids[i])] for i in order[:5])
             high.extend(label_of[(cs.user_id, ids[i])] for i in order[5:])
