@@ -10,7 +10,7 @@ Run: python3 demos/03_interest_profiles.py
 
 import numpy as np
 
-from diverank.data import BehaviorEvent, EmbeddingTable, ItemRecord
+from diverank.data import BehaviorEvent, EmbeddingTable
 from diverank.interests import (
     build_profile,
     group_interest_points,
@@ -34,14 +34,15 @@ def main():
     section("1. A tiny catalog with two genres")
     jazz = np.array([1.0, 0.2, 0.0, 0.0])
     salsa = np.array([0.0, 0.0, 1.0, 0.3])
-    records = []
+    ids, rows = [], []
     for g, (center, name) in enumerate([(jazz, "jazz"), (salsa, "salsa")]):
         for j in range(3):
             emb = center + 0.05 * rng.normal(size=4)
-            records.append(ItemRecord(f"{name}_{j}", emb / np.linalg.norm(emb)))
-    table = EmbeddingTable(records)
-    clusters = {rec.item_id: 0 if rec.item_id.startswith("jazz") else 1
-                for rec in records}
+            ids.append(f"{name}_{j}")
+            rows.append(emb / np.linalg.norm(emb))
+    table = EmbeddingTable(tuple(ids), np.array(rows))
+    clusters = {item_id: 0 if item_id.startswith("jazz") else 1
+                for item_id in table.ids}
     print("items:", table.ids)
     print("item clusters:", clusters)
 

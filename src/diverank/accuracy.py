@@ -276,7 +276,7 @@ def build_impressions(
     out: list[Impression] = []
     for user_id in sorted(by_user):
         session = sorted(by_user[user_id], key=lambda e: e.ts)
-        embs = np.stack([table[ev.item_id].embedding for ev in session])
+        embs = table.rows(ev.item_id for ev in session)
         h_cand = embs.mean(axis=0)
         running = np.zeros(embs.shape[1])
         for t, ev in enumerate(session):

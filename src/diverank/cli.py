@@ -144,8 +144,8 @@ def cmd_cluster(args) -> None:
     covered = {i for i in item_clusters if i in table}
     if covered:
         centroids = cluster_centroids(table, {i: item_clusters[i] for i in covered})
-        missing = [table[i] for i in table.ids if i not in item_clusters]
-        item_clusters.update(assign_new_items(missing, centroids))
+        missing = [i for i in table.ids if i not in item_clusters]
+        item_clusters.update(assign_new_items(missing, table.rows(missing), centroids))
     save_clusters(args.out, {i: c for i, c in item_clusters.items() if i in table})
     n_clusters = len(set(item_clusters.values()))
     print(f"cluster: {n_clusters} clusters over {len(item_clusters)} items, Q={q:.6f}")
@@ -229,6 +229,20 @@ def cmd_train_scorer(args) -> None:
     )
 
 
+def _check_dims(candidates: list[CandidateSet], profiles: dict[str, InterestProfile], dim: int) -> None:
+    """Reject inputs whose dimension differs from the checkpoint's, before any arithmetic."""
+    for cs in candidates:
+        if cs.dim != dim:
+            raise ValidationError(
+                f"candidate set {cs.user_id}: embedding dim {cs.dim} != checkpoint dim {dim}"
+            )
+    for profile in profiles.values():
+        if profile.h_macro.shape != (dim,):
+            raise ValidationError(
+                f"profile {profile.user_id}: dim {profile.h_macro.size} != checkpoint dim {dim}"
+            )
+
+
 def _load_scorer_checkpoint(path: str) -> ScorerParams:
     arrays, _meta = load_checkpoint(path)
     scoped = {
@@ -247,6 +261,7 @@ def cmd_rerank(args) -> None:
     candidates = load_candidates(args.candidates)
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
+    _check_dims(candidates, profiles, params.dim)
     hp = KernelHyperparams.from_config(cfg)
 
     results = []
@@ -313,10 +328,7 @@ def cmd_eval(args) -> None:
         user_labels = labels.get(res.user_id, {})
         rel = [user_labels.get(item_id, 0) for item_id in res.item_ids]
         ideal = sorted(user_labels.values(), reverse=True)
-        try:
-            embs = np.stack([table[i].embedding for i in res.item_ids])
-        except KeyError as exc:
-            raise ValidationError(f"result references unknown item {exc}") from exc
+        embs = table.rows(res.item_ids)
         ndcg = ndcg_at_k(rel, cfg.k, ideal_relevances=ideal)
         diversity = ilad(embs) if len(res.item_ids) >= 2 else float("nan")
         ndcgs.append(ndcg)
@@ -360,12 +372,15 @@ def cmd_sweep(args) -> None:
         raise ValidationError("--alphas must be a strictly increasing list")
     if any(a < 0 for a in alphas):
         raise ValidationError("alpha values must be >= 0")
-    candidates = load_candidates(args.candidates)[: args.runs]
+    if args.runs is not None and args.runs < 1:
+        raise ValidationError("--runs must be >= 1")
+    candidates = load_candidates(args.candidates, limit=args.runs)
     if not candidates:
         raise ValidationError("no candidate sets to sweep over")
     labels = _label_map(args.labels)
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
+    _check_dims(candidates, profiles, params.dim)
     hp = KernelHyperparams.from_config(cfg)
 
     prepared = []
@@ -542,3 +557,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingTable, ItemRecord, ParseError, ValidationError
+from .data import EmbeddingTable, ParseError, ValidationError
 
 USER = "user"
 ITEM = "item"
@@ -236,39 +237,32 @@ def louvain(graph: BipartiteGraph, seed: int = 0, max_passes: int = 50) -> Clust
 
 def cluster_centroids(table: EmbeddingTable, item_clusters: dict[str, int]) -> dict[int, np.ndarray]:
     """Mean embedding per cluster over the clustered items present in `table`."""
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for item_id in sorted(item_clusters):
-        if item_id not in table:
-            continue
-        cid = item_clusters[item_id]
-        emb = table[item_id].embedding
-        if cid in sums:
-            sums[cid] = sums[cid] + emb
-            counts[cid] += 1
-        else:
-            sums[cid] = emb.copy()
-            counts[cid] = 1
-    if not sums:
+    ids = sorted(i for i in item_clusters if i in table)
+    if not ids:
         raise ValidationError("no clustered item has an embedding in the table")
-    return {cid: sums[cid] / counts[cid] for cid in sorted(sums)}
+    embs = table.rows(ids)
+    labels = np.array([item_clusters[i] for i in ids])
+    centroids = {}
+    for cid in np.unique(labels):
+        members = embs[labels == cid]
+        centroids[int(cid)] = members.sum(axis=0) / len(members)
+    return centroids
 
 
-def assign_new_items(items, centroids: dict[int, np.ndarray]) -> dict[str, int]:
+def assign_new_items(
+    ids: Sequence[str], embeddings: np.ndarray, centroids: dict[int, np.ndarray]
+) -> dict[str, int]:
     """Nearest-centroid (largest dot product) labels for unseen items.
 
-    Ties break to the lowest cluster id.
+    Row r of `embeddings` belongs to `ids[r]`.  Ties break to the lowest
+    cluster id.
     """
     if not centroids:
         raise ValidationError("no centroids to assign against")
     cids = sorted(centroids)
     mat = np.stack([centroids[c] for c in cids])
-    out: dict[str, int] = {}
-    for rec in items:
-        sims = mat @ rec.embedding
-        best = int(np.argmax(sims))  # first max = lowest cluster id
-        out[rec.item_id] = cids[best]
-    return out
+    best = np.argmax(embeddings @ mat.T, axis=1)  # first max = lowest cluster id
+    return {item_id: cids[b] for item_id, b in zip(ids, best)}
 
 
 def save_clusters(path: str, item_clusters: dict[str, int]) -> None:

@@ -11,15 +11,22 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
 class ValidationError(ValueError):
-    """A record or configuration violates a documented constraint."""
+    """A record or configuration violates a documented constraint.
+
+    `row` is the index of the offending row when a column check found one.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ParseError(ValueError):
@@ -36,72 +43,71 @@ class NumericalError(RuntimeError):
     """A numerical operation failed (singular kernel, non-finite values)."""
 
 
-def _as_embedding(values: Sequence[float]) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValidationError("embedding must hold numbers only") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValidationError("embedding must be a non-empty 1-D float vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("embedding contains non-finite values")
-    arr.flags.writeable = False
-    return arr
+def _check_columns(
+    ids: Sequence[str], embeddings, where: str = ""
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """Validate an id column and its embedding rows once, as whole columns.
 
-
-@dataclass(frozen=True, eq=False)
-class ItemRecord:
-    """One candidate or catalog item.
-
-    Attributes:
-        item_id: non-empty unique identifier.
-        embedding: dense float64 vector, finite entries.
-        cluster_id: optional non-negative cluster label.
-        base_score: optional upstream point-wise score in [0, 1].
+    Ids must be unique non-empty strings, and `embeddings` one finite
+    float row of a single dimension d >= 1 per id.  Returns the ids as a
+    tuple and a read-only float64 copy of the rows.  Errors start with
+    `where` and name the offending row in `ValidationError.row`.
     """
-
-    item_id: str
-    embedding: np.ndarray
-    cluster_id: int | None = None
-    base_score: float | None = None
-
-    def __post_init__(self):
-        if not self.item_id:
-            raise ValidationError("item_id must be non-empty")
-        object.__setattr__(self, "embedding", _as_embedding(self.embedding))
-        if self.cluster_id is not None and self.cluster_id < 0:
-            raise ValidationError(f"item {self.item_id}: cluster_id must be >= 0")
-        if self.base_score is not None:
-            score = float(self.base_score)
-            if not (0.0 <= score <= 1.0) or not math.isfinite(score):
-                raise ValidationError(
-                    f"item {self.item_id}: base_score must lie in [0, 1]"
-                )
-            object.__setattr__(self, "base_score", score)
-
-    @property
-    def dim(self) -> int:
-        return int(self.embedding.size)
-
-    def to_json(self) -> str:
-        doc = {"item_id": self.item_id, "embedding": list(map(float, self.embedding))}
-        if self.cluster_id is not None:
-            doc["cluster_id"] = int(self.cluster_id)
-        if self.base_score is not None:
-            doc["base_score"] = float(self.base_score)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ItemRecord":
-        try:
-            return cls(
-                item_id=doc["item_id"],
-                embedding=doc["embedding"],
-                cluster_id=doc.get("cluster_id"),
-                base_score=doc.get("base_score"),
+    ids = tuple(ids)
+    seen: set[str] = set()
+    for row, item_id in enumerate(ids):
+        if not isinstance(item_id, str) or not item_id:
+            raise ValidationError(
+                f"{where}item_id must be a non-empty string, got {item_id!r}", row
             )
-        except KeyError as exc:
-            raise ValidationError(f"item record missing field {exc}") from exc
+        if item_id in seen:
+            raise ValidationError(f"{where}duplicate item {item_id!r}", row)
+        seen.add(item_id)
+    n = len(ids)
+    embs = np.array(embeddings, dtype=np.float64)
+    if embs.ndim != 2 or embs.shape[0] != n or (n and not embs.shape[1]):
+        raise ValidationError(f"{where}embeddings must be ({n}, d) with d >= 1")
+    bad = ~np.isfinite(embs).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValidationError(f"{where}item {ids[row]}: embedding contains non-finite values", row)
+    embs.flags.writeable = False
+    return ids, embs
+
+
+def _stack_rows(ids: list, rows: list, where: str) -> np.ndarray:
+    """Stack parsed embedding rows into one (n, d) float64 array.
+
+    When they do not form one, the error names the first row that is bad
+    on its own, else the first whose length differs from the first row's.
+    """
+    if not rows:
+        return np.empty((0, 0))
+    try:
+        embs = np.array(rows, dtype=np.float64)
+        if embs.ndim == 2 and embs.shape[1]:
+            return embs
+    except (TypeError, ValueError):
+        pass
+    dim = None
+    for row, values in enumerate(rows):
+        try:
+            vec = np.asarray(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{where}item {ids[row]}: embedding must hold numbers only", row
+            ) from None
+        if vec.ndim != 1 or not vec.size:
+            raise ValidationError(
+                f"{where}item {ids[row]}: embedding must be a non-empty 1-D float vector", row
+            )
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise ValidationError(
+                f"{where}item {ids[row]}: mixed embedding dims ({vec.size} != {dim})", row
+            )
+    raise ValidationError(f"{where}embedding rows do not form an (n, d) matrix")
 
 
 @dataclass(frozen=True)
@@ -146,58 +152,43 @@ class BehaviorEvent:
             raise ValidationError(f"behavior record missing field {exc}") from exc
 
 
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Ordered item_id -> ItemRecord map with a single enforced dimension."""
+    """The item catalog, held as columns like a candidate set.
 
-    def __init__(self, records: Iterable[ItemRecord] = ()):
-        self._records: dict[str, ItemRecord] = {}
-        self._dim: int | None = None
-        for rec in records:
-            self.add(rec)
+    Row r of `embeddings` (n, d) belongs to `ids[r]`; the array is a
+    read-only float64 copy, validated once as a whole.  An empty table
+    has no dimension.
+    """
 
-    def add(self, rec: ItemRecord) -> None:
-        if rec.item_id in self._records:
-            raise ValidationError(f"duplicate item_id {rec.item_id!r}")
-        if self._dim is None:
-            self._dim = rec.dim
-        elif rec.dim != self._dim:
-            raise ValidationError(
-                f"item {rec.item_id}: embedding dim {rec.dim} != table dim {self._dim}"
-            )
-        self._records[rec.item_id] = rec
+    ids: tuple[str, ...]
+    embeddings: np.ndarray
+    _row_of: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ids, embs = _check_columns(self.ids, self.embeddings)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "embeddings", embs)
+        object.__setattr__(self, "_row_of", {item_id: row for row, item_id in enumerate(ids)})
 
     @property
     def dim(self) -> int:
-        if self._dim is None:
+        if not self.ids:
             raise ValidationError("embedding table is empty")
-        return self._dim
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._records)
+        return self.embeddings.shape[1]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ids)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._records
+        return item_id in self._row_of
 
-    def __getitem__(self, item_id: str) -> ItemRecord:
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """The (m, d) embedding rows of `ids`, in the order given."""
         try:
-            return self._records[item_id]
-        except KeyError:
-            raise KeyError(f"unknown item_id {item_id!r}") from None
-
-    def __iter__(self) -> Iterator[ItemRecord]:
-        return iter(self._records.values())
-
-    def matrix(self, ids: Sequence[str] | None = None) -> np.ndarray:
-        """Stack embeddings for `ids` (table order when omitted) into (n, d)."""
-        if ids is None:
-            ids = self.ids
-        if not ids:
-            raise ValidationError("cannot build a matrix from zero items")
-        return np.stack([self[i].embedding for i in ids])
+            return self.embeddings[[self._row_of[i] for i in ids]]
+        except KeyError as exc:
+            raise ValidationError(f"unknown item_id {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +197,8 @@ class CandidateSet:
 
     Row r of `embeddings` (n, d) and of `base_scores` (n,) belongs to
     `ids[r]`.  Both arrays are read-only float64 copies, validated once
-    as whole arrays.
+    as whole arrays; ids and embeddings pass the same `_check_columns` as
+    the item catalog.
     """
 
     user_id: str
@@ -217,33 +209,19 @@ class CandidateSet:
     def __post_init__(self):
         if not self.user_id:
             raise ValidationError("user_id must be non-empty")
-        where = f"candidate set {self.user_id}"
-        ids = tuple(self.ids)
+        where = f"candidate set {self.user_id}: "
+        ids, embs = _check_columns(self.ids, self.embeddings, where)
         n = len(ids)
         if not n:
-            raise ValidationError(f"{where}: needs >= 1 item")
-        if not all(ids):
-            raise ValidationError(f"{where}: item_id must be non-empty")
-        if len(set(ids)) != n:
-            dup = next(i for i, count in Counter(ids).items() if count > 1)
-            raise ValidationError(f"{where}: duplicate item {dup!r}")
-        embs = np.array(self.embeddings, dtype=np.float64)
+            raise ValidationError(f"{where}needs >= 1 item")
         scores = np.array(self.base_scores, dtype=np.float64)
-        if embs.ndim != 2 or embs.shape[0] != n or embs.shape[1] == 0:
-            raise ValidationError(f"{where}: embeddings must be ({n}, d) with d >= 1")
         if scores.shape != (n,):
-            raise ValidationError(f"{where}: base_scores must be ({n},)")
-        bad = ~np.isfinite(embs).all(axis=1)
-        if bad.any():
-            raise ValidationError(
-                f"{where}: item {ids[int(np.argmax(bad))]}: embedding contains non-finite values"
-            )
+            raise ValidationError(f"{where}base_scores must be ({n},)")
         bad = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both sides
         if bad.any():
             raise ValidationError(
-                f"{where}: item {ids[int(np.argmax(bad))]}: base_score must lie in [0, 1]"
+                f"{where}item {ids[int(np.argmax(bad))]}: base_score must lie in [0, 1]"
             )
-        embs.flags.writeable = False
         scores.flags.writeable = False
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "embeddings", embs)
@@ -274,33 +252,22 @@ class CandidateSet:
             user_id, items = doc["user_id"], doc["items"]
         except KeyError as exc:
             raise ValidationError(f"candidate set missing field {exc}") from exc
-        where = f"candidate set {user_id}"
+        where = f"candidate set {user_id}: "
         if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
-            raise ValidationError(f"{where}: items must be a list of objects")
+            raise ValidationError(f"{where}items must be a list of objects")
         try:
             ids = [it["item_id"] for it in items]
             rows = [it["embedding"] for it in items]
         except KeyError as exc:
-            raise ValidationError(f"{where}: item record missing field {exc}") from exc
+            raise ValidationError(f"{where}item record missing field {exc}") from exc
         scores = [it.get("base_score") for it in items]
         if None in scores:
-            raise ValidationError(f"{where}: item {ids[scores.index(None)]} lacks base_score")
-        try:
-            embs = np.array(rows, dtype=np.float64)
-        except (TypeError, ValueError):
-            embs = None
-        if items and (embs is None or embs.ndim != 2):
-            # Name the first row that is bad on its own; else rows disagree in length.
-            for item_id, row in zip(ids, rows):
-                try:
-                    _as_embedding(row)
-                except ValidationError as exc:
-                    raise ValidationError(f"{where}: item {item_id}: {exc}") from None
-            raise ValidationError(f"{where}: mixed embedding dims")
+            raise ValidationError(f"{where}item {ids[scores.index(None)]} lacks base_score")
+        embs = _stack_rows(ids, rows, where)
         try:
             base_scores = np.array(scores, dtype=np.float64)
         except (TypeError, ValueError):
-            raise ValidationError(f"{where}: base_score must be a number") from None
+            raise ValidationError(f"{where}base_score must be a number") from None
         return cls(user_id=user_id, ids=tuple(ids), embeddings=embs, base_scores=base_scores)
 
 
@@ -484,20 +451,34 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
 
 
 def load_items(path: str) -> EmbeddingTable:
-    """Read an item file into an EmbeddingTable, enforcing one dimension."""
-    table = EmbeddingTable()
+    """Read an item file into an EmbeddingTable; errors cite the bad line.
+
+    Fields other than `item_id` and `embedding`, such as `cluster_id` or
+    `base_score`, are accepted and ignored: no stage reads them.
+    """
+    linenos: list[int] = []
+    ids: list = []
+    rows: list = []
     for lineno, doc in _iter_json_lines(path):
         try:
-            table.add(ItemRecord.from_dict(doc))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return table
+            item_id, row = doc["item_id"], doc["embedding"]
+        except KeyError as exc:
+            raise ParseError(f"item record missing field {exc}", line=lineno) from exc
+        linenos.append(lineno)
+        ids.append(item_id)
+        rows.append(row)
+    try:
+        return EmbeddingTable(tuple(ids), _stack_rows(ids, rows, ""))
+    except ValidationError as exc:
+        line = None if exc.row is None else linenos[exc.row]
+        raise ParseError(str(exc), line=line) from exc
 
 
-def save_items(path: str, records: Iterable[ItemRecord]) -> None:
+def save_items(path: str, table: EmbeddingTable) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
+        for item_id, emb in zip(table.ids, table.embeddings.tolist()):
+            doc = {"embedding": emb, "item_id": item_id}
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_behaviors(path: str) -> list[BehaviorEvent]:
@@ -519,10 +500,11 @@ def save_behaviors(path: str, events: Iterable[BehaviorEvent]) -> None:
             fh.write(ev.to_json() + "\n")
 
 
-def load_candidates(path: str) -> list[CandidateSet]:
+def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
+    """Read candidate sets in file order; with `limit`, stop after that many."""
     sets: list[CandidateSet] = []
     seen_users: set[str] = set()
-    for lineno, doc in _iter_json_lines(path):
+    for lineno, doc in islice(_iter_json_lines(path), limit):
         try:
             cs = CandidateSet.from_dict(doc)
         except ValidationError as exc:

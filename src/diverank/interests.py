@@ -253,7 +253,7 @@ def group_interest_points(
     for cid in sorted(members):
         group = members[cid]
         ids = tuple(sorted(group))
-        vector = np.sum([table[i].embedding for i in ids], axis=0)
+        vector = table.rows(ids).sum(axis=0)
         points.append(
             InterestPoint(
                 cluster_id=cid,
@@ -332,9 +332,8 @@ def build_profile(
     if now is None:
         now = known[-1].ts if known else 0
     points = group_interest_points(known, table, item_clusters, top_m)
-    recent = [
-        (table[ev.item_id].embedding, ev.ts) for ev in reversed(known[-recent_window:])
-    ]
+    window = known[-recent_window:][::-1]
+    recent = list(zip(table.rows(ev.item_id for ev in window), (ev.ts for ev in window)))
     with ad.no_grad():
         h_macro = macro_interest(points, params).data[0].copy()
         h_micro = micro_interest(recent, now, params).data[0].copy()

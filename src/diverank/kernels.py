@@ -207,6 +207,4 @@ def composite_matrix(
     if hp.jitter:
         idx = np.arange(len(ids))
         d[idx, idx] += hp.jitter
-    sym = d + d.T
-    sym *= 0.5
-    return KernelMatrix(ids=ids, values=sym)
+    return KernelMatrix(ids=ids, values=d)

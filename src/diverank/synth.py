@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BehaviorEvent, CandidateSet, ItemRecord, ValidationError
+from .data import BehaviorEvent, CandidateSet, EmbeddingTable, ValidationError
 
 NOW_TS = 1_700_000_000  # fixed reference clock so fixtures never drift
 THIRTY_DAYS = 30 * 24 * 3600
@@ -74,7 +74,7 @@ class SyntheticSpec:
 class SyntheticWorld:
     """Everything one seed generates, before serialization."""
 
-    items: list[ItemRecord]
+    items: EmbeddingTable
     behaviors: list[BehaviorEvent]
     candidates: list[CandidateSet]
     labels: list[BehaviorEvent]  # candidate ground truth, ts = 0
@@ -106,9 +106,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     unit_embs = item_embs / np.linalg.norm(item_embs, axis=1, keepdims=True)
 
-    items = [
-        ItemRecord(item_id=item_ids[i], embedding=item_embs[i]) for i in range(n_items)
-    ]
+    items = EmbeddingTable(tuple(item_ids), item_embs)
 
     behaviors: list[BehaviorEvent] = []
     candidates: list[CandidateSet] = []

@@ -27,7 +27,7 @@ from diverank.accuracy import (
     Impression,
 )
 from diverank.autodiff import Tensor
-from diverank.data import BehaviorEvent, EmbeddingTable, ItemRecord, ValidationError
+from diverank.data import BehaviorEvent, EmbeddingTable, ValidationError
 from diverank.interests import InterestProfile
 
 
@@ -274,12 +274,7 @@ class TestCrossEntropy:
 
 class TestImpressions:
     def test_session_context_reconstruction(self):
-        table = EmbeddingTable(
-            [
-                ItemRecord("a", np.array([2.0, 0.0]), None, None),
-                ItemRecord("b", np.array([0.0, 2.0]), None, None),
-            ]
-        )
+        table = EmbeddingTable(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
         events = [
             BehaviorEvent("u1", "b", ts=20, label=0),
             BehaviorEvent("u1", "a", ts=10, label=1),
@@ -295,7 +290,7 @@ class TestImpressions:
         assert imps[1].label == 0
 
     def test_unlabeled_skipped(self):
-        table = EmbeddingTable([ItemRecord("a", np.array([1.0]), None, None)])
+        table = EmbeddingTable(("a",), np.array([[1.0]]))
         events = [
             BehaviorEvent("u1", "a", ts=1, label=None),
             BehaviorEvent("u1", "a", ts=2, label=1),

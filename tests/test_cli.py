@@ -14,7 +14,7 @@ from diverank import cli
 from diverank.accuracy import init_scorer_params
 from diverank.autodiff import save_checkpoint
 from diverank.data import CandidateSet, load_results, save_candidates
-from diverank.interests import save_profiles
+from diverank.interests import InterestProfile, save_profiles
 
 SYNTH_ARGS = [
     "--seed", "0",
@@ -411,8 +411,12 @@ MALFORMED_LINES = {
     "missing base_score": ("rerank", _line(_item(base_score=None)), "base_score"),
     "base_score above one": ("rerank", _line(_item(base_score=1.5)), "base_score"),
     "duplicate id": ("rerank", _line(_item(), _item()), "duplicate"),
+    "list id": ("rerank", _line(_item(item_id=["a"])), "item_id"),
+    "int id": ("rerank", _line(_item(item_id=5)), "item_id"),
     "catalog non-numeric embedding": ("eval", {"item_id": "i1", "embedding": ["x", 0.0]},
                                       "embedding"),
+    "catalog list id": ("eval", {"item_id": ["a"], "embedding": [1.0, 0.0]}, "item_id"),
+    "catalog int id": ("eval", {"item_id": 7, "embedding": [1.0, 0.0]}, "item_id"),
 }
 
 
@@ -449,6 +453,44 @@ class TestMalformedInput:
         assert lines[0].startswith("error: line 1:")
         assert fragment in lines[0]
 
+    @pytest.mark.parametrize("field", ["cluster_id", "base_score"])
+    def test_unread_catalog_field_is_ignored(self, field, tmp_path, capsys):
+        items = tmp_path / "items.jsonl"
+        items.write_text(json.dumps({"item_id": "i1", "embedding": [1.0, 0.0], field: "x"}) + "\n")
+        behaviors = tmp_path / "behaviors.jsonl"
+        behaviors.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 1}) + "\n")
+        argv = ["cluster", "--items", items, "--behaviors", behaviors,
+                "--out", tmp_path / "clusters.jsonl"]
+        assert run(*map(str, argv)) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("stage", ["rerank", "sweep"])
+    @pytest.mark.parametrize("source", ["candidates", "profiles"])
+    def test_dim_mismatch_with_checkpoint_is_one_error_line(self, source, stage, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)  # checkpoint dim 2
+        if source == "candidates":
+            cands = CandidateSet("u1", ("i1",), np.ones((1, 3)), np.array([0.5]))
+            save_candidates(tmp_path / "candidates.jsonl", [cands])
+            expected = "error: candidate set u1: embedding dim 3 != checkpoint dim 2"
+        else:
+            profile = InterestProfile("u1", np.ones(3), np.ones(3))
+            save_profiles(tmp_path / "profiles.jsonl", [profile])
+            expected = "error: profile u1: dim 3 != checkpoint dim 2"
+        argv = [
+            stage,
+            "--candidates", tmp_path / "candidates.jsonl",
+            "--profiles", tmp_path / "profiles.jsonl",
+            "--checkpoint", tmp_path / "checkpoint.json",
+            "--out", tmp_path / "out",
+        ]
+        if stage == "sweep":
+            labels = tmp_path / "labels.jsonl"
+            labels.write_text("")
+            argv += ["--labels", labels]
+        assert run(*map(str, argv)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [expected]
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -479,12 +521,13 @@ class TestMalformedInput:
         assert lines[0].startswith(f"error: {field} must be of type")
 
 
-def test_python_dash_m_entry_point():
+@pytest.mark.parametrize("module", ["diverank", "diverank.cli"])
+def test_python_dash_m_entry_point(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "diverank", "--version"],
+        [sys.executable, "-m", module, "--version"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0

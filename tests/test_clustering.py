@@ -19,7 +19,7 @@ from diverank.clustering import (
     modularity,
     save_clusters,
 )
-from diverank.data import EmbeddingTable, ItemRecord, ValidationError
+from diverank.data import EmbeddingTable, ValidationError
 
 
 def modularity_oracle(graph, labels):
@@ -215,13 +215,7 @@ class TestLouvain:
 
 class TestCentroidsAndAssignment:
     def table(self):
-        return EmbeddingTable(
-            [
-                ItemRecord("a", np.array([1.0, 0.0]), None, None),
-                ItemRecord("b", np.array([0.0, 1.0]), None, None),
-                ItemRecord("c", np.array([0.0, 3.0]), None, None),
-            ]
-        )
+        return EmbeddingTable(("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 3.0]]))
 
     def test_centroid_is_member_mean(self):
         cents = cluster_centroids(self.table(), {"a": 0, "b": 1, "c": 1})
@@ -230,19 +224,16 @@ class TestCentroidsAndAssignment:
 
     def test_item_equal_to_centroid(self):
         cents = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        items = [ItemRecord("x", np.array([0.0, 1.0]), None, None)]
-        assert assign_new_items(items, cents) == {"x": 1}
+        assert assign_new_items(["x"], np.array([[0.0, 1.0]]), cents) == {"x": 1}
 
     def test_equidistant_takes_lowest_cluster(self):
         cents = {1: np.array([1.0, 0.0]), 2: np.array([0.0, 1.0])}
-        items = [ItemRecord("x", np.array([1.0, 1.0]), None, None)]
-        assert assign_new_items(items, cents) == {"x": 1}
+        assert assign_new_items(["x"], np.array([[1.0, 1.0]]), cents) == {"x": 1}
 
     def test_zero_vector_takes_lowest_among_max(self):
         cents = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        items = [ItemRecord("x", np.array([0.0, 0.0]), None, None)]
         # All dot products are 0: lowest cluster id wins.
-        assert assign_new_items(items, cents) == {"x": 0}
+        assert assign_new_items(["x"], np.array([[0.0, 0.0]]), cents) == {"x": 0}
 
 
 class TestClusterIO:

@@ -10,7 +10,6 @@ from diverank.data import (
     CandidateSet,
     EmbeddingTable,
     ExperimentConfig,
-    ItemRecord,
     ParseError,
     ValidationError,
     config_overrides,
@@ -28,42 +27,15 @@ from diverank.data import (
 )
 
 
-def make_item(item_id="it1", dim=4, base_score=0.5, cluster_id=None):
-    return ItemRecord(
-        item_id=item_id,
-        embedding=np.arange(dim, dtype=float),
-        cluster_id=cluster_id,
-        base_score=base_score,
-    )
+def make_item(item_id="it1", dim=4, base_score=0.5):
+    """One item object as a candidates line spells it."""
+    embedding = list(np.arange(dim, dtype=float))
+    return {"item_id": item_id, "embedding": embedding, "base_score": base_score}
 
 
-class TestItemRecord:
-    def test_valid(self):
-        rec = make_item()
-        assert rec.dim == 4
-        assert rec.base_score == 0.5
-
-    def test_embedding_read_only(self):
-        rec = make_item()
-        with pytest.raises(ValueError):
-            rec.embedding[0] = 99.0
-
-    def test_base_score_range(self):
-        with pytest.raises(ValidationError):
-            make_item(base_score=1.5)
-        with pytest.raises(ValidationError):
-            make_item(base_score=-0.1)
-        assert make_item(base_score=0.0).base_score == 0.0
-        assert make_item(base_score=1.0).base_score == 1.0
-        assert make_item(base_score=None).base_score is None
-
-    def test_empty_id_rejected(self):
-        with pytest.raises(ValidationError):
-            make_item(item_id="")
-
-    def test_empty_embedding_rejected(self):
-        with pytest.raises(ValidationError):
-            ItemRecord(item_id="x", embedding=np.array([]), cluster_id=None, base_score=None)
+def make_table(*ids, dim=4):
+    """A catalog whose every row is arange(dim)."""
+    return EmbeddingTable(ids, np.tile(np.arange(dim, dtype=float), (len(ids), 1)))
 
 
 class TestBehaviorEvent:
@@ -83,14 +55,31 @@ class TestBehaviorEvent:
 
 
 class TestEmbeddingTable:
+    def test_valid(self):
+        table = make_table("it1")
+        assert table.dim == 4
+        assert table.ids == ("it1",)
+
+    def test_embedding_read_only(self):
+        table = make_table("it1")
+        with pytest.raises(ValueError):
+            table.embeddings[0, 0] = 99.0
+
+    def test_empty_id_rejected(self):
+        with pytest.raises(ValidationError):
+            make_table("")
+
+    def test_empty_embedding_rejected(self):
+        with pytest.raises(ValidationError):
+            EmbeddingTable(("x",), np.empty((1, 0)))
+
     def test_three_valid_lines(self, tmp_path):
         path = tmp_path / "items.jsonl"
-        recs = [make_item(f"it{i}") for i in range(3)]
-        save_items(str(path), recs)
+        save_items(str(path), make_table("it0", "it1", "it2"))
         table = load_items(str(path))
         assert len(table) == 3
         assert table.dim == 4
-        assert table.ids == ["it0", "it1", "it2"]
+        assert table.ids == ("it0", "it1", "it2")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "items.jsonl"
@@ -98,7 +87,7 @@ class TestEmbeddingTable:
         table = load_items(str(path))
         assert len(table) == 0
         with pytest.raises(ValidationError):
-            table.dim  # undefined until first insert
+            table.dim  # no rows, no dimension
 
     def test_dim_mismatch_cites_line(self, tmp_path):
         path = tmp_path / "items.jsonl"
@@ -120,18 +109,22 @@ class TestEmbeddingTable:
         assert err.value.line == 2
 
     def test_duplicate_id_rejected(self):
-        table = EmbeddingTable([make_item("a")])
         with pytest.raises(ValidationError):
-            table.add(make_item("a"))
+            make_table("a", "a")
+
+    def test_duplicate_id_cites_line(self, tmp_path):
+        path = tmp_path / "items.jsonl"
+        save_items(str(path), make_table("a", "b"))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"item_id": "a", "embedding": [0, 1, 2, 3]}) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_items(str(path))
+        assert err.value.line == 3
+        assert "duplicate" in str(err.value)
 
     def test_matrix_row_order(self):
-        table = EmbeddingTable(
-            [
-                ItemRecord("a", np.array([1.0, 0.0]), None, None),
-                ItemRecord("b", np.array([0.0, 1.0]), None, None),
-            ]
-        )
-        assert np.array_equal(table.matrix(), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        table = EmbeddingTable(("a", "b"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(table.rows(table.ids), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestBehaviorIO:
@@ -166,10 +159,8 @@ class TestBehaviorIO:
 
 
 def candidate_set(user_id, *items):
-    """Build a CandidateSet from item records the way a candidates line does."""
-    return CandidateSet.from_dict(
-        {"user_id": user_id, "items": [json.loads(rec.to_json()) for rec in items]}
-    )
+    """Build a CandidateSet from item objects the way a candidates line does."""
+    return CandidateSet.from_dict({"user_id": user_id, "items": list(items)})
 
 
 class TestCandidateSet:
@@ -222,24 +213,11 @@ class TestCandidateSet:
 class TestItemRoundTrip:
     def test_field_for_field(self, tmp_path, rng):
         path = tmp_path / "items.jsonl"
-        recs = []
-        for i in range(10):
-            recs.append(
-                ItemRecord(
-                    item_id=f"it{i}",
-                    embedding=rng.normal(size=6),
-                    cluster_id=int(rng.integers(0, 3)) if i % 2 else None,
-                    base_score=float(rng.random()) if i % 3 else None,
-                )
-            )
-        save_items(str(path), recs)
-        loaded = list(load_items(str(path)))
-        assert len(loaded) == len(recs)
-        for got, want in zip(loaded, recs):
-            assert got.item_id == want.item_id
-            assert np.array_equal(got.embedding, want.embedding)
-            assert got.cluster_id == want.cluster_id
-            assert got.base_score == want.base_score
+        table = EmbeddingTable(tuple(f"it{i}" for i in range(10)), rng.normal(size=(10, 6)))
+        save_items(str(path), table)
+        loaded = load_items(str(path))
+        assert loaded.ids == table.ids
+        assert np.array_equal(loaded.embeddings, table.embeddings)
 
 
 class TestConfig:

@@ -12,7 +12,7 @@ import pytest
 
 import diverank.autodiff as ad
 from diverank.autodiff import Tensor
-from diverank.data import BehaviorEvent, EmbeddingTable, ItemRecord, ValidationError
+from diverank.data import BehaviorEvent, EmbeddingTable, ValidationError
 from diverank.interests import (
     AttentionParams,
     InterestPoint,
@@ -82,13 +82,7 @@ def identity_attention(dim):
 
 class TestGrouping:
     def table(self):
-        return EmbeddingTable(
-            [
-                ItemRecord("i1", np.array([1.0, 0.0]), None, None),
-                ItemRecord("i2", np.array([0.5, 0.5]), None, None),
-                ItemRecord("i3", np.array([0.0, 1.0]), None, None),
-            ]
-        )
+        return EmbeddingTable(("i1", "i2", "i3"), np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
 
     def test_sum_pooling(self):
         events = [
@@ -300,7 +294,7 @@ class TestMicroInterest:
 class TestBuildProfile:
     def world(self, rng):
         table = EmbeddingTable(
-            [ItemRecord(f"i{k}", rng.normal(size=4), None, None) for k in range(6)]
+            tuple(f"i{k}" for k in range(6)), [rng.normal(size=4) for k in range(6)]
         )
         clusters = {f"i{k}": k % 2 for k in range(6)}
         params = init_interest_params(4, time_buckets=4, rng=rng)

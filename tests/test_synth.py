@@ -83,7 +83,7 @@ class TestWorldShape:
 
     def test_item_ids_and_true_clusters(self):
         world = generate(small_spec())
-        assert [it.item_id for it in world.items] == [f"it{i:04d}" for i in range(10)]
+        assert list(world.items.ids) == [f"it{i:04d}" for i in range(10)]
         assert [world.true_clusters[f"it{i:04d}"] for i in range(10)] == [0] * 5 + [1] * 5
 
     def test_behavior_timestamps_in_window_and_per_user_ascending(self):
@@ -122,9 +122,8 @@ class TestDeterminism:
         assert a.behaviors == b.behaviors
         assert a.labels == b.labels
         assert a.true_clusters == b.true_clusters
-        for ia, ib in zip(a.items, b.items):
-            assert ia.item_id == ib.item_id
-            assert np.array_equal(ia.embedding, ib.embedding)
+        assert a.items.ids == b.items.ids
+        assert np.array_equal(a.items.embeddings, b.items.embeddings)
         for ca, cb in zip(a.candidates, b.candidates):
             assert ca.ids == cb.ids
             assert np.array_equal(ca.base_scores, cb.base_scores)
@@ -144,14 +143,14 @@ class TestDeterminism:
     def test_different_seed_different_world(self):
         a = generate(small_spec(seed=0))
         b = generate(small_spec(seed=1))
-        assert not np.array_equal(a.items[0].embedding, b.items[0].embedding)
+        assert not np.array_equal(a.items.embeddings[0], b.items.embeddings[0])
 
 
 class TestWorldModel:
     def test_zero_noise_collapses_clusters_to_unit_centroids(self):
         world = generate(small_spec(noise=0.0))
         for c in range(2):
-            block = [world.items[c * 5 + j].embedding for j in range(5)]
+            block = [world.items.embeddings[c * 5 + j] for j in range(5)]
             for emb in block[1:]:
                 assert np.array_equal(emb, block[0])
             assert np.linalg.norm(block[0]) == pytest.approx(1.0, abs=1e-12)
@@ -163,8 +162,7 @@ class TestWorldModel:
         loud = generate(small_spec(seed=2, score_noise=4.0))
         assert quiet.behaviors == loud.behaviors
         assert quiet.labels == loud.labels
-        for ia, ib in zip(quiet.items, loud.items):
-            assert np.array_equal(ia.embedding, ib.embedding)
+        assert np.array_equal(quiet.items.embeddings, loud.items.embeddings)
         diffs = [
             abs(qa - la)
             for qc, lc in zip(quiet.candidates, loud.candidates)
