@@ -206,21 +206,35 @@ def score_batch(
     ctx: ContextState,
     params: ScorerParams,
 ) -> np.ndarray:
-    """Positive-class probability for each target row, gradient-free."""
+    """Positive-class probability for each target row, gradient-free.
+
+    The plain-numpy inference form of `score_logits`.  Context and
+    interest rows are shared by every target, so each gate is one (d,)
+    vector, and gating the target columns equals scaling the rows of
+    their `mlp_w1` block: (T * g) W = T (g[:, None] * W).  The three target
+    blocks thus fold into one (d, hidden) weight and the four
+    gated-interest blocks plus `mlp_b1` into one row, leaving one matmul
+    per call.  The two-way softmax is a sigmoid of the logit gap.
+    """
     targets = np.asarray(target_embeddings, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets.reshape(1, -1)
-    with ad.no_grad():
-        logits = score_logits(
-            ad.constant(targets),
-            ad.constant(profile.h_macro),
-            ad.constant(profile.h_micro),
-            ad.constant(ctx.h_prev),
-            ad.constant(ctx.h_cand),
-            params,
-        )
-        probs = ad.softmax_rows(logits)
-    return probs.data[:, 1].copy()
+    d = targets.shape[1]
+    w1, w2 = params.mlp_w1.data, params.mlp_w2.data
+    g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev.data, 0.0) @ params.w2_prev.data)
+    g_cand = _sigmoid(np.maximum(ctx.h_cand @ params.w1_cand.data, 0.0) @ params.w2_cand.data)
+    weight = w1[:d] + g_prev[:, None] * w1[d : 2 * d] + g_cand[:, None] * w1[2 * d : 3 * d]
+    macro, micro = profile.h_macro, profile.h_micro
+    gated = np.concatenate([macro * g_prev, micro * g_prev, macro * g_cand, micro * g_cand])
+    row = gated @ w1[3 * d :] + params.mlp_b1.data[0]
+    b2 = params.mlp_b2.data[0]
+    gap = np.maximum(targets @ weight + row, 0.0) @ (w2[:, 1] - w2[:, 0]) + (b2[1] - b2[0])
+    return _sigmoid(gap)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-log(1 + e^-x)) neither overflows nor warns at any finite x.
+    return np.exp(-np.logaddexp(0.0, -x))
 
 
 def score(

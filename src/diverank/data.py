@@ -43,6 +43,12 @@ class NumericalError(RuntimeError):
     """A numerical operation failed (singular kernel, non-finite values)."""
 
 
+def _check_id(value, name: str, where: str = "", row: int | None = None) -> None:
+    """Every id in every input format is a non-empty string."""
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{where}{name} must be a non-empty string, got {value!r}", row)
+
+
 def _check_columns(
     ids: Sequence[str], embeddings, where: str = ""
 ) -> tuple[tuple[str, ...], np.ndarray]:
@@ -56,10 +62,7 @@ def _check_columns(
     ids = tuple(ids)
     seen: set[str] = set()
     for row, item_id in enumerate(ids):
-        if not isinstance(item_id, str) or not item_id:
-            raise ValidationError(
-                f"{where}item_id must be a non-empty string, got {item_id!r}", row
-            )
+        _check_id(item_id, "item_id", where, row)
         if item_id in seen:
             raise ValidationError(f"{where}duplicate item {item_id!r}", row)
         seen.add(item_id)
@@ -120,10 +123,8 @@ class BehaviorEvent:
     label: int | None = None
 
     def __post_init__(self):
-        if not self.user_id:
-            raise ValidationError("user_id must be non-empty")
-        if not self.item_id:
-            raise ValidationError("item_id must be non-empty")
+        _check_id(self.user_id, "user_id")
+        _check_id(self.item_id, "item_id")
         if self.ts < 0:
             raise ValidationError(
                 f"behavior ({self.user_id}, {self.item_id}): ts must be >= 0"
@@ -207,8 +208,7 @@ class CandidateSet:
     base_scores: np.ndarray
 
     def __post_init__(self):
-        if not self.user_id:
-            raise ValidationError("user_id must be non-empty")
+        _check_id(self.user_id, "user_id")
         where = f"candidate set {self.user_id}: "
         ids, embs = _check_columns(self.ids, self.embeddings, where)
         n = len(ids)
@@ -307,6 +307,9 @@ class RerankResult:
     exhausted: bool = False
 
     def __post_init__(self):
+        _check_id(self.user_id, "user_id")
+        for item_id in self.item_ids:
+            _check_id(item_id, "item_id", f"result {self.user_id}: ")
         if len(self.item_ids) != len(self.steps):
             raise ValidationError("result steps and item_ids must align")
         if len(set(self.item_ids)) != len(self.item_ids):
@@ -488,7 +491,7 @@ def load_behaviors(path: str) -> list[BehaviorEvent]:
     for lineno, doc in _iter_json_lines(path):
         try:
             events.append(BehaviorEvent.from_dict(doc))
-        except (ValidationError, ValueError) as exc:
+        except (ValidationError, ValueError, TypeError) as exc:
             raise ParseError(str(exc), line=lineno) from exc
     events.sort(key=lambda e: (e.user_id, e.ts))
     return events
@@ -527,7 +530,7 @@ def load_results(path: str) -> list[RerankResult]:
     for lineno, doc in _iter_json_lines(path):
         try:
             out.append(RerankResult.from_dict(doc))
-        except (ValidationError, KeyError, ValueError) as exc:
+        except (ValidationError, KeyError, ValueError, TypeError) as exc:
             raise ParseError(str(exc), line=lineno) from exc
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ExperimentConfig, ValidationError
+from .data import ExperimentConfig, NumericalError, ValidationError
 from .interests import InterestProfile
 
 
@@ -119,7 +119,14 @@ def _signed_exp_gram(vectors: np.ndarray, a: float, b: float, sign: float) -> np
     # In-place scale/exp: one N^2 allocation per term instead of four.
     gram = vectors @ vectors.T
     gram *= sign / (b * b)
-    np.exp(gram, out=gram)
+    try:
+        with np.errstate(over="raise"):
+            np.exp(gram, out=gram)
+    except FloatingPointError:
+        raise NumericalError(
+            f"kernel exp(<x_i, x_j> / b^2) overflows at b={b:g}; "
+            "normalize the embeddings or raise b"
+        ) from None
     gram *= a * a
     return gram
 

@@ -258,7 +258,7 @@ def exhaustive_map(
 
 def mmr_select(
     candidates: CandidateSet,
-    sim: Callable[[int, int], float],
+    sim: Callable[[np.ndarray, int], np.ndarray],
     lam: float,
     k: int,
 ) -> list[str]:
@@ -266,7 +266,8 @@ def mmr_select(
 
     Step value: lam * base_score - (1 - lam) * max similarity to the
     already-selected items (zero for the first pick).  Ties break to the
-    lowest candidate index.
+    lowest candidate index.  `sim(rows, j)` returns the similarity of each
+    row in `rows` to candidate j, as `cosine_similarity_fn` does.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError("lambda must lie in [0, 1]")
@@ -278,6 +279,7 @@ def mmr_select(
     # -inf floor: the max over selected similarities may be negative, and
     # a zero floor would erase that boost for anti-correlated candidates.
     max_sim = np.full(n, -np.inf)
+    all_indices = np.arange(n)
     selected_mask = np.zeros(n, dtype=bool)
     order: list[int] = []
     for step in range(k):
@@ -290,19 +292,18 @@ def mmr_select(
         order.append(j)
         selected_mask[j] = True
         if step + 1 < k:
-            sims = np.array([sim(i, j) for i in range(n)])
-            max_sim = np.maximum(max_sim, sims)
+            max_sim = np.maximum(max_sim, sim(all_indices, j))
     return [candidates.ids[j] for j in order]
 
 
-def cosine_similarity_fn(embeddings: np.ndarray) -> Callable[[int, int], float]:
-    """Pairwise cosine similarity over candidate rows, for MMR."""
+def cosine_similarity_fn(embeddings: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Cosine similarity of candidate rows `i` (an index or index array) to row j, for MMR."""
     embs = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(embs, axis=1)
     safe = np.where(norms > 0.0, norms, 1.0)
     unit = embs / safe[:, None]
 
-    def sim(i: int, j: int) -> float:
-        return float(unit[i] @ unit[j])
+    def sim(i, j: int):
+        return unit[i] @ unit[j]
 
     return sim

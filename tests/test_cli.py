@@ -13,7 +13,7 @@ import pytest
 from diverank import cli
 from diverank.accuracy import init_scorer_params
 from diverank.autodiff import save_checkpoint
-from diverank.data import CandidateSet, load_results, save_candidates
+from diverank.data import CandidateSet, load_candidates, load_results, save_candidates
 from diverank.interests import InterestProfile, save_profiles
 
 SYNTH_ARGS = [
@@ -369,6 +369,28 @@ class TestExitCodes:
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
 
+    def test_kernel_overflow_is_one_numerical_error_line(self, tmp_path, capsys):
+        # Unnormalized embeddings of norm 40 put 1600 / b^2 in the exponent.
+        write_duplicate_fixture(tmp_path)
+        (cands,) = load_candidates(tmp_path / "candidates.jsonl")
+        scaled = CandidateSet("u1", cands.ids, 40.0 * cands.embeddings, cands.base_scores)
+        save_candidates(tmp_path / "candidates.jsonl", [scaled])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"normalize_embeddings": False}))
+        code = run(
+            "rerank",
+            "--candidates", str(tmp_path / "candidates.jsonl"),
+            "--profiles", str(tmp_path / "profiles.jsonl"),
+            "--checkpoint", str(tmp_path / "checkpoint.json"),
+            "--out", str(tmp_path / "results.jsonl"),
+            "--config", str(cfg),
+        )
+        assert code == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error:")
+        assert "normalize the embeddings" in lines[0]
+
     def test_non_increasing_alphas_rejected(self, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)
         code = run(
@@ -400,23 +422,48 @@ def _line(*items):
     return {"user_id": "u1", "items": list(items)}
 
 
-# (stage reading the line, the line, a fragment its error must name)
+def _result(**overrides):
+    step = {"item_id": "a", "score": 0.5, "log_d2": 0.0, "marginal": 0.5}
+    doc = {"user_id": "u1", "item_ids": ["a"], "steps": [step], "objective": 0.5}
+    doc.update(overrides)
+    return doc
+
+
+def _event(**overrides):
+    doc = {"user_id": "u1", "item_id": "i1", "ts": 1, "label": 1}
+    doc.update(overrides)
+    return doc
+
+
+# (command and the flag reading the line, the line, a fragment its error must name)
 MALFORMED_LINES = {
-    "non-numeric embedding": ("rerank", _line(_item(embedding=["x", 0.0])), "embedding"),
-    "ragged dims": ("rerank", _line(_item(), _item(item_id="i2", embedding=[1.0])),
+    "non-numeric embedding": ("rerank --candidates", _line(_item(embedding=["x", 0.0])),
+                              "embedding"),
+    "ragged dims": ("rerank --candidates", _line(_item(), _item(item_id="i2", embedding=[1.0])),
                     "mixed embedding dims"),
-    "nan embedding": ("rerank", _line(_item(embedding=[float("nan"), 0.0])), "non-finite"),
-    "items not a list": ("rerank", {"user_id": "u1", "items": "x"}, "items"),
-    "item not an object": ("rerank", _line(["i1", [1.0, 0.0], 0.5]), "items"),
-    "missing base_score": ("rerank", _line(_item(base_score=None)), "base_score"),
-    "base_score above one": ("rerank", _line(_item(base_score=1.5)), "base_score"),
-    "duplicate id": ("rerank", _line(_item(), _item()), "duplicate"),
-    "list id": ("rerank", _line(_item(item_id=["a"])), "item_id"),
-    "int id": ("rerank", _line(_item(item_id=5)), "item_id"),
-    "catalog non-numeric embedding": ("eval", {"item_id": "i1", "embedding": ["x", 0.0]},
+    "nan embedding": ("rerank --candidates", _line(_item(embedding=[float("nan"), 0.0])),
+                      "non-finite"),
+    "items not a list": ("rerank --candidates", {"user_id": "u1", "items": "x"}, "items"),
+    "item not an object": ("rerank --candidates", _line(["i1", [1.0, 0.0], 0.5]), "items"),
+    "missing base_score": ("rerank --candidates", _line(_item(base_score=None)), "base_score"),
+    "base_score above one": ("rerank --candidates", _line(_item(base_score=1.5)), "base_score"),
+    "duplicate id": ("rerank --candidates", _line(_item(), _item()), "duplicate"),
+    "list id": ("rerank --candidates", _line(_item(item_id=["a"])), "item_id"),
+    "int id": ("rerank --candidates", _line(_item(item_id=5)), "item_id"),
+    "list user id": ("rerank --candidates", {"user_id": ["u1"], "items": [_item()]}, "user_id"),
+    "catalog non-numeric embedding": ("eval --items", {"item_id": "i1", "embedding": ["x", 0.0]},
                                       "embedding"),
-    "catalog list id": ("eval", {"item_id": ["a"], "embedding": [1.0, 0.0]}, "item_id"),
-    "catalog int id": ("eval", {"item_id": 7, "embedding": [1.0, 0.0]}, "item_id"),
+    "catalog list id": ("eval --items", {"item_id": ["a"], "embedding": [1.0, 0.0]}, "item_id"),
+    "catalog int id": ("eval --items", {"item_id": 7, "embedding": [1.0, 0.0]}, "item_id"),
+    "result list item id": ("eval --results", _result(item_ids=[["a"]]), "item_id"),
+    "result empty item id": ("eval --results", _result(item_ids=[""]), "item_id"),
+    "result list user id": ("eval --results", _result(user_id=["u1"]), "user_id"),
+    "result steps not a list": ("eval --results", _result(steps=5), "not iterable"),
+    "behavior list item id": ("cluster --behaviors", _event(item_id=["a"]), "item_id"),
+    "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
+    "behavior list ts": ("cluster --behaviors", _event(ts=[1]), "int()"),
+    "label list item id": ("eval --labels", _event(item_id=["a"]), "item_id"),
+    "label list user id": ("eval --labels", _event(user_id=["u1"]), "user_id"),
 }
 
 
@@ -427,24 +474,31 @@ class TestMalformedInput:
         write_duplicate_fixture(tmp_path)
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(doc) + "\n")
-        if stage == "rerank":
-            argv = [
-                "rerank",
-                "--candidates", bad,
-                "--profiles", tmp_path / "profiles.jsonl",
-                "--checkpoint", tmp_path / "checkpoint.json",
-                "--out", tmp_path / "results.jsonl",
-            ]
-        else:
-            empty = tmp_path / "empty.jsonl"
-            empty.write_text("")
-            argv = [
-                "eval",
-                "--results", empty,
-                "--labels", empty,
-                "--items", bad,
-                "--out", tmp_path / "eval.csv",
-            ]
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        command, flag = stage.split()
+        # Every other input is valid (or empty), so the bad line is the one error.
+        inputs = {
+            "rerank": {
+                "--candidates": tmp_path / "candidates.jsonl",
+                "--profiles": tmp_path / "profiles.jsonl",
+                "--checkpoint": tmp_path / "checkpoint.json",
+                "--out": tmp_path / "results.jsonl",
+            },
+            "eval": {
+                "--results": empty,
+                "--labels": empty,
+                "--items": empty,
+                "--out": tmp_path / "eval.csv",
+            },
+            "cluster": {
+                "--items": empty,
+                "--behaviors": empty,
+                "--out": tmp_path / "clusters.jsonl",
+            },
+        }[command]
+        inputs[flag] = bad
+        argv = [command, *(part for pair in inputs.items() for part in pair)]
         assert run(*map(str, argv)) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err

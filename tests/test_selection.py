@@ -7,6 +7,7 @@ step-by-step reimplementation with plain loops.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,3 +356,65 @@ class TestProfileScorer:
         before = scorer(ctx0, np.arange(n))
         after = scorer(ctx1, np.arange(n))
         assert not np.allclose(before, after)
+
+    @pytest.mark.parametrize(
+        "n, d, hidden, w2_scale",
+        [
+            (100, 16, None, 1.0),  # the pipeline benchmark shape
+            (500, 64, 256, 1.0),  # the criterion 7 shape
+            (12, 3, None, 1.0),  # d < reduction: gate bottleneck of 1
+            (40, 8, None, 1e3),  # saturated logit gaps
+        ],
+        ids=["n100-d16", "n500-d64", "bottleneck1", "w2-times-1e3"],
+    )
+    def test_every_step_matches_autodiff_oracle(self, n, d, hidden, w2_scale):
+        # Rebuild each step's context from the chosen order and hold the
+        # folded plain-numpy forward to the autodiff graph it replaces.
+        from diverank import autodiff as ad
+        from diverank.accuracy import (
+            init_scorer_params,
+            initial_context,
+            score_batch,
+            score_logits,
+            update_context,
+        )
+        from diverank.interests import InterestProfile
+
+        rng = np.random.default_rng(17)
+        embs = rng.normal(size=(n, d))
+        cands = make_candidates(rng.random(n), embs=embs)
+        profile = InterestProfile("u1", h_macro=rng.normal(size=d), h_micro=rng.normal(size=d))
+        params = init_scorer_params(d, rng, hidden=hidden, requires_grad=False)
+        params.mlp_w2.data *= w2_scale
+        cfg = ExperimentConfig(k=10, alpha=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, trace = bs_dpp_select(
+                cands,
+                random_psd_kernel(rng, n),
+                profile_scorer(cands, profile, params),
+                cfg,
+                collect_trace=True,
+            )
+            assert len(trace.steps) == cfg.k
+            for step in trace.steps:
+                ctx = initial_context(embs)
+                for j in step.selected_before:
+                    ctx = update_context(ctx, embs[j])
+                got = score_batch(embs, profile, ctx, params)
+                np.testing.assert_array_equal(got, step.scores)
+                with ad.no_grad():
+                    logits = score_logits(
+                        ad.constant(embs),
+                        ad.constant(profile.h_macro),
+                        ad.constant(profile.h_micro),
+                        ad.constant(ctx.h_prev),
+                        ad.constant(ctx.h_cand),
+                        params,
+                    )
+                    want = ad.softmax_rows(logits).data[:, 1]
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
+                single = score_batch(embs[step.chosen], profile, ctx, params)  # 1-D target
+                assert single.shape == (1,)
+                assert single[0] == pytest.approx(want[step.chosen], abs=1e-12)
