@@ -10,7 +10,7 @@ Run: python3 demos/03_interest_profiles.py
 
 import numpy as np
 
-from diverank.data import BehaviorEvent, EmbeddingTable
+from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable
 from diverank.interests import (
     build_profile,
     group_interest_points,
@@ -19,6 +19,17 @@ from diverank.interests import (
 )
 
 DAY = 86_400
+
+
+def plays(user, names_days, now):
+    """One user's unlabeled BehaviorLog: (item, days before now) per event."""
+    n = len(names_days)
+    return BehaviorLog(
+        user_ids=(user,) * n,
+        item_ids=tuple(name for name, _ in names_days),
+        ts=[now - days * DAY for _, days in names_days],
+        labels=[NO_LABEL] * n,
+    )
 
 
 def section(title):
@@ -48,14 +59,9 @@ def main():
 
     section("2. History -> pooled interest points")
     now = 1_700_000_000
-    history = [
-        BehaviorEvent("ana", "jazz_0", now - 20 * DAY),
-        BehaviorEvent("ana", "jazz_1", now - 18 * DAY),
-        BehaviorEvent("ana", "jazz_2", now - 15 * DAY),
-        BehaviorEvent("ana", "jazz_0", now - 14 * DAY),
-        BehaviorEvent("ana", "salsa_0", now - 2 * DAY),
-        BehaviorEvent("ana", "salsa_1", now - 1 * DAY),
-    ]
+    history = plays("ana", [("jazz_0", 20), ("jazz_1", 18), ("jazz_2", 15),
+                            ("jazz_0", 14), ("salsa_0", 2), ("salsa_1", 1)], now)
+    print("behavior log columns:", history.item_ids, history.ts)
     points = group_interest_points(history, table, clusters, top_m=4)
     for p in points:
         print(f"cluster {p.cluster_id}: {len(p.item_ids)} items "
@@ -81,8 +87,7 @@ def main():
 
     section("5. Similar recent histories give similar micro vectors")
     def taste(user, names_days):
-        events = [BehaviorEvent(user, n, now - d * DAY) for n, d in names_days]
-        return build_profile(user, events, table, clusters, params,
+        return build_profile(user, plays(user, names_days, now), table, clusters, params,
                              top_m=4, recent_window=3, now=now)
 
     bob = taste("bob", [("jazz_0", 9), ("jazz_1", 5), ("jazz_2", 1)])
@@ -100,7 +105,7 @@ def main():
     print("even though ana's long-term point ranking is jazz-first")
 
     section("6. Cold start stays well-defined")
-    empty = build_profile("newcomer", [], table, clusters, params,
+    empty = build_profile("newcomer", plays("newcomer", [], now), table, clusters, params,
                           top_m=4, recent_window=3)
     print("empty history -> zero vectors:",
           bool(np.all(empty.h_macro == 0) and np.all(empty.h_micro == 0)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import BehaviorEvent, EmbeddingTable, ValidationError
+from .data import NO_LABEL, BehaviorLog, EmbeddingTable, ValidationError
 from .interests import InterestProfile
 from .metrics import auc
 
@@ -271,10 +271,10 @@ class Impression:
 
 
 def build_impressions(
-    events: list[BehaviorEvent],
+    log: BehaviorLog,
     table: EmbeddingTable,
 ) -> list[Impression]:
-    """Reconstruct per-user session contexts from labeled behavior events.
+    """Reconstruct per-user session contexts from a labeled behavior log.
 
     Events are grouped per user in timestamp order.  For the t-th event
     the previous context is the mean of the earlier session embeddings
@@ -282,18 +282,20 @@ def build_impressions(
     whole session, mirroring how contexts behave at serving time.
     Unlabeled events and events without embeddings are skipped.
     """
-    by_user: dict[str, list[BehaviorEvent]] = {}
-    for ev in events:
-        if ev.label is None or ev.item_id not in table:
+    ts = log.ts.tolist()
+    labels = log.labels.tolist()
+    by_user: dict[str, list[int]] = {}
+    for row, (user_id, item_id) in enumerate(zip(log.user_ids, log.item_ids)):
+        if labels[row] == NO_LABEL or item_id not in table:
             continue
-        by_user.setdefault(ev.user_id, []).append(ev)
+        by_user.setdefault(user_id, []).append(row)
     out: list[Impression] = []
     for user_id in sorted(by_user):
-        session = sorted(by_user[user_id], key=lambda e: e.ts)
-        embs = table.rows(ev.item_id for ev in session)
+        session = sorted(by_user[user_id], key=ts.__getitem__)
+        embs = table.rows(log.item_ids[r] for r in session)
         h_cand = embs.mean(axis=0)
         running = np.zeros(embs.shape[1])
-        for t, ev in enumerate(session):
+        for t, row in enumerate(session):
             h_prev = running / t if t else np.zeros(embs.shape[1])
             out.append(
                 Impression(
@@ -301,7 +303,7 @@ def build_impressions(
                     embedding=embs[t],
                     h_prev=h_prev,
                     h_cand=h_cand,
-                    label=int(ev.label),
+                    label=labels[row],
                 )
             )
             running = running + embs[t]

@@ -38,6 +38,7 @@ from .clustering import (
     save_clusters,
 )
 from .data import (
+    NO_LABEL,
     CandidateSet,
     ExperimentConfig,
     NumericalError,
@@ -133,9 +134,9 @@ def cmd_synth(args) -> None:
 def cmd_cluster(args) -> None:
     table = load_items(args.items)
     behaviors = load_behaviors(args.behaviors)
-    if not behaviors:
+    if not len(behaviors):
         raise ValidationError("no behavior events to cluster on")
-    graph = BipartiteGraph.from_edges((ev.user_id, ev.item_id) for ev in behaviors)
+    graph = BipartiteGraph.from_edges(zip(behaviors.user_ids, behaviors.item_ids))
     assignment = louvain(graph, seed=derive_seed(args.seed, "cluster"))
     item_clusters = assignment.item_clusters()
     q = modularity(graph, assignment.labels)
@@ -159,9 +160,9 @@ def cmd_train_scorer(args) -> None:
     table = load_items(args.items)
     behaviors = load_behaviors(args.behaviors)
     item_clusters = load_clusters(args.clusters)
-    if not behaviors:
+    if not len(behaviors):
         raise ValidationError("no behavior events to train on")
-    now = max(ev.ts for ev in behaviors)
+    now = int(behaviors.ts.max())
 
     interest_rng = np.random.default_rng(derive_seed(args.seed, "interest-init"))
     interest = init_interest_params(
@@ -173,15 +174,12 @@ def cmd_train_scorer(args) -> None:
         requires_grad=False,
     )
 
-    by_user: dict[str, list] = {}
-    for ev in behaviors:
-        by_user.setdefault(ev.user_id, []).append(ev)
     profiles = []
-    for user_id in sorted(by_user):
+    for user_id, user_log in behaviors.by_user():
         profiles.append(
             build_profile(
                 user_id,
-                by_user[user_id],
+                user_log,
                 table,
                 item_clusters,
                 interest,
@@ -308,11 +306,16 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 
 
 def _label_map(path: str) -> dict[str, dict[str, int]]:
+    log = load_behaviors(path)
+    unlabeled = log.labels == NO_LABEL
+    if unlabeled.any():
+        row = int(np.argmax(unlabeled))
+        raise ValidationError(
+            f"label line for ({log.user_ids[row]}, {log.item_ids[row]}) lacks a label"
+        )
     by_user: dict[str, dict[str, int]] = {}
-    for ev in load_behaviors(path):
-        if ev.label is None:
-            raise ValidationError(f"label line for ({ev.user_id}, {ev.item_id}) lacks a label")
-        by_user.setdefault(ev.user_id, {})[ev.item_id] = int(ev.label)
+    for user_id, item_id, label in zip(log.user_ids, log.item_ids, log.labels.tolist()):
+        by_user.setdefault(user_id, {})[item_id] = label
     return by_user
 
 
@@ -336,21 +339,17 @@ def cmd_eval(args) -> None:
             ilads.append(diversity)
         rows.append([res.user_id, len(res.item_ids), _fmt(ndcg), _fmt(diversity)])
 
+    # An empty mean (no lists, or none with two items for ILAD) is left blank.
+    mean_ndcg = _fmt(float(np.mean(ndcgs))) if ndcgs else ""
+    mean_ilad = _fmt(float(np.mean(ilads))) if ilads else ""
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "n_selected", f"ndcg_at_{cfg.k}", "ilad"])
         writer.writerows(rows)
-        writer.writerow(
-            [
-                "__mean__",
-                "",
-                _fmt(float(np.mean(ndcgs))) if ndcgs else "",
-                _fmt(float(np.mean(ilads))) if ilads else "",
-            ]
-        )
+        writer.writerow(["__mean__", "", mean_ndcg, mean_ilad])
     print(
-        f"eval: {len(results)} lists, mean ndcg@{cfg.k}="
-        f"{np.mean(ndcgs):.6f}, mean ilad={np.mean(ilads):.6f} -> {args.out}"
+        f"eval: {len(results)} lists, mean ndcg@{cfg.k}={mean_ndcg}, "
+        f"mean ilad={mean_ilad} -> {args.out}"
     )
 
 
@@ -383,15 +382,6 @@ def cmd_sweep(args) -> None:
     _check_dims(candidates, profiles, params.dim)
     hp = KernelHyperparams.from_config(cfg)
 
-    prepared = []
-    for cs in candidates:
-        profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
-        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
-        row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
-        user_labels = labels.get(cs.user_id, {})
-        ideal = sorted(user_labels.values(), reverse=True)
-        prepared.append((cs, row_of, profile, kernel, user_labels, ideal))
-
     def evaluate(cs: CandidateSet, rows: list[int], user_labels, ideal) -> tuple[float, float]:
         rel = [user_labels.get(cs.ids[r], 0) for r in rows]
         embs = cs.embeddings[rows]
@@ -399,44 +389,52 @@ def cmd_sweep(args) -> None:
         diversity = ilad(embs) if len(rows) >= 2 else float("nan")
         return ndcg, diversity
 
-    table_rows = []
-    for alpha in alphas:
-        cfg_a = validate_config(replace(cfg, alpha=alpha))
-        lam = 1.0 / (1.0 + alpha)
-        acc: dict[str, list[list[float]]] = {m: [] for m in ("bs_dpp", "fixed_dpp", "mmr")}
-        times = {m: 0.0 for m in acc}
-        for cs, row_of, profile, kernel, user_labels, ideal in prepared:
+    methods = ("bs_dpp", "fixed_dpp", "mmr")
+    cfgs = [validate_config(replace(cfg, alpha=alpha)) for alpha in alphas]
+    # Per alpha: each method's [ndcg, ilad, objective] rows in user order, and its wall time.
+    acc = [{m: [] for m in methods} for _ in alphas]
+    times = [dict.fromkeys(methods, 0.0) for _ in alphas]
+    # User-major, so that one user's n x n kernel at a time is alive.
+    for cs in candidates:
+        profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
+        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
+        row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
+        user_labels = labels.get(cs.user_id, {})
+        ideal = sorted(user_labels.values(), reverse=True)
+        for alpha, cfg_a, acc_a, times_a in zip(alphas, cfgs, acc, times):
             t0 = time.perf_counter()
             res = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a)
-            times["bs_dpp"] += time.perf_counter() - t0
+            times_a["bs_dpp"] += time.perf_counter() - t0
             ndcg, div = evaluate(cs, [row_of[i] for i in res.item_ids], user_labels, ideal)
-            acc["bs_dpp"].append([ndcg, div, res.objective])
+            acc_a["bs_dpp"].append([ndcg, div, res.objective])
 
             t0 = time.perf_counter()
             res_f = fixed_score_dpp_select(cs, kernel, cfg_a)
-            times["fixed_dpp"] += time.perf_counter() - t0
+            times_a["fixed_dpp"] += time.perf_counter() - t0
             ndcg, div = evaluate(cs, [row_of[i] for i in res_f.item_ids], user_labels, ideal)
-            acc["fixed_dpp"].append([ndcg, div, res_f.objective])
+            acc_a["fixed_dpp"].append([ndcg, div, res_f.objective])
 
             t0 = time.perf_counter()
-            ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings), lam, cfg.k)
-            times["mmr"] += time.perf_counter() - t0
+            ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings), 1.0 / (1.0 + alpha), cfg.k)
+            times_a["mmr"] += time.perf_counter() - t0
             idx_m = [row_of[i] for i in ids_m]
             ndcg, div = evaluate(cs, idx_m, user_labels, ideal)
             h_m = _subset_objective(kernel.values, cs.base_scores, idx_m, alpha)
-            acc["mmr"].append([ndcg, div, h_m])
+            acc_a["mmr"].append([ndcg, div, h_m])
 
-        for method in ("bs_dpp", "fixed_dpp", "mmr"):
-            arr = np.asarray(acc[method])
+    table_rows = []
+    for alpha, acc_a, times_a in zip(alphas, acc, times):
+        for method in methods:
+            arr = np.asarray(acc_a[method])
             table_rows.append(
                 [
                     _fmt(alpha),
                     method,
-                    _fmt(lam) if method == "mmr" else "",
+                    _fmt(1.0 / (1.0 + alpha)) if method == "mmr" else "",
                     _fmt(float(np.nanmean(arr[:, 0]))),
                     _fmt(float(np.nanmean(arr[:, 1]))),
                     _fmt(float(np.nanmean(arr[:, 2]))),
-                    f"{times[method]:.6f}",
+                    f"{times_a[method]:.6f}",
                 ]
             )
 

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +49,18 @@ def _check_id(value, name: str, where: str = "", row: int | None = None) -> None
         raise ValidationError(f"{where}{name} must be a non-empty string, got {value!r}", row)
 
 
+def _check_id_column(ids: Sequence, name: str, where: str = "") -> tuple[str, ...]:
+    """The ids as a tuple, each checked to be a non-empty string as one column.
+
+    A failure names the first offending row in `ValidationError.row`.
+    """
+    ids = tuple(ids)
+    if not (set(map(type, ids)) <= {str} and "" not in ids):
+        for row, value in enumerate(ids):
+            _check_id(value, name, where, row)
+    return ids
+
+
 def _check_columns(
     ids: Sequence[str], embeddings, where: str = ""
 ) -> tuple[tuple[str, ...], np.ndarray]:
@@ -59,13 +71,13 @@ def _check_columns(
     tuple and a read-only float64 copy of the rows.  Errors start with
     `where` and name the offending row in `ValidationError.row`.
     """
-    ids = tuple(ids)
-    seen: set[str] = set()
-    for row, item_id in enumerate(ids):
-        _check_id(item_id, "item_id", where, row)
-        if item_id in seen:
-            raise ValidationError(f"{where}duplicate item {item_id!r}", row)
-        seen.add(item_id)
+    ids = _check_id_column(ids, "item_id", where)
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for row, item_id in enumerate(ids):
+            if item_id in seen:
+                raise ValidationError(f"{where}duplicate item {item_id!r}", row)
+            seen.add(item_id)
     n = len(ids)
     embs = np.array(embeddings, dtype=np.float64)
     if embs.ndim != 2 or embs.shape[0] != n or (n and not embs.shape[1]):
@@ -113,44 +125,67 @@ def _stack_rows(ids: list, rows: list, where: str) -> np.ndarray:
     raise ValidationError(f"{where}embedding rows do not form an (n, d) matrix")
 
 
-@dataclass(frozen=True)
-class BehaviorEvent:
-    """One user interaction: user, item, timestamp, optional binary label."""
+NO_LABEL = -1
 
-    user_id: str
-    item_id: str
-    ts: int
-    label: int | None = None
+
+@dataclass(frozen=True, eq=False)
+class BehaviorLog:
+    """User interactions held as columns, one row per event.
+
+    Row r says that `user_ids[r]` interacted with `item_ids[r]` at time
+    `ts[r]` (int64 seconds, >= 0); `labels[r]` (int8) is 0, 1, or
+    NO_LABEL.  Both arrays are read-only copies, validated once as whole
+    columns; a failure names its row in `ValidationError.row`.
+    """
+
+    user_ids: tuple[str, ...]
+    item_ids: tuple[str, ...]
+    ts: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        _check_id(self.user_id, "user_id")
-        _check_id(self.item_id, "item_id")
-        if self.ts < 0:
-            raise ValidationError(
-                f"behavior ({self.user_id}, {self.item_id}): ts must be >= 0"
-            )
-        if self.label is not None and self.label not in (0, 1):
-            raise ValidationError(
-                f"behavior ({self.user_id}, {self.item_id}): label must be 0 or 1"
-            )
+        user_ids = _check_id_column(self.user_ids, "user_id")
+        item_ids = _check_id_column(self.item_ids, "item_id")
+        n = len(user_ids)
+        ts = np.array(self.ts, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int8)
+        if len(item_ids) != n or ts.shape != (n,) or labels.shape != (n,):
+            raise ValidationError(f"behavior columns must all hold {n} rows")
+        bad = ts < 0
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValidationError(f"ts must be >= 0, got {ts[row]}", row)
+        bad = (labels != 0) & (labels != 1) & (labels != NO_LABEL)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValidationError(f"label must be 0, 1 or {NO_LABEL}, got {labels[row]}", row)
+        ts.flags.writeable = False
+        labels.flags.writeable = False
+        object.__setattr__(self, "user_ids", user_ids)
+        object.__setattr__(self, "item_ids", item_ids)
+        object.__setattr__(self, "ts", ts)
+        object.__setattr__(self, "labels", labels)
 
-    def to_json(self) -> str:
-        doc = {"user_id": self.user_id, "item_id": self.item_id, "ts": int(self.ts)}
-        if self.label is not None:
-            doc["label"] = int(self.label)
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    def __len__(self) -> int:
+        return len(self.user_ids)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BehaviorEvent":
-        try:
-            return cls(
-                user_id=doc["user_id"],
-                item_id=doc["item_id"],
-                ts=int(doc["ts"]),
-                label=doc.get("label"),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"behavior record missing field {exc}") from exc
+    def take(self, rows: Sequence[int]) -> "BehaviorLog":
+        """The log of `rows`, in the order given."""
+        rows = list(rows)
+        return BehaviorLog(
+            tuple(self.user_ids[r] for r in rows),
+            tuple(self.item_ids[r] for r in rows),
+            self.ts[rows],
+            self.labels[rows],
+        )
+
+    def by_user(self) -> Iterator[tuple[str, "BehaviorLog"]]:
+        """Each user's rows as a log of its own, users in sorted order."""
+        rows: dict[str, list[int]] = {}
+        for row, user_id in enumerate(self.user_ids):
+            rows.setdefault(user_id, []).append(row)
+        for user_id in sorted(rows):
+            yield user_id, self.take(rows[user_id])
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,8 +343,7 @@ class RerankResult:
 
     def __post_init__(self):
         _check_id(self.user_id, "user_id")
-        for item_id in self.item_ids:
-            _check_id(item_id, "item_id", f"result {self.user_id}: ")
+        _check_id_column(self.item_ids, "item_id", f"result {self.user_id}: ")
         if len(self.item_ids) != len(self.steps):
             raise ValidationError("result steps and item_ids must align")
         if len(set(self.item_ids)) != len(self.item_ids):
@@ -327,15 +361,21 @@ class RerankResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
-        steps = tuple(
-            SelectionStep(
-                item_id=s["item_id"],
-                score=float(s["score"]),
-                log_d2=float(s["log_d2"]),
-                marginal=float(s["marginal"]),
+        steps = doc["steps"]
+        if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
+            raise ValidationError("steps must be a list of objects")
+        try:
+            steps = tuple(
+                SelectionStep(
+                    item_id=s["item_id"],
+                    score=float(s["score"]),
+                    log_d2=float(s["log_d2"]),
+                    marginal=float(s["marginal"]),
+                )
+                for s in steps
             )
-            for s in doc["steps"]
-        )
+        except KeyError as exc:
+            raise ValidationError(f"step missing field {exc}") from exc
         return cls(
             user_id=doc["user_id"],
             item_ids=tuple(doc["item_ids"]),
@@ -438,16 +478,24 @@ def config_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
 # ----- line-delimited JSON IO -----
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) per non-blank line.  `raw_decode` is the
+    scanner of `json.loads` without its per-call overhead; as there, text
+    after the object is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                doc = json.loads(line)
+                doc, end = _raw_decode(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"malformed JSON ({exc.msg})", line=lineno) from exc
+            if end != len(line):
+                raise ParseError("malformed JSON (Extra data)", line=lineno)
             if not isinstance(doc, dict):
                 raise ParseError("expected a JSON object", line=lineno)
             yield lineno, doc
@@ -484,23 +532,71 @@ def save_items(path: str, table: EmbeddingTable) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_behaviors(path: str) -> list[BehaviorEvent]:
-    """Read behavior events sorted by (user_id, ts); sort is stable, so
-    equal timestamps keep their input order."""
-    events: list[BehaviorEvent] = []
+# JSON `label` value -> int8 code.  True and 1.0 hash like 1, so the type
+# check must reject bools and floats first.
+_LABEL_CODES = {None: NO_LABEL, 0: 0, 1: 1}
+_LABEL_TYPES = (int, type(None))
+_BAD_LABEL = 2
+
+
+def _ts_column(values: Sequence) -> np.ndarray:
+    """JSON `ts` values as int64: each must be an int (not a bool) in [0, 2**63)."""
+    if set(map(type, values)) <= {int} and (not values or min(values) >= 0 and max(values) < 2**63):
+        return np.array(values, dtype=np.int64)
+    row = next(r for r, v in enumerate(values) if type(v) is not int or not 0 <= v < 2**63)
+    raise ValidationError(f"ts must be an integer >= 0, got {values[row]!r}", row)
+
+
+def _label_column(values: Sequence) -> np.ndarray:
+    """JSON `label` values as int8 codes: absent or null is NO_LABEL, else the int 0 or 1."""
+    codes = list(map(_LABEL_CODES.get, values, repeat(_BAD_LABEL)))
+    if set(map(type, values)) <= set(_LABEL_TYPES) and _BAD_LABEL not in codes:
+        return np.array(codes, dtype=np.int8)
+    row = next(
+        r for r, v in enumerate(values) if type(v) not in _LABEL_TYPES or codes[r] == _BAD_LABEL
+    )
+    raise ValidationError(f"label must be absent, null, 0 or 1, got {values[row]!r}", row)
+
+
+def load_behaviors(path: str) -> BehaviorLog:
+    """Read a behavior file into one BehaviorLog sorted by (user_id, ts).
+
+    The file is read in one streaming pass into columns, which are then
+    checked whole; an error cites the line of its row.  The sort is
+    stable, so equal timestamps keep their input order.
+    """
+    linenos: list[int] = []
+    rows: list[tuple] = []
     for lineno, doc in _iter_json_lines(path):
         try:
-            events.append(BehaviorEvent.from_dict(doc))
-        except (ValidationError, ValueError, TypeError) as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    events.sort(key=lambda e: (e.user_id, e.ts))
-    return events
+            rows.append((doc["user_id"], doc["item_id"], doc["ts"], doc.get("label")))
+        except KeyError as exc:
+            raise ParseError(f"behavior record missing field {exc}", line=lineno) from exc
+        linenos.append(lineno)
+    user_ids, item_ids, ts, labels = zip(*rows) if rows else ((), (), (), ())
+    try:
+        log = BehaviorLog(user_ids, item_ids, _ts_column(ts), _label_column(labels))
+    except ValidationError as exc:
+        line = None if exc.row is None else linenos[exc.row]
+        raise ParseError(str(exc), line=line) from exc
+    rank = {user_id: r for r, user_id in enumerate(sorted(set(log.user_ids)))}
+    user_rank = np.fromiter(map(rank.__getitem__, log.user_ids), np.int64, len(log))
+    order = np.lexsort((log.ts, user_rank))  # stable: last key sorts first
+    if (order[1:] < order[:-1]).any():
+        log = log.take(order.tolist())
+    return log
 
 
-def save_behaviors(path: str, events: Iterable[BehaviorEvent]) -> None:
+def save_behaviors(path: str, log: BehaviorLog) -> None:
+    """Write one line per row; `label` is left out for NO_LABEL rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in events:
-            fh.write(ev.to_json() + "\n")
+        for user_id, item_id, stamp, label in zip(
+            log.user_ids, log.item_ids, log.ts.tolist(), log.labels.tolist()
+        ):
+            doc = {"user_id": user_id, "item_id": item_id, "ts": stamp}
+            if label != NO_LABEL:
+                doc["label"] = label
+            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:

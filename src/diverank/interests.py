@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import BehaviorEvent, EmbeddingTable, ParseError, ValidationError
+from .data import BehaviorLog, EmbeddingTable, ParseError, ValidationError
 
 SECONDS_PER_HOUR = 3600
 
@@ -226,7 +226,7 @@ def interest_params_from_arrays(
 
 
 def group_interest_points(
-    events: list[BehaviorEvent],
+    log: BehaviorLog,
     table: EmbeddingTable,
     item_clusters: dict[str, int],
     top_m: int,
@@ -241,14 +241,14 @@ def group_interest_points(
     if top_m < 1:
         raise ValidationError("top_m must be >= 1")
     members: dict[int, dict[str, int]] = {}
-    for ev in events:
-        cid = item_clusters.get(ev.item_id)
-        if cid is None or ev.item_id not in table:
+    for item_id, ts in zip(log.item_ids, log.ts.tolist()):
+        cid = item_clusters.get(item_id)
+        if cid is None or item_id not in table:
             continue
         group = members.setdefault(cid, {})
-        prev = group.get(ev.item_id)
-        if prev is None or ev.ts > prev:
-            group[ev.item_id] = ev.ts
+        prev = group.get(item_id)
+        if prev is None or ts > prev:
+            group[item_id] = ts
     points = []
     for cid in sorted(members):
         group = members[cid]
@@ -312,7 +312,7 @@ def micro_interest(
 
 def build_profile(
     user_id: str,
-    events: list[BehaviorEvent],
+    log: BehaviorLog,
     table: EmbeddingTable,
     item_clusters: dict[str, int],
     params: InterestParams,
@@ -320,20 +320,20 @@ def build_profile(
     recent_window: int,
     now: int | None = None,
 ) -> InterestProfile:
-    """Assemble one user's full interest profile from behavior history.
+    """Assemble one user's full interest profile from that user's behavior log.
 
     An empty or fully-unknown history yields a zero profile (cold start).
     `now` defaults to the latest event timestamp.
     """
     if recent_window < 1:
         raise ValidationError("recent_window must be >= 1")
-    known = [ev for ev in events if ev.item_id in table]
-    known.sort(key=lambda e: e.ts)
+    ts = log.ts.tolist()
+    known = sorted((r for r, i in enumerate(log.item_ids) if i in table), key=ts.__getitem__)
     if now is None:
-        now = known[-1].ts if known else 0
-    points = group_interest_points(known, table, item_clusters, top_m)
+        now = ts[known[-1]] if known else 0
+    points = group_interest_points(log, table, item_clusters, top_m)
     window = known[-recent_window:][::-1]
-    recent = list(zip(table.rows(ev.item_id for ev in window), (ev.ts for ev in window)))
+    recent = list(zip(table.rows(log.item_ids[r] for r in window), (ts[r] for r in window)))
     with ad.no_grad():
         h_macro = macro_interest(points, params).data[0].copy()
         h_micro = micro_interest(recent, now, params).data[0].copy()

@@ -76,15 +76,14 @@ def auc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC needs both classes present")
     order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
+    # A run of tied scores fills sorted positions first .. last and shares
+    # their average 1-based rank.
+    _, first, counts = np.unique(
+        scores[order], return_index=True, return_counts=True, equal_nan=False
+    )
+    last = first + counts - 1
     ranks = np.empty(labels.size, dtype=np.float64)
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, counts)
     pos_rank_sum = float(ranks[labels == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BehaviorEvent, CandidateSet, EmbeddingTable, ValidationError
+from .data import BehaviorLog, CandidateSet, EmbeddingTable, ValidationError
 
 NOW_TS = 1_700_000_000  # fixed reference clock so fixtures never drift
 THIRTY_DAYS = 30 * 24 * 3600
@@ -75,9 +75,9 @@ class SyntheticWorld:
     """Everything one seed generates, before serialization."""
 
     items: EmbeddingTable
-    behaviors: list[BehaviorEvent]
+    behaviors: BehaviorLog
     candidates: list[CandidateSet]
-    labels: list[BehaviorEvent]  # candidate ground truth, ts = 0
+    labels: BehaviorLog  # candidate ground truth, ts = 0
     true_clusters: dict[str, int]
 
 
@@ -108,9 +108,14 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     items = EmbeddingTable(tuple(item_ids), item_embs)
 
-    behaviors: list[BehaviorEvent] = []
+    behavior_users: list[str] = []
+    behavior_items: list[str] = []
+    behavior_ts: list[np.ndarray] = []
+    behavior_hits: list[bool] = []
     candidates: list[CandidateSet] = []
-    labels: list[BehaviorEvent] = []
+    label_users: list[str] = []
+    label_items: list[str] = []
+    label_hits: list[np.ndarray] = []
     for u in range(spec.users):
         user_id = f"u{u:04d}"
         n_pref = int(rng.integers(1, min(3, spec.clusters) + 1))
@@ -130,14 +135,10 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
             )
             affinity = float(unit_embs[idx] @ taste)
             p_click = float(_sigmoid(spec.sharpness * (affinity - spec.threshold)))
-            behaviors.append(
-                BehaviorEvent(
-                    user_id=user_id,
-                    item_id=item_ids[idx],
-                    ts=int(NOW_TS - offsets[b]),
-                    label=int(rng.random() < p_click),
-                )
-            )
+            behavior_items.append(item_ids[idx])
+            behavior_hits.append(rng.random() < p_click)
+        behavior_users.extend([user_id] * spec.behaviors_per_user)
+        behavior_ts.append(NOW_TS - offsets)
 
         # Candidates: half preferred-cluster items, rest catalog-wide.
         n_cand = spec.candidates_per_user
@@ -162,10 +163,9 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
         drawn = rng.random(n_cand) < true_p
 
         cand_ids = tuple(item_ids[int(idx)] for idx in chosen_arr)
-        labels.extend(
-            BehaviorEvent(user_id=user_id, item_id=item_id, ts=0, label=int(hit))
-            for item_id, hit in zip(cand_ids, drawn)
-        )
+        label_users.extend([user_id] * n_cand)
+        label_items.extend(cand_ids)
+        label_hits.append(drawn)
         candidates.append(
             CandidateSet(
                 user_id=user_id,
@@ -177,8 +177,15 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     return SyntheticWorld(
         items=items,
-        behaviors=behaviors,
+        behaviors=BehaviorLog(
+            tuple(behavior_users), tuple(behavior_items), np.concatenate(behavior_ts), behavior_hits
+        ),
         candidates=candidates,
-        labels=labels,
+        labels=BehaviorLog(
+            tuple(label_users),
+            tuple(label_items),
+            np.zeros(len(label_users), dtype=np.int64),
+            np.concatenate(label_hits),
+        ),
         true_clusters=true_clusters,
     )

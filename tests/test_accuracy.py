@@ -27,7 +27,7 @@ from diverank.accuracy import (
     Impression,
 )
 from diverank.autodiff import Tensor
-from diverank.data import BehaviorEvent, EmbeddingTable, ValidationError
+from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, ValidationError
 from diverank.interests import InterestProfile
 
 
@@ -275,10 +275,7 @@ class TestCrossEntropy:
 class TestImpressions:
     def test_session_context_reconstruction(self):
         table = EmbeddingTable(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        events = [
-            BehaviorEvent("u1", "b", ts=20, label=0),
-            BehaviorEvent("u1", "a", ts=10, label=1),
-        ]
+        events = BehaviorLog(("u1", "u1"), ("b", "a"), ts=[20, 10], labels=[0, 1])
         imps = build_impressions(events, table)
         assert len(imps) == 2
         # Session order is by timestamp: a then b.
@@ -291,10 +288,7 @@ class TestImpressions:
 
     def test_unlabeled_skipped(self):
         table = EmbeddingTable(("a",), np.array([[1.0]]))
-        events = [
-            BehaviorEvent("u1", "a", ts=1, label=None),
-            BehaviorEvent("u1", "a", ts=2, label=1),
-        ]
+        events = BehaviorLog(("u1", "u1"), ("a", "a"), ts=[1, 2], labels=[NO_LABEL, 1])
         assert len(build_impressions(events, table)) == 1
 
 

@@ -1,10 +1,12 @@
 """End-to-end CLI coverage: pipeline stages, determinism, exit codes."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +229,36 @@ class TestDeterminism:
         b = [r[:6] for r in csv.reader(open(pipeline["root"] / "sweep.csv"))]
         assert a == b  # wall-time column excluded, everything else exact
 
+    def test_sweep_holds_one_kernel_at_a_time(self, pipeline, tmp_path, monkeypatch):
+        # Peak memory must not grow with --runs: when a user's n x n kernel
+        # is built, at most the previous user's kernel may still be alive.
+        built, alive_at_build = [], []
+        composite_matrix = cli.composite_matrix
+
+        def tracked_composite_matrix(*args, **kwargs):
+            gc.collect()
+            alive_at_build.append(sum(ref() is not None for ref in built))
+            kernel = composite_matrix(*args, **kwargs)
+            built.append(weakref.ref(kernel))
+            return kernel
+
+        monkeypatch.setattr(cli, "composite_matrix", tracked_composite_matrix)
+        assert (
+            run(
+                "sweep",
+                "--candidates", str(pipeline["fix"] / "candidates.jsonl"),
+                "--labels", str(pipeline["fix"] / "labels.jsonl"),
+                "--profiles", str(pipeline["model"] / "profiles.jsonl"),
+                "--checkpoint", str(pipeline["model"] / "checkpoint.json"),
+                "--out", str(tmp_path / "sweep.csv"),
+                "--alphas", "0,1",
+                "--runs", "8",
+            )
+            == 0
+        )
+        assert len(built) == 8
+        assert max(alive_at_build) <= 1
+
 
 def write_duplicate_fixture(root):
     """Two identical high-score items plus one orthogonal low-score item."""
@@ -320,6 +352,35 @@ class TestCraftedRerank:
         )
         (result,) = load_results(out)
         assert len(result.item_ids) == 2
+
+
+class TestSingleItemLists:
+    def test_eval_without_ilad_values_prints_blank_mean(self, tmp_path, capsys):
+        # With k = 1 no list has two items, so ILAD has no values to average.
+        write_duplicate_fixture(tmp_path)
+        items = tmp_path / "items.jsonl"
+        items.write_text(
+            "".join(
+                json.dumps({"item_id": i, "embedding": e}) + "\n"
+                for i, e in (("i1", [1.0, 0.0]), ("i2", [1.0, 0.0]), ("i3", [0.0, 1.0]))
+            )
+        )
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 0, "label": 1}))
+        results, out = tmp_path / "results.jsonl", tmp_path / "eval.csv"
+        argv = ["rerank", "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json", "--out", results, "--k", 1]
+        assert run(*map(str, argv)) == 0
+        capsys.readouterr()
+        argv = ["eval", "--results", results, "--labels", labels, "--items", items,
+                "--out", out, "--k", 1]
+        assert run(*map(str, argv)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"mean ndcg@1=1, mean ilad= -> {out}" in captured.out
+        mean_row = list(csv.reader(open(out)))[-1]
+        assert mean_row == ["__mean__", "", "1", ""]
 
 
 class TestExitCodes:
@@ -435,7 +496,12 @@ def _event(**overrides):
     return doc
 
 
-# (command and the flag reading the line, the line, a fragment its error must name)
+TS_RULE = "ts must be an integer >= 0"
+LABEL_RULE = "label must be absent, null, 0 or 1"
+STEPS_RULE = "steps must be a list of objects"
+
+# (command and the flag reading the line, the line as an object or raw text,
+#  a fragment its error must name)
 MALFORMED_LINES = {
     "non-numeric embedding": ("rerank --candidates", _line(_item(embedding=["x", 0.0])),
                               "embedding"),
@@ -458,12 +524,32 @@ MALFORMED_LINES = {
     "result list item id": ("eval --results", _result(item_ids=[["a"]]), "item_id"),
     "result empty item id": ("eval --results", _result(item_ids=[""]), "item_id"),
     "result list user id": ("eval --results", _result(user_id=["u1"]), "user_id"),
-    "result steps not a list": ("eval --results", _result(steps=5), "not iterable"),
+    "result steps not a list": ("eval --results", _result(steps=5), STEPS_RULE),
+    "result step not an object": ("eval --results", _result(steps=[5]), STEPS_RULE),
+    "result step missing score": ("eval --results",
+                                  _result(steps=[{"item_id": "a", "log_d2": 0.0, "marginal": 0.5}]),
+                                  "step missing field 'score'"),
     "behavior list item id": ("cluster --behaviors", _event(item_id=["a"]), "item_id"),
     "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
-    "behavior list ts": ("cluster --behaviors", _event(ts=[1]), "int()"),
+    "behavior list ts": ("cluster --behaviors", _event(ts=[1]), TS_RULE),
+    "behavior float ts": ("cluster --behaviors", _event(ts=1.9), TS_RULE),
+    "behavior bool ts": ("cluster --behaviors", _event(ts=True), TS_RULE),
+    "behavior negative ts": ("cluster --behaviors", _event(ts=-1), TS_RULE),
+    "behavior ts past int64": ("cluster --behaviors", _event(ts=2**63), TS_RULE),
+    "behavior missing ts": ("cluster --behaviors", {"user_id": "u1", "item_id": "i1"},
+                            "missing field 'ts'"),
+    "behavior bool label": ("cluster --behaviors", _event(label=True), LABEL_RULE),
+    "behavior float label": ("cluster --behaviors", _event(label=1.0), LABEL_RULE),
+    "behavior two objects on one line": ("cluster --behaviors",
+                                         json.dumps(_event()) + json.dumps(_event()),
+                                         "Extra data"),
     "label list item id": ("eval --labels", _event(item_id=["a"]), "item_id"),
     "label list user id": ("eval --labels", _event(user_id=["u1"]), "user_id"),
+    "label list ts": ("eval --labels", _event(ts=[1]), TS_RULE),
+    "label float ts": ("eval --labels", _event(ts=0.5), TS_RULE),
+    "label bool label": ("eval --labels", _event(label=False), LABEL_RULE),
+    "label float label": ("eval --labels", _event(label=1.0), LABEL_RULE),
+    "label minus one": ("eval --labels", _event(label=-1), LABEL_RULE),
 }
 
 
@@ -473,7 +559,7 @@ class TestMalformedInput:
         stage, doc, fragment = MALFORMED_LINES[case]
         write_duplicate_fixture(tmp_path)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(doc) + "\n")
+        bad.write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         command, flag = stage.split()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from diverank.data import (
-    BehaviorEvent,
+    NO_LABEL,
+    BehaviorLog,
     CandidateSet,
     EmbeddingTable,
     ExperimentConfig,
@@ -38,20 +39,28 @@ def make_table(*ids, dim=4):
     return EmbeddingTable(ids, np.tile(np.arange(dim, dtype=float), (len(ids), 1)))
 
 
-class TestBehaviorEvent:
+def make_log(*rows):
+    """A BehaviorLog from (user_id, item_id, ts, label) rows."""
+    users, items, ts, labels = zip(*rows) if rows else ((), (), (), ())
+    return BehaviorLog(users, items, ts, labels)
+
+
+class TestBehaviorLog:
     def test_valid(self):
-        ev = BehaviorEvent(user_id="u1", item_id="i1", ts=10, label=1)
-        assert ev.ts == 10
+        log = make_log(("u1", "i1", 10, 1))
+        assert log.ts[0] == 10
+        assert log.ts.dtype == np.int64 and log.labels.dtype == np.int8
+        assert not log.ts.flags.writeable and not log.labels.flags.writeable
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValidationError):
-            BehaviorEvent(user_id="u1", item_id="i1", ts=-1, label=None)
+            make_log(("u1", "i1", -1, NO_LABEL))
 
     def test_label_domain(self):
-        BehaviorEvent(user_id="u", item_id="i", ts=0, label=0)
-        BehaviorEvent(user_id="u", item_id="i", ts=0, label=None)
+        make_log(("u", "i", 0, 0))
+        make_log(("u", "i", 0, NO_LABEL))
         with pytest.raises(ValidationError):
-            BehaviorEvent(user_id="u", item_id="i", ts=0, label=2)
+            make_log(("u", "i", 0, 2))
 
 
 class TestEmbeddingTable:
@@ -130,32 +139,68 @@ class TestEmbeddingTable:
 class TestBehaviorIO:
     def test_out_of_order_events_sorted(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = [
-            BehaviorEvent("u1", "i2", ts=20, label=None),
-            BehaviorEvent("u1", "i1", ts=10, label=None),
-        ]
+        events = make_log(
+            ("u1", "i2", 20, NO_LABEL),
+            ("u1", "i1", 10, NO_LABEL),
+        )
         save_behaviors(str(path), events)
         loaded = load_behaviors(str(path))
-        assert [e.ts for e in loaded] == [10, 20]
+        assert loaded.ts.tolist() == [10, 20]
 
     def test_duplicates_retained(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = [
-            BehaviorEvent("u1", "i1", ts=5, label=1),
-            BehaviorEvent("u1", "i1", ts=5, label=1),
-        ]
+        events = make_log(
+            ("u1", "i1", 5, 1),
+            ("u1", "i1", 5, 1),
+        )
         save_behaviors(str(path), events)
         assert len(load_behaviors(str(path))) == 2
 
-    def test_round_trip(self, tmp_path):
+    def test_null_and_absent_label_load_as_no_label(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = [
-            BehaviorEvent("u1", "i1", ts=5, label=1),
-            BehaviorEvent("u2", "i9", ts=7, label=None),
-        ]
+        path.write_text(
+            '{"user_id": "u1", "item_id": "a", "ts": 1, "label": null}\n'
+            '{"user_id": "u1", "item_id": "b", "ts": 2}\n'
+            '{"user_id": "u1", "item_id": "c", "ts": 3, "label": 0}\n'
+        )
+        assert load_behaviors(str(path)).labels.tolist() == [NO_LABEL, NO_LABEL, 0]
+
+    def test_typed_field_error_cites_line(self, tmp_path):
+        path = tmp_path / "behaviors.jsonl"
+        path.write_text(
+            '{"user_id": "u2", "item_id": "a", "ts": 1}\n'
+            "\n"
+            '{"user_id": "u1", "item_id": "b", "ts": 1.5}\n'
+        )
+        with pytest.raises(ParseError) as err:
+            load_behaviors(str(path))
+        assert err.value.line == 3
+        assert "ts must be an integer" in str(err.value)
+
+    def test_sorted_by_user_then_ts_stably(self, tmp_path):
+        path = tmp_path / "behaviors.jsonl"
+        events = make_log(
+            ("u2", "a", 5, NO_LABEL),
+            ("u1", "b", 7, NO_LABEL),
+            ("u1", "c", 3, NO_LABEL),
+            ("u1", "d", 3, NO_LABEL),
+        )
         save_behaviors(str(path), events)
         loaded = load_behaviors(str(path))
-        assert loaded == events
+        assert loaded.item_ids == ("c", "d", "b", "a")
+        assert loaded.ts.tolist() == [3, 3, 7, 5]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "behaviors.jsonl"
+        events = make_log(
+            ("u1", "i1", 5, 1),
+            ("u2", "i9", 7, NO_LABEL),
+        )
+        save_behaviors(str(path), events)
+        loaded = load_behaviors(str(path))
+        assert (loaded.user_ids, loaded.item_ids) == (events.user_ids, events.item_ids)
+        assert np.array_equal(loaded.ts, events.ts)
+        assert np.array_equal(loaded.labels, events.labels)
 
 
 def candidate_set(user_id, *items):

@@ -12,7 +12,7 @@ import pytest
 
 import diverank.autodiff as ad
 from diverank.autodiff import Tensor
-from diverank.data import BehaviorEvent, EmbeddingTable, ValidationError
+from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, ValidationError
 from diverank.interests import (
     AttentionParams,
     InterestPoint,
@@ -29,6 +29,12 @@ from diverank.interests import (
     save_profiles,
     time_bucket,
 )
+
+
+def make_log(*rows):
+    """An unlabeled BehaviorLog from (user_id, item_id, ts) rows."""
+    users, items, ts = zip(*rows) if rows else ((), (), ())
+    return BehaviorLog(users, items, ts, [NO_LABEL] * len(users))
 
 
 def attention_oracle(x, heads, wo, head_dim):
@@ -85,10 +91,10 @@ class TestGrouping:
         return EmbeddingTable(("i1", "i2", "i3"), np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]))
 
     def test_sum_pooling(self):
-        events = [
-            BehaviorEvent("u", "i1", ts=1, label=None),
-            BehaviorEvent("u", "i3", ts=2, label=None),
-        ]
+        events = make_log(
+            ("u", "i1", 1),
+            ("u", "i3", 2),
+        )
         points = group_interest_points(events, self.table(), {"i1": 7, "i3": 7}, top_m=3)
         assert len(points) == 1
         assert points[0].cluster_id == 7
@@ -97,49 +103,49 @@ class TestGrouping:
         assert points[0].last_ts == 2
 
     def test_singleton_point(self):
-        events = [BehaviorEvent("u", "i2", ts=5, label=None)]
+        events = make_log(("u", "i2", 5))
         points = group_interest_points(events, self.table(), {"i2": 0}, top_m=1)
         assert len(points) == 1
         assert np.allclose(points[0].vector, [0.5, 0.5])
 
     def test_unknown_items_skipped(self):
-        events = [
-            BehaviorEvent("u", "i1", ts=1, label=None),
-            BehaviorEvent("u", "ghost", ts=2, label=None),
-            BehaviorEvent("u", "i2", ts=3, label=None),  # no cluster entry
-        ]
+        events = make_log(
+            ("u", "i1", 1),
+            ("u", "ghost", 2),
+            ("u", "i2", 3),  # no cluster entry
+        )
         points = group_interest_points(events, self.table(), {"i1": 0, "ghost": 1}, top_m=5)
         assert len(points) == 1
         assert points[0].item_ids == ("i1",)
 
     def test_top_m_by_count_then_recency(self):
-        events = [
-            BehaviorEvent("u", "i1", ts=1, label=None),
-            BehaviorEvent("u", "i2", ts=9, label=None),
-            BehaviorEvent("u", "i3", ts=3, label=None),
-        ]
+        events = make_log(
+            ("u", "i1", 1),
+            ("u", "i2", 9),
+            ("u", "i3", 3),
+        )
         clusters = {"i1": 0, "i2": 1, "i3": 2}
         points = group_interest_points(events, self.table(), clusters, top_m=2)
         # Equal counts: recency decides, cluster 1 (ts 9) then cluster 2 (ts 3).
         assert [p.cluster_id for p in points] == [1, 2]
 
     def test_member_count_conservation(self):
-        events = [
-            BehaviorEvent("u", "i1", ts=1, label=None),
-            BehaviorEvent("u", "i2", ts=2, label=None),
-            BehaviorEvent("u", "i3", ts=3, label=None),
-        ]
+        events = make_log(
+            ("u", "i1", 1),
+            ("u", "i2", 2),
+            ("u", "i3", 3),
+        )
         clusters = {"i1": 0, "i2": 0, "i3": 1}
         points = group_interest_points(events, self.table(), clusters, top_m=5)
         surviving = {p.cluster_id for p in points}
-        behavior_count = sum(1 for e in events if clusters[e.item_id] in surviving)
+        behavior_count = sum(1 for i in events.item_ids if clusters[i] in surviving)
         assert sum(p.count for p in points) == behavior_count
 
     def test_repeat_interactions_dedup_within_group(self):
-        events = [
-            BehaviorEvent("u", "i1", ts=1, label=None),
-            BehaviorEvent("u", "i1", ts=4, label=None),
-        ]
+        events = make_log(
+            ("u", "i1", 1),
+            ("u", "i1", 4),
+        )
         points = group_interest_points(events, self.table(), {"i1": 0}, top_m=1)
         assert points[0].count == 1
         assert points[0].last_ts == 4
@@ -302,23 +308,23 @@ class TestBuildProfile:
 
     def test_cold_start_zero_profile(self, rng):
         table, clusters, params = self.world(rng)
-        prof = build_profile("u1", [], table, clusters, params, top_m=3, recent_window=5)
+        prof = build_profile("u1", make_log(), table, clusters, params, top_m=3, recent_window=5)
         assert np.array_equal(prof.h_macro, np.zeros(4))
         assert np.array_equal(prof.h_micro, np.zeros(4))
         assert prof.points == ()
 
     def test_recent_window_truncates(self, rng):
         table, clusters, params = self.world(rng)
-        events = [BehaviorEvent("u1", f"i{k % 6}", ts=k * 10, label=None) for k in range(6)]
+        events = make_log(*(("u1", f"i{k % 6}", k * 10) for k in range(6)))
         prof = build_profile("u1", events, table, clusters, params, top_m=3, recent_window=2)
         assert len(prof.recent_buckets) == 2
 
     def test_now_defaults_to_latest_event(self, rng):
         table, clusters, params = self.world(rng)
-        events = [
-            BehaviorEvent("u1", "i0", ts=1000, label=None),
-            BehaviorEvent("u1", "i1", ts=5000, label=None),
-        ]
+        events = make_log(
+            ("u1", "i0", 1000),
+            ("u1", "i1", 5000),
+        )
         auto = build_profile("u1", events, table, clusters, params, top_m=3, recent_window=5)
         explicit = build_profile(
             "u1", events, table, clusters, params, top_m=3, recent_window=5, now=5000
@@ -327,7 +333,7 @@ class TestBuildProfile:
 
     def test_macro_consistent_with_direct_call(self, rng):
         table, clusters, params = self.world(rng)
-        events = [BehaviorEvent("u1", f"i{k}", ts=k, label=None) for k in range(4)]
+        events = make_log(*(("u1", f"i{k}", k) for k in range(4)))
         prof = build_profile("u1", events, table, clusters, params, top_m=3, recent_window=10)
         points = group_interest_points(events, table, clusters, top_m=3)
         np.testing.assert_allclose(

@@ -28,6 +28,26 @@ def pairwise_cosine_distance_mean(vectors):
     return total / pairs
 
 
+def auc_loop_oracle(labels, scores):
+    """AUC by the rank statistic with a scalar loop over runs of tied scores."""
+    labels = np.asarray(labels, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    ranks = np.empty(labels.size, dtype=np.float64)
+    i = 0
+    while i < labels.size:
+        j = i
+        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
+        i = j + 1
+    pos_rank_sum = float(ranks[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestNdcg:
     def test_all_relevant_in_order_is_one(self):
         assert ndcg_at_k([1, 1, 1], 3) == pytest.approx(1.0)
@@ -119,6 +139,20 @@ class TestAuc:
     def test_tie_aware_hand_case(self):
         # Positive tied with one negative: the tied pair counts 1/2.
         assert auc([0, 1, 0], [0.3, 0.5, 0.5]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("levels", [None, 2, 5, 50])
+    def test_matches_loop_oracle_bit_for_bit(self, levels, rng):
+        # levels=None draws untied scores; otherwise scores repeat among `levels` values.
+        for n in (2, 3, 17, 200, 1000):
+            labels = (rng.random(n) < 0.4).astype(int)
+            labels[0], labels[1] = 0, 1
+            scores = rng.normal(size=n) if levels is None else rng.integers(0, levels, n) / levels
+            assert auc(labels, scores) == auc_loop_oracle(labels, scores)
+
+    def test_nan_scores_match_loop_oracle(self):
+        labels = [0, 1, 1, 0, 1]
+        scores = [0.5, float("nan"), 0.5, float("nan"), 0.1]
+        assert auc(labels, scores) == auc_loop_oracle(labels, scores)
 
 
 class TestLogloss:

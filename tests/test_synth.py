@@ -22,6 +22,15 @@ SMALL = dict(
 )
 
 
+def same_log(a, b) -> bool:
+    """Two BehaviorLogs hold equal columns."""
+    return (
+        (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids)
+        and np.array_equal(a.ts, b.ts)
+        and np.array_equal(a.labels, b.labels)
+    )
+
+
 def small_spec(**overrides) -> SyntheticSpec:
     kwargs = dict(SMALL)
     kwargs.update(overrides)
@@ -89,17 +98,18 @@ class TestWorldShape:
     def test_behavior_timestamps_in_window_and_per_user_ascending(self):
         world = generate(small_spec())
         by_user = {}
-        for ev in world.behaviors:
-            assert NOW_TS - THIRTY_DAYS <= ev.ts <= NOW_TS
-            assert ev.label in (0, 1)
-            by_user.setdefault(ev.user_id, []).append(ev.ts)
+        log = world.behaviors
+        for user_id, ts, label in zip(log.user_ids, log.ts.tolist(), log.labels.tolist()):
+            assert NOW_TS - THIRTY_DAYS <= ts <= NOW_TS
+            assert label in (0, 1)
+            by_user.setdefault(user_id, []).append(ts)
         for ts_list in by_user.values():
             assert ts_list == sorted(ts_list)
 
     def test_labels_use_zero_ts(self):
         world = generate(small_spec())
-        assert all(ev.ts == 0 for ev in world.labels)
-        assert all(ev.label in (0, 1) for ev in world.labels)
+        assert all(ts == 0 for ts in world.labels.ts)
+        assert all(label in (0, 1) for label in world.labels.labels)
 
     def test_candidate_sets_have_unique_scored_items(self):
         world = generate(small_spec())
@@ -110,7 +120,7 @@ class TestWorldShape:
 
     def test_labels_align_with_candidates(self):
         world = generate(small_spec())
-        labelled = {(ev.user_id, ev.item_id) for ev in world.labels}
+        labelled = set(zip(world.labels.user_ids, world.labels.item_ids))
         offered = {(cs.user_id, i) for cs in world.candidates for i in cs.ids}
         assert labelled == offered
 
@@ -119,8 +129,8 @@ class TestDeterminism:
     def test_same_seed_same_world(self):
         a = generate(small_spec(seed=3))
         b = generate(small_spec(seed=3))
-        assert a.behaviors == b.behaviors
-        assert a.labels == b.labels
+        assert same_log(a.behaviors, b.behaviors)
+        assert same_log(a.labels, b.labels)
         assert a.true_clusters == b.true_clusters
         assert a.items.ids == b.items.ids
         assert np.array_equal(a.items.embeddings, b.items.embeddings)
@@ -160,8 +170,8 @@ class TestWorldModel:
         # artifact must match bit for bit; only base scores may move.
         quiet = generate(small_spec(seed=2, score_noise=0.0))
         loud = generate(small_spec(seed=2, score_noise=4.0))
-        assert quiet.behaviors == loud.behaviors
-        assert quiet.labels == loud.labels
+        assert same_log(quiet.behaviors, loud.behaviors)
+        assert same_log(quiet.labels, loud.labels)
         assert np.array_equal(quiet.items.embeddings, loud.items.embeddings)
         diffs = [
             abs(qa - la)
@@ -175,7 +185,8 @@ class TestWorldModel:
         # probability, so labels should look calibrated against it: the
         # high-score half of each candidate set must collect more positives.
         world = generate(small_spec(seed=4, score_noise=0.0, candidates_per_user=10))
-        label_of = {(ev.user_id, ev.item_id): ev.label for ev in world.labels}
+        labels = world.labels
+        label_of = dict(zip(zip(labels.user_ids, labels.item_ids), labels.labels.tolist()))
         high, low = [], []
         for cs in world.candidates:
             order = np.argsort(cs.base_scores)
