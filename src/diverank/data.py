@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
-from itertools import islice, repeat
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -171,10 +171,11 @@ class BehaviorLog:
 
     def take(self, rows: Sequence[int]) -> "BehaviorLog":
         """The log of `rows`, in the order given."""
-        rows = list(rows)
+        rows = np.asarray(rows, dtype=np.intp)
+        idx = rows.tolist()
         return BehaviorLog(
-            tuple(self.user_ids[r] for r in rows),
-            tuple(self.item_ids[r] for r in rows),
+            tuple(self.user_ids[r] for r in idx),
+            tuple(self.item_ids[r] for r in idx),
             self.ts[rows],
             self.labels[rows],
         )
@@ -532,13 +533,6 @@ def save_items(path: str, table: EmbeddingTable) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-# JSON `label` value -> int8 code.  True and 1.0 hash like 1, so the type
-# check must reject bools and floats first.
-_LABEL_CODES = {None: NO_LABEL, 0: 0, 1: 1}
-_LABEL_TYPES = (int, type(None))
-_BAD_LABEL = 2
-
-
 def _ts_column(values: Sequence) -> np.ndarray:
     """JSON `ts` values as int64: each must be an int (not a bool) in [0, 2**63)."""
     if set(map(type, values)) <= {int} and (not values or min(values) >= 0 and max(values) < 2**63):
@@ -549,11 +543,11 @@ def _ts_column(values: Sequence) -> np.ndarray:
 
 def _label_column(values: Sequence) -> np.ndarray:
     """JSON `label` values as int8 codes: absent or null is NO_LABEL, else the int 0 or 1."""
-    codes = list(map(_LABEL_CODES.get, values, repeat(_BAD_LABEL)))
-    if set(map(type, values)) <= set(_LABEL_TYPES) and _BAD_LABEL not in codes:
-        return np.array(codes, dtype=np.int8)
+    # Types first: a list label is unhashable, and True and 1.0 equal 1.
+    if set(map(type, values)) <= {int, type(None)} and set(values) <= {None, 0, 1}:
+        return np.array([NO_LABEL if v is None else v for v in values], dtype=np.int8)
     row = next(
-        r for r, v in enumerate(values) if type(v) not in _LABEL_TYPES or codes[r] == _BAD_LABEL
+        r for r, v in enumerate(values) if v is not None and (type(v) is not int or v not in (0, 1))
     )
     raise ValidationError(f"label must be absent, null, 0 or 1, got {values[row]!r}", row)
 
@@ -582,9 +576,7 @@ def load_behaviors(path: str) -> BehaviorLog:
     rank = {user_id: r for r, user_id in enumerate(sorted(set(log.user_ids)))}
     user_rank = np.fromiter(map(rank.__getitem__, log.user_ids), np.int64, len(log))
     order = np.lexsort((log.ts, user_rank))  # stable: last key sorts first
-    if (order[1:] < order[:-1]).any():
-        log = log.take(order.tolist())
-    return log
+    return log.take(order)
 
 
 def save_behaviors(path: str, log: BehaviorLog) -> None:

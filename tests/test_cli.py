@@ -540,6 +540,7 @@ MALFORMED_LINES = {
                             "missing field 'ts'"),
     "behavior bool label": ("cluster --behaviors", _event(label=True), LABEL_RULE),
     "behavior float label": ("cluster --behaviors", _event(label=1.0), LABEL_RULE),
+    "behavior list label": ("cluster --behaviors", _event(label=[1]), LABEL_RULE),
     "behavior two objects on one line": ("cluster --behaviors",
                                          json.dumps(_event()) + json.dumps(_event()),
                                          "Extra data"),
@@ -550,6 +551,7 @@ MALFORMED_LINES = {
     "label bool label": ("eval --labels", _event(label=False), LABEL_RULE),
     "label float label": ("eval --labels", _event(label=1.0), LABEL_RULE),
     "label minus one": ("eval --labels", _event(label=-1), LABEL_RULE),
+    "label object label": ("eval --labels", _event(label={}), LABEL_RULE),
 }
 
 
