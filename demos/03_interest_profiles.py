@@ -81,7 +81,8 @@ def main():
                             top_m=4, recent_window=3, now=now)
     print("h_macro:", profile.h_macro)
     print("h_micro:", profile.h_micro)
-    print("recent buckets (newest first):", profile.recent_buckets)
+    newest = sorted(history.ts.tolist(), reverse=True)[:3]
+    print("recent buckets (newest first):", [time_bucket(now - t, buckets=6) for t in newest])
     print("attention parameters are at their deterministic initialization")
     print("here; the downstream scorer learns how to read these features")
 

@@ -12,7 +12,7 @@ two-logit softmax.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -129,25 +129,26 @@ def init_scorer_params(
 
 
 def scorer_params_from_arrays(arrays: dict[str, np.ndarray]) -> ScorerParams:
-    """Rebuild ScorerParams from checkpointed arrays (inference only)."""
-    needed = (
-        "w1_prev", "w2_prev", "w1_cand", "w2_cand",
-        "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2",
-    )
-    missing = [name for name in needed if name not in arrays]
+    """Rebuild ScorerParams from checkpointed 2-D arrays (inference only).
+
+    Every tensor must be present with the shape the scorer's layers fit
+    together in, so a malformed checkpoint fails here, before any scoring.
+    """
+    missing = [f.name for f in fields(ScorerParams) if f.name not in arrays]
     if missing:
         raise ValidationError(f"checkpoint missing tensors: {', '.join(missing)}")
-    return ScorerParams(**{name: Tensor(arrays[name]) for name in needed})
-
-
-def excite(context: Tensor, target: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
-    """Gate the target rows by sigma(relu(context @ w1) @ w2).
-
-    The gate lies strictly inside (0, 1) componentwise.  `context` may be
-    a single row shared by every target row or one row per target row.
-    """
-    gate = ad.sigmoid(ad.matmul(ad.relu(ad.matmul(context, w1)), w2))
-    return ad.mul_elementwise(target, gate)
+    d, r = arrays["w1_prev"].shape
+    h = arrays["mlp_w1"].shape[1]
+    expected = {
+        "w1_prev": (d, r), "w2_prev": (r, d), "w1_cand": (d, r), "w2_cand": (r, d),
+        "mlp_w1": (7 * d, h), "mlp_b1": (1, h), "mlp_w2": (h, 2), "mlp_b2": (1, 2),
+    }
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise ValidationError(
+                f"checkpoint tensor scorer.{name} has shape {arrays[name].shape}, expected {shape}"
+            )
+    return ScorerParams(**{name: Tensor(arrays[name]) for name in expected})
 
 
 def _rows(t: Tensor, n: int, name: str) -> Tensor:
@@ -235,16 +236,6 @@ def score_batch(
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-log(1 + e^-x)) neither overflows nor warns at any finite x.
     return np.exp(-np.logaddexp(0.0, -x))
-
-
-def score(
-    target_embedding: np.ndarray,
-    profile: InterestProfile,
-    ctx: ContextState,
-    params: ScorerParams,
-) -> float:
-    """Single-item convenience wrapper around score_batch."""
-    return float(score_batch(np.asarray(target_embedding), profile, ctx, params)[0])
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import ValidationError
+from .data import ParseError, ValidationError, _check_id
 
 CHECKPOINT_VERSION = 1
 
@@ -173,10 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
-
-
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product; one operand may be a broadcast 1 x n row."""
     _binary_shapes(a, b, "mul_elementwise")
@@ -311,17 +307,6 @@ def log(a: Tensor) -> Tensor:
     return _record(out, (a,), back)
 
 
-def sum_rows(a: Tensor) -> Tensor:
-    """Collapse rows: (m, n) -> (1, n)."""
-    out = Tensor(a.data.sum(axis=0, keepdims=True))
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(np.repeat(g, a.shape[0], axis=0))
-
-    return _record(out, (a,), back)
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Collapse rows by arithmetic mean: (m, n) -> (1, n)."""
     m = a.shape[0]
@@ -398,14 +383,30 @@ def save_checkpoint(path: str, tensors: dict[str, "Tensor | np.ndarray"], meta: 
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read named finite 2-D tensors; a malformed document is a ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed checkpoint JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("checkpoint must be a JSON object")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {version!r}")
     tensors: dict[str, np.ndarray] = {}
-    for entry in doc["tensors"]:
-        rows, cols = entry["shape"]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(rows, cols)
-        tensors[entry["name"]] = arr
+    try:
+        for entry in doc["tensors"]:
+            name, (rows, cols), data = entry["name"], entry["shape"], entry["data"]
+            _check_id(name, "tensor name")
+            if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+                raise ValueError(f"shape must be two integers >= 0, got {entry['shape']!r}")
+            if not isinstance(data, list) or len(data) != rows * cols:
+                raise ValueError(f"data must be a list of {rows * cols} numbers")
+            arr = np.array(data, dtype=np.float64).reshape(rows, cols)
+            if not np.isfinite(arr).all():
+                raise ValueError("data must be finite")
+            tensors[name] = arr
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"malformed checkpoint tensor ({exc})") from exc
     return tensors, doc.get("meta", {})

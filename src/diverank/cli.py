@@ -1,8 +1,9 @@
 """Batch pipeline driver: synth, cluster, train-scorer, rerank, sweep, eval.
 
-Every stage is deterministic given --seed; per-stage randomness derives
-from a stable hash of (seed, stage name), so deleting an intermediate
-file and re-running downstream stages reproduces identical bytes.
+Every stage is deterministic.  Only synth and train-scorer draw random
+numbers, from a stable hash of (--seed, stage name), so deleting an
+intermediate file and re-running downstream stages reproduces identical
+bytes.
 Exit codes: 0 success, 1 validation or parse error, 2 IO error,
 3 numerical failure.
 """
@@ -38,7 +39,6 @@ from .clustering import (
     save_clusters,
 )
 from .data import (
-    NO_LABEL,
     CandidateSet,
     ExperimentConfig,
     NumericalError,
@@ -137,7 +137,7 @@ def cmd_cluster(args) -> None:
     if not len(behaviors):
         raise ValidationError("no behavior events to cluster on")
     graph = BipartiteGraph.from_edges(zip(behaviors.user_ids, behaviors.item_ids))
-    assignment = louvain(graph, seed=derive_seed(args.seed, "cluster"))
+    assignment = louvain(graph)
     item_clusters = assignment.item_clusters()
     q = modularity(graph, assignment.labels)
 
@@ -306,13 +306,7 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 
 
 def _label_map(path: str) -> dict[str, dict[str, int]]:
-    log = load_behaviors(path)
-    unlabeled = log.labels == NO_LABEL
-    if unlabeled.any():
-        row = int(np.argmax(unlabeled))
-        raise ValidationError(
-            f"label line for ({log.user_ids[row]}, {log.item_ids[row]}) lacks a label"
-        )
+    log = load_behaviors(path, labelled=True)
     by_user: dict[str, dict[str, int]] = {}
     for user_id, item_id, label in zip(log.user_ids, log.item_ids, log.labels.tolist()):
         by_user.setdefault(user_id, {})[item_id] = label
@@ -478,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--items", required=True)
     p_cluster.add_argument("--behaviors", required=True)
     p_cluster.add_argument("--out", required=True)
-    p_cluster.add_argument("--seed", type=int, default=0)
+    # Clustering is deterministic; the flag is accepted for existing callers.
+    p_cluster.add_argument("--seed", type=int, default=0, help="ignored")
     p_cluster.set_defaults(func=cmd_cluster)
 
     p_train = sub.add_parser("train-scorer", help="build profiles and train the scorer")
@@ -503,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rerank.add_argument("--checkpoint", required=True)
     p_rerank.add_argument("--out", required=True)
     p_rerank.add_argument("--config")
-    p_rerank.add_argument("--seed", type=int, default=0)
     p_rerank.add_argument("--alpha", type=float, default=None)
     p_rerank.add_argument("--k", type=int, default=None)
     p_rerank.add_argument("--dump-kernel", default=None, metavar="PREFIX")
@@ -517,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--checkpoint", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--config")
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--alphas", default="0,0.5,1,2,4")
     p_sweep.add_argument("--runs", type=int, default=None)
     p_sweep.add_argument("--k", type=int, default=None)
@@ -529,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--items", required=True)
     p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--config")
-    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--k", type=int, default=None)
     p_eval.set_defaults(func=cmd_eval)
 

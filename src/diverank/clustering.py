@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingTable, ParseError, ValidationError
-
-USER = "user"
-ITEM = "item"
+from .data import EmbeddingTable, ParseError, ValidationError, _check_id, _iter_json_lines
 
 
 @dataclass(frozen=True)
@@ -117,25 +115,27 @@ class ClusterAssignment:
 
 
 def modularity(graph: BipartiteGraph, labels: np.ndarray) -> float:
-    """Bipartite modularity of a node labeling.
+    """Bipartite modularity of a node labeling, per community (Barber 2007).
 
-    Q = (1/E) * sum over user-item pairs in the same cluster of
-    (A_uv - deg(u) * deg(v) / E).
+    Q = (1/E) * sum over clusters c of (L_c - D^u_c * D^i_c / E), where
+    L_c counts the edges inside c and D^u_c and D^i_c sum the degrees of
+    its users and of its items.  This equals the sum over same-cluster
+    user-item pairs of (A_uv - deg(u) * deg(v) / E), but costs one sort
+    of the node labels plus O(E + C) work instead of O(users * items).
     """
     labels = np.asarray(labels)
     if labels.shape != (graph.n_nodes,):
         raise ValidationError("labels must cover every node exactly once")
+    _, community = np.unique(labels, return_inverse=True)
+    degree = np.fromiter(map(len, graph.adjacency), np.int64, graph.n_nodes)
+    nu, nc = graph.n_users, int(community.max()) + 1
+    # Users list every edge once, as (user, item) in their adjacency.
+    items = np.fromiter(chain.from_iterable(graph.adjacency[:nu]), np.int64)
+    inside = np.count_nonzero(np.repeat(community[:nu], degree[:nu]) == community[items])
+    d_user = np.bincount(community[:nu], weights=degree[:nu], minlength=nc)
+    d_item = np.bincount(community[nu:], weights=degree[nu:], minlength=nc)
     e = graph.n_edges
-    total = 0.0
-    for u in range(graph.n_users):
-        ku = graph.degree(u)
-        neighbor_set = set(graph.adjacency[u])
-        for v in range(graph.n_users, graph.n_nodes):
-            if labels[u] != labels[v]:
-                continue
-            a_uv = 1.0 if v in neighbor_set else 0.0
-            total += a_uv - ku * graph.degree(v) / e
-    return total / e
+    return (inside - float(d_user @ d_item) / e) / e
 
 
 class _MoveState:
@@ -191,16 +191,14 @@ class _MoveState:
         self.labels[node] = target
 
 
-def louvain(graph: BipartiteGraph, seed: int = 0, max_passes: int = 50) -> ClusterAssignment:
+def louvain(graph: BipartiteGraph, max_passes: int = 50) -> ClusterAssignment:
     """Single-level local-move modularity maximization.
 
-    Deterministic: the seed is accepted for interface stability but the
-    scan order is ascending node id and ties break to the lowest cluster
-    id, so output depends only on the graph.  Every accepted move
-    strictly increases modularity; the move log records
+    Deterministic: the scan order is ascending node id and ties break to
+    the lowest cluster id, so output depends only on the graph.  Every
+    accepted move strictly increases modularity; the move log records
     (node, from_cluster, to_cluster, gain) for audit.
     """
-    del seed  # deterministic by design; see module docstring
     if max_passes < 1:
         raise ValidationError("max_passes must be >= 1")
     labels = np.arange(graph.n_nodes, dtype=np.int64)
@@ -274,21 +272,19 @@ def save_clusters(path: str, item_clusters: dict[str, int]) -> None:
 
 
 def load_clusters(path: str) -> dict[str, int]:
+    """Read item -> cluster lines; each id once, each cluster_id an int >= 0."""
     out: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                item_id = doc["item_id"]
-                cid = int(doc["cluster_id"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad cluster line ({exc})", line=lineno) from exc
+    for lineno, doc in _iter_json_lines(path):
+        try:
+            item_id, cid = doc["item_id"], doc["cluster_id"]
+            _check_id(item_id, "item_id")
+            if type(cid) is not int or cid < 0:
+                raise ValidationError(f"cluster_id must be an integer >= 0, got {cid!r}")
             if item_id in out:
-                raise ParseError(f"duplicate cluster entry for {item_id!r}", lineno)
-            if cid < 0:
-                raise ParseError("cluster_id must be >= 0", lineno)
-            out[item_id] = cid
+                raise ValidationError(f"duplicate cluster entry for {item_id!r}")
+        except KeyError as exc:
+            raise ParseError(f"cluster record missing field {exc}", line=lineno) from exc
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        out[item_id] = cid
     return out

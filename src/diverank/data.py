@@ -410,7 +410,6 @@ class ExperimentConfig:
     jitter: float = 1e-6
     recent_window: int = 50
     normalize_embeddings: bool = True
-    scalar_interest_projection: bool = False
     diversity_only_init: bool = False
     negative_exponent_kernels: bool = False
 
@@ -419,10 +418,6 @@ class ExperimentConfig:
             object.__setattr__(self, "a_item", self.a_s)
         if self.b_item is None:
             object.__setattr__(self, "b_item", self.b_s)
-
-    def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 # Field annotation -> accepted runtime types; bools never count as numbers.
@@ -552,11 +547,12 @@ def _label_column(values: Sequence) -> np.ndarray:
     raise ValidationError(f"label must be absent, null, 0 or 1, got {values[row]!r}", row)
 
 
-def load_behaviors(path: str) -> BehaviorLog:
+def load_behaviors(path: str, labelled: bool = False) -> BehaviorLog:
     """Read a behavior file into one BehaviorLog sorted by (user_id, ts).
 
     The file is read in one streaming pass into columns, which are then
-    checked whole; an error cites the line of its row.  The sort is
+    checked whole; an error cites the line of its row.  With `labelled`,
+    as for a label file, every line must carry a label.  The sort is
     stable, so equal timestamps keep their input order.
     """
     linenos: list[int] = []
@@ -570,6 +566,11 @@ def load_behaviors(path: str) -> BehaviorLog:
     user_ids, item_ids, ts, labels = zip(*rows) if rows else ((), (), (), ())
     try:
         log = BehaviorLog(user_ids, item_ids, _ts_column(ts), _label_column(labels))
+        if labelled and (log.labels == NO_LABEL).any():
+            row = int(np.argmax(log.labels == NO_LABEL))
+            raise ValidationError(
+                f"label line for ({log.user_ids[row]}, {log.item_ids[row]}) lacks a label", row
+            )
     except ValidationError as exc:
         line = None if exc.row is None else linenos[exc.row]
         raise ParseError(str(exc), line=line) from exc
@@ -614,12 +615,18 @@ def save_candidates(path: str, sets: Iterable[CandidateSet]) -> None:
 
 
 def load_results(path: str) -> list[RerankResult]:
+    """Read result lists in file order, at most one per user."""
     out: list[RerankResult] = []
+    seen_users: set[str] = set()
     for lineno, doc in _iter_json_lines(path):
         try:
-            out.append(RerankResult.from_dict(doc))
+            res = RerankResult.from_dict(doc)
         except (ValidationError, KeyError, ValueError, TypeError) as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if res.user_id in seen_users:
+            raise ParseError(f"duplicate result for user {res.user_id!r}", lineno)
+        seen_users.add(res.user_id)
+        out.append(res)
     return out
 
 
@@ -643,8 +650,3 @@ def load_config(path: str) -> ExperimentConfig:
     if unknown:
         raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
     return validate_config(ExperimentConfig(**doc))
-
-
-def save_config(path: str, cfg: ExperimentConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(cfg.to_json() + "\n")

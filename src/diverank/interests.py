@@ -19,7 +19,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import BehaviorLog, EmbeddingTable, ParseError, ValidationError
+from .data import (
+    BehaviorLog,
+    EmbeddingTable,
+    ParseError,
+    ValidationError,
+    _check_id,
+    _iter_json_lines,
+)
 
 SECONDS_PER_HOUR = 3600
 
@@ -45,8 +52,6 @@ class InterestProfile:
     user_id: str
     h_macro: np.ndarray
     h_micro: np.ndarray
-    points: tuple[InterestPoint, ...] = ()
-    recent_buckets: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.h_macro.shape != self.h_micro.shape:
@@ -337,14 +342,7 @@ def build_profile(
     with ad.no_grad():
         h_macro = macro_interest(points, params).data[0].copy()
         h_micro = micro_interest(recent, now, params).data[0].copy()
-    bucket_ids = tuple(time_bucket(now - ts, params.time_buckets) for _, ts in recent)
-    return InterestProfile(
-        user_id=user_id,
-        h_macro=h_macro,
-        h_micro=h_micro,
-        points=tuple(points),
-        recent_buckets=bucket_ids,
-    )
+    return InterestProfile(user_id=user_id, h_macro=h_macro, h_micro=h_micro)
 
 
 # ----- profile cache IO -----
@@ -361,23 +359,32 @@ def save_profiles(path: str, profiles: list[InterestProfile]) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _interest_vector(values, name: str) -> np.ndarray:
+    """A JSON list of numbers (not bools) as a finite float64 vector."""
+    if not isinstance(values, list) or not values or not set(map(type, values)) <= {int, float}:
+        raise ValidationError(f"{name} must be a non-empty list of numbers")
+    vec = np.array(values, dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{name} must be finite")
+    return vec
+
+
 def load_profiles(path: str) -> dict[str, InterestProfile]:
+    """Read one profile line per user; errors cite the bad line."""
     out: dict[str, InterestProfile] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-                profile = InterestProfile(
-                    user_id=doc["user_id"],
-                    h_macro=np.asarray(doc["h_macro"], dtype=np.float64),
-                    h_micro=np.asarray(doc["h_micro"], dtype=np.float64),
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"bad profile line ({exc})", line=lineno) from exc
-            if profile.user_id in out:
-                raise ParseError(f"duplicate profile for {profile.user_id!r}", lineno)
-            out[profile.user_id] = profile
+    for lineno, doc in _iter_json_lines(path):
+        try:
+            user_id = doc["user_id"]
+            _check_id(user_id, "user_id")
+            if user_id in out:
+                raise ValidationError(f"duplicate profile for {user_id!r}")
+            out[user_id] = InterestProfile(
+                user_id=user_id,
+                h_macro=_interest_vector(doc["h_macro"], "h_macro"),
+                h_micro=_interest_vector(doc["h_micro"], "h_micro"),
+            )
+        except KeyError as exc:
+            raise ParseError(f"profile record missing field {exc}", line=lineno) from exc
+        except (ValidationError, OverflowError) as exc:
+            raise ParseError(str(exc), line=lineno) from exc
     return out

@@ -6,8 +6,8 @@ interest-modulated embeddings (long-term and short-term), weighted by
 beta1 and beta2, with a jitter ridge on the diagonal.  By default the
 exponent is +dot/b^2, which is positive semidefinite and equals the
 classical squared-exponential kernel up to a constant factor once the
-embeddings are L2-normalized; the sign can be flipped via configuration
-for the bare elementary form (see `elementary_kernel`).
+embeddings are L2-normalized; `negative_exponent_kernels` flips the sign
+to the bare elementary form a^2 * exp(-(x . y) / b^2).
 """
 
 from __future__ import annotations
@@ -18,22 +18,6 @@ import numpy as np
 
 from .data import ExperimentConfig, NumericalError, ValidationError
 from .interests import InterestProfile
-
-
-def elementary_kernel(x: np.ndarray, y: np.ndarray, a: float, b: float) -> float:
-    """Bare kernel form a^2 * exp(-(x . y) / b^2) on two vectors.
-
-    Note the negative exponent: this is the primitive shape the composite
-    kernels are built from, where the default composite flips the sign to
-    keep the blended matrix positive semidefinite.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValidationError("elementary_kernel needs two equal-length vectors")
-    if a <= 0 or b <= 0:
-        raise ValidationError("kernel amplitudes a and b must be positive")
-    return float(a * a * np.exp(-float(x @ y) / (b * b)))
 
 
 @dataclass(frozen=True)
@@ -50,7 +34,6 @@ class KernelHyperparams:
     beta2: float = 0.5
     jitter: float = 1e-6
     normalize: bool = True
-    scalar_projection: bool = False
     negative_exponent: bool = False
 
     def __post_init__(self):
@@ -79,7 +62,6 @@ class KernelHyperparams:
             beta2=cfg.beta2,
             jitter=cfg.jitter,
             normalize=cfg.normalize_embeddings,
-            scalar_projection=cfg.scalar_interest_projection,
             negative_exponent=cfg.negative_exponent_kernels,
         )
 
@@ -131,53 +113,13 @@ def _signed_exp_gram(vectors: np.ndarray, a: float, b: float, sign: float) -> np
     return gram
 
 
-def modulated_vectors(
-    embeddings: np.ndarray, interest: np.ndarray, scalar_projection: bool
-) -> np.ndarray:
-    """Project embeddings through an interest vector.
-
-    Elementwise reading (default): each embedding is multiplied
-    componentwise by the interest vector.  Scalar reading: each embedding
-    collapses to its dot product with the interest vector, a length-1
-    representation whose pairwise dots are products of scalars.
-    """
+def modulated_vectors(embeddings: np.ndarray, interest: np.ndarray) -> np.ndarray:
+    """Project embeddings through an interest vector, componentwise."""
     embs = np.asarray(embeddings, dtype=np.float64)
     interest = np.asarray(interest, dtype=np.float64)
     if embs.ndim != 2 or interest.shape != (embs.shape[1],):
         raise ValidationError("embeddings (n, d) and interest (d,) expected")
-    if scalar_projection:
-        return (embs @ interest).reshape(-1, 1)
     return embs * interest
-
-
-def macro_kernel(
-    e_i: np.ndarray, e_j: np.ndarray, profile: InterestProfile, hp: KernelHyperparams
-) -> float:
-    """Long-term perception kernel value for one item pair."""
-    pair = np.stack([np.asarray(e_i, dtype=np.float64), np.asarray(e_j, dtype=np.float64)])
-    if hp.normalize:
-        pair = normalize_rows(pair)
-    mod = modulated_vectors(pair, profile.h_macro, hp.scalar_projection)
-    return float(hp.a_l**2 * np.exp(hp.sign * float(mod[0] @ mod[1]) / hp.b_l**2))
-
-
-def micro_kernel(
-    e_i: np.ndarray, e_j: np.ndarray, profile: InterestProfile, hp: KernelHyperparams
-) -> float:
-    """Short-term perception kernel value for one item pair."""
-    pair = np.stack([np.asarray(e_i, dtype=np.float64), np.asarray(e_j, dtype=np.float64)])
-    if hp.normalize:
-        pair = normalize_rows(pair)
-    mod = modulated_vectors(pair, profile.h_micro, hp.scalar_projection)
-    return float(hp.a_s**2 * np.exp(hp.sign * float(mod[0] @ mod[1]) / hp.b_s**2))
-
-
-def item_kernel(e_i: np.ndarray, e_j: np.ndarray, hp: KernelHyperparams) -> float:
-    """Raw item-embedding kernel value for one pair."""
-    pair = np.stack([np.asarray(e_i, dtype=np.float64), np.asarray(e_j, dtype=np.float64)])
-    if hp.normalize:
-        pair = normalize_rows(pair)
-    return float(hp.a_item**2 * np.exp(hp.sign * float(pair[0] @ pair[1]) / hp.b_item**2))
 
 
 def composite_matrix(
@@ -202,12 +144,12 @@ def composite_matrix(
     sign = hp.sign
     d = _signed_exp_gram(base, hp.a_item, hp.b_item, sign)
     if hp.beta1 > 0.0:
-        macro = modulated_vectors(base, profile.h_macro, hp.scalar_projection)
+        macro = modulated_vectors(base, profile.h_macro)
         term = _signed_exp_gram(macro, hp.a_l, hp.b_l, sign)
         term *= hp.beta1
         d += term
     if hp.beta2 > 0.0:
-        micro = modulated_vectors(base, profile.h_micro, hp.scalar_projection)
+        micro = modulated_vectors(base, profile.h_micro)
         term = _signed_exp_gram(micro, hp.a_s, hp.b_s, sign)
         term *= hp.beta2
         d += term

@@ -43,23 +43,6 @@ def ndcg_at_k(relevances, k: int, ideal_relevances=None) -> float:
     return dcg_at_k(rel, k) / denom
 
 
-def map_at_k(relevances, k: int) -> float:
-    """Average precision at k, normalized by min(k, total relevant)."""
-    _check_k(k)
-    rel = np.asarray(relevances, dtype=np.int64)
-    total_relevant = int(rel.sum())
-    if total_relevant == 0:
-        return 0.0
-    top = rel[:k]
-    hits = 0
-    score = 0.0
-    for pos, r in enumerate(top, start=1):
-        if r:
-            hits += 1
-            score += hits / pos
-    return score / min(k, total_relevant)
-
-
 def auc(labels, scores) -> float:
     """Area under the ROC curve via the rank statistic; ties count half.
 

@@ -363,7 +363,6 @@ def test_criterion_06_tradeoff_sweep(capsys, tmp_path):
                 "--profiles", str(model / "profiles.jsonl"),
                 "--checkpoint", str(model / "checkpoint.json"),
                 "--out", str(sweep_path),
-                "--seed", "7",
             ]
         )
         == 0

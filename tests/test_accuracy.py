@@ -15,10 +15,8 @@ from diverank.accuracy import (
     ContextState,
     build_impressions,
     cross_entropy,
-    excite,
     init_scorer_params,
     initial_context,
-    score,
     score_batch,
     score_logits,
     scorer_params_from_arrays,
@@ -74,44 +72,6 @@ def make_profile(user_id, rng, dim):
     )
 
 
-class TestExcite:
-    def test_zero_weights_gate_half(self, rng):
-        target = rng.normal(size=(3, 4))
-        out = excite(
-            ad.constant(np.ones(4)),
-            ad.constant(target),
-            Tensor(np.zeros((4, 2))),
-            Tensor(np.zeros((2, 4))),
-        )
-        np.testing.assert_allclose(out.data, 0.5 * target, atol=1e-12)
-
-    def test_zero_target(self, rng):
-        out = excite(
-            ad.constant(rng.normal(size=4)),
-            ad.constant(np.zeros((2, 4))),
-            Tensor(rng.normal(size=(4, 2))),
-            Tensor(rng.normal(size=(2, 4))),
-        )
-        np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
-
-    def test_gate_strictly_inside_unit_interval(self, rng):
-        ctx = rng.normal(size=4)
-        w1 = Tensor(rng.normal(size=(4, 2)))
-        w2 = Tensor(rng.normal(size=(2, 4)))
-        ones = ad.constant(np.ones((1, 4)))
-        gate = excite(ad.constant(ctx), ones, w1, w2).data
-        assert np.all(gate > 0.0)
-        assert np.all(gate < 1.0)
-
-    def test_matches_gate_oracle(self, rng):
-        ctx = rng.normal(size=5)
-        w1 = Tensor(rng.normal(size=(5, 2)))
-        w2 = Tensor(rng.normal(size=(2, 5)))
-        got = excite(ad.constant(ctx), ad.constant(np.ones((1, 5))), w1, w2).data[0]
-        want = gate_oracle(ctx, w1.data, w2.data)
-        np.testing.assert_allclose(got, want, atol=1e-12)
-
-
 class TestScore:
     def test_all_zero_weights_give_half(self):
         params = scorer_params_from_arrays(
@@ -129,7 +89,7 @@ class TestScore:
         rng = np.random.default_rng(3)
         profile = make_profile("u", rng, 4)
         ctx = initial_context(rng.normal(size=(5, 4)))
-        value = score(rng.normal(size=4), profile, ctx, params)
+        value = score_batch(rng.normal(size=4), profile, ctx, params)[0]
         assert value == pytest.approx(0.5)
 
     def test_deterministic(self, rng):
@@ -137,7 +97,9 @@ class TestScore:
         profile = make_profile("u", rng, 4)
         ctx = initial_context(rng.normal(size=(5, 4)))
         target = rng.normal(size=4)
-        assert score(target, profile, ctx, params) == score(target, profile, ctx, params)
+        assert np.array_equal(
+            score_batch(target, profile, ctx, params), score_batch(target, profile, ctx, params)
+        )
 
     def test_matches_scalar_oracle(self, rng):
         params = init_scorer_params(4, rng)
@@ -145,7 +107,7 @@ class TestScore:
         embs = rng.normal(size=(6, 4))
         ctx = update_context(initial_context(embs), embs[0])
         for row in range(3):
-            got = score(embs[row], profile, ctx, params)
+            got = score_batch(embs[row], profile, ctx, params)[0]
             want = score_oracle(
                 embs[row], profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
             )
@@ -157,7 +119,7 @@ class TestScore:
         embs = rng.normal(size=(5, 4))
         ctx = initial_context(embs)
         batch = score_batch(embs, profile, ctx, params)
-        singles = [score(embs[i], profile, ctx, params) for i in range(5)]
+        singles = [score_batch(embs[i], profile, ctx, params)[0] for i in range(5)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_probability_range_and_softmax_sum(self, rng):

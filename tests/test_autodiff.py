@@ -120,11 +120,6 @@ class TestPrimitiveGradients:
         b = Tensor(rng.normal(size=(1, 3)))
         assert_grads_match(lambda: ad.sum_all(ad.add(a, b)), [a, b])
 
-    def test_sub(self, rng):
-        a = Tensor(rng.normal(size=(3, 3)))
-        b = Tensor(rng.normal(size=(3, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.sub(a, b), ad.sub(a, b))), [a, b])
-
     def test_mul_elementwise_row_broadcast(self, rng):
         a = Tensor(rng.normal(size=(4, 3)))
         b = Tensor(rng.normal(size=(1, 3)))
@@ -177,11 +172,6 @@ class TestPrimitiveGradients:
     def test_log(self, rng):
         a = Tensor(rng.random(size=(3, 3)) + 0.5)
         assert_grads_match(lambda: ad.sum_all(ad.log(a)), [a])
-
-    def test_sum_rows(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)))
-        weight = ad.constant(rng.normal(size=(1, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.sum_rows(a), weight)), [a])
 
     def test_mean_rows(self, rng):
         a = Tensor(rng.normal(size=(4, 3)))

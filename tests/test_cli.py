@@ -1,9 +1,12 @@
 """End-to-end CLI coverage: pipeline stages, determinism, exit codes."""
 
+import argparse
 import csv
 import gc
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -496,7 +499,20 @@ def _event(**overrides):
     return doc
 
 
+def _cluster(**overrides):
+    doc = {"item_id": "i1", "cluster_id": 1}
+    doc.update(overrides)
+    return doc
+
+
+def _profile(**overrides):
+    doc = {"user_id": "u1", "h_macro": [1.0, 0.0], "h_micro": [0.0, 1.0]}
+    doc.update(overrides)
+    return doc
+
+
 TS_RULE = "ts must be an integer >= 0"
+CLUSTER_RULE = "cluster_id must be an integer >= 0"
 LABEL_RULE = "label must be absent, null, 0 or 1"
 STEPS_RULE = "steps must be a list of objects"
 
@@ -552,6 +568,22 @@ MALFORMED_LINES = {
     "label float label": ("eval --labels", _event(label=1.0), LABEL_RULE),
     "label minus one": ("eval --labels", _event(label=-1), LABEL_RULE),
     "label object label": ("eval --labels", _event(label={}), LABEL_RULE),
+    "label absent": ("eval --labels", {"user_id": "u1", "item_id": "i1", "ts": 0},
+                     "label line for (u1, i1) lacks a label"),
+    "label null": ("eval --labels", _event(label=None), "lacks a label"),
+    "cluster float id": ("train-scorer --clusters", _cluster(cluster_id=1.9), CLUSTER_RULE),
+    "cluster bool id": ("train-scorer --clusters", _cluster(cluster_id=True), CLUSTER_RULE),
+    "cluster string id": ("train-scorer --clusters", _cluster(cluster_id="3"), CLUSTER_RULE),
+    "cluster negative id": ("train-scorer --clusters", _cluster(cluster_id=-1), CLUSTER_RULE),
+    "cluster int item id": ("train-scorer --clusters", _cluster(item_id=7), "item_id"),
+    "cluster missing id": ("train-scorer --clusters", {"item_id": "i1"},
+                           "missing field 'cluster_id'"),
+    "profile int user id": ("rerank --profiles", _profile(user_id=5), "user_id"),
+    "profile bool entry": ("rerank --profiles", _profile(h_macro=[True, 0.0]), "h_macro"),
+    "profile string vector": ("rerank --profiles", _profile(h_micro="ab"), "h_micro"),
+    "profile nan entry": ("rerank --profiles", _profile(h_macro=[float("nan"), 0.0]), "finite"),
+    "profile missing vector": ("rerank --profiles", {"user_id": "u1", "h_macro": [1.0, 0.0]},
+                               "missing field 'h_micro'"),
 }
 
 
@@ -584,6 +616,12 @@ class TestMalformedInput:
                 "--behaviors": empty,
                 "--out": tmp_path / "clusters.jsonl",
             },
+            "train-scorer": {
+                "--items": empty,
+                "--behaviors": empty,
+                "--clusters": empty,
+                "--out": tmp_path / "model",
+            },
         }[command]
         inputs[flag] = bad
         argv = [command, *(part for pair in inputs.items() for part in pair)]
@@ -594,6 +632,63 @@ class TestMalformedInput:
         assert len(lines) == 1
         assert lines[0].startswith("error: line 1:")
         assert fragment in lines[0]
+
+    @pytest.mark.parametrize(
+        "flag, lines, expected",
+        [
+            ("--results", [_result(), _result()], "error: line 2: duplicate result for user 'u1'"),
+            # u1 sorts first, so its row index and its line number differ.
+            ("--labels", [_event(user_id="u2"), _event(item_id="i2", label=None)],
+             "error: line 2: label line for (u1, i2) lacks a label"),
+        ],
+        ids=["duplicate result", "unlabelled label line"],
+    )
+    def test_bad_later_line_cites_its_line(self, flag, lines, expected, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        inputs = {"--results": empty, "--labels": empty, "--items": empty}
+        inputs[flag] = bad
+        argv = ["eval", *(part for pair in inputs.items() for part in pair)]
+        assert run(*map(str, argv), "--out", str(tmp_path / "eval.csv")) == 1
+        assert capsys.readouterr().err.splitlines() == [expected]
+
+    @pytest.mark.parametrize(
+        "case",
+        ["no tensors", "not json", "data length", "head width", "shape not a pair", "nan data"],
+    )
+    def test_malformed_checkpoint_is_one_error_line(self, case, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        entry = {e["name"]: e for e in doc["tensors"]}
+        if case == "no tensors":
+            doc = {"version": 1}
+        elif case == "data length":
+            entry["scorer.mlp_w1"]["data"].pop()
+        elif case == "head width":  # (h, 1) instead of the two-logit (h, 2)
+            w2 = entry["scorer.mlp_w2"]
+            w2["shape"][1] = 1
+            w2["data"] = w2["data"][: w2["shape"][0]]
+        elif case == "shape not a pair":
+            entry["scorer.mlp_b2"]["shape"] = [2]
+        elif case == "nan data":
+            entry["scorer.w1_prev"]["data"][0] = float("nan")
+        path.write_text("not json" if case == "not json" else json.dumps(doc))
+        code = run(
+            "rerank",
+            "--candidates", str(tmp_path / "candidates.jsonl"),
+            "--profiles", str(tmp_path / "profiles.jsonl"),
+            "--checkpoint", str(path),
+            "--out", str(tmp_path / "results.jsonl"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
 
     @pytest.mark.parametrize("field", ["cluster_id", "base_score"])
     def test_unread_catalog_field_is_ignored(self, field, tmp_path, capsys):
@@ -674,3 +769,30 @@ def test_python_dash_m_entry_point(module):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "diverank 0.1.0"
+
+
+# Options a stage accepts without reading, each with the reason it stays.
+IGNORED_OPTIONS = {
+    ("cluster", "seed"): "bench/run.py passes --seed to every seeded stage, cluster included",
+}
+
+
+def test_every_option_is_read_by_its_stage():
+    """A flag its stage never reads silently does nothing; only the listed
+    exceptions may exist."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = set()
+    for command, sub in subparsers.choices.items():
+        func = sub.get_default("func")
+        source = inspect.getsource(func)
+        # Helpers handed the whole namespace, such as _load_experiment_config.
+        for helper in re.findall(r"(\w+)\(args\)", source):
+            source += inspect.getsource(getattr(cli, helper))
+        read = set(re.findall(r"args\.(\w+)", source))
+        read |= set(re.findall(r"getattr\(args, \"(\w+)\"", source))
+        for action in sub._actions:
+            if action.option_strings and action.dest not in ("help", "func"):
+                if action.dest not in read:
+                    unread.add((command, action.dest))
+    assert unread == set(IGNORED_OPTIONS)

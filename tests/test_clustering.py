@@ -23,7 +23,8 @@ from diverank.data import EmbeddingTable, ValidationError
 
 
 def modularity_oracle(graph, labels):
-    """Direct evaluation of the bipartite modularity sum, scalar loops only."""
+    """Direct evaluation of the bipartite modularity sum over every
+    user-item pair, scalar loops only (O(users * items))."""
     e = graph.n_edges
     total = 0.0
     for ui in range(graph.n_users):
@@ -121,15 +122,22 @@ class TestModularity:
         assert partition_sets(np.array([0, 1, 0, 1])) in best_parts
 
     def test_matches_loop_oracle_on_random_graphs(self, rng):
-        for _ in range(10):
-            edges = set()
-            while len(edges) < 12:
-                edges.add((f"u{rng.integers(0, 5)}", f"i{rng.integers(0, 6)}"))
+        for _ in range(20):
+            n_users, n_items = rng.integers(1, 9, size=2)
+            edges = {
+                (f"u{rng.integers(0, n_users)}", f"i{rng.integers(0, n_items)}")
+                for _ in range(rng.integers(1, n_users * n_items + 1))
+            }
             g = BipartiteGraph.from_edges(sorted(edges))
-            labels = rng.integers(0, 3, size=g.n_nodes)
-            assert modularity(g, labels) == pytest.approx(
-                modularity_oracle(g, labels), abs=1e-12
-            )
+            # Singletons, all in one, and a random labeling with arbitrary ids.
+            for labels in (
+                np.arange(g.n_nodes),
+                np.zeros(g.n_nodes, dtype=int),
+                rng.integers(-2, 4, size=g.n_nodes) * 7,
+            ):
+                assert modularity(g, labels) == pytest.approx(
+                    modularity_oracle(g, labels), abs=1e-12
+                )
 
 
 class TestLouvain:
@@ -200,8 +208,8 @@ class TestLouvain:
 
     def test_seed_is_deterministic(self):
         g = toy_graph()
-        a = louvain(g, seed=1)
-        b = louvain(g, seed=1)
+        a = louvain(g)
+        b = louvain(g)
         assert np.array_equal(a.labels, b.labels)
 
     def test_relabeled_dense_ids(self):

@@ -1,6 +1,7 @@
 """Record validation, JSONL parsing, and config handling tests."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from diverank.data import (
     load_results,
     save_behaviors,
     save_candidates,
-    save_config,
     save_items,
     save_results,
     validate_config,
@@ -315,7 +315,7 @@ class TestConfig:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
         cfg = ExperimentConfig(alpha=2.0, beta1=0.25, k=7, diversity_only_init=True)
-        save_config(str(path), cfg)
+        path.write_text(json.dumps(asdict(cfg)) + "\n")
         assert load_config(str(path)) == cfg
 
     def test_unknown_config_key_rejected(self, tmp_path):

@@ -311,13 +311,14 @@ class TestBuildProfile:
         prof = build_profile("u1", make_log(), table, clusters, params, top_m=3, recent_window=5)
         assert np.array_equal(prof.h_macro, np.zeros(4))
         assert np.array_equal(prof.h_micro, np.zeros(4))
-        assert prof.points == ()
 
     def test_recent_window_truncates(self, rng):
         table, clusters, params = self.world(rng)
         events = make_log(*(("u1", f"i{k % 6}", k * 10) for k in range(6)))
         prof = build_profile("u1", events, table, clusters, params, top_m=3, recent_window=2)
-        assert len(prof.recent_buckets) == 2
+        newest_two = [(table.rows([f"i{k}"])[0], k * 10) for k in (5, 4)]
+        want = micro_interest(newest_two, now=50, params=params).data[0]
+        np.testing.assert_allclose(prof.h_micro, want, atol=1e-12)
 
     def test_now_defaults_to_latest_event(self, rng):
         table, clusters, params = self.world(rng)
@@ -348,7 +349,6 @@ class TestProfileIO:
                 user_id="u1",
                 h_macro=rng.normal(size=4),
                 h_micro=rng.normal(size=4),
-                recent_buckets=(0, 2),
             ),
             "u2": InterestProfile(
                 user_id="u2",

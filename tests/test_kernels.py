@@ -7,6 +7,7 @@ diagonal.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,10 +18,6 @@ from diverank.kernels import (
     KernelHyperparams,
     KernelMatrix,
     composite_matrix,
-    elementary_kernel,
-    item_kernel,
-    macro_kernel,
-    micro_kernel,
     modulated_vectors,
     normalize_rows,
 )
@@ -61,28 +58,38 @@ def composite_entry_oracle(i, j, embs, profile, hp):
     return value
 
 
+def item_term(x, y, a=1.0, b=1.0):
+    """Off-diagonal entry of the bare elementary form a^2 * exp(-(x . y) / b^2):
+    the item term of a two-item composite with no modulation, normalization
+    or jitter."""
+    hp = KernelHyperparams(
+        a_item=a, b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize=False,
+        negative_exponent=True,
+    )
+    embs = np.array([x, y], dtype=float)
+    return composite_matrix(["x", "y"], embs, profile_of(np.zeros(embs.shape[1])), hp).values[0, 1]
+
+
 class TestElementaryKernel:
     def test_orthogonal_vectors(self):
-        assert elementary_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0]), a=1.0, b=1.0) == 1.0
+        assert item_term([1.0, 0.0], [0.0, 1.0]) == 1.0
 
     def test_unit_dot_product(self):
-        value = elementary_kernel(np.array([1.0, 0.0]), np.array([1.0, 0.0]), a=1.0, b=1.0)
+        value = item_term([1.0, 0.0], [1.0, 0.0])
         assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
         assert value == pytest.approx(0.367879, abs=1e-6)
 
     def test_amplitude_factor(self):
-        value = elementary_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0]), a=2.0, b=1.0)
-        assert value == pytest.approx(4.0)
+        assert item_term([1.0, 0.0], [0.0, 1.0], a=2.0) == pytest.approx(4.0)
 
     def test_bandwidth(self):
-        value = elementary_kernel(np.array([1.0]), np.array([1.0]), a=1.0, b=2.0)
-        assert value == pytest.approx(math.exp(-0.25))
+        assert item_term([1.0], [1.0], b=2.0) == pytest.approx(math.exp(-0.25))
 
     def test_nonpositive_hyperparams_rejected(self):
         with pytest.raises(ValidationError):
-            elementary_kernel(np.ones(2), np.ones(2), a=0.0, b=1.0)
+            KernelHyperparams(a_item=0.0)
         with pytest.raises(ValidationError):
-            elementary_kernel(np.ones(2), np.ones(2), a=1.0, b=-1.0)
+            KernelHyperparams(b_item=-1.0)
 
 
 class TestHyperparams:
@@ -123,55 +130,50 @@ class TestNormalizeAndModulate:
 
     def test_elementwise_modulation(self):
         embs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = modulated_vectors(embs, np.array([0.5, 2.0]), scalar_projection=False)
+        out = modulated_vectors(embs, np.array([0.5, 2.0]))
         np.testing.assert_allclose(out, [[0.5, 4.0], [1.5, 8.0]])
 
-    def test_scalar_projection(self):
-        embs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = modulated_vectors(embs, np.array([1.0, 1.0]), scalar_projection=True)
-        np.testing.assert_allclose(out, [[3.0], [7.0]])
+
+def perception_term(embs, profile, hp):
+    """The macro and micro terms of composite_matrix, weighted by the betas
+    of `hp`: the blend minus its item matrix, without jitter."""
+    ids = [f"i{k}" for k in range(len(embs))]
+    hp = replace(hp, jitter=0.0)
+    item = composite_matrix(ids, embs, profile, replace(hp, beta1=0.0, beta2=0.0)).values
+    return composite_matrix(ids, embs, profile, hp).values - item
 
 
 class TestPerceptionKernels:
     def test_zero_macro_interest_gives_amplitude_everywhere(self, rng):
-        hp = KernelHyperparams(a_l=3.0)
-        prof = profile_of(np.zeros(4))
-        for _ in range(5):
-            e_i, e_j = rng.normal(size=4), rng.normal(size=4)
-            assert macro_kernel(e_i, e_j, prof, hp) == pytest.approx(9.0)
+        hp = KernelHyperparams(a_l=3.0, beta1=1.0, beta2=0.0)
+        macro = perception_term(rng.normal(size=(5, 4)), profile_of(np.zeros(4)), hp)
+        np.testing.assert_allclose(macro, 9.0, atol=1e-12)
 
     def test_all_ones_interest_equals_item_kernel(self, rng):
-        hp = KernelHyperparams(a_l=1.7, b_l=2.2, a_item=1.7, b_item=2.2)
+        hp = KernelHyperparams(a_l=1.7, b_l=2.2, a_item=1.7, b_item=2.2, beta1=1.0, beta2=0.0)
+        embs = rng.normal(size=(5, 4))
         prof = profile_of(np.ones(4))
-        for _ in range(5):
-            e_i, e_j = rng.normal(size=4), rng.normal(size=4)
-            assert macro_kernel(e_i, e_j, prof, hp) == pytest.approx(
-                item_kernel(e_i, e_j, hp), abs=1e-12
-            )
+        item_only = replace(hp, beta1=0.0, jitter=0.0)
+        item = composite_matrix([f"i{k}" for k in range(5)], embs, prof, item_only).values
+        np.testing.assert_allclose(perception_term(embs, prof, hp), item, atol=1e-12)
 
     def test_micro_uses_micro_interest(self, rng):
-        hp = KernelHyperparams(a_s=2.0, b_s=1.5)
+        hp = KernelHyperparams(a_s=2.0, b_s=1.5, beta1=0.0, beta2=1.0)
         prof = profile_of(np.zeros(3), h_micro=rng.normal(size=3))
-        e_i, e_j = rng.normal(size=3), rng.normal(size=3)
-        pair = normalize_rows(np.stack([e_i, e_j]))
+        embs = rng.normal(size=(2, 3))
+        pair = normalize_rows(embs)
         dot = float((pair[0] * prof.h_micro) @ (pair[1] * prof.h_micro))
         want = 4.0 * math.exp(dot / 2.25)
-        assert micro_kernel(e_i, e_j, prof, hp) == pytest.approx(want, abs=1e-12)
+        assert perception_term(embs, prof, hp)[0, 1] == pytest.approx(want, abs=1e-12)
 
     def test_random_case_matches_scalar_oracle(self, rng):
-        hp = KernelHyperparams(a_l=1.3, b_l=0.8)
+        hp = KernelHyperparams(a_l=1.3, b_l=0.8, beta1=1.0, beta2=0.0, jitter=0.0)
         prof = profile_of(rng.normal(size=5))
-        e_i, e_j = rng.normal(size=5), rng.normal(size=5)
-        embs = np.stack([e_i, e_j])
-        want = composite_entry_oracle(
-            0, 1, embs, prof,
-            KernelHyperparams(a_item=hp.a_l, b_item=hp.b_l, beta1=0.0, beta2=0.0, jitter=0.0),
+        embs = rng.normal(size=(2, 5))
+        want = composite_entry_oracle(0, 1, embs, prof, hp) - composite_entry_oracle(
+            0, 1, embs, prof, replace(hp, beta1=0.0)
         )
-        # The item-kernel oracle with (a_l, b_l) equals the macro kernel when
-        # modulation is the identity; with a random interest compare directly.
-        mod = normalize_rows(embs) * prof.h_macro
-        want = hp.a_l**2 * math.exp(float(mod[0] @ mod[1]) / hp.b_l**2)
-        assert macro_kernel(e_i, e_j, prof, hp) == pytest.approx(want, abs=1e-12)
+        assert perception_term(embs, prof, hp)[0, 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestCompositeMatrix:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from diverank.data import ValidationError
-from diverank.metrics import auc, dcg_at_k, ilad, logloss, map_at_k, ndcg_at_k
+from diverank.metrics import auc, dcg_at_k, ilad, logloss, ndcg_at_k
 
 
 def pairwise_cosine_distance_mean(vectors):
@@ -51,7 +51,6 @@ def auc_loop_oracle(labels, scores):
 class TestNdcg:
     def test_all_relevant_in_order_is_one(self):
         assert ndcg_at_k([1, 1, 1], 3) == pytest.approx(1.0)
-        assert map_at_k([1, 1, 1], 3) == pytest.approx(1.0)
 
     def test_single_relevant_at_position_two(self):
         # DCG = 1/log2(3); ideal DCG = 1/log2(2) = 1.
@@ -61,7 +60,6 @@ class TestNdcg:
 
     def test_no_relevant_items_is_zero(self):
         assert ndcg_at_k([0, 0, 0], 3) == 0.0
-        assert map_at_k([0, 0], 2) == 0.0
 
     def test_ideal_pool_argument(self):
         # Ranking shows [0, 1] but the pool holds two relevant items: the
@@ -86,29 +84,16 @@ class TestNdcg:
             moved = list(rel)
             moved[pos - 1], moved[pos] = moved[pos], moved[pos - 1]
             assert ndcg_at_k(moved, 6) >= ndcg_at_k(rel, 6) - 1e-12
-            assert map_at_k(moved, 6) >= map_at_k(rel, 6) - 1e-12
 
     def test_range(self, rng):
         for _ in range(30):
             rel = list((rng.random(8) < 0.5).astype(int))
             k = int(rng.integers(1, 9))
             assert 0.0 <= ndcg_at_k(rel, k) <= 1.0 + 1e-12
-            assert 0.0 <= map_at_k(rel, k) <= 1.0 + 1e-12
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
             ndcg_at_k([1], 0)
-
-
-class TestMap:
-    def test_truncation_denominator(self):
-        # Two relevant overall but k=1 can show at most one: divide by
-        # min(k, R) = 1.
-        assert map_at_k([1, 1], 1) == pytest.approx(1.0)
-
-    def test_hand_value(self):
-        # Hits at positions 1 and 3: (1/1 + 2/3) / 2.
-        assert map_at_k([1, 0, 1], 3) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0)
 
 
 class TestAuc:
