@@ -14,7 +14,7 @@ import numpy as np
 
 import diverank.autodiff as ad
 from diverank.accuracy import (
-    Impression,
+    Impressions,
     init_scorer_params,
     score_logits,
     train_scorer,
@@ -30,22 +30,16 @@ def section(title):
 
 
 def make_impressions(rng, n=80):
-    """Two well-separated clouds on the first axis, labels by cloud."""
-    out = []
-    for i in range(n):
-        label = i % 2
-        center = np.zeros(DIM)
-        center[0] = 3.0 if label else -3.0
-        out.append(
-            Impression(
-                user_id="u1",
-                embedding=center + 0.3 * rng.normal(size=DIM),
-                h_prev=np.zeros(DIM),
-                h_cand=np.zeros(DIM),
-                label=label,
-            )
-        )
-    return out
+    """Two well-separated clouds on the first axis, labels by cloud.
+
+    Impressions are columns: one row per shown item, with the user, the
+    item's embedding, the two list contexts and the click label.
+    """
+    labels = np.arange(n) % 2
+    centers = np.zeros((n, DIM))
+    centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
+    embeddings = centers + 0.3 * rng.normal(size=(n, DIM))
+    return Impressions(("u1",) * n, embeddings, np.zeros((n, DIM)), np.zeros((n, DIM)), labels)
 
 
 def probability(embedding, h_prev, h_cand, params):
@@ -86,23 +80,17 @@ def main():
     print("only when it differs from what the list already holds.  The")
     print("item alone carries zero signal; only the (item, previous")
     print("selection) interaction decides the label.")
-    novelty = []
-    for i in range(160):
+    n = 160
+    embs, prevs, labels = np.zeros((n, DIM)), np.zeros((n, DIM)), np.zeros(n, dtype=int)
+    for i in range(n):
         e_sign = 1.0 if rng.random() < 0.5 else -1.0
         p_sign = 1.0 if rng.random() < 0.5 else -1.0
-        emb = np.zeros(DIM)
-        emb[0] = 3.0 * e_sign
-        prev = np.zeros(DIM)
-        prev[0] = 3.0 * p_sign
-        novelty.append(
-            Impression(
-                user_id="u1",
-                embedding=emb + 0.3 * rng.normal(size=DIM),
-                h_prev=prev + 0.3 * rng.normal(size=DIM),
-                h_cand=np.zeros(DIM),
-                label=1 if e_sign != p_sign else 0,
-            )
-        )
+        embs[i, 0] = 3.0 * e_sign
+        prevs[i, 0] = 3.0 * p_sign
+        embs[i] += 0.3 * rng.normal(size=DIM)
+        prevs[i] += 0.3 * rng.normal(size=DIM)
+        labels[i] = 1 if e_sign != p_sign else 0
+    novelty = Impressions(("u1",) * n, embs, prevs, np.zeros((n, DIM)), labels)
     ctx_params = init_scorer_params(DIM, np.random.default_rng(2))
     ctx_curve = train_scorer(novelty, {}, ctx_params, lr=0.1, epochs=60, seed=0)
     for epoch in (0, 29, 44, 59):

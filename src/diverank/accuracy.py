@@ -12,13 +12,14 @@ two-logit softmax.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import NO_LABEL, BehaviorLog, EmbeddingTable, ValidationError
+from .data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError
 from .interests import InterestProfile
 from .metrics import auc
 
@@ -86,16 +87,7 @@ class ScorerParams:
         return self.mlp_w1.shape[1]
 
     def tensors(self) -> dict[str, Tensor]:
-        return {
-            "w1_prev": self.w1_prev,
-            "w2_prev": self.w2_prev,
-            "w1_cand": self.w1_cand,
-            "w2_cand": self.w2_cand,
-            "mlp_w1": self.mlp_w1,
-            "mlp_b1": self.mlp_b1,
-            "mlp_w2": self.mlp_w2,
-            "mlp_b2": self.mlp_b2,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def init_scorer_params(
@@ -113,6 +105,8 @@ def init_scorer_params(
     bottleneck = max(1, dim // reduction)
     if hidden is None:
         hidden = 4 * dim
+    if hidden < 1:
+        raise ValidationError(f"hidden must be >= 1, got {hidden}")
     params = ScorerParams(
         w1_prev=ad.init_param(dim, bottleneck, rng),
         w2_prev=ad.init_param(bottleneck, dim, rng),
@@ -250,59 +244,74 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     return ad.scale(ad.sum_all(picked), -1.0 / n)
 
 
-@dataclass(frozen=True)
-class Impression:
-    """One labeled training row with its reconstructed session context."""
+@dataclass(frozen=True, eq=False)
+class Impressions:
+    """Labelled training rows with their session contexts, held as columns.
 
-    user_id: str
-    embedding: np.ndarray
+    Row r: `user_ids[r]` saw the item embedded as `embeddings[r]` (an
+    (N, d) float64 array, like `h_prev` and `h_cand`) after items whose
+    mean is `h_prev[r]`, in a session whose mean is `h_cand[r]`;
+    `labels[r]` is 0 or 1.
+    """
+
+    user_ids: tuple[str, ...]
+    embeddings: np.ndarray
     h_prev: np.ndarray
     h_cand: np.ndarray
-    label: int
+    labels: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.user_ids)
+        cols = [np.asarray(c, dtype=np.float64) for c in (self.embeddings, self.h_prev, self.h_cand)]
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if cols[0].ndim != 2 or len(cols[0]) != n or any(c.shape != cols[0].shape for c in cols):
+            raise ValidationError(f"impression columns must be ({n}, d) arrays")
+        if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
+            raise ValidationError(f"impression labels must be {n} values of 0 or 1")
+        for f, value in zip(fields(self), (tuple(self.user_ids), *cols, labels)):
+            object.__setattr__(self, f.name, value)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
 
 
-def build_impressions(
-    log: BehaviorLog,
-    table: EmbeddingTable,
-) -> list[Impression]:
-    """Reconstruct per-user session contexts from a labeled behavior log.
+def build_impressions(log: BehaviorLog, table: EmbeddingTable) -> Impressions:
+    """Reconstruct per-user session contexts from a labelled behavior log.
 
-    Events are grouped per user in timestamp order.  For the t-th event
-    the previous context is the mean of the earlier session embeddings
-    (zero for the first) and the candidate context is the mean over the
-    whole session, mirroring how contexts behave at serving time.
-    Unlabeled events and events without embeddings are skipped.
+    The log must be sorted by (user_id, ts), as `load_behaviors` returns
+    it.  For the t-th event of a user's session the previous context is
+    the mean of the earlier session embeddings (zero for the first) and
+    the candidate context is the mean over the whole session, mirroring
+    how contexts behave at serving time.  Unlabelled events and events
+    without embeddings are skipped.
     """
-    ts = log.ts.tolist()
-    labels = log.labels.tolist()
-    by_user: dict[str, list[int]] = {}
-    for row, (user_id, item_id) in enumerate(zip(log.user_ids, log.item_ids)):
-        if labels[row] == NO_LABEL or item_id not in table:
-            continue
-        by_user.setdefault(user_id, []).append(row)
-    out: list[Impression] = []
-    for user_id in sorted(by_user):
-        session = sorted(by_user[user_id], key=ts.__getitem__)
-        embs = table.rows(log.item_ids[r] for r in session)
-        h_cand = embs.mean(axis=0)
-        running = np.zeros(embs.shape[1])
-        for t, row in enumerate(session):
-            h_prev = running / t if t else np.zeros(embs.shape[1])
-            out.append(
-                Impression(
-                    user_id=user_id,
-                    embedding=embs[t],
-                    h_prev=h_prev,
-                    h_cand=h_cand,
-                    label=labels[row],
-                )
-            )
-            running = running + embs[t]
-    return out
+    users, items, labels = log.user_ids, log.item_ids, log.labels.tolist()
+    starts = [0] + [r for r in range(1, len(log)) if users[r] != users[r - 1]]
+    back_in_time = np.diff(log.ts) < 0
+    back_in_time[np.asarray(starts[1:], dtype=np.intp) - 1] = False
+    if back_in_time.any() or any(users[a] >= users[b] for a, b in zip(starts, starts[1:])):
+        raise ValidationError("behavior log must be sorted by (user_id, ts)")
+    kept, sizes = [], []  # rows kept, and their count per user
+    for lo, hi in zip(starts, starts[1:] + [len(log)]):
+        session = [r for r in range(lo, hi) if labels[r] != NO_LABEL and items[r] in table]
+        kept.extend(session)
+        if session:
+            sizes.append(len(session))
+    embeddings = table.rows(items[r] for r in kept)
+    h_prev, h_cand = np.zeros_like(embeddings), np.empty_like(embeddings)
+    lo = 0
+    for size in sizes:
+        embs = embeddings[lo : lo + size]
+        h_cand[lo : lo + size] = embs.mean(axis=0)
+        # Running sums from zero, added in session order.
+        running = np.cumsum(np.vstack((np.zeros(embs.shape[1]), embs[:-1])), axis=0)
+        h_prev[lo + 1 : lo + size] = running[1:] / np.arange(1, size)[:, None]
+        lo += size
+    return Impressions(tuple(users[r] for r in kept), embeddings, h_prev, h_cand, log.labels[kept])
 
 
 def train_scorer(
-    impressions: list[Impression],
+    impressions: Impressions,
     profiles: dict[str, InterestProfile],
     params: ScorerParams,
     lr: float,
@@ -314,69 +323,59 @@ def train_scorer(
 
     Each curve entry holds the epoch's mean training loss and AUC.
     Degenerate label sets (all positive or all negative) are rejected.
-    lr = 0 performs the full loop but leaves parameters bit-identical.
+    lr = 0 performs the full loop but leaves parameters bit-identical; a
+    non-finite loss or parameter after an epoch raises NumericalError.
     """
-    if not impressions:
+    if not len(impressions):
         raise ValidationError("no labeled impressions to train on")
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
     if batch_size < 1:
         raise ValidationError("batch_size must be >= 1")
-    labels_all = np.array([imp.label for imp in impressions])
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValidationError(f"lr must be finite and >= 0, got {lr}")
+    labels_all = impressions.labels
     if labels_all.min() == labels_all.max():
         raise ValidationError("training labels are degenerate (single class)")
 
-    dim = params.dim
-    zero = np.zeros(dim)
     n = len(impressions)
-    targets = np.stack([imp.embedding for imp in impressions])
-    h_prev = np.stack([imp.h_prev for imp in impressions])
-    h_cand = np.stack([imp.h_cand for imp in impressions])
-    h_macro = np.stack(
-        [profiles[imp.user_id].h_macro if imp.user_id in profiles else zero for imp in impressions]
-    )
-    h_micro = np.stack(
-        [profiles[imp.user_id].h_micro if imp.user_id in profiles else zero for imp in impressions]
-    )
+    # Each user's profile rows are looked up once, then spread to their rows.
+    users = sorted(set(impressions.user_ids))
+    user_row = {user_id: row for row, user_id in enumerate(users)}
+    zero = np.zeros(params.dim)
+    macro = np.stack([profiles[u].h_macro if u in profiles else zero for u in users])
+    micro = np.stack([profiles[u].h_micro if u in profiles else zero for u in users])
+    rows = np.fromiter(map(user_row.__getitem__, impressions.user_ids), np.intp, n)
+    columns = (impressions.embeddings, macro[rows], micro[rows], impressions.h_prev, impressions.h_cand)
+
+    def logits_of(batch) -> Tensor:
+        return score_logits(*[ad.constant(c[batch]) for c in columns], params)
 
     tensor_list = list(params.tensors().values())
     rng = np.random.default_rng(seed)
     curve: list[dict[str, float]] = []
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        losses: list[float] = []
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            with ad.Tape():
-                logits = score_logits(
-                    ad.constant(targets[batch]),
-                    ad.constant(h_macro[batch]),
-                    ad.constant(h_micro[batch]),
-                    ad.constant(h_prev[batch]),
-                    ad.constant(h_cand[batch]),
-                    params,
+    # Divergence is caught below as a non-finite loss or parameter, so
+    # numpy's overflow warnings on the way there are not raised.
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            losses: list[float] = []
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                with ad.Tape():
+                    loss = cross_entropy(logits_of(batch), labels_all[batch])
+                    ad.backward(loss)
+                losses.append(loss.item() * len(batch))
+                ad.sgd_step(tensor_list, lr)
+            epoch_loss = float(np.sum(losses) / n)
+            if not math.isfinite(epoch_loss) or not all(np.isfinite(t.data).all() for t in tensor_list):
+                raise NumericalError(
+                    f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); "
+                    "lower the learning rate"
                 )
-                loss = cross_entropy(logits, labels_all[batch])
-                ad.backward(loss)
-            losses.append(loss.item() * len(batch))
-            ad.sgd_step(tensor_list, lr)
-        with ad.no_grad():
-            logits = score_logits(
-                ad.constant(targets),
-                ad.constant(h_macro),
-                ad.constant(h_micro),
-                ad.constant(h_prev),
-                ad.constant(h_cand),
-                params,
-            )
-            probs = ad.softmax_rows(logits).data[:, 1]
-        curve.append(
-            {
-                "epoch": float(epoch),
-                "loss": float(np.sum(losses) / n),
-                "auc": float(auc(labels_all, probs)),
-            }
-        )
+            with ad.no_grad():
+                probs = ad.softmax_rows(logits_of(slice(None))).data[:, 1]
+            curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels_all, probs))})
     return curve
 
 

@@ -53,12 +53,6 @@ class no_grad:
         _GRAD_DISABLED -= 1
 
 
-def _active_tape() -> "Tape | None":
-    if _GRAD_DISABLED or not _TAPE_STACK:
-        return None
-    return _TAPE_STACK[-1]
-
-
 class Tensor:
     """Dense 2-D float64 array with an optional gradient buffer."""
 
@@ -85,9 +79,14 @@ class Tensor:
         return float(self.data[0, 0])
 
     def accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # The first gradient is copied: it may be a view of a buffer that
+        # is accumulated into later.
+        if self.grad is not None:
+            self.grad += grad
+        elif grad.shape != self.data.shape:
+            raise ValidationError(f"gradient shape {grad.shape} does not match tensor {self.data.shape}")
+        else:
+            self.grad = np.array(grad, dtype=np.float64)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -97,13 +96,25 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+def _out(arr: np.ndarray) -> Tensor:
+    """An op's result: `arr` is already 2-D float64, so skip the checks."""
+    out = Tensor.__new__(Tensor)
+    out.data = arr
+    out.requires_grad = False
+    out.grad = None
+    out._tape = None
+    return out
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
-    tape = _active_tape()
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        if tape is not None:
-            out._tape = tape
-            tape.records.append((out, backward))
+    """Log `backward` only if an input needs a gradient, which one-input ops' closures assume."""
+    if not any([t.requires_grad for t in inputs]):
+        return out
+    out.requires_grad = True
+    if _TAPE_STACK and not _GRAD_DISABLED:
+        tape = _TAPE_STACK[-1]
+        out._tape = tape
+        tape.records.append((out, backward))
     return out
 
 
@@ -130,9 +141,9 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ValidationError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    out = _out(a.data @ b.data)
 
     def back(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -144,13 +155,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _binary_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    ar, ac = a.shape
-    br, bc = b.shape
-    if (ar, ac) == (br, bc):
-        return
-    if ac == bc and (ar == 1 or br == 1):
-        return
-    raise ValidationError(f"{op} shape mismatch: {a.shape} vs {b.shape}")
+    (ar, ac), (br, bc) = a.data.shape, b.data.shape
+    if (ar, ac) != (br, bc) and not (ac == bc and (ar == 1 or br == 1)):
+        raise ValidationError(f"{op} shape mismatch: {a.data.shape} vs {b.data.shape}")
 
 
 def _reduce_to(shape: tuple[int, int], g: np.ndarray) -> np.ndarray:
@@ -162,13 +169,13 @@ def _reduce_to(shape: tuple[int, int], g: np.ndarray) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; one operand may be a broadcast 1 x n row."""
     _binary_shapes(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = _out(a.data + b.data)
 
     def back(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_reduce_to(a.shape, g))
+            a.accumulate(_reduce_to(a.data.shape, g))
         if b.requires_grad:
-            b.accumulate(_reduce_to(b.shape, g))
+            b.accumulate(_reduce_to(b.data.shape, g))
 
     return _record(out, (a, b), back)
 
@@ -176,24 +183,23 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     """Hadamard product; one operand may be a broadcast 1 x n row."""
     _binary_shapes(a, b, "mul_elementwise")
-    out = Tensor(a.data * b.data)
+    out = _out(a.data * b.data)
 
     def back(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate(_reduce_to(a.shape, g * b.data))
+            a.accumulate(_reduce_to(a.data.shape, g * b.data))
         if b.requires_grad:
-            b.accumulate(_reduce_to(b.shape, g * a.data))
+            b.accumulate(_reduce_to(b.data.shape, g * a.data))
 
     return _record(out, (a, b), back)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(a.data * s)
+    out = _out(a.data * s)
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g * s)
+        a.accumulate(g * s)
 
     return _record(out, (a,), back)
 
@@ -201,12 +207,12 @@ def scale(a: Tensor, s: float) -> Tensor:
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ValidationError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0]
+    rows = parts[0].data.shape[0]
     for p in parts:
-        if p.shape[0] != rows:
+        if p.data.shape[0] != rows:
             raise ValidationError("concat_cols row counts differ")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.shape[1] for p in parts]
+    out = _out(np.concatenate([p.data for p in parts], axis=1))
+    widths = [p.data.shape[1] for p in parts]
     offsets = np.cumsum([0] + widths)
 
     def back(g: np.ndarray) -> None:
@@ -222,40 +228,37 @@ def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.ndim != 1:
         raise ValidationError("gather_rows indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
         raise ValidationError("gather_rows index out of range")
-    out = Tensor(table.data[idx])
+    out = _out(table.data[idx])
 
     def back(g: np.ndarray) -> None:
-        if table.requires_grad:
-            buf = np.zeros_like(table.data)
-            np.add.at(buf, idx, g)
-            table.accumulate(buf)
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, idx, g)
+        table.accumulate(buf)
 
     return _record(out, (table,), back)
 
 
 def tile_rows(a: Tensor, reps: int) -> Tensor:
     """Repeat a 1 x n row `reps` times; backward sums over the copies."""
-    if a.shape[0] != 1:
-        raise ValidationError(f"tile_rows needs a 1 x n tensor, got {a.shape}")
+    if a.data.shape[0] != 1:
+        raise ValidationError(f"tile_rows needs a 1 x n tensor, got {a.data.shape}")
     if reps < 1:
         raise ValidationError("tile_rows reps must be >= 1")
-    out = Tensor(np.repeat(a.data, reps, axis=0))
+    out = _out(np.repeat(a.data, reps, axis=0))
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g.sum(axis=0, keepdims=True))
+        a.accumulate(g.sum(axis=0, keepdims=True))
 
     return _record(out, (a,), back)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T.copy())
+    out = _out(a.data.T.copy())
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g.T)
+        a.accumulate(g.T)
 
     return _record(out, (a,), back)
 
@@ -265,67 +268,61 @@ def softmax_rows(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     y = ex / ex.sum(axis=1, keepdims=True)
-    out = Tensor(y)
+    out = _out(y)
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * y).sum(axis=1, keepdims=True)
-            a.accumulate(y * (g - inner))
+        inner = (g * y).sum(axis=1, keepdims=True)
+        a.accumulate(y * (g - inner))
 
     return _record(out, (a,), back)
 
 
 def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y)
+    out = _out(y)
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g * y * (1.0 - y))
+        a.accumulate(g * y * (1.0 - y))
 
     return _record(out, (a,), back)
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0.0))
+    out = _out(np.where(mask, a.data, 0.0))
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g * mask)
+        a.accumulate(g * mask)
 
     return _record(out, (a,), back)
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data))
+    out = _out(np.log(a.data))
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g / a.data)
+        a.accumulate(g / a.data)
 
     return _record(out, (a,), back)
 
 
 def mean_rows(a: Tensor) -> Tensor:
     """Collapse rows by arithmetic mean: (m, n) -> (1, n)."""
-    m = a.shape[0]
-    out = Tensor(a.data.mean(axis=0, keepdims=True))
+    m = a.data.shape[0]
+    out = _out(a.data.mean(axis=0, keepdims=True))
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(np.repeat(g / m, m, axis=0))
+        a.accumulate(np.repeat(g / m, m, axis=0))
 
     return _record(out, (a,), back)
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Collapse everything to a 1 x 1 scalar."""
-    out = Tensor(np.array([[a.data.sum()]]))
+    out = _out(np.array([[a.data.sum()]]))
 
     def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(np.full_like(a.data, g[0, 0]))
+        a.accumulate(np.full_like(a.data, g[0, 0]))
 
     return _record(out, (a,), back)
 
@@ -370,16 +367,13 @@ def save_checkpoint(path: str, tensors: dict[str, "Tensor | np.ndarray"], meta: 
         if arr.ndim != 2:
             raise ValidationError(f"checkpoint tensor {name!r} must be 2-D")
         entries.append(
-            {
-                "name": name,
-                "shape": [int(arr.shape[0]), int(arr.shape[1])],
-                "data": [float(v) for v in arr.reshape(-1)],
-            }
+            {"name": name, "shape": [int(arr.shape[0]), int(arr.shape[1])], "data": arr.reshape(-1).tolist()}
         )
     doc = {"version": CHECKPOINT_VERSION, "meta": meta or {}, "tensors": entries}
+    # One dumps call uses the C encoder; json.dump streams through the Python one.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:

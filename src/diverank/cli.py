@@ -360,7 +360,12 @@ def _subset_objective(kernel_values: np.ndarray, scores: np.ndarray, idx: list[i
 
 def cmd_sweep(args) -> None:
     cfg = _load_experiment_config(args)
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    alphas = []
+    for entry in filter(str.strip, args.alphas.split(",")):
+        try:
+            alphas.append(float(entry))
+        except ValueError:
+            raise ValidationError(f"--alphas entry {entry.strip()!r} is not a number") from None
     if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValidationError("--alphas must be a strictly increasing list")
     if any(a < 0 for a in alphas):

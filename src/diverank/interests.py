@@ -184,6 +184,8 @@ def init_interest_params(
     requires_grad: bool = True,
 ) -> InterestParams:
     """Default geometry: 2 heads of width dim/2, output back to dim."""
+    if num_heads < 1:
+        raise ValidationError(f"num_heads must be >= 1, got {num_heads}")
     if head_dim is None:
         if dim % num_heads != 0:
             raise ValidationError(

@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from diverank import cli
-from diverank.accuracy import Impression, init_scorer_params, train_scorer
+from diverank.accuracy import Impressions, init_scorer_params, train_scorer
 from diverank.clustering import BipartiteGraph, louvain, modularity
 from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestPoint, InterestProfile
@@ -535,21 +535,11 @@ def test_criterion_07_complexity_contract(capsys):
 
 
 def separable_impressions(rng, n=60, dim=4):
-    impressions = []
-    for i in range(n):
-        label = i % 2
-        center = np.zeros(dim)
-        center[0] = 3.0 if label else -3.0
-        impressions.append(
-            Impression(
-                user_id="u1",
-                embedding=center + 0.3 * rng.normal(size=dim),
-                h_prev=np.zeros(dim),
-                h_cand=np.zeros(dim),
-                label=label,
-            )
-        )
-    return impressions
+    labels = np.arange(n) % 2
+    centers = np.zeros((n, dim))
+    centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
+    embeddings = centers + 0.3 * rng.normal(size=(n, dim))
+    return Impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
 
 
 def test_criterion_08_scorer_trainability(capsys):

@@ -5,6 +5,7 @@ both excitation gates, the seven-block feature row, the ReLU hidden
 layer, and the two-logit softmax.
 """
 
+import json
 import math
 
 import numpy as np
@@ -22,10 +23,10 @@ from diverank.accuracy import (
     scorer_params_from_arrays,
     train_scorer,
     update_context,
-    Impression,
+    Impressions,
 )
 from diverank.autodiff import Tensor
-from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, ValidationError
+from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError, load_behaviors
 from diverank.interests import InterestProfile
 
 
@@ -234,55 +235,127 @@ class TestCrossEntropy:
             cross_entropy(ad.constant(np.zeros((3, 2))), np.array([0, 1]))
 
 
+def impressions_oracle(log, table):
+    """The per-user loop `build_impressions` replaced, as row tuples.
+
+    It groups rows per user itself and sorts each session by timestamp
+    (stable), so it accepts a log in any row order.
+    """
+    ts = log.ts.tolist()
+    labels = log.labels.tolist()
+    by_user = {}
+    for row, (user_id, item_id) in enumerate(zip(log.user_ids, log.item_ids)):
+        if labels[row] == NO_LABEL or item_id not in table:
+            continue
+        by_user.setdefault(user_id, []).append(row)
+    out = []
+    for user_id in sorted(by_user):
+        session = sorted(by_user[user_id], key=ts.__getitem__)
+        embs = table.rows(log.item_ids[r] for r in session)
+        h_cand = embs.mean(axis=0)
+        running = np.zeros(embs.shape[1])
+        for t, row in enumerate(session):
+            h_prev = running / t if t else np.zeros(embs.shape[1])
+            out.append((user_id, embs[t], h_prev, h_cand, labels[row]))
+            running = running + embs[t]
+    return out
+
+
+def write_log(path, rows):
+    """Write (user, item, ts, label or None) rows as a behavior file and load it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for user_id, item_id, ts, label in rows:
+            doc = {"user_id": user_id, "item_id": item_id, "ts": ts}
+            if label is not None:
+                doc["label"] = label
+            fh.write(json.dumps(doc) + "\n")
+    return load_behaviors(str(path))
+
+
 class TestImpressions:
-    def test_session_context_reconstruction(self):
+    def test_session_context_reconstruction(self, tmp_path):
         table = EmbeddingTable(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        events = BehaviorLog(("u1", "u1"), ("b", "a"), ts=[20, 10], labels=[0, 1])
-        imps = build_impressions(events, table)
+        imps = build_impressions(write_log(tmp_path / "b.jsonl", [("u1", "b", 20, 0), ("u1", "a", 10, 1)]), table)
         assert len(imps) == 2
         # Session order is by timestamp: a then b.
-        assert np.array_equal(imps[0].h_prev, np.zeros(2))
-        assert np.array_equal(imps[1].h_prev, [2.0, 0.0])
-        for imp in imps:
-            assert np.array_equal(imp.h_cand, [1.0, 1.0])
-        assert imps[0].label == 1
-        assert imps[1].label == 0
+        assert np.array_equal(imps.h_prev, [[0.0, 0.0], [2.0, 0.0]])
+        assert np.array_equal(imps.h_cand, [[1.0, 1.0], [1.0, 1.0]])
+        assert imps.labels.tolist() == [1, 0]
 
     def test_unlabeled_skipped(self):
         table = EmbeddingTable(("a",), np.array([[1.0]]))
         events = BehaviorLog(("u1", "u1"), ("a", "a"), ts=[1, 2], labels=[NO_LABEL, 1])
         assert len(build_impressions(events, table)) == 1
 
+    def test_matches_per_user_loop_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(11)
+        embs = rng.normal(size=(12, 5))
+        embs[:, 4] = -0.0  # sums must start from +0.0, as the loop's did
+        table = EmbeddingTable(tuple(f"i{k}" for k in range(12)), embs)
+        rows = []
+        for _ in range(90):
+            user = f"u{rng.integers(6)}"  # users interleaved in file order
+            item = f"i{rng.integers(15)}"  # i12..i14 are not in the catalog
+            label = [None, 0, 1][rng.integers(3)]
+            rows.append((user, item, int(rng.integers(8)), label))  # many equal timestamps
+        rows.append(("u9", "i14", 3, 1))  # a user with no usable row
+        log = write_log(tmp_path / "behaviors.jsonl", rows)
+        unsorted = BehaviorLog(
+            tuple(r[0] for r in rows),
+            tuple(r[1] for r in rows),
+            [r[2] for r in rows],
+            [NO_LABEL if r[3] is None else r[3] for r in rows],
+        )
+        expected = impressions_oracle(unsorted, table)
+        imps = build_impressions(log, table)
+        assert 0 < len(imps) == len(expected) < len(rows)
+        assert imps.user_ids == tuple(e[0] for e in expected)
+        for col, pos in (("embeddings", 1), ("h_prev", 2), ("h_cand", 3)):
+            want = np.stack([e[pos] for e in expected])
+            assert getattr(imps, col).tobytes() == want.tobytes(), col
+        assert imps.labels.tolist() == [e[4] for e in expected]
+
+    def test_unsorted_log_rejected(self):
+        table = EmbeddingTable(("a",), np.array([[1.0]]))
+        for users, ts in ((("u1", "u1"), [2, 1]), (("u2", "u1"), [1, 2]), (("u1", "u2", "u1"), [1, 1, 1])):
+            log = BehaviorLog(users, ("a",) * len(users), ts, [1] * len(users))
+            with pytest.raises(ValidationError, match="sorted"):
+                build_impressions(log, table)
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (("u1",), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [0, 1]),
+            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), [0, 1]),
+            (("u1", "u1"), np.zeros(3), np.zeros(3), np.zeros(3), [0, 1]),
+            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [0, 2]),
+            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [1]),
+        ],
+    )
+    def test_malformed_columns_rejected(self, columns):
+        with pytest.raises(ValidationError):
+            Impressions(*columns)
+
+
+def separable_impressions(rng, n=60, dim=4):
+    # Two clouds separated along the first axis; label follows the cloud.
+    labels = np.arange(n) % 2
+    centers = np.zeros((n, dim))
+    centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
+    embeddings = centers + 0.3 * rng.normal(size=(n, dim))
+    return Impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
+
 
 class TestTraining:
-    def separable_impressions(self, rng, n=60, dim=4):
-        # Two clouds separated along the first axis; label follows the cloud.
-        impressions = []
-        for i in range(n):
-            label = i % 2
-            center = np.zeros(dim)
-            center[0] = 3.0 if label else -3.0
-            emb = center + 0.3 * rng.normal(size=dim)
-            impressions.append(
-                Impression(
-                    user_id="u1",
-                    embedding=emb,
-                    h_prev=np.zeros(dim),
-                    h_cand=np.zeros(dim),
-                    label=label,
-                )
-            )
-        return impressions
-
     def test_separable_data_reaches_high_auc(self, rng):
-        impressions = self.separable_impressions(rng)
+        impressions = separable_impressions(rng)
         params = init_scorer_params(4, np.random.default_rng(1))
         profiles = {"u1": make_profile("u1", rng, 4)}
         curve = train_scorer(impressions, profiles, params, lr=0.1, epochs=30, seed=0)
         assert curve[-1]["auc"] >= 0.95
 
     def test_lr_zero_bit_identical_and_flat(self, rng):
-        impressions = self.separable_impressions(rng, n=20)
+        impressions = separable_impressions(rng, n=20)
         params = init_scorer_params(4, np.random.default_rng(1))
         before = {name: t.data.copy() for name, t in params.tensors().items()}
         profiles = {"u1": make_profile("u1", rng, 4)}
@@ -293,26 +366,34 @@ class TestTraining:
         assert losses[0] == losses[1] == losses[2]
 
     def test_single_sample_step_does_not_increase_loss(self, rng):
-        imp = self.separable_impressions(rng, n=2)
+        imp = separable_impressions(rng, n=2)
         params = init_scorer_params(4, np.random.default_rng(5))
         profiles = {"u1": make_profile("u1", rng, 4)}
         curve = train_scorer(imp, profiles, params, lr=1e-3, epochs=2, seed=0, batch_size=2)
         assert curve[1]["loss"] <= curve[0]["loss"] + 1e-12
 
     def test_degenerate_labels_rejected(self, rng):
-        impressions = [
-            Impression("u1", rng.normal(size=4), np.zeros(4), np.zeros(4), label=1)
-            for _ in range(4)
-        ]
+        impressions = Impressions(("u1",) * 4, rng.normal(size=(4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), [1] * 4)
         params = init_scorer_params(4, rng)
         with pytest.raises(ValidationError):
             train_scorer(impressions, {}, params, lr=0.1, epochs=1, seed=0)
 
     def test_loss_curve_decreases_overall(self, rng):
-        impressions = self.separable_impressions(rng)
+        impressions = separable_impressions(rng)
         params = init_scorer_params(4, np.random.default_rng(2))
         curve = train_scorer(impressions, {}, params, lr=0.1, epochs=10, seed=0)
         assert curve[-1]["loss"] < curve[0]["loss"]
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_bad_learning_rate_rejected(self, rng, lr):
+        params = init_scorer_params(4, np.random.default_rng(2))
+        with pytest.raises(ValidationError, match="lr"):
+            train_scorer(separable_impressions(rng), {}, params, lr=lr, epochs=1, seed=0)
+
+    def test_divergence_is_numerical_error(self, rng):
+        params = init_scorer_params(4, np.random.default_rng(2))
+        with pytest.raises(NumericalError, match="diverged"):
+            train_scorer(separable_impressions(rng), {}, params, lr=1e308, epochs=3, seed=0)
 
 
 class TestScorerGradients:

@@ -233,6 +233,46 @@ class TestTapeDiscipline:
                 ad.backward(out)
 
 
+class TestGradientBuffers:
+    """A tensor's first gradient may be a view of, or the very array that
+    is, another tensor's gradient; storing it must not alias the two."""
+
+    def test_add_passthrough_is_not_shared(self, rng):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with Tape():
+            d = ad.scale(b, 2.0)  # replayed last: accumulates into b after the add
+            c = ad.add(a, b)  # same shapes: both operands receive the upstream array
+            ad.backward(ad.sum_all(ad.add(c, d)))
+        assert np.array_equal(a.grad, np.ones((2, 3)))
+        assert np.array_equal(b.grad, np.full((2, 3), 3.0))
+        assert np.array_equal(c.grad, np.ones((2, 3)))
+
+    def test_concat_slice_keeps_its_value(self, rng):
+        a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
+        e = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        with Tape():
+            f = ad.scale(e, 2.0)  # replayed last: accumulates into e's buffer
+            out = ad.concat_cols([a, b])  # a and b receive column slices of out's gradient
+            ad.backward(ad.sum_all(ad.add(ad.add(out, e), f)))
+        assert np.array_equal(a.grad, np.ones((2, 2)))
+        assert np.array_equal(b.grad, np.ones((2, 1)))
+        assert np.array_equal(out.grad, np.ones((2, 3)))
+        assert np.array_equal(e.grad, np.full((2, 3), 3.0))
+
+    def test_first_gradient_is_copied_and_shape_checked(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        for bad in (np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 3, 1))):
+            with pytest.raises(ValidationError, match="gradient shape"):
+                t.accumulate(bad)
+        assert t.grad is None
+        g = np.ones((2, 3))
+        t.accumulate(g)
+        g += 5.0
+        assert np.array_equal(t.grad, np.ones((2, 3)))
+
+
 class TestSgd:
     def test_single_step_arithmetic(self):
         p = Tensor([[1.0]], requires_grad=True)

@@ -758,6 +758,54 @@ class TestMalformedInput:
         assert lines[0].startswith(f"error: {field} must be of type")
 
 
+class TestBadTrainingArguments:
+    """Each bad value exits with one error line before any file is written."""
+
+    @pytest.mark.parametrize(
+        "flag, value, code, expected",
+        [
+            ("--hidden", "0", 1, "error: hidden must be >= 1, got 0"),
+            ("--heads", "0", 1, "error: num_heads must be >= 1, got 0"),
+            ("--lr", "nan", 1, "error: lr must be finite and >= 0, got nan"),
+            ("--lr", "inf", 1, "error: lr must be finite and >= 0, got inf"),
+            ("--lr", "-1", 1, "error: lr must be finite and >= 0, got -1.0"),
+            ("--lr", "1e308", 3, "numerical error: training diverged in epoch 0"),
+        ],
+    )
+    def test_train_scorer_flag(self, flag, value, code, expected, pipeline, tmp_path, capsys):
+        fix = pipeline["fix"]
+        out = tmp_path / "model"
+        assert run(
+            "train-scorer",
+            "--items", str(fix / "items.jsonl"),
+            "--behaviors", str(fix / "behaviors.jsonl"),
+            "--clusters", str(fix / "clusters.jsonl"),
+            "--out", str(out),
+            "--epochs", "2",
+            flag, value,
+        ) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(expected)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alphas, bad", [("0,x", "'x'"), ("0, 1e ,2", "'1e'"), ("one", "'one'")])
+    def test_sweep_alpha_that_is_not_a_number(self, alphas, bad, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        code = run(
+            "sweep",
+            "--candidates", str(tmp_path / "candidates.jsonl"),
+            "--labels", str(tmp_path / "candidates.jsonl"),
+            "--profiles", str(tmp_path / "profiles.jsonl"),
+            "--checkpoint", str(tmp_path / "checkpoint.json"),
+            "--out", str(tmp_path / "sweep.csv"),
+            "--alphas", alphas,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --alphas entry {bad} is not a number"]
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("module", ["diverank", "diverank.cli"])
 def test_python_dash_m_entry_point(module):
     src = str(Path(__file__).resolve().parents[1] / "src")
