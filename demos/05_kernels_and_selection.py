@@ -12,7 +12,7 @@ import numpy as np
 
 from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestProfile
-from diverank.kernels import KernelHyperparams, KernelMatrix, composite_matrix
+from diverank.kernels import KernelMatrix, composite_matrix
 from diverank.metrics import ilad
 from diverank.selection import bs_dpp_select, constant_scorer
 
@@ -48,12 +48,12 @@ def main():
     np.set_printoptions(precision=2, suppress=True, linewidth=120)
     rng = np.random.default_rng(7)
     ids, embs = catalog(rng)
-    hp = KernelHyperparams.from_config(ExperimentConfig())
+    cfg = ExperimentConfig()
 
     section("1. The kernel sees group structure")
     neutral = InterestProfile(user_id="u", h_macro=np.zeros(DIM),
                               h_micro=np.zeros(DIM))
-    kernel = composite_matrix(ids, embs, neutral, hp)
+    kernel = composite_matrix(ids, embs, neutral, cfg)
     k = kernel.values
     same = np.mean([k[i, j] for i in range(4) for j in range(4) if i != j])
     cross = np.mean([k[i, j] for i in range(4) for j in range(4, 8)])
@@ -64,7 +64,7 @@ def main():
     section("2. An interest profile reshapes the same kernel")
     rock_fan = InterestProfile(user_id="u", h_macro=embs[0],
                                h_micro=embs[1])
-    shaped = composite_matrix(ids, embs, rock_fan, hp)
+    shaped = composite_matrix(ids, embs, rock_fan, cfg)
     diag_rock = float(np.mean(np.diag(shaped.values)[:4]))
     diag_folk = float(np.mean(np.diag(shaped.values)[8:]))
     print(f"mean diagonal mass, rock items: {diag_rock:.3f}")

@@ -44,7 +44,6 @@ from .data import (
     NumericalError,
     ParseError,
     ValidationError,
-    config_overrides,
     load_behaviors,
     load_candidates,
     load_config,
@@ -54,7 +53,6 @@ from .data import (
     save_candidates,
     save_items,
     save_results,
-    validate_config,
 )
 from .interests import (
     InterestProfile,
@@ -63,7 +61,7 @@ from .interests import (
     load_profiles,
     save_profiles,
 )
-from .kernels import KernelHyperparams, composite_matrix
+from .kernels import composite_matrix
 from .metrics import ilad, ndcg_at_k
 from .selection import (
     bs_dpp_select,
@@ -71,6 +69,7 @@ from .selection import (
     fixed_score_dpp_select,
     mmr_select,
     profile_scorer,
+    subset_objective,
 )
 from .synth import SyntheticSpec, derive_seed, generate
 
@@ -93,7 +92,7 @@ def _load_experiment_config(args) -> ExperimentConfig:
         overrides["k"] = args.k
     if getattr(args, "diversity_only_init", False):
         overrides["diversity_only_init"] = True
-    return config_overrides(validate_config(cfg), **overrides)
+    return replace(cfg, **overrides)
 
 
 def _zero_profile(user_id: str, dim: int) -> InterestProfile:
@@ -260,13 +259,12 @@ def cmd_rerank(args) -> None:
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
     _check_dims(candidates, profiles, params.dim)
-    hp = KernelHyperparams.from_config(cfg)
 
     results = []
     diag_rows = []
     for cs in candidates:
         profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
-        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
+        kernel = composite_matrix(cs.ids, cs.embeddings, profile, cfg)
         if args.dump_kernel:
             _dump_kernel(args.dump_kernel, cs.user_id, kernel.values)
         scorer = profile_scorer(cs, profile, params)
@@ -313,6 +311,14 @@ def _label_map(path: str) -> dict[str, dict[str, int]]:
     return by_user
 
 
+def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal: list[int], k: int):
+    """nDCG@k of one list against its user's labels, and its ILAD (NaN below two items)."""
+    rel = [user_labels.get(item_id, 0) for item_id in item_ids]
+    ndcg = ndcg_at_k(rel, k, ideal_relevances=ideal)
+    diversity = ilad(embs) if len(item_ids) >= 2 else float("nan")
+    return ndcg, diversity
+
+
 def cmd_eval(args) -> None:
     cfg = _load_experiment_config(args)
     results = load_results(args.results)
@@ -323,11 +329,10 @@ def cmd_eval(args) -> None:
     ndcgs, ilads = [], []
     for res in results:
         user_labels = labels.get(res.user_id, {})
-        rel = [user_labels.get(item_id, 0) for item_id in res.item_ids]
         ideal = sorted(user_labels.values(), reverse=True)
-        embs = table.rows(res.item_ids)
-        ndcg = ndcg_at_k(rel, cfg.k, ideal_relevances=ideal)
-        diversity = ilad(embs) if len(res.item_ids) >= 2 else float("nan")
+        ndcg, diversity = _list_metrics(
+            res.item_ids, table.rows(res.item_ids), user_labels, ideal, cfg.k
+        )
         ndcgs.append(ndcg)
         if not np.isnan(diversity):
             ilads.append(diversity)
@@ -348,14 +353,6 @@ def cmd_eval(args) -> None:
 
 
 # ----- sweep -----
-
-
-def _subset_objective(kernel_values: np.ndarray, scores: np.ndarray, idx: list[int], alpha: float) -> float:
-    value = float(scores[idx].sum())
-    if alpha != 0.0:
-        sign, logdet = np.linalg.slogdet(kernel_values[np.ix_(idx, idx)])
-        value += alpha * logdet if sign > 0 else -np.inf
-    return value
 
 
 def cmd_sweep(args) -> None:
@@ -379,24 +376,16 @@ def cmd_sweep(args) -> None:
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
     _check_dims(candidates, profiles, params.dim)
-    hp = KernelHyperparams.from_config(cfg)
-
-    def evaluate(cs: CandidateSet, rows: list[int], user_labels, ideal) -> tuple[float, float]:
-        rel = [user_labels.get(cs.ids[r], 0) for r in rows]
-        embs = cs.embeddings[rows]
-        ndcg = ndcg_at_k(rel, cfg.k, ideal_relevances=ideal)
-        diversity = ilad(embs) if len(rows) >= 2 else float("nan")
-        return ndcg, diversity
 
     methods = ("bs_dpp", "fixed_dpp", "mmr")
-    cfgs = [validate_config(replace(cfg, alpha=alpha)) for alpha in alphas]
+    cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
     # Per alpha: each method's [ndcg, ilad, objective] rows in user order, and its wall time.
     acc = [{m: [] for m in methods} for _ in alphas]
     times = [dict.fromkeys(methods, 0.0) for _ in alphas]
     # User-major, so that one user's n x n kernel at a time is alive.
     for cs in candidates:
         profile = profiles.get(cs.user_id) or _zero_profile(cs.user_id, cs.dim)
-        kernel = composite_matrix(cs.ids, cs.embeddings, profile, hp)
+        kernel = composite_matrix(cs.ids, cs.embeddings, profile, cfg)
         row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)
@@ -404,21 +393,23 @@ def cmd_sweep(args) -> None:
             t0 = time.perf_counter()
             res = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a)
             times_a["bs_dpp"] += time.perf_counter() - t0
-            ndcg, div = evaluate(cs, [row_of[i] for i in res.item_ids], user_labels, ideal)
+            rows = [row_of[i] for i in res.item_ids]
+            ndcg, div = _list_metrics(res.item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
             acc_a["bs_dpp"].append([ndcg, div, res.objective])
 
             t0 = time.perf_counter()
             res_f = fixed_score_dpp_select(cs, kernel, cfg_a)
             times_a["fixed_dpp"] += time.perf_counter() - t0
-            ndcg, div = evaluate(cs, [row_of[i] for i in res_f.item_ids], user_labels, ideal)
+            rows = [row_of[i] for i in res_f.item_ids]
+            ndcg, div = _list_metrics(res_f.item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
             acc_a["fixed_dpp"].append([ndcg, div, res_f.objective])
 
             t0 = time.perf_counter()
             ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings), 1.0 / (1.0 + alpha), cfg.k)
             times_a["mmr"] += time.perf_counter() - t0
-            idx_m = [row_of[i] for i in ids_m]
-            ndcg, div = evaluate(cs, idx_m, user_labels, ideal)
-            h_m = _subset_objective(kernel.values, cs.base_scores, idx_m, alpha)
+            rows = [row_of[i] for i in ids_m]
+            ndcg, div = _list_metrics(ids_m, cs.embeddings[rows], user_labels, ideal, cfg.k)
+            h_m = subset_objective(kernel.values, cs.base_scores, rows, alpha)
             acc_a["mmr"].append([ndcg, div, h_m])
 
     table_rows = []

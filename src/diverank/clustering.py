@@ -191,7 +191,11 @@ class _MoveState:
         self.labels[node] = target
 
 
-def louvain(graph: BipartiteGraph, max_passes: int = 50) -> ClusterAssignment:
+# Local-move passes stop when a pass moves no node or after this many.
+MAX_PASSES = 50
+
+
+def louvain(graph: BipartiteGraph) -> ClusterAssignment:
     """Single-level local-move modularity maximization.
 
     Deterministic: the scan order is ascending node id and ties break to
@@ -199,13 +203,11 @@ def louvain(graph: BipartiteGraph, max_passes: int = 50) -> ClusterAssignment:
     accepted move strictly increases modularity; the move log records
     (node, from_cluster, to_cluster, gain) for audit.
     """
-    if max_passes < 1:
-        raise ValidationError("max_passes must be >= 1")
     labels = np.arange(graph.n_nodes, dtype=np.int64)
     state = _MoveState(graph, labels)
     move_log: list[tuple[int, int, int, float]] = []
     fresh = graph.n_nodes  # ids below n_nodes are taken by the singleton init
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         moved = False
         for node in range(graph.n_nodes):
             links = state.links_to(node)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
@@ -386,12 +386,19 @@ class RerankResult:
         )
 
 
+# Field annotation -> accepted runtime types; bools never count as numbers.
+_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """All re-ranking knobs.
 
     Field names are the canonical config-file keys.  `a_item` and `b_item`
-    default to the short-term kernel amplitudes when left unset.
+    default to the short-term kernel amplitudes when left unset.  Every
+    instance is checked when it is built, `dataclasses.replace` included:
+    types first, then ranges, with one ValidationError naming each
+    violation.
     """
 
     alpha: float = 1.0
@@ -418,57 +425,38 @@ class ExperimentConfig:
             object.__setattr__(self, "a_item", self.a_s)
         if self.b_item is None:
             object.__setattr__(self, "b_item", self.b_s)
-
-
-# Field annotation -> accepted runtime types; bools never count as numbers.
-_FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check every constraint; the error message names each violation."""
-    problems: list[str] = []
-    for f in fields(cfg):
-        kind = f.type.removesuffix(" | None")
-        val = getattr(cfg, f.name)
-        if not isinstance(val, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(val, bool)):
-            problems.append(f"{f.name} must be of type {kind}, got {type(val).__name__}")
-    if problems:  # range checks below assume the declared types
-        raise ValidationError("; ".join(problems))
-    if not (cfg.alpha >= 0.0) or not math.isfinite(cfg.alpha):
-        problems.append("alpha must be >= 0")
-    for name in ("beta1", "beta2"):
-        val = getattr(cfg, name)
-        if not (val >= 0.0) or not math.isfinite(val):
-            problems.append(f"{name} must be >= 0")
-    for name in ("a_l", "b_l", "a_s", "b_s", "a_item", "b_item"):
-        val = getattr(cfg, name)
-        if not (val > 0.0) or not math.isfinite(val):
-            problems.append(f"{name} must be positive")
-    if not (cfg.epsilon > 0.0) or not math.isfinite(cfg.epsilon):
-        problems.append("epsilon must be positive")
-    if cfg.k < 1:
-        problems.append("k must be >= 1")
-    if cfg.top_m < 1:
-        problems.append("top_m must be >= 1")
-    if cfg.time_buckets < 1:
-        problems.append("time_buckets must be >= 1")
-    if not (cfg.jitter >= 0.0) or not math.isfinite(cfg.jitter):
-        problems.append("jitter must be >= 0")
-    if cfg.recent_window < 1:
-        problems.append("recent_window must be >= 1")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return cfg
-
-
-def config_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Return a validated copy with non-None overrides applied."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    return validate_config(replace(cfg, **applied))
+        problems: list[str] = []
+        for f in fields(self):
+            kind = f.type.removesuffix(" | None")
+            val = getattr(self, f.name)
+            if not isinstance(val, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(val, bool)):
+                problems.append(f"{f.name} must be of type {kind}, got {type(val).__name__}")
+        if problems:  # range checks below assume the declared types
+            raise ValidationError("; ".join(problems))
+        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
+            problems.append("alpha must be >= 0")
+        for name in ("beta1", "beta2"):
+            val = getattr(self, name)
+            if not (val >= 0.0) or not math.isfinite(val):
+                problems.append(f"{name} must be >= 0")
+        for name in ("a_l", "b_l", "a_s", "b_s", "a_item", "b_item"):
+            val = getattr(self, name)
+            if not (val > 0.0) or not math.isfinite(val):
+                problems.append(f"{name} must be positive")
+        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
+            problems.append("epsilon must be positive")
+        if self.k < 1:
+            problems.append("k must be >= 1")
+        if self.top_m < 1:
+            problems.append("top_m must be >= 1")
+        if self.time_buckets < 1:
+            problems.append("time_buckets must be >= 1")
+        if not (self.jitter >= 0.0) or not math.isfinite(self.jitter):
+            problems.append("jitter must be >= 0")
+        if self.recent_window < 1:
+            problems.append("recent_window must be >= 1")
+        if problems:
+            raise ValidationError("; ".join(problems))
 
 
 # ----- line-delimited JSON IO -----
@@ -649,4 +637,4 @@ def load_config(path: str) -> ExperimentConfig:
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
-    return validate_config(ExperimentConfig(**doc))
+    return ExperimentConfig(**doc)

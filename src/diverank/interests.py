@@ -179,20 +179,17 @@ def init_interest_params(
     time_buckets: int,
     rng: np.random.Generator,
     num_heads: int = 2,
-    head_dim: int | None = None,
     time_dim: int = 8,
     requires_grad: bool = True,
 ) -> InterestParams:
-    """Default geometry: 2 heads of width dim/2, output back to dim."""
+    """num_heads heads of width dim / num_heads, output back to dim."""
     if num_heads < 1:
         raise ValidationError(f"num_heads must be >= 1, got {num_heads}")
-    if head_dim is None:
-        if dim % num_heads != 0:
-            raise ValidationError(
-                f"embedding dim {dim} not divisible by {num_heads} heads; "
-                "pass head_dim explicitly"
-            )
-        head_dim = dim // num_heads
+    if time_dim < 0:
+        raise ValidationError(f"time_dim must be >= 0, got {time_dim}")
+    if dim % num_heads != 0:
+        raise ValidationError(f"embedding dim {dim} is not divisible by num_heads {num_heads}")
+    head_dim = dim // num_heads
     macro = init_attention_params(dim, dim, num_heads, head_dim, rng, requires_grad)
     micro = init_attention_params(
         dim + time_dim, dim, num_heads, head_dim, rng, requires_grad

@@ -20,52 +20,6 @@ from .data import ExperimentConfig, NumericalError, ValidationError
 from .interests import InterestProfile
 
 
-@dataclass(frozen=True)
-class KernelHyperparams:
-    """All knobs of the composite kernel, derivable from ExperimentConfig."""
-
-    a_l: float = 1.0
-    b_l: float = 1.0
-    a_s: float = 1.0
-    b_s: float = 1.0
-    a_item: float = 1.0
-    b_item: float = 1.0
-    beta1: float = 0.5
-    beta2: float = 0.5
-    jitter: float = 1e-6
-    normalize: bool = True
-    negative_exponent: bool = False
-
-    def __post_init__(self):
-        for name in ("a_l", "b_l", "a_s", "b_s", "a_item", "b_item"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.beta1 < 0 or self.beta2 < 0:
-            raise ValidationError("beta1 and beta2 must be >= 0")
-        if self.jitter < 0:
-            raise ValidationError("jitter must be >= 0")
-
-    @property
-    def sign(self) -> float:
-        return -1.0 if self.negative_exponent else 1.0
-
-    @classmethod
-    def from_config(cls, cfg: ExperimentConfig) -> "KernelHyperparams":
-        return cls(
-            a_l=cfg.a_l,
-            b_l=cfg.b_l,
-            a_s=cfg.a_s,
-            b_s=cfg.b_s,
-            a_item=cfg.a_item,
-            b_item=cfg.b_item,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            jitter=cfg.jitter,
-            normalize=cfg.normalize_embeddings,
-            negative_exponent=cfg.negative_exponent_kernels,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Symmetric candidate similarity matrix aligned to an id order."""
@@ -126,13 +80,13 @@ def composite_matrix(
     ids,
     embeddings: np.ndarray,
     profile: InterestProfile,
-    hp: KernelHyperparams,
+    cfg: ExperimentConfig,
 ) -> KernelMatrix:
     """Blend item, macro, and micro kernels into one jittered matrix.
 
     D = D_item + beta1 * D_macro + beta2 * D_micro + jitter * I, computed
-    on (optionally normalized) embeddings.  The result is exactly
-    symmetric by construction.
+    on (optionally normalized) embeddings, with every knob read from
+    `cfg`.  The result is exactly symmetric by construction.
     """
     ids = tuple(ids)
     embs = np.asarray(embeddings, dtype=np.float64)
@@ -140,20 +94,20 @@ def composite_matrix(
         raise ValidationError("embeddings must be (n, d) aligned with ids")
     if profile.h_macro.shape != (embs.shape[1],):
         raise ValidationError("profile dimension does not match embeddings")
-    base = normalize_rows(embs) if hp.normalize else embs
-    sign = hp.sign
-    d = _signed_exp_gram(base, hp.a_item, hp.b_item, sign)
-    if hp.beta1 > 0.0:
+    base = normalize_rows(embs) if cfg.normalize_embeddings else embs
+    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
+    d = _signed_exp_gram(base, cfg.a_item, cfg.b_item, sign)
+    if cfg.beta1 > 0.0:
         macro = modulated_vectors(base, profile.h_macro)
-        term = _signed_exp_gram(macro, hp.a_l, hp.b_l, sign)
-        term *= hp.beta1
+        term = _signed_exp_gram(macro, cfg.a_l, cfg.b_l, sign)
+        term *= cfg.beta1
         d += term
-    if hp.beta2 > 0.0:
+    if cfg.beta2 > 0.0:
         micro = modulated_vectors(base, profile.h_micro)
-        term = _signed_exp_gram(micro, hp.a_s, hp.b_s, sign)
-        term *= hp.beta2
+        term = _signed_exp_gram(micro, cfg.a_s, cfg.b_s, sign)
+        term *= cfg.beta2
         d += term
-    if hp.jitter:
+    if cfg.jitter:
         idx = np.arange(len(ids))
-        d[idx, idx] += hp.jitter
+        d[idx, idx] += cfg.jitter
     return KernelMatrix(ids=ids, values=d)

@@ -101,8 +101,6 @@ def bs_dpp_select(
     n = candidates.size
     if candidates.ids != kernel.ids:
         raise ValidationError("kernel ids must match candidate order")
-    if cfg.k < 1:
-        raise ValidationError("k must be >= 1")
     alpha = float(cfg.alpha)
     epsilon = float(cfg.epsilon)
     k = min(cfg.k, n)
@@ -200,22 +198,26 @@ def bs_dpp_select(
 
 
 def fixed_score_dpp_select(
-    candidates: CandidateSet,
-    kernel: KernelMatrix,
-    cfg: ExperimentConfig,
-    scores: np.ndarray | None = None,
+    candidates: CandidateSet, kernel: KernelMatrix, cfg: ExperimentConfig
 ) -> RerankResult:
     """Greedy DPP with the scorer frozen to the base scores.
 
     Identical machinery to bs_dpp_select; only the score source differs,
     so it doubles as the fast-greedy comparator baseline.
     """
-    frozen = candidates.base_scores if scores is None else np.asarray(scores, dtype=np.float64)
-    if frozen.shape != (candidates.size,):
-        raise ValidationError("scores must align with candidates")
-    result = bs_dpp_select(candidates, kernel, constant_scorer(frozen), cfg)
-    assert isinstance(result, RerankResult)
-    return result
+    return bs_dpp_select(candidates, kernel, constant_scorer(candidates.base_scores), cfg)
+
+
+def subset_objective(
+    d_matrix: np.ndarray, scores: np.ndarray, idx: Sequence[int], alpha: float
+) -> float:
+    """h of one subset: its score sum plus alpha * log det of its kernel
+    submatrix, -inf when that submatrix is singular."""
+    value = float(scores[idx].sum())
+    if alpha != 0.0:
+        sign, logdet = np.linalg.slogdet(d_matrix[np.ix_(idx, idx)])
+        value += alpha * logdet if sign > 0 else -np.inf
+    return value
 
 
 def exhaustive_map(
@@ -244,11 +246,7 @@ def exhaustive_map(
     best_subset: tuple[int, ...] | None = None
     best_value = -np.inf
     for subset in combinations(range(n), k):
-        idx = np.asarray(subset)
-        value = float(scores[idx].sum())
-        if alpha != 0.0:
-            sign, logdet = np.linalg.slogdet(d_matrix[np.ix_(idx, idx)])
-            value += alpha * logdet if sign > 0 else -np.inf
+        value = subset_objective(d_matrix, scores, np.asarray(subset), alpha)
         if value > best_value:
             best_value = value
             best_subset = subset

@@ -26,7 +26,7 @@ from diverank.interests import (
     micro_interest,
 )
 from diverank.accuracy import cross_entropy, score_logits
-from diverank.kernels import KernelHyperparams, KernelMatrix, composite_matrix
+from diverank.kernels import KernelMatrix, composite_matrix
 from diverank.metrics import auc, ilad, logloss, ndcg_at_k
 from diverank.selection import (
     bs_dpp_select,
@@ -446,7 +446,7 @@ def _kernel_build_slope(rounds=15) -> float:
     lands on all sizes instead of biasing one.
     """
     d = 2048
-    hp = KernelHyperparams.from_config(ExperimentConfig())
+    cfg = ExperimentConfig()
     rng = np.random.default_rng(3)
     sizes = (512, 1024, 2048)
     fixtures = {}
@@ -457,13 +457,13 @@ def _kernel_build_slope(rounds=15) -> float:
             user_id="u", h_macro=rng.normal(size=d), h_micro=rng.normal(size=d)
         )
         fixtures[n] = (ids, embs, profile)
-        composite_matrix(ids, embs, profile, hp)  # warmup
+        composite_matrix(ids, embs, profile, cfg)  # warmup
     samples: dict[int, list[float]] = {n: [] for n in sizes}
     for _ in range(rounds):
         for n in sizes:
             ids, embs, profile = fixtures[n]
             t0 = time.perf_counter()
-            composite_matrix(ids, embs, profile, hp)
+            composite_matrix(ids, embs, profile, cfg)
             samples[n].append(time.perf_counter() - t0)
     medians = [float(np.median(samples[n])) for n in sizes]
     return float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
@@ -507,12 +507,11 @@ def test_criterion_07_complexity_contract(capsys):
         user_id="u", h_macro=rng2.normal(size=d), h_micro=rng2.normal(size=d)
     )
     params = init_scorer_params(d, rng2, requires_grad=False)
-    hp = KernelHyperparams.from_config(ExperimentConfig())
     cfg = ExperimentConfig(alpha=1.0, k=50)
     rerank_best = np.inf
     for _ in range(3):
         t0 = time.perf_counter()
-        kernel = composite_matrix(cands.ids, cands.embeddings, profile, hp)
+        kernel = composite_matrix(cands.ids, cands.embeddings, profile, cfg)
         result = bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
         rerank_best = min(rerank_best, time.perf_counter() - t0)
     assert len(result.item_ids) == 50

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,13 @@ import pytest
 from diverank import cli
 from diverank.accuracy import init_scorer_params
 from diverank.autodiff import save_checkpoint
-from diverank.data import CandidateSet, load_candidates, load_results, save_candidates
+from diverank.data import (
+    CandidateSet,
+    ExperimentConfig,
+    load_candidates,
+    load_results,
+    save_candidates,
+)
 from diverank.interests import InterestProfile, save_profiles
 
 SYNTH_ARGS = [
@@ -766,6 +773,8 @@ class TestBadTrainingArguments:
         [
             ("--hidden", "0", 1, "error: hidden must be >= 1, got 0"),
             ("--heads", "0", 1, "error: num_heads must be >= 1, got 0"),
+            ("--heads", "3", 1, "error: embedding dim 8 is not divisible by num_heads 3"),
+            ("--time-dim", "-1", 1, "error: time_dim must be >= 0, got -1"),
             ("--lr", "nan", 1, "error: lr must be finite and >= 0, got nan"),
             ("--lr", "inf", 1, "error: lr must be finite and >= 0, got inf"),
             ("--lr", "-1", 1, "error: lr must be finite and >= 0, got -1.0"),
@@ -844,3 +853,16 @@ def test_every_option_is_read_by_its_stage():
                 if action.dest not in read:
                     unread.add((command, action.dest))
     assert unread == set(IGNORED_OPTIONS)
+
+
+def test_every_config_field_is_read():
+    """A config field no stage reads silently does nothing.  data.py only
+    declares, checks and loads the fields, so its reads do not count."""
+    package = Path(cli.__file__).parent
+    source = "".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py"))
+        if path.name != "data.py"
+    )
+    read = set(re.findall(r"\bcfg\w*\.(\w+)", source))
+    assert {f.name for f in fields(ExperimentConfig)} - read == set()

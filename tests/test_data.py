@@ -1,7 +1,7 @@
 """Record validation, JSONL parsing, and config handling tests."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from diverank.data import (
     ExperimentConfig,
     ParseError,
     ValidationError,
-    config_overrides,
     load_behaviors,
     load_candidates,
     load_config,
@@ -24,7 +23,6 @@ from diverank.data import (
     save_candidates,
     save_items,
     save_results,
-    validate_config,
 )
 
 
@@ -267,28 +265,27 @@ class TestItemRoundTrip:
 
 class TestConfig:
     def test_defaults_valid(self):
-        cfg = ExperimentConfig()
-        assert validate_config(cfg) is cfg
+        ExperimentConfig()
 
     def test_alpha_zero_allowed(self):
-        validate_config(ExperimentConfig(alpha=0.0))
+        ExperimentConfig(alpha=0.0)
 
     def test_b_l_zero_message(self):
         with pytest.raises(ValidationError) as err:
-            validate_config(ExperimentConfig(b_l=0.0))
+            ExperimentConfig(b_l=0.0)
         assert "b_l must be positive" in str(err.value)
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
-            validate_config(ExperimentConfig(k=0))
+            ExperimentConfig(k=0)
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValidationError):
-            validate_config(ExperimentConfig(alpha=-0.5))
+            ExperimentConfig(alpha=-0.5)
 
     def test_all_violations_collected(self):
         with pytest.raises(ValidationError) as err:
-            validate_config(ExperimentConfig(b_l=0.0, k=0, a_s=-1.0))
+            ExperimentConfig(b_l=0.0, k=0, a_s=-1.0)
         message = str(err.value)
         assert "b_l" in message
         assert "k" in message
@@ -302,15 +299,10 @@ class TestConfig:
         assert explicit.a_item == 5.0
         assert explicit.b_item == 7.0
 
-    def test_overrides_win(self):
-        cfg = ExperimentConfig(alpha=1.0, k=10)
-        out = config_overrides(cfg, alpha=2.5, k=None)
-        assert out.alpha == 2.5
-        assert out.k == 10  # None means "not overridden"
-
-    def test_unknown_override_rejected(self):
-        with pytest.raises(ValidationError):
-            config_overrides(ExperimentConfig(), nonsense=1)
+    def test_replace_is_checked(self):
+        with pytest.raises(ValidationError) as err:
+            replace(ExperimentConfig(), alpha=-1.0)
+        assert "alpha must be >= 0" in str(err.value)
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "config.json"

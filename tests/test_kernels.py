@@ -15,7 +15,6 @@ import pytest
 from diverank.data import ExperimentConfig, ValidationError
 from diverank.interests import InterestProfile
 from diverank.kernels import (
-    KernelHyperparams,
     KernelMatrix,
     composite_matrix,
     modulated_vectors,
@@ -30,31 +29,31 @@ def profile_of(h_macro, h_micro=None):
     return InterestProfile(user_id="u", h_macro=h_macro, h_micro=np.asarray(h_micro, float))
 
 
-def composite_entry_oracle(i, j, embs, profile, hp):
+def composite_entry_oracle(i, j, embs, profile, cfg):
     """Scalar recomputation of one composite matrix entry."""
     def unit(v):
         n = math.sqrt(sum(x * x for x in v))
         return [x / n for x in v] if n > 0 else list(v)
 
-    ei = unit(embs[i]) if hp.normalize else list(embs[i])
-    ej = unit(embs[j]) if hp.normalize else list(embs[j])
-    sign = -1.0 if hp.negative_exponent else 1.0
+    ei = unit(embs[i]) if cfg.normalize_embeddings else list(embs[i])
+    ej = unit(embs[j]) if cfg.normalize_embeddings else list(embs[j])
+    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
 
     def term(a, b, wi, wj):
         dot = sum(x * y for x, y in zip(wi, wj))
         return a * a * math.exp(sign * dot / (b * b))
 
-    value = term(hp.a_item, hp.b_item, ei, ej)
-    if hp.beta1 > 0.0:
+    value = term(cfg.a_item, cfg.b_item, ei, ej)
+    if cfg.beta1 > 0.0:
         mi = [x * h for x, h in zip(ei, profile.h_macro)]
         mj = [x * h for x, h in zip(ej, profile.h_macro)]
-        value += hp.beta1 * term(hp.a_l, hp.b_l, mi, mj)
-    if hp.beta2 > 0.0:
+        value += cfg.beta1 * term(cfg.a_l, cfg.b_l, mi, mj)
+    if cfg.beta2 > 0.0:
         mi = [x * h for x, h in zip(ei, profile.h_micro)]
         mj = [x * h for x, h in zip(ej, profile.h_micro)]
-        value += hp.beta2 * term(hp.a_s, hp.b_s, mi, mj)
+        value += cfg.beta2 * term(cfg.a_s, cfg.b_s, mi, mj)
     if i == j:
-        value += hp.jitter
+        value += cfg.jitter
     return value
 
 
@@ -62,12 +61,12 @@ def item_term(x, y, a=1.0, b=1.0):
     """Off-diagonal entry of the bare elementary form a^2 * exp(-(x . y) / b^2):
     the item term of a two-item composite with no modulation, normalization
     or jitter."""
-    hp = KernelHyperparams(
-        a_item=a, b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize=False,
-        negative_exponent=True,
+    cfg = ExperimentConfig(
+        a_item=a, b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize_embeddings=False,
+        negative_exponent_kernels=True,
     )
     embs = np.array([x, y], dtype=float)
-    return composite_matrix(["x", "y"], embs, profile_of(np.zeros(embs.shape[1])), hp).values[0, 1]
+    return composite_matrix(["x", "y"], embs, profile_of(np.zeros(embs.shape[1])), cfg).values[0, 1]
 
 
 class TestElementaryKernel:
@@ -87,34 +86,17 @@ class TestElementaryKernel:
 
     def test_nonpositive_hyperparams_rejected(self):
         with pytest.raises(ValidationError):
-            KernelHyperparams(a_item=0.0)
+            ExperimentConfig(a_item=0.0)
         with pytest.raises(ValidationError):
-            KernelHyperparams(b_item=-1.0)
+            ExperimentConfig(b_item=-1.0)
 
 
 class TestHyperparams:
     def test_positivity_enforced(self):
         with pytest.raises(ValidationError):
-            KernelHyperparams(a_l=0.0)
+            ExperimentConfig(a_l=0.0)
         with pytest.raises(ValidationError):
-            KernelHyperparams(b_s=-2.0)
-
-    def test_from_config_mapping(self):
-        cfg = ExperimentConfig(
-            a_l=2.0, b_l=3.0, a_s=4.0, b_s=5.0, beta1=0.1, beta2=0.2,
-            jitter=1e-4, negative_exponent_kernels=True,
-        )
-        hp = KernelHyperparams.from_config(cfg)
-        assert hp.a_l == 2.0
-        assert hp.b_s == 5.0
-        assert hp.a_item == 4.0  # inherits a_s when a_item unset
-        assert hp.beta1 == 0.1
-        assert hp.jitter == 1e-4
-        assert hp.negative_exponent
-
-    def test_sign(self):
-        assert KernelHyperparams().sign == 1.0
-        assert KernelHyperparams(negative_exponent=True).sign == -1.0
+            ExperimentConfig(b_s=-2.0)
 
 
 class TestNormalizeAndModulate:
@@ -134,62 +116,62 @@ class TestNormalizeAndModulate:
         np.testing.assert_allclose(out, [[0.5, 4.0], [1.5, 8.0]])
 
 
-def perception_term(embs, profile, hp):
+def perception_term(embs, profile, cfg):
     """The macro and micro terms of composite_matrix, weighted by the betas
-    of `hp`: the blend minus its item matrix, without jitter."""
+    of `cfg`: the blend minus its item matrix, without jitter."""
     ids = [f"i{k}" for k in range(len(embs))]
-    hp = replace(hp, jitter=0.0)
-    item = composite_matrix(ids, embs, profile, replace(hp, beta1=0.0, beta2=0.0)).values
-    return composite_matrix(ids, embs, profile, hp).values - item
+    cfg = replace(cfg, jitter=0.0)
+    item = composite_matrix(ids, embs, profile, replace(cfg, beta1=0.0, beta2=0.0)).values
+    return composite_matrix(ids, embs, profile, cfg).values - item
 
 
 class TestPerceptionKernels:
     def test_zero_macro_interest_gives_amplitude_everywhere(self, rng):
-        hp = KernelHyperparams(a_l=3.0, beta1=1.0, beta2=0.0)
-        macro = perception_term(rng.normal(size=(5, 4)), profile_of(np.zeros(4)), hp)
+        cfg = ExperimentConfig(a_l=3.0, beta1=1.0, beta2=0.0)
+        macro = perception_term(rng.normal(size=(5, 4)), profile_of(np.zeros(4)), cfg)
         np.testing.assert_allclose(macro, 9.0, atol=1e-12)
 
     def test_all_ones_interest_equals_item_kernel(self, rng):
-        hp = KernelHyperparams(a_l=1.7, b_l=2.2, a_item=1.7, b_item=2.2, beta1=1.0, beta2=0.0)
+        cfg = ExperimentConfig(a_l=1.7, b_l=2.2, a_item=1.7, b_item=2.2, beta1=1.0, beta2=0.0)
         embs = rng.normal(size=(5, 4))
         prof = profile_of(np.ones(4))
-        item_only = replace(hp, beta1=0.0, jitter=0.0)
+        item_only = replace(cfg, beta1=0.0, jitter=0.0)
         item = composite_matrix([f"i{k}" for k in range(5)], embs, prof, item_only).values
-        np.testing.assert_allclose(perception_term(embs, prof, hp), item, atol=1e-12)
+        np.testing.assert_allclose(perception_term(embs, prof, cfg), item, atol=1e-12)
 
     def test_micro_uses_micro_interest(self, rng):
-        hp = KernelHyperparams(a_s=2.0, b_s=1.5, beta1=0.0, beta2=1.0)
+        cfg = ExperimentConfig(a_s=2.0, b_s=1.5, a_item=1.0, b_item=1.0, beta1=0.0, beta2=1.0)
         prof = profile_of(np.zeros(3), h_micro=rng.normal(size=3))
         embs = rng.normal(size=(2, 3))
         pair = normalize_rows(embs)
         dot = float((pair[0] * prof.h_micro) @ (pair[1] * prof.h_micro))
         want = 4.0 * math.exp(dot / 2.25)
-        assert perception_term(embs, prof, hp)[0, 1] == pytest.approx(want, abs=1e-12)
+        assert perception_term(embs, prof, cfg)[0, 1] == pytest.approx(want, abs=1e-12)
 
     def test_random_case_matches_scalar_oracle(self, rng):
-        hp = KernelHyperparams(a_l=1.3, b_l=0.8, beta1=1.0, beta2=0.0, jitter=0.0)
+        cfg = ExperimentConfig(a_l=1.3, b_l=0.8, beta1=1.0, beta2=0.0, jitter=0.0)
         prof = profile_of(rng.normal(size=5))
         embs = rng.normal(size=(2, 5))
-        want = composite_entry_oracle(0, 1, embs, prof, hp) - composite_entry_oracle(
-            0, 1, embs, prof, replace(hp, beta1=0.0)
+        want = composite_entry_oracle(0, 1, embs, prof, cfg) - composite_entry_oracle(
+            0, 1, embs, prof, replace(cfg, beta1=0.0)
         )
-        assert perception_term(embs, prof, hp)[0, 1] == pytest.approx(want, abs=1e-12)
+        assert perception_term(embs, prof, cfg)[0, 1] == pytest.approx(want, abs=1e-12)
 
 
 class TestCompositeMatrix:
     def test_beta_zero_equals_item_matrix(self, rng):
         embs = rng.normal(size=(4, 3))
         prof = profile_of(rng.normal(size=3), rng.normal(size=3))
-        hp = KernelHyperparams(beta1=0.0, beta2=0.0, jitter=0.0)
-        got = composite_matrix([f"i{k}" for k in range(4)], embs, prof, hp)
+        cfg = ExperimentConfig(beta1=0.0, beta2=0.0, jitter=0.0)
+        got = composite_matrix([f"i{k}" for k in range(4)], embs, prof, cfg)
         base = normalize_rows(embs)
         want = np.exp(base @ base.T)
         np.testing.assert_array_equal(got.values, 0.5 * (want + want.T))
 
     def test_single_zero_item_value(self):
-        hp = KernelHyperparams(a_item=1.5, a_l=2.0, a_s=0.5, beta1=0.25, beta2=0.75, jitter=1e-3)
+        cfg = ExperimentConfig(a_item=1.5, a_l=2.0, a_s=0.5, beta1=0.25, beta2=0.75, jitter=1e-3)
         prof = profile_of(np.array([1.0, 1.0]))
-        got = composite_matrix(["i1"], np.zeros((1, 2)), prof, hp)
+        got = composite_matrix(["i1"], np.zeros((1, 2)), prof, cfg)
         want = 1.5**2 + 0.25 * 4.0 + 0.75 * 0.25 + 1e-3
         assert got.values[0, 0] == pytest.approx(want, abs=1e-12)
 
@@ -197,20 +179,20 @@ class TestCompositeMatrix:
         for negative in (False, True):
             embs = rng.normal(size=(3, 4))
             prof = profile_of(rng.normal(size=4), rng.normal(size=4))
-            hp = KernelHyperparams(
+            cfg = ExperimentConfig(
                 a_l=1.2, b_l=0.9, a_s=0.8, b_s=1.1, a_item=1.05, b_item=1.3,
-                beta1=0.4, beta2=0.6, jitter=1e-5, negative_exponent=negative,
+                beta1=0.4, beta2=0.6, jitter=1e-5, negative_exponent_kernels=negative,
             )
-            got = composite_matrix(["a", "b", "c"], embs, prof, hp).values
+            got = composite_matrix(["a", "b", "c"], embs, prof, cfg).values
             for i in range(3):
                 for j in range(3):
-                    want = composite_entry_oracle(i, j, embs, prof, hp)
+                    want = composite_entry_oracle(i, j, embs, prof, cfg)
                     assert got[i, j] == pytest.approx(want, abs=1e-12), (i, j, negative)
 
     def test_symmetry(self, rng):
         embs = rng.normal(size=(6, 4))
         prof = profile_of(rng.normal(size=4), rng.normal(size=4))
-        got = composite_matrix([f"i{k}" for k in range(6)], embs, prof, KernelHyperparams()).values
+        got = composite_matrix([f"i{k}" for k in range(6)], embs, prof, ExperimentConfig()).values
         assert np.max(np.abs(got - got.T)) <= 1e-12
 
     def test_mixing_linearity(self, rng):
@@ -219,8 +201,8 @@ class TestCompositeMatrix:
         ids = [f"i{k}" for k in range(5)]
 
         def matrix(b1, b2):
-            hp = KernelHyperparams(beta1=b1, beta2=b2, jitter=1e-6)
-            return composite_matrix(ids, embs, prof, hp).values
+            cfg = ExperimentConfig(beta1=b1, beta2=b2, jitter=1e-6)
+            return composite_matrix(ids, embs, prof, cfg).values
 
         d_item = matrix(0.0, 0.0)
         mixed = matrix(0.3, 0.7)
@@ -238,21 +220,21 @@ class TestCompositeMatrix:
             ]
         )
         ids = ["anchor", "d0", "d1"]
-        hp = KernelHyperparams(beta1=1.0, beta2=0.0, jitter=0.0)
-        focus_d0 = composite_matrix(ids, embs, profile_of([1.0, 0.0]), hp).values
-        focus_d1 = composite_matrix(ids, embs, profile_of([0.0, 1.0]), hp).values
+        cfg = ExperimentConfig(beta1=1.0, beta2=0.0, jitter=0.0)
+        focus_d0 = composite_matrix(ids, embs, profile_of([1.0, 0.0]), cfg).values
+        focus_d1 = composite_matrix(ids, embs, profile_of([0.0, 1.0]), cfg).values
         assert focus_d0[0, 1] > focus_d0[0, 2]
         assert focus_d1[0, 1] < focus_d1[0, 2]
 
     def test_profile_dim_mismatch_rejected(self, rng):
         with pytest.raises(ValidationError):
             composite_matrix(
-                ["a"], rng.normal(size=(1, 3)), profile_of(np.zeros(2)), KernelHyperparams()
+                ["a"], rng.normal(size=(1, 3)), profile_of(np.zeros(2)), ExperimentConfig()
             )
 
     def test_id_embedding_mismatch_rejected(self, rng):
         with pytest.raises(ValidationError):
-            composite_matrix(["a", "b"], rng.normal(size=(3, 2)), profile_of(np.zeros(2)), KernelHyperparams())
+            composite_matrix(["a", "b"], rng.normal(size=(3, 2)), profile_of(np.zeros(2)), ExperimentConfig())
 
 
 class TestKernelMatrixValidation:
@@ -282,10 +264,9 @@ class TestPsdGuard:
             n = 12
             embs = rng.normal(size=(n, 6))
             prof = profile_of(rng.normal(size=6), rng.normal(size=6))
-            hp = KernelHyperparams()
-            kernel = composite_matrix([f"i{k}" for k in range(n)], embs, prof, hp)
-            cands = CandidateSet(f"u{trial}", kernel.ids, embs, rng.random(n))
             cfg = ExperimentConfig(alpha=1.0, k=8)
+            kernel = composite_matrix([f"i{k}" for k in range(n)], embs, prof, cfg)
+            cands = CandidateSet(f"u{trial}", kernel.ids, embs, rng.random(n))
             _, trace = bs_dpp_select(
                 cands, kernel, constant_scorer(cands.base_scores), cfg, collect_trace=True
             )
