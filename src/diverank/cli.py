@@ -83,6 +83,11 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _mean_or_blank(values) -> str:
+    values = np.asarray(values, dtype=np.float64)  # NaN values are left out
+    return _fmt(float(np.nanmean(values))) if not np.isnan(values).all() else ""
+
+
 def _load_experiment_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else ExperimentConfig()
     overrides = {}
@@ -338,9 +343,8 @@ def cmd_eval(args) -> None:
             ilads.append(diversity)
         rows.append([res.user_id, len(res.item_ids), _fmt(ndcg), _fmt(diversity)])
 
-    # An empty mean (no lists, or none with two items for ILAD) is left blank.
-    mean_ndcg = _fmt(float(np.mean(ndcgs))) if ndcgs else ""
-    mean_ilad = _fmt(float(np.mean(ilads))) if ilads else ""
+    # No lists, or none with two items for ILAD, leaves a mean blank.
+    mean_ndcg, mean_ilad = _mean_or_blank(ndcgs), _mean_or_blank(ilads)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user_id", "n_selected", f"ndcg_at_{cfg.k}", "ilad"])
@@ -421,9 +425,7 @@ def cmd_sweep(args) -> None:
                     _fmt(alpha),
                     method,
                     _fmt(1.0 / (1.0 + alpha)) if method == "mmr" else "",
-                    _fmt(float(np.nanmean(arr[:, 0]))),
-                    _fmt(float(np.nanmean(arr[:, 1]))),
-                    _fmt(float(np.nanmean(arr[:, 2]))),
+                    *(_mean_or_blank(column) for column in arr.T),
                     f"{times_a[method]:.6f}",
                 ]
             )

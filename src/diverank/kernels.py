@@ -7,11 +7,14 @@ beta1 and beta2, with a jitter ridge on the diagonal.  By default the
 exponent is +dot/b^2, which is positive semidefinite and equals the
 classical squared-exponential kernel up to a constant factor once the
 embeddings are L2-normalized; `negative_exponent_kernels` flips the sign
-to the bare elementary form a^2 * exp(-(x . y) / b^2).
+to the bare elementary form a^2 * exp(-(x . y) / b^2).  The blend fills one
+output and one scratch buffer, skipping factors (sign/b^2, a^2, beta) of
+exactly 1, and `KernelMatrix` checks it without n x n temporaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +29,20 @@ class KernelMatrix:
 
     ids: tuple[str, ...]
     values: np.ndarray
+    SYMMETRY_BLOCK = 128  # rows per block of the symmetry check (not a field)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
         n = len(self.ids)
         if vals.shape != (n, n):
             raise ValidationError(f"kernel matrix must be ({n}, {n}), got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValidationError("kernel matrix contains non-finite entries")
-        if n and np.max(np.abs(vals - vals.T)) > 1e-12:
-            raise ValidationError("kernel matrix is not symmetric")
+        for r0 in range(0, n, self.SYMMETRY_BLOCK):  # |D - D^T| by blocks of upper-triangle rows
+            r1 = r0 + self.SYMMETRY_BLOCK
+            diff = vals[r0:r1, r0:] - vals[r0:, r0:r1].T
+            if np.abs(diff, out=diff).max() > 1e-12:
+                raise ValidationError("kernel matrix is not symmetric")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -49,22 +56,6 @@ def normalize_rows(embeddings: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(embs, axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     return embs / safe
-
-
-def _signed_exp_gram(vectors: np.ndarray, a: float, b: float, sign: float) -> np.ndarray:
-    # In-place scale/exp: one N^2 allocation per term instead of four.
-    gram = vectors @ vectors.T
-    gram *= sign / (b * b)
-    try:
-        with np.errstate(over="raise"):
-            np.exp(gram, out=gram)
-    except FloatingPointError:
-        raise NumericalError(
-            f"kernel exp(<x_i, x_j> / b^2) overflows at b={b:g}; "
-            "normalize the embeddings or raise b"
-        ) from None
-    gram *= a * a
-    return gram
 
 
 def modulated_vectors(embeddings: np.ndarray, interest: np.ndarray) -> np.ndarray:
@@ -95,19 +86,46 @@ def composite_matrix(
     if profile.h_macro.shape != (embs.shape[1],):
         raise ValidationError("profile dimension does not match embeddings")
     base = normalize_rows(embs) if cfg.normalize_embeddings else embs
-    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
-    d = _signed_exp_gram(base, cfg.a_item, cfg.b_item, sign)
-    if cfg.beta1 > 0.0:
-        macro = modulated_vectors(base, profile.h_macro)
-        term = _signed_exp_gram(macro, cfg.a_l, cfg.b_l, sign)
-        term *= cfg.beta1
-        d += term
-    if cfg.beta2 > 0.0:
-        micro = modulated_vectors(base, profile.h_micro)
-        term = _signed_exp_gram(micro, cfg.a_s, cfg.b_s, sign)
-        term *= cfg.beta2
-        d += term
-    if cfg.jitter:
-        idx = np.arange(len(ids))
-        d[idx, idx] += cfg.jitter
+    terms = _terms(base, profile, cfg)
+    n = len(ids)
+    d = np.empty((n, n))
+    scratch = np.empty((n, n)) if len(terms) > 1 else None
+    try:
+        with np.errstate(over="raise"):
+            for t, (vectors, scale, amp, beta, where) in enumerate(terms):
+                out = scratch if t else d
+                np.matmul(vectors, vectors.T, out=out)  # exactly symmetric (syrk)
+                if scale != 1.0:
+                    out *= scale
+                np.exp(out, out=out)
+                for factor in (amp, beta):
+                    if factor != 1.0:
+                        out *= factor
+                if t:
+                    d += out
+    except FloatingPointError:
+        msg = f"kernel term a^2 * exp(<x_i, x_j> / b^2) overflows at {where}"
+        raise NumericalError(f"{msg}; normalize the embeddings or raise b") from None
+    d.ravel()[:: n + 1] += cfg.jitter  # the diagonal, as a view
     return KernelMatrix(ids=ids, values=d)
+
+
+def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) -> list[tuple]:
+    """Per term: vectors, finite sign/b^2 and a^2, beta, and its knobs (named a_s, b_s if equal)."""
+    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
+    item_a = ("a_s" if cfg.a_item == cfg.a_s else "a_item", cfg.a_item)
+    item_b = ("b_s" if cfg.b_item == cfg.b_s else "b_item", cfg.b_item)
+    specs = [(base, item_a, item_b, 1.0)]
+    if cfg.beta1 > 0.0:
+        specs.append((modulated_vectors(base, profile.h_macro), ("a_l", cfg.a_l), ("b_l", cfg.b_l), cfg.beta1))
+    if cfg.beta2 > 0.0:
+        specs.append((modulated_vectors(base, profile.h_micro), ("a_s", cfg.a_s), ("b_s", cfg.b_s), cfg.beta2))
+    terms = []
+    for vectors, (a_name, a), (b_name, b), beta in specs:
+        b2, amp = b * b, a * a
+        if b2 == 0.0 or not math.isfinite(1.0 / b2):
+            raise NumericalError(f"kernel scale 1/{b_name}^2 is not finite at {b_name}={b:g}")
+        if not math.isfinite(amp):
+            raise NumericalError(f"kernel amplitude {a_name}^2 is not finite at {a_name}={a:g}")
+        terms.append((vectors, sign / b2, amp, beta, f"{a_name}={a:g}, {b_name}={b:g}"))
+    return terms

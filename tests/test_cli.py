@@ -364,6 +364,12 @@ class TestCraftedRerank:
         assert len(result.item_ids) == 2
 
 
+def write_labels(root):
+    labels = root / "labels.jsonl"
+    labels.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 0, "label": 1}) + "\n")
+    return labels
+
+
 class TestSingleItemLists:
     def test_eval_without_ilad_values_prints_blank_mean(self, tmp_path, capsys):
         # With k = 1 no list has two items, so ILAD has no values to average.
@@ -391,6 +397,21 @@ class TestSingleItemLists:
         assert f"mean ndcg@1=1, mean ilad= -> {out}" in captured.out
         mean_row = list(csv.reader(open(out)))[-1]
         assert mean_row == ["__mean__", "", "1", ""]
+
+    def test_sweep_without_ilad_values_leaves_mean_blank(self, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        labels = write_labels(tmp_path)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--candidates", tmp_path / "candidates.jsonl", "--labels", labels,
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json", "--out", out,
+                "--k", 1, "--runs", 3, "--alphas", "0,1"]
+        assert run(*map(str, argv)) == 0
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(open(out)))
+        assert len(rows) == 6
+        assert all(row["mean_ilad"] == "" for row in rows)
+        assert all(row["mean_ndcg"] != "" and row["mean_objective"] != "" for row in rows)
 
 
 class TestExitCodes:
@@ -461,6 +482,35 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical error:")
         assert "normalize the embeddings" in lines[0]
+
+    @pytest.mark.parametrize("command", ["rerank", "sweep"])
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"b_s": 1e-200}, "b_s"),  # b^2 underflows to 0
+            ({"b_l": 1e-160}, "b_l"),  # 1/b^2 overflows
+            ({"a_s": 1e200}, "a_s"),  # a^2 overflows
+            ({"a_l": 1e160, "beta1": 1e10}, "a_l"),
+        ],
+    )
+    def test_kernel_scale_factor_is_one_numerical_error_line(
+        self, tmp_path, capsys, command, config, field
+    ):
+        write_duplicate_fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json", "--out", out, "--config", cfg]
+        if command == "sweep":
+            argv += ["--labels", write_labels(tmp_path)]
+        assert run(*map(str, argv)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error:")
+        assert f"{field}=" in lines[0]
+        assert not out.exists()
 
     def test_non_increasing_alphas_rejected(self, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)

@@ -3,7 +3,9 @@
 The composite-matrix oracle evaluates every entry independently with
 scalar arithmetic: normalize, modulate by the interest vector, exponent
 of the signed scaled dot, mix with the beta weights, add jitter on the
-diagonal.
+diagonal.  `composite_oracle` is the term-by-term dense build, one n x n
+array per term with every factor applied; `composite_matrix` must match
+it bit for bit.
 """
 
 import math
@@ -55,6 +57,37 @@ def composite_entry_oracle(i, j, embs, profile, cfg):
     if i == j:
         value += cfg.jitter
     return value
+
+
+def _signed_exp_gram(vectors, a, b, sign):
+    gram = vectors @ vectors.T
+    gram *= sign / (b * b)
+    np.exp(gram, out=gram)
+    gram *= a * a
+    return gram
+
+
+def composite_oracle(ids, embeddings, profile, cfg):
+    """The dense build term by term: each term in its own n x n array, and
+    every factor multiplied in, exactly 1 or not."""
+    embs = np.asarray(embeddings, dtype=np.float64)
+    base = normalize_rows(embs) if cfg.normalize_embeddings else embs
+    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
+    d = _signed_exp_gram(base, cfg.a_item, cfg.b_item, sign)
+    if cfg.beta1 > 0.0:
+        macro = modulated_vectors(base, profile.h_macro)
+        term = _signed_exp_gram(macro, cfg.a_l, cfg.b_l, sign)
+        term *= cfg.beta1
+        d += term
+    if cfg.beta2 > 0.0:
+        micro = modulated_vectors(base, profile.h_micro)
+        term = _signed_exp_gram(micro, cfg.a_s, cfg.b_s, sign)
+        term *= cfg.beta2
+        d += term
+    if cfg.jitter:
+        idx = np.arange(len(ids))
+        d[idx, idx] += cfg.jitter
+    return d
 
 
 def item_term(x, y, a=1.0, b=1.0):
@@ -237,7 +270,80 @@ class TestCompositeMatrix:
             composite_matrix(["a", "b"], rng.normal(size=(3, 2)), profile_of(np.zeros(2)), ExperimentConfig())
 
 
+SCALES = dict(a_item=1.3, b_item=0.8, a_l=0.7, b_l=1.6, a_s=2.1, b_s=1.2)
+ORACLE_CONFIGS = [
+    {},
+    SCALES,
+    dict(SCALES, beta1=0.0),
+    dict(SCALES, beta2=0.0),
+    dict(beta1=0.0, beta2=0.0),
+    dict(beta1=1.0, beta2=1.0),
+    dict(jitter=0.0),
+    dict(normalize_embeddings=False),
+    dict(negative_exponent_kernels=True),
+    dict(SCALES, beta1=0.3, beta2=2.5, jitter=0.0, normalize_embeddings=False,
+         negative_exponent_kernels=True),
+]
+
+
+class TestCompositeOracle:
+    @pytest.mark.parametrize("n", [1, 2, 129, 300])
+    @pytest.mark.parametrize("overrides", ORACLE_CONFIGS)
+    def test_bit_identical_and_exactly_symmetric(self, n, overrides):
+        rng = np.random.default_rng(n)
+        embs = 0.5 * rng.normal(size=(n, 8))
+        embs[0] = 0.0  # a cold-start row
+        embs.setflags(write=False)
+        prof = profile_of(rng.normal(size=8), rng.normal(size=8))
+        cfg = ExperimentConfig(**overrides)
+        ids = [f"i{k}" for k in range(n)]
+        got = composite_matrix(ids, embs, prof, cfg).values
+        assert np.array_equal(got, composite_oracle(ids, embs, prof, cfg))
+        assert np.array_equal(got, got.T)
+
+
+def symmetric(n, seed=0):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a + a.T
+
+
+def asymmetry_places(n):
+    """(row, column) of a perturbed entry: in the first row, in the last row,
+    and, when there are two blocks, below the diagonal with its row and
+    column in different blocks of the symmetry check."""
+    block = KernelMatrix.SYMMETRY_BLOCK
+    places = [(0, n - 1), (n - 1, n - 2)]
+    if n > block:
+        places.append((min(n - 1, block + 5), block - 1))
+    return places
+
+
 class TestKernelMatrixValidation:
+    @pytest.mark.parametrize(
+        "n, place",
+        [(n, place) for n in (2, 127, 128, 129, 300) for place in asymmetry_places(n)],
+    )
+    @pytest.mark.parametrize("gap, accepted", [(2e-12, False), (5e-13, True)])
+    def test_asymmetry_tolerance_at_every_place(self, n, place, gap, accepted):
+        vals = symmetric(n)
+        vals[place] += gap
+        if accepted:
+            assert KernelMatrix(ids=tuple(map(str, range(n))), values=vals).values is vals
+        else:
+            with pytest.raises(ValidationError, match="not symmetric"):
+                KernelMatrix(ids=tuple(map(str, range(n))), values=vals)
+
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_last_entry_rejected(self, n, bad):
+        vals = symmetric(n)
+        vals[-1, -1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            KernelMatrix(ids=tuple(map(str, range(n))), values=vals)
+
+    def test_empty_accepted(self):
+        assert KernelMatrix(ids=(), values=np.zeros((0, 0))).size == 0
+
     def test_asymmetric_rejected(self):
         vals = np.array([[1.0, 0.5], [0.4, 1.0]])
         with pytest.raises(ValidationError):
