@@ -1,9 +1,10 @@
 """From raw behavior history to a two-speed interest profile.
 
 One user's events are grouped by item cluster into pooled interest
-points (the slow, long-term view), while the last few interactions feed
-a recency-bucketed attention pass (the fast view).  Both land in a
-single InterestProfile that scoring and kernels consume.
+points whose scaled mean is the slow, long-term view, while the last few
+interactions are averaged with weights that fall off with their age (the
+fast view).  Neither view has parameters; both land in a single
+InterestProfile that scoring and kernels consume.
 
 Run: python3 demos/03_interest_profiles.py
 """
@@ -12,10 +13,11 @@ import numpy as np
 
 from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable
 from diverank.interests import (
+    MACRO_SCALE,
+    MICRO_SCALE,
     build_profile,
     group_interest_points,
-    init_interest_params,
-    time_bucket,
+    recency_weights,
 )
 
 DAY = 86_400
@@ -69,26 +71,25 @@ def main():
     print("points rank by member count: the jazz habit outweighs the")
     print("recent salsa clicks in the long-term view")
 
-    section("3. Recency buckets for the short-term view")
-    for days in (0, 1, 3, 10, 29):
-        b = time_bucket(days * DAY, buckets=6)
-        print(f"  {days:>2} days old -> bucket {b}")
+    section("3. Recency weights for the short-term view")
+    for hours in (0, 1, 6, 24, 24 * 29):
+        w = recency_weights([now - hours * 3600], now)[0]
+        print(f"  {hours:>3} hours old -> weight 1 / (1 + {hours}) = {w:.4f}")
 
     section("4. The assembled profile")
-    params = init_interest_params(dim=4, time_buckets=6,
-                                  rng=np.random.default_rng(0))
-    profile = build_profile("ana", history, table, clusters, params,
+    profile = build_profile("ana", history, table, clusters,
                             top_m=4, recent_window=3, now=now)
-    print("h_macro:", profile.h_macro)
-    print("h_micro:", profile.h_micro)
-    newest = sorted(history.ts.tolist(), reverse=True)[:3]
-    print("recent buckets (newest first):", [time_bucket(now - t, buckets=6) for t in newest])
-    print("attention parameters are at their deterministic initialization")
-    print("here; the downstream scorer learns how to read these features")
+    print(f"h_macro = {MACRO_SCALE} x mean of the point vectors:", profile.h_macro)
+    print(f"h_micro = {MICRO_SCALE} x weighted mean of the last 3 plays:", profile.h_micro)
+    newest = sorted(history.ts.tolist())[-3:]
+    w = recency_weights(newest, now)
+    print("weights of the last 3 plays (oldest first):", w / w.sum())
+    print("pooling has no parameters; the downstream scorer learns how to")
+    print("read these features")
 
     section("5. Similar recent histories give similar micro vectors")
     def taste(user, names_days):
-        return build_profile(user, plays(user, names_days, now), table, clusters, params,
+        return build_profile(user, plays(user, names_days, now), table, clusters,
                              top_m=4, recent_window=3, now=now)
 
     bob = taste("bob", [("jazz_0", 9), ("jazz_1", 5), ("jazz_2", 1)])
@@ -106,7 +107,7 @@ def main():
     print("even though ana's long-term point ranking is jazz-first")
 
     section("6. Cold start stays well-defined")
-    empty = build_profile("newcomer", plays("newcomer", [], now), table, clusters, params,
+    empty = build_profile("newcomer", plays("newcomer", [], now), table, clusters,
                           top_m=4, recent_window=3)
     print("empty history -> zero vectors:",
           bool(np.all(empty.h_macro == 0) and np.all(empty.h_micro == 0)))

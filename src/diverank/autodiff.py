@@ -4,7 +4,7 @@ Everything is float64 and strictly two-dimensional: vectors are 1 x n or
 n x 1.  Operations executed inside an active Tape record backward
 closures; `backward` replays them in exact reverse recording order, so
 gradient accumulation is deterministic and bit-reproducible.  The op set
-is the closure of what the attention, excitation, and scoring graphs
+is the closure of what the excitation-gated scoring graph and its loss
 need; no more.
 """
 
@@ -223,23 +223,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return _record(out, tuple(parts), back)
 
 
-def gather_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
-    """Select rows of `table` by index; backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ValidationError("gather_rows indices must be 1-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
-        raise ValidationError("gather_rows index out of range")
-    out = _out(table.data[idx])
-
-    def back(g: np.ndarray) -> None:
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        table.accumulate(buf)
-
-    return _record(out, (table,), back)
-
-
 def tile_rows(a: Tensor, reps: int) -> Tensor:
     """Repeat a 1 x n row `reps` times; backward sums over the copies."""
     if a.data.shape[0] != 1:
@@ -250,15 +233,6 @@ def tile_rows(a: Tensor, reps: int) -> Tensor:
 
     def back(g: np.ndarray) -> None:
         a.accumulate(g.sum(axis=0, keepdims=True))
-
-    return _record(out, (a,), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    out = _out(a.data.T.copy())
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g.T)
 
     return _record(out, (a,), back)
 
@@ -302,17 +276,6 @@ def log(a: Tensor) -> Tensor:
 
     def back(g: np.ndarray) -> None:
         a.accumulate(g / a.data)
-
-    return _record(out, (a,), back)
-
-
-def mean_rows(a: Tensor) -> Tensor:
-    """Collapse rows by arithmetic mean: (m, n) -> (1, n)."""
-    m = a.data.shape[0]
-    out = _out(a.data.mean(axis=0, keepdims=True))
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(np.repeat(g / m, m, axis=0))
 
     return _record(out, (a,), back)
 

@@ -57,7 +57,6 @@ from .data import (
 from .interests import (
     InterestProfile,
     build_profile,
-    init_interest_params,
     load_profiles,
     save_profiles,
 )
@@ -168,16 +167,6 @@ def cmd_train_scorer(args) -> None:
         raise ValidationError("no behavior events to train on")
     now = int(behaviors.ts.max())
 
-    interest_rng = np.random.default_rng(derive_seed(args.seed, "interest-init"))
-    interest = init_interest_params(
-        dim=table.dim,
-        time_buckets=cfg.time_buckets,
-        rng=interest_rng,
-        num_heads=args.heads,
-        time_dim=args.time_dim,
-        requires_grad=False,
-    )
-
     profiles = []
     for user_id, user_log in behaviors.by_user():
         profiles.append(
@@ -186,7 +175,6 @@ def cmd_train_scorer(args) -> None:
                 user_log,
                 table,
                 item_clusters,
-                interest,
                 top_m=cfg.top_m,
                 recent_window=cfg.recent_window,
                 now=now,
@@ -211,16 +199,7 @@ def cmd_train_scorer(args) -> None:
 
     os.makedirs(args.out, exist_ok=True)
     tensors = {f"scorer.{k}": v for k, v in params.tensors().items()}
-    tensors.update({f"interest.{k}": v for k, v in interest.tensors().items()})
-    meta = {
-        "dim": table.dim,
-        "heads": args.heads,
-        "head_dim": interest.macro.head_dim,
-        "time_dim": args.time_dim,
-        "time_buckets": cfg.time_buckets,
-        "reduction": args.reduction,
-        "hidden": params.hidden,
-    }
+    meta = {"dim": table.dim, "reduction": args.reduction, "hidden": params.hidden}
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), tensors, meta)
     save_profiles(os.path.join(args.out, "profiles.jsonl"), profiles)
     save_training_log(os.path.join(args.out, "training_log.csv"), curve)
@@ -484,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=float, default=0.1)
     p_train.add_argument("--epochs", type=int, default=50)
     p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.add_argument("--heads", type=int, default=2)
-    p_train.add_argument("--time-dim", type=int, default=8)
     p_train.add_argument("--reduction", type=int, default=4)
     p_train.add_argument("--hidden", type=int, default=None)
     p_train.set_defaults(func=cmd_train_scorer)

@@ -413,12 +413,10 @@ class ExperimentConfig:
     epsilon: float = 1e-10
     k: int = 10
     top_m: int = 5
-    time_buckets: int = 16
     jitter: float = 1e-6
     recent_window: int = 50
     normalize_embeddings: bool = True
     diversity_only_init: bool = False
-    negative_exponent_kernels: bool = False
 
     def __post_init__(self):
         if self.a_item is None:
@@ -449,8 +447,6 @@ class ExperimentConfig:
             problems.append("k must be >= 1")
         if self.top_m < 1:
             problems.append("top_m must be >= 1")
-        if self.time_buckets < 1:
-            problems.append("time_buckets must be >= 1")
         if not (self.jitter >= 0.0) or not math.isfinite(self.jitter):
             problems.append("jitter must be >= 0")
         if self.recent_window < 1:

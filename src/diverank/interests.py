@@ -1,24 +1,21 @@
 """User interest extraction: cluster-grouped interest points, long-term
-(macro) and short-term (micro) interest vectors via multi-head attention.
+(macro) and short-term (micro) interest vectors by parameter-free pooling.
 
-Macro interest attends over the user's top-M interest points, each the
-sum-pooled embedding of the behavior items falling in one cluster.
-Micro interest attends over the most recent items, each embedding
-concatenated with a learnable time-decay embedding indexed by a
-log2-scaled age bucket.  Both attention outputs are mean-pooled over
-positions to a single length-d vector.
+Macro interest is the scaled mean of the user's top-M interest points,
+each the sum-pooled embedding of the behavior items falling in one
+cluster.  Micro interest is the scaled mean of the most recent item
+embeddings, each weighted by 1 / (1 + its age in hours), so newer items
+count more.  Neither holds a parameter, so profiles draw no random
+numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .data import (
     BehaviorLog,
     EmbeddingTable,
@@ -29,6 +26,11 @@ from .data import (
 )
 
 SECONDS_PER_HOUR = 3600
+# Pooling scales: they hold the median vector norms near 2.3 (macro) and 0.2
+# (micro), those of the attention projections they replace, so the kernel's
+# beta terms keep their sharpness.
+MACRO_SCALE = 0.4
+MICRO_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -56,177 +58,6 @@ class InterestProfile:
     def __post_init__(self):
         if self.h_macro.shape != self.h_micro.shape:
             raise ValidationError("macro and micro vectors must share a dimension")
-
-
-@dataclass
-class AttentionParams:
-    """Per-head projection matrices plus the shared output projection.
-
-    heads[h] = (wq, wk, wv), each (input_dim, head_dim); wo maps the
-    concatenated head outputs (heads * head_dim) to output_dim.  The
-    score scaling is 1/sqrt(head_dim).
-    """
-
-    heads: list[tuple[Tensor, Tensor, Tensor]]
-    wo: Tensor
-    head_dim: int
-
-    @property
-    def num_heads(self) -> int:
-        return len(self.heads)
-
-    @property
-    def scaling(self) -> float:
-        return 1.0 / math.sqrt(self.head_dim)
-
-    @property
-    def input_dim(self) -> int:
-        return self.heads[0][0].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.wo.shape[1]
-
-    def tensors(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for wq, wk, wv in self.heads:
-            out.extend((wq, wk, wv))
-        out.append(self.wo)
-        return out
-
-
-def init_attention_params(
-    input_dim: int,
-    output_dim: int,
-    num_heads: int,
-    head_dim: int,
-    rng: np.random.Generator,
-    requires_grad: bool = True,
-) -> AttentionParams:
-    if num_heads < 1 or head_dim < 1:
-        raise ValidationError("attention needs >= 1 head of width >= 1")
-    heads = []
-    for _ in range(num_heads):
-        wq = ad.init_param(input_dim, head_dim, rng)
-        wk = ad.init_param(input_dim, head_dim, rng)
-        wv = ad.init_param(input_dim, head_dim, rng)
-        heads.append((wq, wk, wv))
-    wo = ad.init_param(num_heads * head_dim, output_dim, rng)
-    params = AttentionParams(heads=heads, wo=wo, head_dim=head_dim)
-    for t in params.tensors():
-        t.requires_grad = requires_grad
-    return params
-
-
-def multi_head_attention(inputs: Tensor, params: AttentionParams) -> Tensor:
-    """Self-attention over the rows of `inputs`, one output row per input row.
-
-    Each head computes softmax(Q K^T / sqrt(head_dim)) V; head outputs are
-    concatenated and projected by wo.
-    """
-    if inputs.shape[1] != params.input_dim:
-        raise ValidationError(
-            f"attention input dim {inputs.shape[1]} != params dim {params.input_dim}"
-        )
-    head_outputs = []
-    for wq, wk, wv in params.heads:
-        q = ad.matmul(inputs, wq)
-        k = ad.matmul(inputs, wk)
-        v = ad.matmul(inputs, wv)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), params.scaling)
-        weights = ad.softmax_rows(scores)
-        head_outputs.append(ad.matmul(weights, v))
-    joined = head_outputs[0] if len(head_outputs) == 1 else ad.concat_cols(head_outputs)
-    return ad.matmul(joined, params.wo)
-
-
-def attention_pool(inputs: Tensor, params: AttentionParams) -> Tensor:
-    """Attention followed by mean over positions: (n, d_in) -> (1, d_out)."""
-    return ad.mean_rows(multi_head_attention(inputs, params))
-
-
-@dataclass
-class InterestParams:
-    """All trainable interest-extraction state."""
-
-    macro: AttentionParams
-    micro: AttentionParams
-    time_table: Tensor  # (buckets, time_dim)
-    time_dim: int
-
-    @property
-    def dim(self) -> int:
-        return self.macro.output_dim
-
-    @property
-    def time_buckets(self) -> int:
-        return self.time_table.shape[0]
-
-    def tensors(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for scope, att in (("macro", self.macro), ("micro", self.micro)):
-            for h, (wq, wk, wv) in enumerate(att.heads):
-                out[f"{scope}.h{h}.wq"] = wq
-                out[f"{scope}.h{h}.wk"] = wk
-                out[f"{scope}.h{h}.wv"] = wv
-            out[f"{scope}.wo"] = att.wo
-        out["time_table"] = self.time_table
-        return out
-
-
-def init_interest_params(
-    dim: int,
-    time_buckets: int,
-    rng: np.random.Generator,
-    num_heads: int = 2,
-    time_dim: int = 8,
-    requires_grad: bool = True,
-) -> InterestParams:
-    """num_heads heads of width dim / num_heads, output back to dim."""
-    if num_heads < 1:
-        raise ValidationError(f"num_heads must be >= 1, got {num_heads}")
-    if time_dim < 0:
-        raise ValidationError(f"time_dim must be >= 0, got {time_dim}")
-    if dim % num_heads != 0:
-        raise ValidationError(f"embedding dim {dim} is not divisible by num_heads {num_heads}")
-    head_dim = dim // num_heads
-    macro = init_attention_params(dim, dim, num_heads, head_dim, rng, requires_grad)
-    micro = init_attention_params(
-        dim + time_dim, dim, num_heads, head_dim, rng, requires_grad
-    )
-    time_table = ad.init_param(time_buckets, time_dim, rng)
-    time_table.requires_grad = requires_grad
-    return InterestParams(macro=macro, micro=micro, time_table=time_table, time_dim=time_dim)
-
-
-def interest_params_from_arrays(
-    arrays: dict[str, np.ndarray], num_heads: int, time_dim: int
-) -> InterestParams:
-    """Rebuild InterestParams from checkpointed arrays (inference only)."""
-    def attention(scope: str) -> AttentionParams:
-        heads = []
-        for h in range(num_heads):
-            try:
-                wq = arrays[f"{scope}.h{h}.wq"]
-                wk = arrays[f"{scope}.h{h}.wk"]
-                wv = arrays[f"{scope}.h{h}.wv"]
-            except KeyError as exc:
-                raise ValidationError(f"checkpoint missing tensor {exc}") from exc
-            heads.append((Tensor(wq), Tensor(wk), Tensor(wv)))
-        if f"{scope}.wo" not in arrays:
-            raise ValidationError(f"checkpoint missing tensor {scope}.wo")
-        return AttentionParams(
-            heads=heads, wo=Tensor(arrays[f"{scope}.wo"]), head_dim=heads[0][0].shape[1]
-        )
-
-    if "time_table" not in arrays:
-        raise ValidationError("checkpoint missing tensor time_table")
-    return InterestParams(
-        macro=attention("macro"),
-        micro=attention("micro"),
-        time_table=Tensor(arrays["time_table"]),
-        time_dim=time_dim,
-    )
 
 
 def group_interest_points(
@@ -270,48 +101,12 @@ def group_interest_points(
     return points[:top_m]
 
 
-def macro_interest(points: list[InterestPoint], params: InterestParams) -> Tensor:
-    """Long-term interest vector from attention over pooled interest points.
-
-    Zero points is a documented cold start: the result is the zero vector
-    and the parameters are never touched.
-    """
-    if not points:
-        return ad.constant(np.zeros((1, params.dim)))
-    stacked = ad.constant(np.stack([p.vector for p in points]))
-    return attention_pool(stacked, params.macro)
-
-
-def time_bucket(delta_seconds: int, buckets: int) -> int:
-    """log2-scaled hour bucket, capped at the table size."""
-    if delta_seconds < 0:
+def recency_weights(ts: np.ndarray, now: int) -> np.ndarray:
+    """Hyperbolic decay 1 / (1 + age in hours) of each event timestamp."""
+    age = now - np.asarray(ts, dtype=np.int64)
+    if age.min() < 0:
         raise ValidationError("event timestamp lies in the future")
-    raw = int(math.floor(math.log2(1.0 + delta_seconds / SECONDS_PER_HOUR)))
-    return min(raw, buckets - 1)
-
-
-def micro_interest(
-    recent: list[tuple[np.ndarray, int]],
-    now: int,
-    params: InterestParams,
-) -> Tensor:
-    """Short-term interest from attention over recent items.
-
-    `recent` must be sorted most recent first.  Each embedding is
-    concatenated with the learnable time-decay embedding of its age
-    bucket before attention; mean pooling over positions returns a
-    single row.  Zero recent items yields the zero vector.
-    """
-    if not recent:
-        return ad.constant(np.zeros((1, params.dim)))
-    ts_list = [ts for _, ts in recent]
-    if any(b > a for a, b in zip(ts_list, ts_list[1:])):
-        raise ValidationError("recent items must be sorted most recent first")
-    buckets = [time_bucket(now - ts, params.time_buckets) for _, ts in recent]
-    embs = ad.constant(np.stack([e for e, _ in recent]))
-    decay = ad.gather_rows(params.time_table, buckets)
-    joined = ad.concat_cols([embs, decay])
-    return attention_pool(joined, params.micro)
+    return 1.0 / (1.0 + age / SECONDS_PER_HOUR)
 
 
 def build_profile(
@@ -319,15 +114,17 @@ def build_profile(
     log: BehaviorLog,
     table: EmbeddingTable,
     item_clusters: dict[str, int],
-    params: InterestParams,
     top_m: int,
     recent_window: int,
     now: int | None = None,
 ) -> InterestProfile:
-    """Assemble one user's full interest profile from that user's behavior log.
+    """Assemble one user's interest profile from that user's behavior log.
 
-    An empty or fully-unknown history yields a zero profile (cold start).
-    `now` defaults to the latest event timestamp.
+    h_macro is MACRO_SCALE times the mean of the top-M interest-point
+    vectors; h_micro is MICRO_SCALE times the recency-weighted mean of the
+    `recent_window` most recent known items.  An empty or fully-unknown
+    history yields a zero profile (cold start).  `now` defaults to the
+    latest event timestamp.
     """
     if recent_window < 1:
         raise ValidationError("recent_window must be >= 1")
@@ -335,12 +132,15 @@ def build_profile(
     known = sorted((r for r, i in enumerate(log.item_ids) if i in table), key=ts.__getitem__)
     if now is None:
         now = ts[known[-1]] if known else 0
+    h_macro, h_micro = np.zeros(table.dim), np.zeros(table.dim)
     points = group_interest_points(log, table, item_clusters, top_m)
-    window = known[-recent_window:][::-1]
-    recent = list(zip(table.rows(log.item_ids[r] for r in window), (ts[r] for r in window)))
-    with ad.no_grad():
-        h_macro = macro_interest(points, params).data[0].copy()
-        h_micro = micro_interest(recent, now, params).data[0].copy()
+    if points:
+        h_macro = MACRO_SCALE * np.mean([p.vector for p in points], axis=0)
+    window = known[-recent_window:]
+    if window:
+        weights = recency_weights([ts[r] for r in window], now)
+        recent = table.rows(log.item_ids[r] for r in window)
+        h_micro = MICRO_SCALE * (weights @ recent) / weights.sum()
     return InterestProfile(user_id=user_id, h_macro=h_macro, h_micro=h_micro)
 
 

@@ -3,13 +3,12 @@
 Three exponential dot-product kernels are blended into one candidate
 similarity matrix: a raw item-embedding kernel plus two kernels over
 interest-modulated embeddings (long-term and short-term), weighted by
-beta1 and beta2, with a jitter ridge on the diagonal.  By default the
-exponent is +dot/b^2, which is positive semidefinite and equals the
-classical squared-exponential kernel up to a constant factor once the
-embeddings are L2-normalized; `negative_exponent_kernels` flips the sign
-to the bare elementary form a^2 * exp(-(x . y) / b^2).  The blend fills one
-output and one scratch buffer, skipping factors (sign/b^2, a^2, beta) of
-exactly 1, and `KernelMatrix` checks it without n x n temporaries.
+beta1 and beta2, with a jitter ridge on the diagonal.  The exponent is
++dot/b^2, which is positive semidefinite and equals the classical
+squared-exponential kernel up to a constant factor once the embeddings
+are L2-normalized.  The blend fills one output and one scratch buffer,
+skipping factors (1/b^2, a^2, beta) of exactly 1, and `KernelMatrix`
+checks it without n x n temporaries.
 """
 
 from __future__ import annotations
@@ -111,8 +110,7 @@ def composite_matrix(
 
 
 def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) -> list[tuple]:
-    """Per term: vectors, finite sign/b^2 and a^2, beta, and its knobs (named a_s, b_s if equal)."""
-    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
+    """Per term: vectors, finite 1/b^2 and a^2, beta, and its knobs (named a_s, b_s if equal)."""
     item_a = ("a_s" if cfg.a_item == cfg.a_s else "a_item", cfg.a_item)
     item_b = ("b_s" if cfg.b_item == cfg.b_s else "b_item", cfg.b_item)
     specs = [(base, item_a, item_b, 1.0)]
@@ -127,5 +125,5 @@ def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) ->
             raise NumericalError(f"kernel scale 1/{b_name}^2 is not finite at {b_name}={b:g}")
         if not math.isfinite(amp):
             raise NumericalError(f"kernel amplitude {a_name}^2 is not finite at {a_name}={a:g}")
-        terms.append((vectors, sign / b2, amp, beta, f"{a_name}={a:g}, {b_name}={b:g}"))
+        terms.append((vectors, 1.0 / b2, amp, beta, f"{a_name}={a:g}, {b_name}={b:g}"))
     return terms

@@ -137,23 +137,10 @@ class TestPrimitiveGradients:
             lambda: ad.sum_all(ad.mul_elementwise(ad.concat_cols([a, b]), weight)), [a, b]
         )
 
-    def test_gather_rows(self, rng):
-        table = Tensor(rng.normal(size=(6, 3)))
-        idx = [4, 0, 4, 2]  # repeated rows must accumulate
-        assert_grads_match(
-            lambda: ad.sum_all(ad.mul_elementwise(ad.gather_rows(table, idx), ad.gather_rows(table, idx))),
-            [table],
-        )
-
     def test_tile_rows(self, rng):
         a = Tensor(rng.normal(size=(1, 4)))
         weight = ad.constant(rng.normal(size=(5, 4)))
         assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.tile_rows(a, 5), weight)), [a])
-
-    def test_transpose(self, rng):
-        a = Tensor(rng.normal(size=(3, 5)))
-        weight = ad.constant(rng.normal(size=(5, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.transpose(a), weight)), [a])
 
     def test_softmax_rows(self, rng):
         a = Tensor(rng.normal(size=(4, 5)))
@@ -172,11 +159,6 @@ class TestPrimitiveGradients:
     def test_log(self, rng):
         a = Tensor(rng.random(size=(3, 3)) + 0.5)
         assert_grads_match(lambda: ad.sum_all(ad.log(a)), [a])
-
-    def test_mean_rows(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)))
-        weight = ad.constant(rng.normal(size=(1, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.mean_rows(a), weight)), [a])
 
 
 class TestCompositeGradients:

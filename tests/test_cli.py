@@ -18,7 +18,7 @@ import pytest
 
 from diverank import cli
 from diverank.accuracy import init_scorer_params
-from diverank.autodiff import save_checkpoint
+from diverank.autodiff import load_checkpoint, save_checkpoint
 from diverank.data import (
     CandidateSet,
     ExperimentConfig,
@@ -171,6 +171,38 @@ class TestPipelineArtifacts:
             assert 0.0 <= float(r["mean_ilad"]) <= 2.0
 
 
+class TestCheckpoint:
+    def test_holds_only_scorer_tensors(self, pipeline):
+        doc = json.loads((pipeline["model"] / "checkpoint.json").read_text())
+        names = [entry["name"] for entry in doc["tensors"]]
+        assert names and all(name.startswith("scorer.") for name in names)
+        assert set(doc["meta"]) == {"dim", "reduction", "hidden"}
+
+    def test_legacy_interest_tensors_are_ignored(self, pipeline, tmp_path):
+        # Checkpoints written while train-scorer still saved its frozen
+        # interest attention carry interest.* tensors and their meta keys.
+        arrays, meta = load_checkpoint(pipeline["model"] / "checkpoint.json")
+        dim = meta["dim"]
+        legacy = dict(arrays)
+        for scope, width in (("macro", dim), ("micro", dim + 8)):
+            for h in range(2):
+                for w in ("wq", "wk", "wv"):
+                    legacy[f"interest.{scope}.h{h}.{w}"] = np.ones((width, dim // 2))
+            legacy[f"interest.{scope}.wo"] = np.ones((dim, dim))
+        legacy["interest.time_table"] = np.ones((16, 8))
+        meta = dict(meta, heads=2, head_dim=dim // 2, time_dim=8, time_buckets=16)
+        save_checkpoint(tmp_path / "legacy.json", legacy, meta)
+        out = tmp_path / "results.jsonl"
+        assert run(
+            "rerank",
+            "--candidates", str(pipeline["fix"] / "candidates.jsonl"),
+            "--profiles", str(pipeline["model"] / "profiles.jsonl"),
+            "--checkpoint", str(tmp_path / "legacy.json"),
+            "--out", str(out),
+        ) == 0
+        assert out.read_bytes() == (pipeline["root"] / "results.jsonl").read_bytes()
+
+
 class TestDeterminism:
     def test_rerank_reruns_byte_identical(self, pipeline, tmp_path):
         out2 = tmp_path / "results.jsonl"
@@ -219,6 +251,22 @@ class TestDeterminism:
             assert (model2 / name).read_bytes() == (
                 pipeline["model"] / name
             ).read_bytes()
+
+    def test_profiles_do_not_depend_on_the_seed(self, pipeline, tmp_path):
+        # Pooling draws no random numbers; only the scorer reads --seed.
+        fix = pipeline["fix"]
+        for seed in ("1", "2"):
+            assert run(
+                "train-scorer",
+                "--items", str(fix / "items.jsonl"),
+                "--behaviors", str(fix / "behaviors.jsonl"),
+                "--clusters", str(fix / "clusters.jsonl"),
+                "--out", str(tmp_path / seed),
+                "--epochs", "1",
+                "--seed", seed,
+            ) == 0
+        profiles = [(tmp_path / seed / "profiles.jsonl").read_bytes() for seed in ("1", "2")]
+        assert profiles[0] == profiles[1] == (pipeline["model"] / "profiles.jsonl").read_bytes()
 
     def test_sweep_reruns_byte_identical(self, pipeline, tmp_path):
         out2 = tmp_path / "sweep.csv"
@@ -814,6 +862,21 @@ class TestMalformedInput:
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {field} must be of type")
 
+    @pytest.mark.parametrize(
+        "field, value", [("negative_exponent_kernels", True), ("time_buckets", 16)]
+    )
+    def test_removed_config_field_is_unknown(self, field, value, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        argv = ["rerank", "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json",
+                "--out", tmp_path / "results.jsonl", "--config", cfg]
+        assert run(*map(str, argv)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config fields: {field}"]
+        assert not (tmp_path / "results.jsonl").exists()
+
 
 class TestBadTrainingArguments:
     """Each bad value exits with one error line before any file is written."""
@@ -822,9 +885,6 @@ class TestBadTrainingArguments:
         "flag, value, code, expected",
         [
             ("--hidden", "0", 1, "error: hidden must be >= 1, got 0"),
-            ("--heads", "0", 1, "error: num_heads must be >= 1, got 0"),
-            ("--heads", "3", 1, "error: embedding dim 8 is not divisible by num_heads 3"),
-            ("--time-dim", "-1", 1, "error: time_dim must be >= 0, got -1"),
             ("--lr", "nan", 1, "error: lr must be finite and >= 0, got nan"),
             ("--lr", "inf", 1, "error: lr must be finite and >= 0, got inf"),
             ("--lr", "-1", 1, "error: lr must be finite and >= 0, got -1.0"),
@@ -846,6 +906,21 @@ class TestBadTrainingArguments:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(expected)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--heads", "--time-dim"])
+    def test_removed_interest_flag_is_one_error_line(self, flag, pipeline, tmp_path, capsys):
+        fix = pipeline["fix"]
+        out = tmp_path / "model"
+        assert run(
+            "train-scorer",
+            "--items", str(fix / "items.jsonl"),
+            "--behaviors", str(fix / "behaviors.jsonl"),
+            "--clusters", str(fix / "clusters.jsonl"),
+            "--out", str(out),
+            flag, "2",
+        ) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {flag} 2"]
         assert not out.exists()
 
     @pytest.mark.parametrize("alphas, bad", [("0,x", "'x'"), ("0, 1e ,2", "'1e'"), ("one", "'one'")])

@@ -2,7 +2,7 @@
 
 The composite-matrix oracle evaluates every entry independently with
 scalar arithmetic: normalize, modulate by the interest vector, exponent
-of the signed scaled dot, mix with the beta weights, add jitter on the
+of the scaled dot, mix with the beta weights, add jitter on the
 diagonal.  `composite_oracle` is the term-by-term dense build, one n x n
 array per term with every factor applied; `composite_matrix` must match
 it bit for bit.
@@ -39,11 +39,10 @@ def composite_entry_oracle(i, j, embs, profile, cfg):
 
     ei = unit(embs[i]) if cfg.normalize_embeddings else list(embs[i])
     ej = unit(embs[j]) if cfg.normalize_embeddings else list(embs[j])
-    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
 
     def term(a, b, wi, wj):
         dot = sum(x * y for x, y in zip(wi, wj))
-        return a * a * math.exp(sign * dot / (b * b))
+        return a * a * math.exp(dot / (b * b))
 
     value = term(cfg.a_item, cfg.b_item, ei, ej)
     if cfg.beta1 > 0.0:
@@ -59,9 +58,9 @@ def composite_entry_oracle(i, j, embs, profile, cfg):
     return value
 
 
-def _signed_exp_gram(vectors, a, b, sign):
+def _exp_gram(vectors, a, b):
     gram = vectors @ vectors.T
-    gram *= sign / (b * b)
+    gram *= 1.0 / (b * b)
     np.exp(gram, out=gram)
     gram *= a * a
     return gram
@@ -72,16 +71,15 @@ def composite_oracle(ids, embeddings, profile, cfg):
     every factor multiplied in, exactly 1 or not."""
     embs = np.asarray(embeddings, dtype=np.float64)
     base = normalize_rows(embs) if cfg.normalize_embeddings else embs
-    sign = -1.0 if cfg.negative_exponent_kernels else 1.0
-    d = _signed_exp_gram(base, cfg.a_item, cfg.b_item, sign)
+    d = _exp_gram(base, cfg.a_item, cfg.b_item)
     if cfg.beta1 > 0.0:
         macro = modulated_vectors(base, profile.h_macro)
-        term = _signed_exp_gram(macro, cfg.a_l, cfg.b_l, sign)
+        term = _exp_gram(macro, cfg.a_l, cfg.b_l)
         term *= cfg.beta1
         d += term
     if cfg.beta2 > 0.0:
         micro = modulated_vectors(base, profile.h_micro)
-        term = _signed_exp_gram(micro, cfg.a_s, cfg.b_s, sign)
+        term = _exp_gram(micro, cfg.a_s, cfg.b_s)
         term *= cfg.beta2
         d += term
     if cfg.jitter:
@@ -91,12 +89,11 @@ def composite_oracle(ids, embeddings, profile, cfg):
 
 
 def item_term(x, y, a=1.0, b=1.0):
-    """Off-diagonal entry of the bare elementary form a^2 * exp(-(x . y) / b^2):
+    """Off-diagonal entry of the elementary form a^2 * exp((x . y) / b^2):
     the item term of a two-item composite with no modulation, normalization
     or jitter."""
     cfg = ExperimentConfig(
         a_item=a, b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize_embeddings=False,
-        negative_exponent_kernels=True,
     )
     embs = np.array([x, y], dtype=float)
     return composite_matrix(["x", "y"], embs, profile_of(np.zeros(embs.shape[1])), cfg).values[0, 1]
@@ -108,14 +105,14 @@ class TestElementaryKernel:
 
     def test_unit_dot_product(self):
         value = item_term([1.0, 0.0], [1.0, 0.0])
-        assert value == pytest.approx(math.exp(-1.0), abs=1e-12)
-        assert value == pytest.approx(0.367879, abs=1e-6)
+        assert value == pytest.approx(math.exp(1.0), abs=1e-12)
+        assert value == pytest.approx(2.718282, abs=1e-6)
 
     def test_amplitude_factor(self):
         assert item_term([1.0, 0.0], [0.0, 1.0], a=2.0) == pytest.approx(4.0)
 
     def test_bandwidth(self):
-        assert item_term([1.0], [1.0], b=2.0) == pytest.approx(math.exp(-0.25))
+        assert item_term([1.0], [1.0], b=2.0) == pytest.approx(math.exp(0.25))
 
     def test_nonpositive_hyperparams_rejected(self):
         with pytest.raises(ValidationError):
@@ -209,18 +206,17 @@ class TestCompositeMatrix:
         assert got.values[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_random_three_items_match_entry_oracle(self, rng):
-        for negative in (False, True):
-            embs = rng.normal(size=(3, 4))
-            prof = profile_of(rng.normal(size=4), rng.normal(size=4))
-            cfg = ExperimentConfig(
-                a_l=1.2, b_l=0.9, a_s=0.8, b_s=1.1, a_item=1.05, b_item=1.3,
-                beta1=0.4, beta2=0.6, jitter=1e-5, negative_exponent_kernels=negative,
-            )
-            got = composite_matrix(["a", "b", "c"], embs, prof, cfg).values
-            for i in range(3):
-                for j in range(3):
-                    want = composite_entry_oracle(i, j, embs, prof, cfg)
-                    assert got[i, j] == pytest.approx(want, abs=1e-12), (i, j, negative)
+        embs = rng.normal(size=(3, 4))
+        prof = profile_of(rng.normal(size=4), rng.normal(size=4))
+        cfg = ExperimentConfig(
+            a_l=1.2, b_l=0.9, a_s=0.8, b_s=1.1, a_item=1.05, b_item=1.3,
+            beta1=0.4, beta2=0.6, jitter=1e-5,
+        )
+        got = composite_matrix(["a", "b", "c"], embs, prof, cfg).values
+        for i in range(3):
+            for j in range(3):
+                want = composite_entry_oracle(i, j, embs, prof, cfg)
+                assert got[i, j] == pytest.approx(want, abs=1e-12), (i, j)
 
     def test_symmetry(self, rng):
         embs = rng.normal(size=(6, 4))
@@ -280,9 +276,7 @@ ORACLE_CONFIGS = [
     dict(beta1=1.0, beta2=1.0),
     dict(jitter=0.0),
     dict(normalize_embeddings=False),
-    dict(negative_exponent_kernels=True),
-    dict(SCALES, beta1=0.3, beta2=2.5, jitter=0.0, normalize_embeddings=False,
-         negative_exponent_kernels=True),
+    dict(SCALES, beta1=0.3, beta2=2.5, jitter=0.0, normalize_embeddings=False),
 ]
 
 
