@@ -160,6 +160,11 @@ class TestPrimitiveGradients:
         a = Tensor(rng.random(size=(3, 3)) + 0.5)
         assert_grads_match(lambda: ad.sum_all(ad.log(a)), [a])
 
+    def test_sum_all(self, rng):
+        a = Tensor(rng.normal(size=(3, 5)))
+        # The scale makes the upstream gradient -3, not the loss seed 1.
+        assert_grads_match(lambda: ad.scale(ad.sum_all(a), -3.0), [a])
+
 
 class TestCompositeGradients:
     def test_two_layer_network(self, rng):

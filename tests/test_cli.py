@@ -889,6 +889,9 @@ class TestBadTrainingArguments:
             ("--lr", "inf", 1, "error: lr must be finite and >= 0, got inf"),
             ("--lr", "-1", 1, "error: lr must be finite and >= 0, got -1.0"),
             ("--lr", "1e308", 3, "numerical error: training diverged in epoch 0"),
+            ("--epochs", "0", 1, "error: epochs must be >= 1"),
+            ("--batch-size", "0", 1, "error: batch_size must be >= 1"),
+            ("--reduction", "0", 1, "error: reduction must be >= 1"),
         ],
     )
     def test_train_scorer_flag(self, flag, value, code, expected, pipeline, tmp_path, capsys):

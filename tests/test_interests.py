@@ -132,6 +132,24 @@ class TestMacroPooling:
         assert np.array_equal(prof.h_macro, np.zeros(4))
         assert np.any(prof.h_micro != 0.0)
 
+    def test_ignores_timestamps_and_the_window(self, rng):
+        table, _ = world(rng)
+        clusters = {"i0": 0, "i1": 0, "i2": 0, "i3": 1, "i4": 1, "i5": 2}
+        rows = [("u", f"i{k}", 10 * k) for k in range(6)]
+        base = build_profile("u", make_log(*rows), table, clusters, top_m=2, recent_window=1)
+        spread = make_log(*((u, i, t * HOUR) for u, i, t in rows))
+        other = build_profile("u", spread, table, clusters, top_m=2, recent_window=6,
+                              now=10**6 * HOUR)
+        np.testing.assert_array_equal(base.h_macro, other.h_macro)
+
+    def test_repeat_interactions_count_once(self, rng):
+        table, clusters = world(rng)
+        once = make_log(("u", "i0", 1), ("u", "i2", 2))
+        twice = make_log(("u", "i0", 1), ("u", "i2", 2), ("u", "i0", 3))
+        a = build_profile("u", once, table, clusters, top_m=1, recent_window=5)
+        b = build_profile("u", twice, table, clusters, top_m=1, recent_window=5)
+        np.testing.assert_array_equal(a.h_macro, b.h_macro)
+
 
 class TestMicroPooling:
     def test_matches_hand_computed_weighted_mean(self, rng):
@@ -188,6 +206,40 @@ class TestMicroPooling:
         want = build_profile("u", known, table, clusters, top_m=3, recent_window=2)
         np.testing.assert_array_equal(prof.h_micro, want.h_micro)
 
+    def test_ignores_clusters_and_top_m(self, rng):
+        table, clusters = world(rng)
+        events = make_log(*(("u", f"i{k}", 700 * k) for k in range(6)))
+        base = build_profile("u", events, table, clusters, top_m=1, recent_window=4)
+        other = build_profile("u", events, table, {}, top_m=5, recent_window=4)
+        np.testing.assert_array_equal(base.h_micro, other.h_micro)
+
+    def test_repeat_interaction_fills_two_window_slots(self, rng):
+        table, clusters = world(rng)
+        events = make_log(("u", "i0", 0), ("u", "i1", HOUR), ("u", "i0", 2 * HOUR))
+        prof = build_profile("u", events, table, clusters, top_m=3, recent_window=3)
+        # Ages 0 h (i0), 1 h (i1) and 2 h (i0): weights 1, 1/2 and 1/3.
+        want = ((1 + 1 / 3) * row(table, "i0") + 0.5 * row(table, "i1")) / (1 + 0.5 + 1 / 3)
+        np.testing.assert_allclose(prof.h_micro, 0.25 * want, rtol=0, atol=1e-15)
+
+    def test_distant_now_tends_to_the_plain_mean(self, rng):
+        table, clusters = world(rng)
+        events = make_log(*(("u", f"i{k}", k * HOUR) for k in range(6)))
+        prof = build_profile("u", events, table, clusters, top_m=3, recent_window=6,
+                             now=10**9 * HOUR)
+        want = MICRO_SCALE * table.embeddings.mean(axis=0)
+        np.testing.assert_allclose(prof.h_micro, want, rtol=0, atol=1e-8)
+
+    def test_single_event_gives_the_scaled_embedding(self, rng):
+        table, clusters = world(rng)
+        prof = build_profile("u", make_log(("u", "i3", 50)), table, clusters, top_m=3,
+                             recent_window=5, now=50 + 9 * HOUR)
+        np.testing.assert_allclose(prof.h_micro, 0.25 * row(table, "i3"), rtol=1e-15)
+        np.testing.assert_allclose(prof.h_macro, 0.4 * row(table, "i3"), rtol=1e-15)
+
+    def test_recency_weights_reject_a_future_timestamp(self):
+        with pytest.raises(ValidationError, match="event timestamp lies in the future"):
+            recency_weights(np.array([0, HOUR + 1]), now=HOUR)
+
 
 class TestBuildProfile:
     def test_cold_start_zero_profile(self, rng):
@@ -233,6 +285,15 @@ class TestBuildProfile:
                                  recent_window=3)
         np.testing.assert_array_equal(forward.h_macro, backward.h_macro)
         np.testing.assert_array_equal(forward.h_micro, backward.h_micro)
+
+    def test_linear_in_the_embeddings(self, rng):
+        table, clusters = world(rng)
+        tripled = EmbeddingTable(table.ids, 3.0 * table.embeddings)
+        events = make_log(*(("u1", f"i{k}", 900 * k) for k in range(6)))
+        base = build_profile("u1", events, table, clusters, top_m=2, recent_window=3)
+        big = build_profile("u1", events, tripled, clusters, top_m=2, recent_window=3)
+        np.testing.assert_allclose(big.h_macro, 3.0 * base.h_macro, rtol=1e-14)
+        np.testing.assert_allclose(big.h_micro, 3.0 * base.h_micro, rtol=1e-14)
 
     def test_future_timestamp_rejected(self, rng):
         table, clusters = world(rng)

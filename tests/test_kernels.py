@@ -276,6 +276,7 @@ ORACLE_CONFIGS = [
     dict(beta1=1.0, beta2=1.0),
     dict(jitter=0.0),
     dict(normalize_embeddings=False),
+    dict(a_item=0.6, b_item=2.0),
     dict(SCALES, beta1=0.3, beta2=2.5, jitter=0.0, normalize_embeddings=False),
 ]
 
