@@ -7,6 +7,11 @@ context drives a squeeze-excitation gate sigma(W2 relu(W1 ctx)) in
 (0, 1)^d; the gates modulate the target embedding and both interest
 vectors, and the seven resulting d-vectors feed a small MLP ending in a
 two-logit softmax.
+
+Training records two autodiff ops per step: `score_logits` and
+`cross_entropy` are each one op with an analytic backward, checked bit
+for bit against the composed primitive graph in the tests.  Inference
+(`score_batch`) runs in plain numpy.
 """
 
 from __future__ import annotations
@@ -145,12 +150,37 @@ def scorer_params_from_arrays(arrays: dict[str, np.ndarray]) -> ScorerParams:
     return ScorerParams(**{name: Tensor(arrays[name]) for name in expected})
 
 
-def _rows(t: Tensor, n: int, name: str) -> Tensor:
-    if t.shape[0] == n:
-        return t
-    if t.shape[0] == 1:
-        return ad.tile_rows(t, n) if n > 1 else t
-    raise ValidationError(f"{name} must have 1 or {n} rows, got {t.shape[0]}")
+def _rows(t: Tensor, n: int, name: str, dim: int) -> np.ndarray:
+    """A constant input's (n, dim) rows; a single row is repeated n times.
+
+    Repeated rather than broadcast, because the composed graph tiled them
+    and a matmul's rounding can depend on the shapes it is given.
+    """
+    if t.requires_grad:
+        raise ValidationError(f"{name} must be a constant: only the scorer parameters get gradients")
+    rows, cols = t.shape
+    if cols != dim:
+        raise ValidationError(f"{name} must have {dim} columns, got {cols}")
+    if rows == n:
+        return t.data
+    if rows == 1:
+        return np.repeat(t.data, n, axis=0)
+    raise ValidationError(f"{name} must have 1 or {n} rows, got {rows}")
+
+
+def _gate(src: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """Excitation gate sigma(relu(src W1) W2), with what its backward needs."""
+    pre = src @ w1
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    return 1.0 / (1.0 + np.exp(-(hidden @ w2))), mask, hidden
+
+
+def _gate_grads(g, src, gate, mask, hidden, w2) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of W1 and W2 from the gradient `g` of the gate's output."""
+    g_pre_sigmoid = g * gate * (1.0 - gate)
+    g_hidden = g_pre_sigmoid @ w2.T
+    return src.T @ (g_hidden * mask), hidden.T @ g_pre_sigmoid
 
 
 def score_logits(
@@ -161,38 +191,72 @@ def score_logits(
     h_cand: Tensor,
     params: ScorerParams,
 ) -> Tensor:
-    """Two logits per target row.
+    """Two logits per target row, as one recorded op.
 
     Feature layout per row: the raw target embedding, the target gated by
     the previous and candidate contexts, then the macro and micro
     interest vectors gated by each context.  Context and interest inputs
-    may be shared single rows or per-row matrices.
-    """
-    n = targets.shape[0]
-    gate_prev_src = _rows(h_prev, n, "h_prev")
-    gate_cand_src = _rows(h_cand, n, "h_cand")
-    macro = _rows(h_macro, n, "h_macro")
-    micro = _rows(h_micro, n, "h_micro")
+    may be shared single rows or per-row matrices; all five are constants.
 
-    gate_prev = ad.sigmoid(
-        ad.matmul(ad.relu(ad.matmul(gate_prev_src, params.w1_prev)), params.w2_prev)
-    )
-    gate_cand = ad.sigmoid(
-        ad.matmul(ad.relu(ad.matmul(gate_cand_src, params.w1_cand)), params.w2_cand)
-    )
-    features = ad.concat_cols(
+    The backward is analytic and returns all eight parameter gradients at
+    once.  It repeats, operation for operation and in the same order, what
+    a tape of the composed graph (matmul, relu, sigmoid, elementwise
+    products, column concatenation, bias adds) would replay, so the tests
+    hold it bit for bit to that composed oracle.
+    """
+    n, d = targets.shape[0], params.dim
+    T = _rows(targets, n, "targets", d)
+    src_prev = _rows(h_prev, n, "h_prev", d)
+    src_cand = _rows(h_cand, n, "h_cand", d)
+    macro = _rows(h_macro, n, "h_macro", d)
+    micro = _rows(h_micro, n, "h_micro", d)
+    p = params
+    tensors = tuple(p.tensors().values())
+    prev = _gate(src_prev, p.w1_prev.data, p.w2_prev.data)
+    cand = _gate(src_cand, p.w1_cand.data, p.w2_cand.data)
+    gate_prev, gate_cand = prev[0], cand[0]
+    features = np.concatenate(
         [
-            targets,
-            ad.mul_elementwise(targets, gate_prev),
-            ad.mul_elementwise(targets, gate_cand),
-            ad.mul_elementwise(macro, gate_prev),
-            ad.mul_elementwise(micro, gate_prev),
-            ad.mul_elementwise(macro, gate_cand),
-            ad.mul_elementwise(micro, gate_cand),
-        ]
+            T,
+            T * gate_prev,
+            T * gate_cand,
+            macro * gate_prev,
+            micro * gate_prev,
+            macro * gate_cand,
+            micro * gate_cand,
+        ],
+        axis=1,
     )
-    hidden = ad.relu(ad.add(ad.matmul(features, params.mlp_w1), params.mlp_b1))
-    return ad.add(ad.matmul(hidden, params.mlp_w2), params.mlp_b2)
+    pre = features @ p.mlp_w1.data + p.mlp_b1.data
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    logits = hidden @ p.mlp_w2.data + p.mlp_b2.data
+
+    def back(g: np.ndarray) -> None:
+        g_pre = (g @ p.mlp_w2.data.T) * mask
+        g_features = g_pre @ p.mlp_w1.data.T
+        block = [g_features[:, k * d : (k + 1) * d] for k in range(7)]
+        # Each gate sums its contributions in the order a tape replays them.
+        g_gate_cand = block[6] * micro
+        g_gate_cand += block[5] * macro
+        g_gate_prev = block[4] * micro
+        g_gate_prev += block[3] * macro
+        g_gate_cand += block[2] * T
+        g_gate_prev += block[1] * T
+        grads = (
+            *_gate_grads(g_gate_prev, src_prev, *prev, p.w2_prev.data),
+            *_gate_grads(g_gate_cand, src_cand, *cand, p.w2_cand.data),
+            features.T @ g_pre,
+            # A one-row bias gradient is passed on as is, keeping its -0.0s.
+            g_pre if n == 1 else g_pre.sum(axis=0, keepdims=True),
+            hidden.T @ g,
+            g if n == 1 else g.sum(axis=0, keepdims=True),
+        )
+        for tensor, grad in zip(tensors, grads):
+            if tensor.requires_grad:
+                tensor.accumulate(grad)
+
+    return ad.record(logits, tensors, back)
 
 
 def score_batch(
@@ -233,15 +297,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of binary labels under a row softmax."""
+    """Mean negative log-likelihood of binary labels under a row softmax.
+
+    One recorded op whose analytic backward repeats, in order, what a tape
+    of softmax, log, label pick, sum and scale would replay; the tests
+    hold it bit for bit to that composed oracle.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[0]
     if labels.shape != (n,):
         raise ValidationError("labels must align with logit rows")
     onehot = np.zeros((n, 2))
     onehot[np.arange(n), labels] = 1.0
-    picked = ad.mul_elementwise(ad.log(ad.softmax_rows(logits)), ad.constant(onehot))
-    return ad.scale(ad.sum_all(picked), -1.0 / n)
+    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    probs = ex / ex.sum(axis=1, keepdims=True)
+    picked = np.log(probs) * onehot
+    scale = -1.0 / n
+
+    def back(g: np.ndarray) -> None:
+        g_probs = np.full_like(picked, (g * scale)[0, 0]) * onehot / probs
+        inner = (g_probs * probs).sum(axis=1, keepdims=True)
+        logits.accumulate(probs * (g_probs - inner))
+
+    return ad.record(np.array([[picked.sum()]]) * scale, (logits,), back)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,10 @@
 Everything is float64 and strictly two-dimensional: vectors are 1 x n or
 n x 1.  Operations executed inside an active Tape record backward
 closures; `backward` replays them in exact reverse recording order, so
-gradient accumulation is deterministic and bit-reproducible.  The op set
-is the closure of what the excitation-gated scoring graph and its loss
-need; no more.
+gradient accumulation is deterministic and bit-reproducible.  The
+primitives here are the general-purpose ones; a layer can instead be one
+op with a hand-written backward, built with `record`, as the scorer and
+its loss are (see `accuracy`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import ParseError, ValidationError, _check_id
+from .data import ParseError, ValidationError, _check_id, _finite_vector
 
 CHECKPOINT_VERSION = 1
 
@@ -137,6 +138,15 @@ def backward(loss: Tensor) -> None:
         back(out.grad)
 
 
+def record(data: np.ndarray, inputs: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+    """An op's result: `data` is a new 2-D float64 array computed from `inputs`.
+
+    `backward(g)` receives the result's gradient and must accumulate into
+    every input that requires one.  The op is logged only if some input does.
+    """
+    return _record(_out(data), inputs, backward)
+
+
 # ----- primitives -----
 
 
@@ -194,49 +204,6 @@ def mul_elementwise(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), back)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = _out(a.data * s)
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g * s)
-
-    return _record(out, (a,), back)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValidationError("concat_cols needs at least one tensor")
-    rows = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.shape[0] != rows:
-            raise ValidationError("concat_cols row counts differ")
-    out = _out(np.concatenate([p.data for p in parts], axis=1))
-    widths = [p.data.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def back(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p.accumulate(g[:, lo:hi])
-
-    return _record(out, tuple(parts), back)
-
-
-def tile_rows(a: Tensor, reps: int) -> Tensor:
-    """Repeat a 1 x n row `reps` times; backward sums over the copies."""
-    if a.data.shape[0] != 1:
-        raise ValidationError(f"tile_rows needs a 1 x n tensor, got {a.data.shape}")
-    if reps < 1:
-        raise ValidationError("tile_rows reps must be >= 1")
-    out = _out(np.repeat(a.data, reps, axis=0))
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g.sum(axis=0, keepdims=True))
-
-    return _record(out, (a,), back)
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     """Row-wise softmax with max subtraction; rows sum to one."""
     shifted = a.data - a.data.max(axis=1, keepdims=True)
@@ -251,31 +218,12 @@ def softmax_rows(a: Tensor) -> Tensor:
     return _record(out, (a,), back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = _out(y)
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g * y * (1.0 - y))
-
-    return _record(out, (a,), back)
-
-
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
     out = _out(np.where(mask, a.data, 0.0))
 
     def back(g: np.ndarray) -> None:
         a.accumulate(g * mask)
-
-    return _record(out, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    out = _out(np.log(a.data))
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g / a.data)
 
     return _record(out, (a,), back)
 
@@ -357,13 +305,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             name, (rows, cols), data = entry["name"], entry["shape"], entry["data"]
             _check_id(name, "tensor name")
             if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
-                raise ValueError(f"shape must be two integers >= 0, got {entry['shape']!r}")
-            if not isinstance(data, list) or len(data) != rows * cols:
-                raise ValueError(f"data must be a list of {rows * cols} numbers")
-            arr = np.array(data, dtype=np.float64).reshape(rows, cols)
-            if not np.isfinite(arr).all():
-                raise ValueError("data must be finite")
-            tensors[name] = arr
+                raise ValueError(f"{name} shape must be two integers >= 0, got {entry['shape']!r}")
+            tensors[name] = _finite_vector(data, f"{name} data", rows * cols).reshape(rows, cols)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed checkpoint tensor ({exc})") from exc
     return tensors, doc.get("meta", {})

@@ -49,6 +49,26 @@ def _check_id(value, name: str, where: str = "", row: int | None = None) -> None
         raise ValidationError(f"{where}{name} must be a non-empty string, got {value!r}", row)
 
 
+def _finite_vector(values, name: str, size: int | None = None) -> np.ndarray:
+    """A JSON list of numbers as a finite float64 vector.
+
+    Strings, booleans and nested lists are refused, although numpy would
+    convert them.  The list holds exactly `size` numbers, or at least one
+    when `size` is None.
+    """
+    if (
+        not isinstance(values, list)
+        or (len(values) != size if size is not None else not values)
+        or not set(map(type, values)) <= {int, float}
+    ):
+        count = "a non-empty list" if size is None else f"a list of {size}"
+        raise ValidationError(f"{name} must be {count} numbers")
+    vec = np.array(values, dtype=np.float64)
+    if not np.isfinite(vec).all():
+        raise ValidationError(f"{name} must be finite")
+    return vec
+
+
 def _check_id_column(ids: Sequence, name: str, where: str = "") -> tuple[str, ...]:
     """The ids as a tuple, each checked to be a non-empty string as one column.
 

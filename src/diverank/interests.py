@@ -22,6 +22,7 @@ from .data import (
     ParseError,
     ValidationError,
     _check_id,
+    _finite_vector,
     _iter_json_lines,
 )
 
@@ -158,16 +159,6 @@ def save_profiles(path: str, profiles: list[InterestProfile]) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _interest_vector(values, name: str) -> np.ndarray:
-    """A JSON list of numbers (not bools) as a finite float64 vector."""
-    if not isinstance(values, list) or not values or not set(map(type, values)) <= {int, float}:
-        raise ValidationError(f"{name} must be a non-empty list of numbers")
-    vec = np.array(values, dtype=np.float64)
-    if not np.isfinite(vec).all():
-        raise ValidationError(f"{name} must be finite")
-    return vec
-
-
 def load_profiles(path: str) -> dict[str, InterestProfile]:
     """Read one profile line per user; errors cite the bad line."""
     out: dict[str, InterestProfile] = {}
@@ -179,8 +170,8 @@ def load_profiles(path: str) -> dict[str, InterestProfile]:
                 raise ValidationError(f"duplicate profile for {user_id!r}")
             out[user_id] = InterestProfile(
                 user_id=user_id,
-                h_macro=_interest_vector(doc["h_macro"], "h_macro"),
-                h_micro=_interest_vector(doc["h_micro"], "h_micro"),
+                h_macro=_finite_vector(doc["h_macro"], "h_macro"),
+                h_micro=_finite_vector(doc["h_micro"], "h_micro"),
             )
         except KeyError as exc:
             raise ParseError(f"profile record missing field {exc}", line=lineno) from exc

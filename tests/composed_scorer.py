@@ -1,0 +1,124 @@
+"""The scorer and its loss as composed autodiff graphs: the test oracles.
+
+`accuracy.score_logits` and `accuracy.cross_entropy` are each one
+recorded op with a hand-written backward.  The graphs below are what they
+replace, built from tape primitives, so the tests can hold the fused ops'
+values and gradients to them bit for bit.  The five ops defined here are
+used by nothing but these oracles and the tests.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+import diverank.autodiff as ad
+from diverank.accuracy import ScorerParams
+from diverank.autodiff import Tensor
+from diverank.data import ValidationError
+
+
+def scale(a: Tensor, s: float) -> Tensor:
+    s = float(s)
+
+    def back(g: np.ndarray) -> None:
+        a.accumulate(g * s)
+
+    return ad.record(a.data * s, (a,), back)
+
+
+def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    if not parts:
+        raise ValidationError("concat_cols needs at least one tensor")
+    rows = parts[0].data.shape[0]
+    for p in parts:
+        if p.data.shape[0] != rows:
+            raise ValidationError("concat_cols row counts differ")
+    offsets = np.cumsum([0] + [p.data.shape[1] for p in parts])
+
+    def back(g: np.ndarray) -> None:
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p.accumulate(g[:, lo:hi])
+
+    return ad.record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
+
+
+def tile_rows(a: Tensor, reps: int) -> Tensor:
+    """Repeat a 1 x n row `reps` times; backward sums over the copies."""
+    if a.data.shape[0] != 1:
+        raise ValidationError(f"tile_rows needs a 1 x n tensor, got {a.data.shape}")
+    if reps < 1:
+        raise ValidationError("tile_rows reps must be >= 1")
+
+    def back(g: np.ndarray) -> None:
+        a.accumulate(g.sum(axis=0, keepdims=True))
+
+    return ad.record(np.repeat(a.data, reps, axis=0), (a,), back)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    y = 1.0 / (1.0 + np.exp(-a.data))
+
+    def back(g: np.ndarray) -> None:
+        a.accumulate(g * y * (1.0 - y))
+
+    return ad.record(y, (a,), back)
+
+
+def log(a: Tensor) -> Tensor:
+    def back(g: np.ndarray) -> None:
+        a.accumulate(g / a.data)
+
+    return ad.record(np.log(a.data), (a,), back)
+
+
+def _rows(t: Tensor, n: int, name: str) -> Tensor:
+    if t.shape[0] == n:
+        return t
+    if t.shape[0] == 1:
+        return tile_rows(t, n) if n > 1 else t
+    raise ValidationError(f"{name} must have 1 or {n} rows, got {t.shape[0]}")
+
+
+def score_logits_oracle(
+    targets: Tensor,
+    h_macro: Tensor,
+    h_micro: Tensor,
+    h_prev: Tensor,
+    h_cand: Tensor,
+    params: ScorerParams,
+) -> Tensor:
+    """`accuracy.score_logits` as a graph of 20 recorded primitives."""
+    n = targets.shape[0]
+    gate_prev_src = _rows(h_prev, n, "h_prev")
+    gate_cand_src = _rows(h_cand, n, "h_cand")
+    macro = _rows(h_macro, n, "h_macro")
+    micro = _rows(h_micro, n, "h_micro")
+
+    gate_prev = sigmoid(ad.matmul(ad.relu(ad.matmul(gate_prev_src, params.w1_prev)), params.w2_prev))
+    gate_cand = sigmoid(ad.matmul(ad.relu(ad.matmul(gate_cand_src, params.w1_cand)), params.w2_cand))
+    features = concat_cols(
+        [
+            targets,
+            ad.mul_elementwise(targets, gate_prev),
+            ad.mul_elementwise(targets, gate_cand),
+            ad.mul_elementwise(macro, gate_prev),
+            ad.mul_elementwise(micro, gate_prev),
+            ad.mul_elementwise(macro, gate_cand),
+            ad.mul_elementwise(micro, gate_cand),
+        ]
+    )
+    hidden = ad.relu(ad.add(ad.matmul(features, params.mlp_w1), params.mlp_b1))
+    return ad.add(ad.matmul(hidden, params.mlp_w2), params.mlp_b2)
+
+
+def cross_entropy_oracle(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """`accuracy.cross_entropy` as a graph of 5 recorded primitives."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = logits.shape[0]
+    if labels.shape != (n,):
+        raise ValidationError("labels must align with logit rows")
+    onehot = np.zeros((n, 2))
+    onehot[np.arange(n), labels] = 1.0
+    picked = ad.mul_elementwise(log(ad.softmax_rows(logits)), ad.constant(onehot))
+    return scale(ad.sum_all(picked), -1.0 / n)

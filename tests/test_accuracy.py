@@ -2,7 +2,8 @@
 
 The forward oracle re-derives the whole score path with scalar loops:
 both excitation gates, the seven-block feature row, the ReLU hidden
-layer, and the two-logit softmax.
+layer, and the two-logit softmax.  The fused training ops are held bit
+for bit to the composed autodiff graphs in `composed_scorer`.
 """
 
 import json
@@ -11,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+import diverank.accuracy as accuracy
 import diverank.autodiff as ad
+from composed_scorer import cross_entropy_oracle, score_logits_oracle
 from diverank.accuracy import (
     ContextState,
     build_impressions,
@@ -413,3 +416,85 @@ class TestScorerGradients:
             return cross_entropy(logits, labels)
 
         assert_grads_match(loss, list(params.tensors().values()))
+
+
+def assert_same_bits(got, want, what):
+    """Equal values, NaNs in the same places and zeros of the same sign."""
+    assert got.shape == want.shape, what
+    assert np.array_equal(got, want, equal_nan=True), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+def training_step(score_fn, loss_fn, params, inputs, labels):
+    """One recorded forward and backward; returns logits, loss, gradients and tape length."""
+    for t in params.tensors().values():
+        t.grad = None
+    with ad.Tape() as tape, np.errstate(all="ignore"):
+        logits = score_fn(*map(ad.constant, inputs), params)
+        loss = loss_fn(logits, labels)
+        ad.backward(loss)
+    grads = {name: t.grad.copy() for name, t in params.tensors().items()}
+    return logits.data, loss.data, grads, len(tape)
+
+
+class TestFusedOpsMatchComposedOracle:
+    @pytest.mark.parametrize("weight_scale", [1.0, 50.0], ids=["plain", "saturated"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    @pytest.mark.parametrize("n", [1, 2, 33])
+    @pytest.mark.parametrize("d", [1, 3, 16])  # d=3 with reduction 4: a bottleneck of 1
+    def test_logits_loss_and_gradients_bit_identical(self, d, n, shared, weight_scale):
+        rng = np.random.default_rng(100 * d + n)
+        params = init_scorer_params(d, rng)
+        for t in params.tensors().values():
+            t.data *= weight_scale
+        rows = 1 if shared else n
+        inputs = [rng.normal(size=(n, d))] + [rng.normal(size=(rows, d)) for _ in range(4)]
+        labels = np.arange(n) % 2
+        fused = training_step(score_logits, cross_entropy, params, inputs, labels)
+        oracle = training_step(score_logits_oracle, cross_entropy_oracle, params, inputs, labels)
+        assert_same_bits(fused[0], oracle[0], "logits")
+        assert_same_bits(fused[1], oracle[1], "loss")
+        for name, grad in oracle[2].items():
+            assert_same_bits(fused[2][name], grad, name)
+
+    def test_saturated_grid_reaches_nan_gradients(self):
+        # The saturated cases above must exercise a softmax underflow.
+        rng = np.random.default_rng(100 * 16 + 33)
+        params = init_scorer_params(16, rng)
+        for t in params.tensors().values():
+            t.data *= 50.0
+        inputs = [rng.normal(size=(33, 16)) for _ in range(5)]
+        _, loss, grads, _ = training_step(score_logits, cross_entropy, params, inputs, np.arange(33) % 2)
+        assert np.isnan(loss).all() and any(np.isnan(g).any() for g in grads.values())
+
+    def test_one_training_step_records_two_ops(self, rng):
+        params = init_scorer_params(4, rng)
+        inputs = [rng.normal(size=(5, 4)), *(rng.normal(size=(1, 4)) for _ in range(4))]
+        labels = np.array([0, 1, 1, 0, 1])
+        assert training_step(score_logits, cross_entropy, params, inputs, labels)[3] == 2
+        assert training_step(score_logits_oracle, cross_entropy_oracle, params, inputs, labels)[3] == 25
+
+    @pytest.mark.parametrize("position", range(5))
+    def test_input_requiring_gradient_is_rejected(self, rng, position):
+        params = init_scorer_params(3, rng)
+        inputs = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
+        inputs[position].requires_grad = True
+        with pytest.raises(ValidationError, match="constant"):
+            score_logits(*inputs, params)
+
+    def test_training_run_matches_composed_oracle(self, rng, monkeypatch):
+        impressions = separable_impressions(rng, n=70)
+        profiles = {"u1": make_profile("u1", rng, 4)}
+
+        def train():
+            params = init_scorer_params(4, np.random.default_rng(7))
+            curve = train_scorer(impressions, profiles, params, lr=0.1, epochs=2, seed=3)
+            return params, curve
+
+        fused_params, fused_curve = train()
+        monkeypatch.setattr(accuracy, "score_logits", score_logits_oracle)
+        monkeypatch.setattr(accuracy, "cross_entropy", cross_entropy_oracle)
+        oracle_params, oracle_curve = train()
+        assert fused_curve == oracle_curve
+        for name, t in oracle_params.tensors().items():
+            assert fused_params.tensors()[name].data.tobytes() == t.data.tobytes(), name

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import diverank.autodiff as ad
+from composed_scorer import concat_cols, log, scale, sigmoid
 from diverank.autodiff import Tape, Tensor
 from diverank.data import ValidationError
 
@@ -100,8 +101,8 @@ class TestScalarGradients:
         logits = Tensor([[0.2, -0.4, 1.1]], requires_grad=True)
         onehot = np.array([[0.0, 1.0, 0.0]])
         with Tape():
-            log_probs = ad.log(ad.softmax_rows(logits))
-            loss = ad.scale(ad.sum_all(ad.mul_elementwise(log_probs, ad.constant(onehot))), -1.0)
+            log_probs = log(ad.softmax_rows(logits))
+            loss = scale(ad.sum_all(ad.mul_elementwise(log_probs, ad.constant(onehot))), -1.0)
             ad.backward(loss)
         expected = ad.softmax_rows(ad.constant(logits.data)).data - onehot
         np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
@@ -125,45 +126,20 @@ class TestPrimitiveGradients:
         b = Tensor(rng.normal(size=(1, 3)))
         assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(a, b)), [a, b])
 
-    def test_scale(self, rng):
-        a = Tensor(rng.normal(size=(2, 6)))
-        assert_grads_match(lambda: ad.sum_all(ad.scale(a, -2.5)), [a])
-
-    def test_concat_cols(self, rng):
-        a = Tensor(rng.normal(size=(3, 2)))
-        b = Tensor(rng.normal(size=(3, 4)))
-        weight = ad.constant(rng.normal(size=(3, 6)))
-        assert_grads_match(
-            lambda: ad.sum_all(ad.mul_elementwise(ad.concat_cols([a, b]), weight)), [a, b]
-        )
-
-    def test_tile_rows(self, rng):
-        a = Tensor(rng.normal(size=(1, 4)))
-        weight = ad.constant(rng.normal(size=(5, 4)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.tile_rows(a, 5), weight)), [a])
-
     def test_softmax_rows(self, rng):
         a = Tensor(rng.normal(size=(4, 5)))
         weight = ad.constant(rng.normal(size=(4, 5)))
         assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.softmax_rows(a), weight)), [a])
-
-    def test_sigmoid(self, rng):
-        a = Tensor(rng.normal(size=(3, 4)))
-        assert_grads_match(lambda: ad.sum_all(ad.sigmoid(a)), [a])
 
     def test_relu(self, rng):
         a = Tensor(rng.normal(size=(4, 4)) + 0.3)  # keep entries off the kink
         a.data[np.abs(a.data) < 1e-3] = 0.5
         assert_grads_match(lambda: ad.sum_all(ad.relu(a)), [a])
 
-    def test_log(self, rng):
-        a = Tensor(rng.random(size=(3, 3)) + 0.5)
-        assert_grads_match(lambda: ad.sum_all(ad.log(a)), [a])
-
     def test_sum_all(self, rng):
         a = Tensor(rng.normal(size=(3, 5)))
         # The scale makes the upstream gradient -3, not the loss seed 1.
-        assert_grads_match(lambda: ad.scale(ad.sum_all(a), -3.0), [a])
+        assert_grads_match(lambda: scale(ad.sum_all(a), -3.0), [a])
 
 
 class TestCompositeGradients:
@@ -178,8 +154,8 @@ class TestCompositeGradients:
         def loss():
             hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
             logits = ad.matmul(hidden, w2)
-            picked = ad.mul_elementwise(ad.log(ad.softmax_rows(logits)), ad.constant(y))
-            return ad.scale(ad.sum_all(picked), -1.0 / 5)
+            picked = ad.mul_elementwise(log(ad.softmax_rows(logits)), ad.constant(y))
+            return scale(ad.sum_all(picked), -1.0 / 5)
 
         assert_grads_match(loss, [w1, b1, w2])
 
@@ -190,7 +166,7 @@ class TestCompositeGradients:
         def run():
             w.grad = None
             with Tape():
-                loss = ad.sum_all(ad.sigmoid(ad.matmul(x, w)))
+                loss = ad.sum_all(sigmoid(ad.matmul(x, w)))
                 ad.backward(loss)
             return w.grad.copy()
 
@@ -215,7 +191,7 @@ class TestTapeDiscipline:
     def test_non_scalar_loss_rejected(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with Tape():
-            out = ad.scale(x, 2.0)
+            out = scale(x, 2.0)
             with pytest.raises(ValidationError):
                 ad.backward(out)
 
@@ -228,7 +204,7 @@ class TestGradientBuffers:
         a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         with Tape():
-            d = ad.scale(b, 2.0)  # replayed last: accumulates into b after the add
+            d = scale(b, 2.0)  # replayed last: accumulates into b after the add
             c = ad.add(a, b)  # same shapes: both operands receive the upstream array
             ad.backward(ad.sum_all(ad.add(c, d)))
         assert np.array_equal(a.grad, np.ones((2, 3)))
@@ -240,8 +216,8 @@ class TestGradientBuffers:
         b = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
         e = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         with Tape():
-            f = ad.scale(e, 2.0)  # replayed last: accumulates into e's buffer
-            out = ad.concat_cols([a, b])  # a and b receive column slices of out's gradient
+            f = scale(e, 2.0)  # replayed last: accumulates into e's buffer
+            out = concat_cols([a, b])  # a and b receive column slices of out's gradient
             ad.backward(ad.sum_all(ad.add(ad.add(out, e), f)))
         assert np.array_equal(a.grad, np.ones((2, 2)))
         assert np.array_equal(b.grad, np.ones((2, 1)))

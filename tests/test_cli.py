@@ -795,6 +795,35 @@ class TestMalformedInput:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("stage", ["rerank", "sweep"])
+    @pytest.mark.parametrize("case", ["string number", "boolean", "nested lists"])
+    def test_non_number_tensor_data_is_one_error_line(self, case, stage, tmp_path, capsys):
+        # numpy would read each of these as a float; the checkpoint must not.
+        write_duplicate_fixture(tmp_path)
+        path = tmp_path / "checkpoint.json"
+        doc = json.loads(path.read_text())
+        entry = next(e for e in doc["tensors"] if e["name"] == "scorer.mlp_b2")
+        if case == "string number":
+            entry["data"][0] = "0.5"
+        elif case == "boolean":
+            entry["data"][0] = True
+        else:
+            entry["data"] = [[v] for v in entry["data"]]
+        path.write_text(json.dumps(doc))
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("")
+        argv = [
+            stage,
+            "--candidates", tmp_path / "candidates.jsonl",
+            "--profiles", tmp_path / "profiles.jsonl",
+            "--checkpoint", path,
+            "--out", tmp_path / "out",
+        ] + (["--labels", labels] if stage == "sweep" else [])
+        assert run(*map(str, argv)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: malformed checkpoint tensor (scorer.mlp_b2 data must be a list of 2 numbers)"
+        ]
+
     @pytest.mark.parametrize("field", ["cluster_id", "base_score"])
     def test_unread_catalog_field_is_ignored(self, field, tmp_path, capsys):
         items = tmp_path / "items.jsonl"

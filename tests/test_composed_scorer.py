@@ -1,0 +1,38 @@
+"""Finite-difference checks of the ops that only the composed oracles use.
+
+The ops live in `composed_scorer`, beside the oracle graphs of the scorer
+and its loss; the oracle itself is checked against the fused ops in
+`test_accuracy`.
+"""
+
+import diverank.autodiff as ad
+from composed_scorer import concat_cols, log, scale, sigmoid, tile_rows
+from diverank.autodiff import Tensor
+from test_autodiff import assert_grads_match
+
+
+class TestPrimitiveGradients:
+    def test_scale(self, rng):
+        a = Tensor(rng.normal(size=(2, 6)))
+        assert_grads_match(lambda: ad.sum_all(scale(a, -2.5)), [a])
+
+    def test_concat_cols(self, rng):
+        a = Tensor(rng.normal(size=(3, 2)))
+        b = Tensor(rng.normal(size=(3, 4)))
+        weight = ad.constant(rng.normal(size=(3, 6)))
+        assert_grads_match(
+            lambda: ad.sum_all(ad.mul_elementwise(concat_cols([a, b]), weight)), [a, b]
+        )
+
+    def test_tile_rows(self, rng):
+        a = Tensor(rng.normal(size=(1, 4)))
+        weight = ad.constant(rng.normal(size=(5, 4)))
+        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(tile_rows(a, 5), weight)), [a])
+
+    def test_sigmoid(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)))
+        assert_grads_match(lambda: ad.sum_all(sigmoid(a)), [a])
+
+    def test_log(self, rng):
+        a = Tensor(rng.random(size=(3, 3)) + 0.5)
+        assert_grads_match(lambda: ad.sum_all(log(a)), [a])
