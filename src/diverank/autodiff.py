@@ -307,6 +307,6 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
             if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
                 raise ValueError(f"{name} shape must be two integers >= 0, got {entry['shape']!r}")
             tensors[name] = _finite_vector(data, f"{name} data", rows * cols).reshape(rows, cols)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed checkpoint tensor ({exc})") from exc
     return tensors, doc.get("meta", {})

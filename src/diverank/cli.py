@@ -373,27 +373,24 @@ def cmd_sweep(args) -> None:
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)
         for alpha, cfg_a, acc_a, times_a in zip(alphas, cfgs, acc, times):
-            t0 = time.perf_counter()
-            res = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a)
-            times_a["bs_dpp"] += time.perf_counter() - t0
-            rows = [row_of[i] for i in res.item_ids]
-            ndcg, div = _list_metrics(res.item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
-            acc_a["bs_dpp"].append([ndcg, div, res.objective])
-
-            t0 = time.perf_counter()
-            res_f = fixed_score_dpp_select(cs, kernel, cfg_a)
-            times_a["fixed_dpp"] += time.perf_counter() - t0
-            rows = [row_of[i] for i in res_f.item_ids]
-            ndcg, div = _list_metrics(res_f.item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
-            acc_a["fixed_dpp"].append([ndcg, div, res_f.objective])
-
-            t0 = time.perf_counter()
-            ids_m = mmr_select(cs, cosine_similarity_fn(cs.embeddings), 1.0 / (1.0 + alpha), cfg.k)
-            times_a["mmr"] += time.perf_counter() - t0
-            rows = [row_of[i] for i in ids_m]
-            ndcg, div = _list_metrics(ids_m, cs.embeddings[rows], user_labels, ideal, cfg.k)
-            h_m = subset_objective(kernel.values, cs.base_scores, rows, alpha)
-            acc_a["mmr"].append([ndcg, div, h_m])
+            # Looked up at call time, so that a wrapped module global is the one timed.
+            select = {
+                "bs_dpp": lambda: bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a),
+                "fixed_dpp": lambda: fixed_score_dpp_select(cs, kernel, cfg_a),
+                "mmr": lambda: mmr_select(cs, cosine_similarity_fn(cs.embeddings), 1.0 / (1.0 + alpha), cfg.k),
+            }
+            for method in methods:
+                t0 = time.perf_counter()
+                picked = select[method]()
+                times_a[method] += time.perf_counter() - t0
+                item_ids = picked if method == "mmr" else picked.item_ids  # MMR returns bare ids
+                rows = [row_of[i] for i in item_ids]
+                ndcg, div = _list_metrics(item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
+                if method == "mmr":  # h of its subset stands in for an objective
+                    h = subset_objective(kernel.values, cs.base_scores, rows, alpha)
+                else:
+                    h = picked.objective
+                acc_a[method].append([ndcg, div, h])
 
     table_rows = []
     for alpha, acc_a, times_a in zip(alphas, acc, times):

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,24 +49,66 @@ def _check_id(value, name: str, where: str = "", row: int | None = None) -> None
         raise ValidationError(f"{where}{name} must be a non-empty string, got {value!r}", row)
 
 
+_NUMBER_TYPES = {int, float}  # what json parses a number to; a bool is a type of its own
+
+
 def _finite_vector(values, name: str, size: int | None = None) -> np.ndarray:
     """A JSON list of numbers as a finite float64 vector.
 
-    Strings, booleans and nested lists are refused, although numpy would
-    convert them.  The list holds exactly `size` numbers, or at least one
-    when `size` is None.
+    This is the one rule for a JSON number: an int or a float that
+    converts to a finite float64, never a bool, string, null or nested
+    list, although numpy would convert some of those.  The list holds
+    exactly `size` numbers, or at least one when `size` is None.
     """
     if (
         not isinstance(values, list)
         or (len(values) != size if size is not None else not values)
-        or not set(map(type, values)) <= {int, float}
+        or not set(map(type, values)) <= _NUMBER_TYPES
     ):
         count = "a non-empty list" if size is None else f"a list of {size}"
         raise ValidationError(f"{name} must be {count} numbers")
-    vec = np.array(values, dtype=np.float64)
+    try:
+        vec = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{name} has an integer too large for float64") from None
     if not np.isfinite(vec).all():
-        raise ValidationError(f"{name} must be finite")
+        raise ValidationError(f"{name} has non-finite values")
     return vec
+
+
+def _finite_number(value, name: str) -> float:
+    """One JSON number under the rule of `_finite_vector`."""
+    if type(value) is float and math.isfinite(value):  # most fields; numpy costs more
+        return value
+    if type(value) not in _NUMBER_TYPES:
+        raise ValidationError(f"{name} must be a number")
+    return _finite_vector([value], name).item()
+
+
+def _finite_rows(rows: list, ids: Sequence, where: str) -> np.ndarray:
+    """Embedding rows as one (n, d) array under the rule of `_finite_vector`.
+
+    Well-formed rows cost one type scan and one conversion.  Otherwise each
+    row is read with d taken from the first, and the first bad one is named.
+    """
+    if not rows:
+        return np.empty((0, 0))
+    if set(map(type, rows)) == {list} and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES:
+        try:
+            embs = np.array(rows, dtype=np.float64)
+        except (ValueError, OverflowError):  # ragged rows, or an int too large
+            pass
+        else:
+            if embs.ndim == 2 and embs.shape[1] and np.isfinite(embs).all():
+                return embs
+    dim = len(rows[0]) if type(rows[0]) is list and rows[0] else None
+    vecs = []
+    for row, values in enumerate(rows):
+        try:
+            vecs.append(_finite_vector(values, f"{where}item {ids[row]}: embedding", dim))
+        except ValidationError as exc:
+            raise ValidationError(str(exc), row) from None
+    return np.array(vecs)
 
 
 def _check_id_column(ids: Sequence, name: str, where: str = "") -> tuple[str, ...]:
@@ -108,41 +150,6 @@ def _check_columns(
         raise ValidationError(f"{where}item {ids[row]}: embedding contains non-finite values", row)
     embs.flags.writeable = False
     return ids, embs
-
-
-def _stack_rows(ids: list, rows: list, where: str) -> np.ndarray:
-    """Stack parsed embedding rows into one (n, d) float64 array.
-
-    When they do not form one, the error names the first row that is bad
-    on its own, else the first whose length differs from the first row's.
-    """
-    if not rows:
-        return np.empty((0, 0))
-    try:
-        embs = np.array(rows, dtype=np.float64)
-        if embs.ndim == 2 and embs.shape[1]:
-            return embs
-    except (TypeError, ValueError):
-        pass
-    dim = None
-    for row, values in enumerate(rows):
-        try:
-            vec = np.asarray(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{where}item {ids[row]}: embedding must hold numbers only", row
-            ) from None
-        if vec.ndim != 1 or not vec.size:
-            raise ValidationError(
-                f"{where}item {ids[row]}: embedding must be a non-empty 1-D float vector", row
-            )
-        if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
-            raise ValidationError(
-                f"{where}item {ids[row]}: mixed embedding dims ({vec.size} != {dim})", row
-            )
-    raise ValidationError(f"{where}embedding rows do not form an (n, d) matrix")
 
 
 NO_LABEL = -1
@@ -314,16 +321,14 @@ class CandidateSet:
         try:
             ids = [it["item_id"] for it in items]
             rows = [it["embedding"] for it in items]
+            scores = [it["base_score"] for it in items]
         except KeyError as exc:
             raise ValidationError(f"{where}item record missing field {exc}") from exc
-        scores = [it.get("base_score") for it in items]
-        if None in scores:
-            raise ValidationError(f"{where}item {ids[scores.index(None)]} lacks base_score")
-        embs = _stack_rows(ids, rows, where)
-        try:
-            base_scores = np.array(scores, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{where}base_score must be a number") from None
+        embs = _finite_rows(rows, ids, where)
+        if not set(map(type, scores)) <= _NUMBER_TYPES:  # name the first item without one
+            for item_id, score in zip(ids, scores):
+                _finite_number(score, f"{where}item {item_id}: base_score")
+        base_scores = _finite_vector(scores, f"{where}base_score", len(scores))
         return cls(user_id=user_id, ids=tuple(ids), embeddings=embs, base_scores=base_scores)
 
 
@@ -382,16 +387,21 @@ class RerankResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
-        steps = doc["steps"]
+        steps, item_ids = doc["steps"], doc["item_ids"]
         if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
             raise ValidationError("steps must be a list of objects")
+        if not isinstance(item_ids, list):
+            raise ValidationError("item_ids must be a list")
+        exhausted = doc.get("exhausted", False)
+        if type(exhausted) is not bool:
+            raise ValidationError("exhausted must be true or false")
         try:
             steps = tuple(
                 SelectionStep(
                     item_id=s["item_id"],
-                    score=float(s["score"]),
-                    log_d2=float(s["log_d2"]),
-                    marginal=float(s["marginal"]),
+                    score=_finite_number(s["score"], "score"),
+                    log_d2=_finite_number(s["log_d2"], "log_d2"),
+                    marginal=_finite_number(s["marginal"], "marginal"),
                 )
                 for s in steps
             )
@@ -399,10 +409,10 @@ class RerankResult:
             raise ValidationError(f"step missing field {exc}") from exc
         return cls(
             user_id=doc["user_id"],
-            item_ids=tuple(doc["item_ids"]),
+            item_ids=tuple(item_ids),
             steps=steps,
-            objective=float(doc["objective"]),
-            exhausted=bool(doc.get("exhausted", False)),
+            objective=_finite_number(doc["objective"], "objective"),
+            exhausted=exhausted,
         )
 
 
@@ -449,6 +459,11 @@ class ExperimentConfig:
             val = getattr(self, f.name)
             if not isinstance(val, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(val, bool)):
                 problems.append(f"{f.name} must be of type {kind}, got {type(val).__name__}")
+            elif kind == "float" and type(val) is int:  # as a JSON number: within float64
+                try:
+                    _finite_number(val, f.name)
+                except ValidationError as exc:
+                    problems.append(str(exc))
         if problems:  # range checks below assume the declared types
             raise ValidationError("; ".join(problems))
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
@@ -519,7 +534,7 @@ def load_items(path: str) -> EmbeddingTable:
         ids.append(item_id)
         rows.append(row)
     try:
-        return EmbeddingTable(tuple(ids), _stack_rows(ids, rows, ""))
+        return EmbeddingTable(tuple(ids), _finite_rows(rows, ids, ""))
     except ValidationError as exc:
         line = None if exc.row is None else linenos[exc.row]
         raise ParseError(str(exc), line=line) from exc

@@ -175,6 +175,6 @@ def load_profiles(path: str) -> dict[str, InterestProfile]:
             )
         except KeyError as exc:
             raise ParseError(f"profile record missing field {exc}", line=lineno) from exc
-        except (ValidationError, OverflowError) as exc:
+        except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from exc
     return out

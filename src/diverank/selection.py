@@ -30,33 +30,23 @@ import numpy as np
 from .accuracy import ContextState, ScorerParams, initial_context, score_batch, update_context
 from .data import CandidateSet, ExperimentConfig, NumericalError, RerankResult, SelectionStep, ValidationError
 from .interests import InterestProfile
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, normalize_rows
 
-# A scorer maps (context, candidate row indices) to one score per index.
-Scorer = Callable[[ContextState, np.ndarray], np.ndarray]
+# A scorer maps the selection context to one score per candidate.
+Scorer = Callable[[ContextState], np.ndarray]
 
 
 def constant_scorer(scores: np.ndarray) -> Scorer:
     """Context-insensitive scorer that serves a frozen score vector."""
     frozen = np.asarray(scores, dtype=np.float64).copy()
-
-    def scorer(ctx: ContextState, indices: np.ndarray) -> np.ndarray:
-        del ctx
-        return frozen[indices]
-
-    return scorer
+    return lambda ctx: frozen
 
 
 def profile_scorer(
     candidates: CandidateSet, profile: InterestProfile, params: ScorerParams
 ) -> Scorer:
     """Context-aware scorer backed by the trained accuracy model."""
-    embs = candidates.embeddings
-
-    def scorer(ctx: ContextState, indices: np.ndarray) -> np.ndarray:
-        return score_batch(embs[indices], profile, ctx, params)
-
-    return scorer
+    return lambda ctx: score_batch(candidates.embeddings, profile, ctx, params)
 
 
 @dataclass
@@ -119,8 +109,7 @@ def bs_dpp_select(
     exhausted = False
 
     ctx = initial_context(embs)
-    all_indices = np.arange(n)
-    scores = np.asarray(scorer(ctx, all_indices), dtype=np.float64)
+    scores = np.asarray(scorer(ctx), dtype=np.float64)
     if scores.shape != (n,):
         raise ValidationError("scorer must return one score per candidate")
 
@@ -135,10 +124,11 @@ def bs_dpp_select(
         # Finite floor keeps alpha * log_d2 NaN-free at excluded entries;
         # eligibility masking governs exclusion, not the log value.
         log_d2 = np.log(np.maximum(d2, 1e-300))
-        if not selected and cfg.diversity_only_init:
-            values = log_d2
-        else:
-            values = scores + alpha * log_d2
+        with np.errstate(over="ignore"):  # only eligible entries must stay finite
+            joint = scores + alpha * log_d2
+        if not np.isfinite(joint[eligible]).all():
+            raise NumericalError(f"score + alpha * log d^2 overflows at alpha={alpha:g}; lower alpha")
+        values = log_d2 if not selected and cfg.diversity_only_init else joint
         j = _argmax_lowest(values, eligible)
         if collect_trace:
             trace.steps.append(
@@ -150,7 +140,7 @@ def bs_dpp_select(
                     eligible=eligible.copy(),
                 )
             )
-        marginal = scores[j] + alpha * log_d2[j]
+        marginal = joint[j]
         steps.append(
             SelectionStep(
                 item_id=candidates.ids[j],
@@ -168,10 +158,7 @@ def bs_dpp_select(
 
         # Rank-one Cholesky extension relative to the newly chosen j.
         d_j = np.sqrt(d2[j])
-        if t == 0:
-            e = d_matrix[j, :] / d_j
-        else:
-            e = (d_matrix[j, :] - cis[:t, j] @ cis[:t, :]) / d_j
+        e = (d_matrix[j, :] - cis[:t, j] @ cis[:t, :]) / d_j
         cis[t, :] = e
         d2 = d2 - np.square(e)
         pre_clamp_min = float(d2[~selected_mask].min()) if (~selected_mask).any() else 0.0
@@ -183,8 +170,10 @@ def bs_dpp_select(
             exhausted = True
             break
         ctx = update_context(ctx, embs[j])
-        scores = np.asarray(scorer(ctx, all_indices), dtype=np.float64)
+        scores = np.asarray(scorer(ctx), dtype=np.float64)
 
+    if not np.isfinite(objective):
+        raise NumericalError(f"objective sum overflows at alpha={alpha:g}; lower alpha")
     result = RerankResult(
         user_id=candidates.user_id,
         item_ids=tuple(candidates.ids[j] for j in selected),
@@ -296,10 +285,7 @@ def mmr_select(
 
 def cosine_similarity_fn(embeddings: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
     """Cosine similarity of candidate rows `i` (an index or index array) to row j, for MMR."""
-    embs = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(embs, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    unit = embs / safe[:, None]
+    unit = normalize_rows(embeddings)
 
     def sim(i, j: int):
         return unit[i] @ unit[j]

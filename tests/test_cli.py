@@ -509,6 +509,26 @@ class TestExitCodes:
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # numpy may not print an overflow warning
+    @pytest.mark.parametrize("command", ["rerank", "sweep"])
+    def test_overflowing_joint_value_is_one_numerical_error_line(self, command, tmp_path, capsys):
+        # log d^2 is about 1.3 on this fixture, so alpha * log d^2 passes float64's maximum.
+        write_duplicate_fixture(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json", "--out", out]
+        if command == "sweep":
+            argv += ["--labels", write_labels(tmp_path), "--alphas", "0,1e308"]
+        else:
+            argv += ["--alpha", "1e308"]
+        assert run(*map(str, argv)) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("numerical error:")
+        assert "alpha=1e+308" in lines[0]
+        assert not out.exists()
+
     def test_kernel_overflow_is_one_numerical_error_line(self, tmp_path, capsys):
         # Unnormalized embeddings of norm 40 put 1600 / b^2 in the exponent.
         write_duplicate_fixture(tmp_path)
@@ -616,6 +636,7 @@ def _profile(**overrides):
     return doc
 
 
+HUGE = 10**400  # a JSON integer too large for float64
 TS_RULE = "ts must be an integer >= 0"
 CLUSTER_RULE = "cluster_id must be an integer >= 0"
 LABEL_RULE = "label must be absent, null, 0 or 1"
@@ -627,9 +648,19 @@ MALFORMED_LINES = {
     "non-numeric embedding": ("rerank --candidates", _line(_item(embedding=["x", 0.0])),
                               "embedding"),
     "ragged dims": ("rerank --candidates", _line(_item(), _item(item_id="i2", embedding=[1.0])),
-                    "mixed embedding dims"),
+                    "item i2: embedding must be a list of 2 numbers"),
     "nan embedding": ("rerank --candidates", _line(_item(embedding=[float("nan"), 0.0])),
                       "non-finite"),
+    "numeric string embedding": ("rerank --candidates", _line(_item(embedding=["0.5", 0.0])),
+                                 "item i1: embedding"),
+    "bool embedding": ("rerank --candidates", _line(_item(embedding=[True, 0.0])),
+                       "item i1: embedding"),
+    "huge int embedding": ("rerank --candidates", _line(_item(embedding=[HUGE, 0.0])),
+                           "item i1: embedding"),
+    "string base_score": ("rerank --candidates", _line(_item(base_score="0.5")),
+                          "item i1: base_score"),
+    "bool base_score": ("rerank --candidates", _line(_item(base_score=True)), "item i1: base_score"),
+    "huge int base_score": ("rerank --candidates", _line(_item(base_score=HUGE)), "base_score"),
     "items not a list": ("rerank --candidates", {"user_id": "u1", "items": "x"}, "items"),
     "item not an object": ("rerank --candidates", _line(["i1", [1.0, 0.0], 0.5]), "items"),
     "missing base_score": ("rerank --candidates", _line(_item(base_score=None)), "base_score"),
@@ -640,6 +671,12 @@ MALFORMED_LINES = {
     "list user id": ("rerank --candidates", {"user_id": ["u1"], "items": [_item()]}, "user_id"),
     "catalog non-numeric embedding": ("eval --items", {"item_id": "i1", "embedding": ["x", 0.0]},
                                       "embedding"),
+    "catalog numeric string embedding": ("eval --items", {"item_id": "i1", "embedding": ["0.5", 0.0]},
+                                         "item i1: embedding"),
+    "catalog bool embedding": ("eval --items", {"item_id": "i1", "embedding": [True, 0.0]},
+                               "item i1: embedding"),
+    "catalog huge int embedding": ("eval --items", {"item_id": "i1", "embedding": [HUGE, 0.0]},
+                                   "item i1: embedding"),
     "catalog list id": ("eval --items", {"item_id": ["a"], "embedding": [1.0, 0.0]}, "item_id"),
     "catalog int id": ("eval --items", {"item_id": 7, "embedding": [1.0, 0.0]}, "item_id"),
     "result list item id": ("eval --results", _result(item_ids=[["a"]]), "item_id"),
@@ -650,6 +687,16 @@ MALFORMED_LINES = {
     "result step missing score": ("eval --results",
                                   _result(steps=[{"item_id": "a", "log_d2": 0.0, "marginal": 0.5}]),
                                   "step missing field 'score'"),
+    "result string score": ("eval --results",
+                            _result(steps=[{"item_id": "a", "score": "0.5", "log_d2": 0.0,
+                                            "marginal": 0.5}]),
+                            "score must be a number"),
+    "result bool score": ("eval --results",
+                          _result(steps=[{"item_id": "a", "score": True, "log_d2": 0.0,
+                                          "marginal": 0.5}]),
+                          "score must be a number"),
+    "result huge objective": ("eval --results", _result(objective=HUGE), "objective"),
+    "result string exhausted": ("eval --results", _result(exhausted="no"), "exhausted"),
     "behavior list item id": ("cluster --behaviors", _event(item_id=["a"]), "item_id"),
     "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
     "behavior list ts": ("cluster --behaviors", _event(ts=[1]), TS_RULE),
@@ -890,6 +937,20 @@ class TestMalformedInput:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith(f"error: {field} must be of type")
+
+    def test_float_field_past_float64_is_one_error_line(self, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": HUGE}))
+        argv = ["rerank", "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json",
+                "--out", tmp_path / "results.jsonl", "--config", cfg]
+        assert run(*map(str, argv)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: alpha ")
+        assert not (tmp_path / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
         "field, value", [("negative_exponent_kernels", True), ("time_buckets", 16)]

@@ -1,10 +1,13 @@
 """Record validation, JSONL parsing, and config handling tests."""
 
 import json
+import math
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverank.data import (
     NO_LABEL,
@@ -14,6 +17,8 @@ from diverank.data import (
     ExperimentConfig,
     ParseError,
     ValidationError,
+    _finite_rows,
+    _finite_vector,
     load_behaviors,
     load_candidates,
     load_config,
@@ -28,7 +33,7 @@ from diverank.data import (
 
 def make_item(item_id="it1", dim=4, base_score=0.5):
     """One item object as a candidates line spells it."""
-    embedding = list(np.arange(dim, dtype=float))
+    embedding = np.arange(dim, dtype=float).tolist()
     return {"item_id": item_id, "embedding": embedding, "base_score": base_score}
 
 
@@ -337,3 +342,73 @@ class TestResultsIO:
         save_results(str(path), results)
         loaded = load_results(str(path))
         assert loaded == results
+
+
+# JSON-shaped values: numbers (ints up to 10**400, floats with NaN and
+# inf), the values numpy would coerce to numbers, and nested lists.
+FINITE_NUMBERS = st.one_of(st.integers(-1000, 1000), st.floats(-1e3, 1e3))
+JSON_LEAVES = st.one_of(
+    FINITE_NUMBERS,
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+)
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=8)
+
+
+@st.composite
+def json_rows(draw):
+    """Rows mostly of one width, so that well-formed matrices come up."""
+    width = draw(st.integers(0, 3))
+    row = st.one_of(
+        st.lists(FINITE_NUMBERS, min_size=width, max_size=width),
+        st.lists(JSON_LEAVES, min_size=width, max_size=width),
+        JSON_VALUES,
+    )
+    return draw(st.lists(row, max_size=4))
+
+
+def accepted_numbers(values):
+    """The floats the number rule should read from `values`, else None."""
+    if not isinstance(values, list) or not values:
+        return None
+    if not all(type(v) in (int, float) for v in values):
+        return None
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+class TestNumberRule:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_vector_is_its_finite_numbers_or_a_validation_error(self, values):
+        want = accepted_numbers(values)
+        try:
+            vec = _finite_vector(values, "v")
+        except ValidationError:
+            assert want is None
+        else:
+            assert vec.dtype == np.float64
+            assert vec.tolist() == want
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(json_rows())
+    def test_rows_are_one_matrix_or_name_the_first_bad_row(self, rows):
+        want = [accepted_numbers(row) for row in rows]
+        # Row 0 is checked first, so a bad row 0 stops the scan before its width is read.
+        bad = next((r for r, row in enumerate(want) if row is None or len(row) != len(want[0])), None)
+        try:
+            embs = _finite_rows(rows, [f"i{r}" for r in range(len(rows))], "")
+        except ValidationError as exc:
+            assert bad is not None and exc.row == bad
+            assert f"item i{bad}: embedding" in str(exc)
+        else:
+            assert bad is None
+            assert embs.dtype == np.float64
+            assert embs.shape == ((len(rows), len(want[0])) if rows else (0, 0))
+            assert embs.tolist() == want

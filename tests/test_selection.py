@@ -7,6 +7,7 @@ step-by-step reimplementation with plain loops.
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -147,6 +148,22 @@ class TestNumericalBehavior:
         cands = make_candidates([0.5, 0.5])
         cfg = ExperimentConfig(alpha=1.0, k=2)
         with pytest.raises(NumericalError):
+            bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
+
+    @pytest.mark.filterwarnings("error")  # numpy may not print an overflow warning
+    @pytest.mark.parametrize(
+        "alpha, fragment",
+        [
+            (1e308, "score + alpha * log d^2 overflows"),  # one step's value
+            # Each of three picks adds 0.9e308, finite alone; their sum is not.
+            (0.9e308 / math.log(10.0), "objective sum overflows"),
+        ],
+    )
+    def test_non_finite_joint_value_raises(self, alpha, fragment):
+        kernel = kernel_of(10.0 * np.eye(3))  # every log d^2 is log 10
+        cands = make_candidates([0.0, 0.0, 0.0])
+        cfg = ExperimentConfig(alpha=alpha, k=3)
+        with pytest.raises(NumericalError, match=re.escape(fragment)):
             bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
 
     def test_d2_tracks_naive_determinant_ratio(self, rng):
@@ -333,7 +350,7 @@ class TestProfileScorer:
         params = init_scorer_params(d, rng)
         scorer = profile_scorer(cands, profile, params)
         ctx = initial_context(embs)
-        got = scorer(ctx, np.arange(n))
+        got = scorer(ctx)
         want = score_batch(embs, profile, ctx, params)
         np.testing.assert_array_equal(got, want)
 
@@ -353,8 +370,8 @@ class TestProfileScorer:
         scorer = profile_scorer(cands, profile, params)
         ctx0 = initial_context(embs)
         ctx1 = update_context(ctx0, embs[0])
-        before = scorer(ctx0, np.arange(n))
-        after = scorer(ctx1, np.arange(n))
+        before = scorer(ctx0)
+        after = scorer(ctx1)
         assert not np.allclose(before, after)
 
     @pytest.mark.parametrize(
