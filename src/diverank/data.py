@@ -387,6 +387,9 @@ class RerankResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
+        for name in ("user_id", "item_ids", "steps", "objective"):
+            if name not in doc:
+                raise ValidationError(f"result missing field {name!r}")
         steps, item_ids = doc["steps"], doc["item_ids"]
         if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
             raise ValidationError("steps must be a list of objects")

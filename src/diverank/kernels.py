@@ -6,9 +6,12 @@ interest-modulated embeddings (long-term and short-term), weighted by
 beta1 and beta2, with a jitter ridge on the diagonal.  The exponent is
 +dot/b^2, which is positive semidefinite and equals the classical
 squared-exponential kernel up to a constant factor once the embeddings
-are L2-normalized.  The blend fills one output and one scratch buffer,
-skipping factors (1/b^2, a^2, beta) of exactly 1, and `KernelMatrix`
-checks it without n x n temporaries.
+are L2-normalized.  The blend is built by row blocks of its upper
+triangle, one gemm per term into the output or one block of scratch,
+skipping factors (1/b^2, a^2, beta) of exactly 1, then mirrored.  A pool of
+n^2 <= `ROW_BLOCK_ENTRIES` is one block, run by numpy as the syrk of
+`V @ V.T`; a larger pool's gemm blocks round a few ulp differently.
+`KernelMatrix` checks the result without n x n temporaries.
 """
 
 from __future__ import annotations
@@ -20,6 +23,10 @@ import numpy as np
 
 from .data import ExperimentConfig, NumericalError, ValidationError
 from .interests import InterestProfile
+
+ROW_BLOCK_ENTRIES = 1 << 16  # entries per row block of one term (512 KB), not a knob
+# A block's diagonal square has min(ROW_BLOCK_ENTRIES // n, n) <= isqrt(ROW_BLOCK_ENTRIES) rows.
+_STRICT_LOWER = np.tri(math.isqrt(ROW_BLOCK_ENTRIES), k=-1, dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +83,9 @@ def composite_matrix(
 
     D = D_item + beta1 * D_macro + beta2 * D_micro + jitter * I, computed
     on (optionally normalized) embeddings, with every knob read from
-    `cfg`.  The result is exactly symmetric by construction.
+    `cfg`.  Each block of rows is built from its diagonal rightward, then
+    copied below the diagonal, so the result is exactly symmetric by
+    construction.
     """
     ids = tuple(ids)
     embs = np.asarray(embeddings, dtype=np.float64)
@@ -87,26 +96,39 @@ def composite_matrix(
     base = normalize_rows(embs) if cfg.normalize_embeddings else embs
     terms = _terms(base, profile, cfg)
     n = len(ids)
+    rows = max(1, ROW_BLOCK_ENTRIES // max(n, 1))
     d = np.empty((n, n))
-    scratch = np.empty((n, n)) if len(terms) > 1 else None
+    scratch = np.empty((min(rows, n), n))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        _term_sum(terms, slice(r0, r1), slice(r0, n), d[r0:r1, r0:], scratch[: r1 - r0, : n - r0])
+        d[r1:, r0:r1] = d[r0:r1, r1:].T  # the block right of its diagonal square, mirrored
+        if rows < n:  # else one block, which numpy runs as the syrk of V @ V.T, mirrored already
+            square = d[r0:r1, r0:r1]
+            np.copyto(square, square.T, where=_STRICT_LOWER[: r1 - r0, : r1 - r0])
+    d.ravel()[:: n + 1] += cfg.jitter  # the diagonal, as a view
+    return KernelMatrix(ids=ids, values=d)
+
+
+def _term_sum(terms: list[tuple], rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the sum of `terms` over `rows` x `cols` into `out`, the first term
+    in place and each later one through `scratch` of the same shape."""
     try:
         with np.errstate(over="raise"):
             for t, (vectors, scale, amp, beta, where) in enumerate(terms):
-                out = scratch if t else d
-                np.matmul(vectors, vectors.T, out=out)  # exactly symmetric (syrk)
+                part = scratch if t else out
+                np.matmul(vectors[rows], vectors[cols].T, out=part)
                 if scale != 1.0:
-                    out *= scale
-                np.exp(out, out=out)
+                    part *= scale
+                np.exp(part, out=part)
                 for factor in (amp, beta):
                     if factor != 1.0:
-                        out *= factor
+                        part *= factor
                 if t:
-                    d += out
+                    out += part
     except FloatingPointError:
         msg = f"kernel term a^2 * exp(<x_i, x_j> / b^2) overflows at {where}"
         raise NumericalError(f"{msg}; normalize the embeddings or raise b") from None
-    d.ravel()[:: n + 1] += cfg.jitter  # the diagonal, as a view
-    return KernelMatrix(ids=ids, values=d)
 
 
 def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) -> list[tuple]:

@@ -618,6 +618,12 @@ def _result(**overrides):
     return doc
 
 
+def _result_without(field):
+    doc = _result()
+    del doc[field]
+    return doc
+
+
 def _event(**overrides):
     doc = {"user_id": "u1", "item_id": "i1", "ts": 1, "label": 1}
     doc.update(overrides)
@@ -696,6 +702,14 @@ MALFORMED_LINES = {
                                           "marginal": 0.5}]),
                           "score must be a number"),
     "result huge objective": ("eval --results", _result(objective=HUGE), "objective"),
+    "result missing user_id": ("eval --results", _result_without("user_id"),
+                               "result missing field 'user_id'"),
+    "result missing item_ids": ("eval --results", _result_without("item_ids"),
+                                "result missing field 'item_ids'"),
+    "result missing steps": ("eval --results", _result_without("steps"),
+                             "result missing field 'steps'"),
+    "result missing objective": ("eval --results", _result_without("objective"),
+                                 "result missing field 'objective'"),
     "result string exhausted": ("eval --results", _result(exhausted="no"), "exhausted"),
     "behavior list item id": ("cluster --behaviors", _event(item_id=["a"]), "item_id"),
     "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
