@@ -13,12 +13,7 @@ Run: python3 demos/04_context_scoring.py
 import numpy as np
 
 import diverank.autodiff as ad
-from diverank.accuracy import (
-    Impressions,
-    init_scorer_params,
-    score_logits,
-    train_scorer,
-)
+from diverank.accuracy import Impressions, init_scorer_params, train_scorer
 
 DIM = 4
 
@@ -43,16 +38,9 @@ def make_impressions(rng, n=80):
 
 
 def probability(embedding, h_prev, h_cand, params):
-    zero = ad.constant(np.zeros(DIM))
-    with ad.no_grad():
-        logits = score_logits(
-            ad.constant(embedding.reshape(1, -1)),
-            zero, zero,
-            ad.constant(h_prev), ad.constant(h_cand),
-            params,
-        )
-        expd = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        return float((expd / expd.sum(axis=1, keepdims=True))[0, 1])
+    zero = np.zeros(DIM)
+    logits = ad.score_logits(embedding, zero, zero, h_prev, h_cand, params)
+    return float(ad.softmax(logits)[0, 1])
 
 
 def main():
@@ -106,11 +94,10 @@ def main():
 
     section("4. A zero learning rate changes nothing, bit for bit")
     frozen = init_scorer_params(DIM, np.random.default_rng(2))
-    before = {k: t.data.copy() for k, t in frozen.tensors().items()}
+    before = {k: w.copy() for k, w in frozen.arrays().items()}
     train_scorer(impressions, {}, frozen, lr=0.0, epochs=2, seed=0)
-    same = all(np.array_equal(before[k], t.data)
-               for k, t in frozen.tensors().items())
-    print("all tensors identical after a full lr=0 training loop:", same)
+    same = all(np.array_equal(before[k], w) for k, w in frozen.arrays().items())
+    print("all parameters identical after a full lr=0 training loop:", same)
 
 
 if __name__ == "__main__":

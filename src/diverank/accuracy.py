@@ -8,10 +8,11 @@ context drives a squeeze-excitation gate sigma(W2 relu(W1 ctx)) in
 vectors, and the seven resulting d-vectors feed a small MLP ending in a
 two-logit softmax.
 
-Training records two autodiff ops per step: `score_logits` and
-`cross_entropy` are each one op with an analytic backward, checked bit
-for bit against the composed primitive graph in the tests.  Inference
-(`score_batch`) runs in plain numpy.
+Training runs on plain arrays: each minibatch is one call of
+`autodiff.backward`, which returns the loss and all eight parameter
+gradients from analytic backwards that the tests hold bit for bit to the
+composed graph of tape primitives.  Inference (`score_batch`) folds the
+forward into one matmul per call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError
 from .interests import InterestProfile
 from .metrics import auc
@@ -68,16 +68,19 @@ def update_context(ctx: ContextState, embedding: np.ndarray) -> ContextState:
 
 @dataclass
 class ScorerParams:
-    """Excitation gates (one pair of matrices per context source) and MLP head."""
+    """Excitation gates (one pair of matrices per context source) and MLP head.
 
-    w1_prev: Tensor  # (d, d // reduction)
-    w2_prev: Tensor  # (d // reduction, d)
-    w1_cand: Tensor
-    w2_cand: Tensor
-    mlp_w1: Tensor  # (7d, hidden)
-    mlp_b1: Tensor  # (1, hidden)
-    mlp_w2: Tensor  # (hidden, 2)
-    mlp_b2: Tensor  # (1, 2)
+    Every field is a 2-D float64 array; training updates them in place.
+    """
+
+    w1_prev: np.ndarray  # (d, d // reduction)
+    w2_prev: np.ndarray  # (d // reduction, d)
+    w1_cand: np.ndarray
+    w2_cand: np.ndarray
+    mlp_w1: np.ndarray  # (7d, hidden)
+    mlp_b1: np.ndarray  # (1, hidden)
+    mlp_w2: np.ndarray  # (hidden, 2)
+    mlp_b2: np.ndarray  # (1, 2)
 
     @property
     def dim(self) -> int:
@@ -91,7 +94,7 @@ class ScorerParams:
     def hidden(self) -> int:
         return self.mlp_w1.shape[1]
 
-    def tensors(self) -> dict[str, Tensor]:
+    def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -100,9 +103,12 @@ def init_scorer_params(
     rng: np.random.Generator,
     reduction: int = 4,
     hidden: int | None = None,
-    requires_grad: bool = True,
 ) -> ScorerParams:
-    """Bottleneck width d/reduction (at least 1); hidden defaults to 4d."""
+    """Bottleneck width d/reduction (at least 1); hidden defaults to 4d.
+
+    Weights are Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) with fan_in their
+    row count, drawn in field order; biases start at zero.
+    """
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     if reduction < 1:
@@ -112,19 +118,21 @@ def init_scorer_params(
         hidden = 4 * dim
     if hidden < 1:
         raise ValidationError(f"hidden must be >= 1, got {hidden}")
-    params = ScorerParams(
-        w1_prev=ad.init_param(dim, bottleneck, rng),
-        w2_prev=ad.init_param(bottleneck, dim, rng),
-        w1_cand=ad.init_param(dim, bottleneck, rng),
-        w2_cand=ad.init_param(bottleneck, dim, rng),
-        mlp_w1=ad.init_param(7 * dim, hidden, rng),
-        mlp_b1=ad.zeros_param(1, hidden),
-        mlp_w2=ad.init_param(hidden, 2, rng),
-        mlp_b2=ad.zeros_param(1, 2),
+
+    def uniform(rows: int, cols: int) -> np.ndarray:
+        bound = 1.0 / np.sqrt(rows)
+        return rng.uniform(-bound, bound, size=(rows, cols))
+
+    return ScorerParams(
+        w1_prev=uniform(dim, bottleneck),
+        w2_prev=uniform(bottleneck, dim),
+        w1_cand=uniform(dim, bottleneck),
+        w2_cand=uniform(bottleneck, dim),
+        mlp_w1=uniform(7 * dim, hidden),
+        mlp_b1=np.zeros((1, hidden)),
+        mlp_w2=uniform(hidden, 2),
+        mlp_b2=np.zeros((1, 2)),
     )
-    for t in params.tensors().values():
-        t.requires_grad = requires_grad
-    return params
 
 
 def scorer_params_from_arrays(arrays: dict[str, np.ndarray]) -> ScorerParams:
@@ -147,116 +155,7 @@ def scorer_params_from_arrays(arrays: dict[str, np.ndarray]) -> ScorerParams:
             raise ValidationError(
                 f"checkpoint tensor scorer.{name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return ScorerParams(**{name: Tensor(arrays[name]) for name in expected})
-
-
-def _rows(t: Tensor, n: int, name: str, dim: int) -> np.ndarray:
-    """A constant input's (n, dim) rows; a single row is repeated n times.
-
-    Repeated rather than broadcast, because the composed graph tiled them
-    and a matmul's rounding can depend on the shapes it is given.
-    """
-    if t.requires_grad:
-        raise ValidationError(f"{name} must be a constant: only the scorer parameters get gradients")
-    rows, cols = t.shape
-    if cols != dim:
-        raise ValidationError(f"{name} must have {dim} columns, got {cols}")
-    if rows == n:
-        return t.data
-    if rows == 1:
-        return np.repeat(t.data, n, axis=0)
-    raise ValidationError(f"{name} must have 1 or {n} rows, got {rows}")
-
-
-def _gate(src: np.ndarray, w1: np.ndarray, w2: np.ndarray):
-    """Excitation gate sigma(relu(src W1) W2), with what its backward needs."""
-    pre = src @ w1
-    mask = pre > 0
-    hidden = np.where(mask, pre, 0.0)
-    return 1.0 / (1.0 + np.exp(-(hidden @ w2))), mask, hidden
-
-
-def _gate_grads(g, src, gate, mask, hidden, w2) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of W1 and W2 from the gradient `g` of the gate's output."""
-    g_pre_sigmoid = g * gate * (1.0 - gate)
-    g_hidden = g_pre_sigmoid @ w2.T
-    return src.T @ (g_hidden * mask), hidden.T @ g_pre_sigmoid
-
-
-def score_logits(
-    targets: Tensor,
-    h_macro: Tensor,
-    h_micro: Tensor,
-    h_prev: Tensor,
-    h_cand: Tensor,
-    params: ScorerParams,
-) -> Tensor:
-    """Two logits per target row, as one recorded op.
-
-    Feature layout per row: the raw target embedding, the target gated by
-    the previous and candidate contexts, then the macro and micro
-    interest vectors gated by each context.  Context and interest inputs
-    may be shared single rows or per-row matrices; all five are constants.
-
-    The backward is analytic and returns all eight parameter gradients at
-    once.  It repeats, operation for operation and in the same order, what
-    a tape of the composed graph (matmul, relu, sigmoid, elementwise
-    products, column concatenation, bias adds) would replay, so the tests
-    hold it bit for bit to that composed oracle.
-    """
-    n, d = targets.shape[0], params.dim
-    T = _rows(targets, n, "targets", d)
-    src_prev = _rows(h_prev, n, "h_prev", d)
-    src_cand = _rows(h_cand, n, "h_cand", d)
-    macro = _rows(h_macro, n, "h_macro", d)
-    micro = _rows(h_micro, n, "h_micro", d)
-    p = params
-    tensors = tuple(p.tensors().values())
-    prev = _gate(src_prev, p.w1_prev.data, p.w2_prev.data)
-    cand = _gate(src_cand, p.w1_cand.data, p.w2_cand.data)
-    gate_prev, gate_cand = prev[0], cand[0]
-    features = np.concatenate(
-        [
-            T,
-            T * gate_prev,
-            T * gate_cand,
-            macro * gate_prev,
-            micro * gate_prev,
-            macro * gate_cand,
-            micro * gate_cand,
-        ],
-        axis=1,
-    )
-    pre = features @ p.mlp_w1.data + p.mlp_b1.data
-    mask = pre > 0
-    hidden = np.where(mask, pre, 0.0)
-    logits = hidden @ p.mlp_w2.data + p.mlp_b2.data
-
-    def back(g: np.ndarray) -> None:
-        g_pre = (g @ p.mlp_w2.data.T) * mask
-        g_features = g_pre @ p.mlp_w1.data.T
-        block = [g_features[:, k * d : (k + 1) * d] for k in range(7)]
-        # Each gate sums its contributions in the order a tape replays them.
-        g_gate_cand = block[6] * micro
-        g_gate_cand += block[5] * macro
-        g_gate_prev = block[4] * micro
-        g_gate_prev += block[3] * macro
-        g_gate_cand += block[2] * T
-        g_gate_prev += block[1] * T
-        grads = (
-            *_gate_grads(g_gate_prev, src_prev, *prev, p.w2_prev.data),
-            *_gate_grads(g_gate_cand, src_cand, *cand, p.w2_cand.data),
-            features.T @ g_pre,
-            # A one-row bias gradient is passed on as is, keeping its -0.0s.
-            g_pre if n == 1 else g_pre.sum(axis=0, keepdims=True),
-            hidden.T @ g,
-            g if n == 1 else g.sum(axis=0, keepdims=True),
-        )
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad:
-                tensor.accumulate(grad)
-
-    return ad.record(logits, tensors, back)
+    return ScorerParams(**{name: np.asarray(arrays[name], dtype=np.float64) for name in expected})
 
 
 def score_batch(
@@ -267,7 +166,7 @@ def score_batch(
 ) -> np.ndarray:
     """Positive-class probability for each target row, gradient-free.
 
-    The plain-numpy inference form of `score_logits`.  Context and
+    The inference form of `autodiff.score_logits`.  Context and
     interest rows are shared by every target, so each gate is one (d,)
     vector, and gating the target columns equals scaling the rows of
     their `mlp_w1` block: (T * g) W = T (g[:, None] * W).  The three target
@@ -279,14 +178,14 @@ def score_batch(
     if targets.ndim == 1:
         targets = targets.reshape(1, -1)
     d = targets.shape[1]
-    w1, w2 = params.mlp_w1.data, params.mlp_w2.data
-    g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev.data, 0.0) @ params.w2_prev.data)
-    g_cand = _sigmoid(np.maximum(ctx.h_cand @ params.w1_cand.data, 0.0) @ params.w2_cand.data)
+    w1, w2 = params.mlp_w1, params.mlp_w2
+    g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
+    g_cand = _sigmoid(np.maximum(ctx.h_cand @ params.w1_cand, 0.0) @ params.w2_cand)
     weight = w1[:d] + g_prev[:, None] * w1[d : 2 * d] + g_cand[:, None] * w1[2 * d : 3 * d]
     macro, micro = profile.h_macro, profile.h_micro
     gated = np.concatenate([macro * g_prev, micro * g_prev, macro * g_cand, micro * g_cand])
-    row = gated @ w1[3 * d :] + params.mlp_b1.data[0]
-    b2 = params.mlp_b2.data[0]
+    row = gated @ w1[3 * d :] + params.mlp_b1[0]
+    b2 = params.mlp_b2[0]
     gap = np.maximum(targets @ weight + row, 0.0) @ (w2[:, 1] - w2[:, 0]) + (b2[1] - b2[0])
     return _sigmoid(gap)
 
@@ -294,33 +193,6 @@ def score_batch(
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-log(1 + e^-x)) neither overflows nor warns at any finite x.
     return np.exp(-np.logaddexp(0.0, -x))
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of binary labels under a row softmax.
-
-    One recorded op whose analytic backward repeats, in order, what a tape
-    of softmax, log, label pick, sum and scale would replay; the tests
-    hold it bit for bit to that composed oracle.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    n = logits.shape[0]
-    if labels.shape != (n,):
-        raise ValidationError("labels must align with logit rows")
-    onehot = np.zeros((n, 2))
-    onehot[np.arange(n), labels] = 1.0
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    picked = np.log(probs) * onehot
-    scale = -1.0 / n
-
-    def back(g: np.ndarray) -> None:
-        g_probs = np.full_like(picked, (g * scale)[0, 0]) * onehot / probs
-        inner = (g_probs * probs).sum(axis=1, keepdims=True)
-        logits.accumulate(probs * (g_probs - inner))
-
-    return ad.record(np.array([[picked.sum()]]) * scale, (logits,), back)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,10 +299,7 @@ def train_scorer(
     rows = np.fromiter(map(user_row.__getitem__, impressions.user_ids), np.intp, n)
     columns = (impressions.embeddings, macro[rows], micro[rows], impressions.h_prev, impressions.h_cand)
 
-    def logits_of(batch) -> Tensor:
-        return score_logits(*[ad.constant(c[batch]) for c in columns], params)
-
-    tensor_list = list(params.tensors().values())
+    weights = list(params.arrays().values())
     rng = np.random.default_rng(seed)
     curve: list[dict[str, float]] = []
     # Divergence is caught below as a non-finite loss or parameter, so
@@ -441,19 +310,17 @@ def train_scorer(
             losses: list[float] = []
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                with ad.Tape():
-                    loss = cross_entropy(logits_of(batch), labels_all[batch])
-                    ad.backward(loss)
-                losses.append(loss.item() * len(batch))
-                ad.sgd_step(tensor_list, lr)
+                loss, grads = ad.backward(*[c[batch] for c in columns], params, labels_all[batch])
+                losses.append(loss * len(batch))
+                for w, g in zip(weights, grads):
+                    w -= lr * g
             epoch_loss = float(np.sum(losses) / n)
-            if not math.isfinite(epoch_loss) or not all(np.isfinite(t.data).all() for t in tensor_list):
+            if not math.isfinite(epoch_loss) or not all(np.isfinite(w).all() for w in weights):
                 raise NumericalError(
                     f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); "
                     "lower the learning rate"
                 )
-            with ad.no_grad():
-                probs = ad.softmax_rows(logits_of(slice(None))).data[:, 1]
+            probs = ad.softmax(ad.score_logits(*columns, params))[:, 1]
             curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels_all, probs))})
     return curve
 

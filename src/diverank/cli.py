@@ -28,7 +28,6 @@ from .accuracy import (
     scorer_params_from_arrays,
     train_scorer,
 )
-from .autodiff import load_checkpoint, save_checkpoint
 from .clustering import (
     BipartiteGraph,
     assign_new_items,
@@ -46,11 +45,13 @@ from .data import (
     ValidationError,
     load_behaviors,
     load_candidates,
+    load_checkpoint,
     load_config,
     load_items,
     load_results,
     save_behaviors,
     save_candidates,
+    save_checkpoint,
     save_items,
     save_results,
 )
@@ -198,7 +199,7 @@ def cmd_train_scorer(args) -> None:
     )
 
     os.makedirs(args.out, exist_ok=True)
-    tensors = {f"scorer.{k}": v for k, v in params.tensors().items()}
+    tensors = {f"scorer.{k}": v for k, v in params.arrays().items()}
     meta = {"dim": table.dim, "reduction": args.reduction, "hidden": params.hidden}
     save_checkpoint(os.path.join(args.out, "checkpoint.json"), tensors, meta)
     save_profiles(os.path.join(args.out, "profiles.jsonl"), profiles)

@@ -1,9 +1,10 @@
 """Core record types, validation, and line-delimited JSON persistence.
 
 Every on-disk format used by the pipeline lives here: item and behavior
-lines, candidate sets, experiment configuration, and re-ranking results.
-Loaders fail fast with line numbers; serializers are deterministic so a
-pipeline re-run with the same seed writes byte-identical files.
+lines, candidate sets, experiment configuration, re-ranking results and
+scorer checkpoints.  Loaders fail fast with line numbers; serializers are
+deterministic so a pipeline re-run with the same seed writes
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -672,3 +673,50 @@ def load_config(path: str) -> ExperimentConfig:
     if unknown:
         raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
     return ExperimentConfig(**doc)
+
+
+# ----- checkpoint IO -----
+
+CHECKPOINT_VERSION = 1
+
+
+def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write named 2-D arrays as versioned JSON with shapes and row-major data."""
+    entries = []
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValidationError(f"checkpoint tensor {name!r} must be 2-D")
+        entries.append(
+            {"name": name, "shape": [int(arr.shape[0]), int(arr.shape[1])], "data": arr.reshape(-1).tolist()}
+        )
+    doc = {"version": CHECKPOINT_VERSION, "meta": meta or {}, "tensors": entries}
+    # One dumps call uses the C encoder; json.dump streams through the Python one.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+
+
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
+    """Read named finite 2-D arrays; a malformed document is a ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed checkpoint JSON ({exc.msg})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("checkpoint must be a JSON object")
+    version = doc.get("version")
+    if version != CHECKPOINT_VERSION:
+        raise ValidationError(f"unsupported checkpoint version {version!r}")
+    arrays: dict[str, np.ndarray] = {}
+    try:
+        for entry in doc["tensors"]:
+            name, (rows, cols), data = entry["name"], entry["shape"], entry["data"]
+            _check_id(name, "tensor name")
+            if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
+                raise ValueError(f"{name} shape must be two integers >= 0, got {entry['shape']!r}")
+            arrays[name] = _finite_vector(data, f"{name} data", rows * cols).reshape(rows, cols)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed checkpoint tensor ({exc})") from exc
+    return arrays, doc.get("meta", {})

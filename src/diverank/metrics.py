@@ -71,18 +71,6 @@ def auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def logloss(labels, probabilities) -> float:
-    """Mean binary cross-entropy; probabilities clamped to [1e-15, 1 - 1e-15]."""
-    labels = np.asarray(labels, dtype=np.float64)
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if labels.shape != probs.shape or labels.ndim != 1 or labels.size == 0:
-        raise ValidationError("labels and probabilities must be equal-length vectors")
-    if not np.all((labels == 0.0) | (labels == 1.0)):
-        raise ValidationError("labels must be binary")
-    clamped = np.clip(probs, 1e-15, 1.0 - 1e-15)
-    return float(-np.mean(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped)))
-
-
 def ilad(embeddings) -> float:
     """Intra-list average distance: mean pairwise (1 - cosine similarity).
 

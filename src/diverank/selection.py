@@ -15,14 +15,13 @@ run costs O(K^2 N) after the kernel is built.  Candidates whose d_i^2
 falls to the numerical floor are excluded; if nothing remains the short
 list is returned and flagged.
 
-Baselines with the same call shape: a frozen-score greedy DPP, maximal
-marginal relevance, and an exhaustive optimum for small instances.
+Baselines with the same call shape: a frozen-score greedy DPP and maximal
+marginal relevance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -207,40 +206,6 @@ def subset_objective(
         sign, logdet = np.linalg.slogdet(d_matrix[np.ix_(idx, idx)])
         value += alpha * logdet if sign > 0 else -np.inf
     return value
-
-
-def exhaustive_map(
-    kernel: KernelMatrix,
-    scores: np.ndarray,
-    alpha: float,
-    k: int,
-    max_n: int = 16,
-) -> tuple[tuple[int, ...], float]:
-    """Exact argmax of h over all size-k subsets, for small instances only.
-
-    Subsets are scanned in lexicographic index order and only a strictly
-    greater objective replaces the incumbent, so ties resolve to the
-    lexicographically smallest subset.  A singular submatrix scores
-    -inf.  Guarded to n <= max_n candidates.
-    """
-    n = kernel.size
-    if n > max_n:
-        raise ValidationError(f"exhaustive search is guarded to n <= {max_n}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (n,):
-        raise ValidationError("scores must align with the kernel")
-    if not 1 <= k <= n:
-        raise ValidationError("k must lie in [1, n]")
-    d_matrix = kernel.values
-    best_subset: tuple[int, ...] | None = None
-    best_value = -np.inf
-    for subset in combinations(range(n), k):
-        value = subset_objective(d_matrix, scores, np.asarray(subset), alpha)
-        if value > best_value:
-            best_value = value
-            best_subset = subset
-    assert best_subset is not None
-    return best_subset, best_value
 
 
 def mmr_select(

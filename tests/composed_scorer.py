@@ -1,20 +1,22 @@
 """The scorer and its loss as composed autodiff graphs: the test oracles.
 
-`accuracy.score_logits` and `accuracy.cross_entropy` are each one
-recorded op with a hand-written backward.  The graphs below are what they
-replace, built from tape primitives, so the tests can hold the fused ops'
-values and gradients to them bit for bit.  The five ops defined here are
-used by nothing but these oracles and the tests.
+`diverank.autodiff.backward` chains two hand-written backwards on plain
+arrays, one for the scorer and one for its loss.  The graphs below are
+what they replace, built from the primitives of the test tape (`tape`),
+so the tests can hold the fused forward, loss and gradients to them bit
+for bit.  The five ops defined here are used by nothing but these oracles
+and the tests.
 """
 
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-import diverank.autodiff as ad
+import tape as ad
 from diverank.accuracy import ScorerParams
-from diverank.autodiff import Tensor
 from diverank.data import ValidationError
+from tape import Tape, Tensor
 
 
 def scale(a: Tensor, s: float) -> Tensor:
@@ -86,9 +88,12 @@ def score_logits_oracle(
     h_micro: Tensor,
     h_prev: Tensor,
     h_cand: Tensor,
-    params: ScorerParams,
+    params: SimpleNamespace,
 ) -> Tensor:
-    """`accuracy.score_logits` as a graph of 20 recorded primitives."""
+    """`autodiff.score_logits` as a graph of 20 recorded primitives.
+
+    `params` holds a leaf tensor under each `ScorerParams` field name.
+    """
     n = targets.shape[0]
     gate_prev_src = _rows(h_prev, n, "h_prev")
     gate_cand_src = _rows(h_cand, n, "h_cand")
@@ -113,7 +118,7 @@ def score_logits_oracle(
 
 
 def cross_entropy_oracle(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """`accuracy.cross_entropy` as a graph of 5 recorded primitives."""
+    """The loss of `autodiff.backward` as a graph of 5 recorded primitives."""
     labels = np.asarray(labels, dtype=np.int64)
     n = logits.shape[0]
     if labels.shape != (n,):
@@ -122,3 +127,23 @@ def cross_entropy_oracle(logits: Tensor, labels: np.ndarray) -> Tensor:
     onehot[np.arange(n), labels] = 1.0
     picked = ad.mul_elementwise(log(ad.softmax_rows(logits)), ad.constant(onehot))
     return scale(ad.sum_all(picked), -1.0 / n)
+
+
+def composed_step(targets, h_macro, h_micro, h_prev, h_cand, params: ScorerParams, labels):
+    """One training step through the composed graph.
+
+    Returns the logits, the loss, the eight parameter gradients in
+    `ScorerParams` field order, and the number of ops the tape recorded.
+    """
+    leaves = {name: Tensor(w, requires_grad=True) for name, w in params.arrays().items()}
+    inputs = [ad.constant(a) for a in (targets, h_macro, h_micro, h_prev, h_cand)]
+    with Tape() as tape:
+        logits = score_logits_oracle(*inputs, SimpleNamespace(**leaves))
+        loss = cross_entropy_oracle(logits, labels)
+        ad.backward(loss)
+    return logits.data, loss.item(), tuple(t.grad for t in leaves.values()), len(tape)
+
+
+def composed_backward(targets, h_macro, h_micro, h_prev, h_cand, params: ScorerParams, labels):
+    """`autodiff.backward` through the composed graph: the loss and the eight gradients."""
+    return composed_step(targets, h_macro, h_micro, h_prev, h_cand, params, labels)[1:3]

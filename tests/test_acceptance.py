@@ -19,16 +19,14 @@ from diverank.accuracy import Impressions, init_scorer_params, train_scorer
 from diverank.clustering import BipartiteGraph, louvain, modularity
 from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestProfile
-import diverank.autodiff as ad
-from diverank.accuracy import cross_entropy, score_logits
 from diverank.kernels import KernelMatrix, composite_matrix
-from diverank.metrics import auc, ilad, logloss, ndcg_at_k
+from diverank.metrics import auc, ilad, ndcg_at_k
 from diverank.selection import (
     bs_dpp_select,
     constant_scorer,
-    exhaustive_map,
     profile_scorer,
 )
+from oracles import exhaustive_map, logloss
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -152,9 +150,9 @@ def test_criterion_03_duplicate_suppression(capsys):
 
 def test_criterion_04_gradient_suite(capsys):
     """Central finite differences must validate every scorer parameter
-    through score_logits and cross_entropy.  The interest vectors enter as
+    gradient that autodiff.backward returns.  The interest vectors enter as
     constants: pooling builds them without parameters."""
-    from test_autodiff import assert_grads_match
+    from test_autodiff import assert_scorer_grads_match
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
@@ -167,19 +165,14 @@ def test_criterion_04_gradient_suite(capsys):
             d, rng, reduction=int(rng.integers(2, 4)), hidden=int(rng.integers(4, 6))
         )
         n_rows = int(rng.integers(2, 5))
-        targets = ad.constant(rng.normal(size=(n_rows, d)))
-        h_macro = ad.constant(rng.normal(size=d))
-        h_micro = ad.constant(rng.normal(size=d))
-        h_prev = ad.constant(rng.normal(size=d))
-        h_cand = ad.constant(rng.normal(size=d))
+        targets = rng.normal(size=(n_rows, d))
+        h_macro = rng.normal(size=d)
+        h_micro = rng.normal(size=d)
+        h_prev = rng.normal(size=d)
+        h_cand = rng.normal(size=d)
         labels = np.array([(i + trial) % 2 for i in range(n_rows)])
-
-        def loss():
-            logits = score_logits(targets, h_macro, h_micro, h_prev, h_cand, scorer)
-            return cross_entropy(logits, labels)
-
         try:
-            assert_grads_match(loss, list(scorer.tensors().values()))
+            assert_scorer_grads_match([targets, h_macro, h_micro, h_prev, h_cand], scorer, labels)
         except AssertionError:
             failures.append(trial)
     elapsed = time.perf_counter() - t0
@@ -188,7 +181,7 @@ def test_criterion_04_gradient_suite(capsys):
         capsys, 4,
         ok,
         f"{instances - len(failures)}/{instances} scorer instances pass "
-        f"(rtol 1e-4, all gate/MLP tensors through score_logits and cross_entropy, "
+        f"(rtol 1e-4, all gate/MLP gradients of autodiff.backward, "
         f"interest vectors constant); {elapsed:.1f}s (< 60s)",
     )
     assert ok
@@ -413,6 +406,31 @@ def _bench_instance(rng, n, d):
     return KernelMatrix(ids=ids, values=values), cands, scores
 
 
+def _selection_n_factor(rng, rounds=9) -> float:
+    """How the K^2 coefficient of selection time scales from 2048 to 4096 candidates.
+
+    The b of t = a*K + b*K^2 is estimated per candidate count as
+    t(1024) - 2 t(512), from per-size medians.  Rounds interleave the four
+    (N, K) timings, as in `_kernel_build_slope`, so a slow scheduling
+    phase lands on every size instead of biasing one.
+    """
+    sizes, lengths = (2048, 4096), (512, 1024)
+    instances = {n: _bench_instance(rng, n, 16) for n in sizes}
+    configs = {k: ExperimentConfig(alpha=0.5, k=k) for k in lengths}
+    samples: dict[tuple[int, int], list[float]] = {(n, k): [] for n in sizes for k in lengths}
+    for round_ in range(rounds + 1):
+        for n in sizes:
+            kernel, cands, scores = instances[n]
+            for k in lengths:
+                t0 = time.perf_counter()
+                bs_dpp_select(cands, kernel, constant_scorer(scores), configs[k])
+                if round_:  # the first round is a warmup
+                    samples[n, k].append(time.perf_counter() - t0)
+    med = {key: float(np.median(times)) for key, times in samples.items()}
+    deltas = [med[n, 1024] - 2.0 * med[n, 512] for n in sizes]
+    return deltas[1] / deltas[0]
+
+
 def _kernel_build_slope(rounds=15) -> float:
     """Log-log slope of the composite kernel build over candidate count.
 
@@ -457,19 +475,8 @@ def test_criterion_07_complexity_contract(capsys):
     sel_slope = sel_slopes[1]
 
     # The b coefficient of t = a*K + b*K^2 must track the candidate count:
-    # same difference estimator at one K, two N values, median of 3 ratios.
-    instances = {n: _bench_instance(rng, n, 16) for n in (2048, 4096)}
-    factors = []
-    for _ in range(3):
-        deltas = []
-        for n in (2048, 4096):
-            kernel, cands, scores = instances[n]
-            deltas.append(
-                _selection_time(cands, kernel, scores, 1024)
-                - 2.0 * _selection_time(cands, kernel, scores, 512)
-            )
-        factors.append(deltas[1] / deltas[0])
-    n_factor = sorted(factors)[1]
+    # same difference estimator at one K, two N values.
+    n_factor = _selection_n_factor(rng)
 
     build_slope = _kernel_build_slope()
 
@@ -483,7 +490,7 @@ def test_criterion_07_complexity_contract(capsys):
     profile = InterestProfile(
         user_id="u", h_macro=rng2.normal(size=d), h_micro=rng2.normal(size=d)
     )
-    params = init_scorer_params(d, rng2, requires_grad=False)
+    params = init_scorer_params(d, rng2)
     cfg = ExperimentConfig(alpha=1.0, k=50)
     rerank_best = np.inf
     for _ in range(3):
@@ -528,10 +535,10 @@ def test_criterion_08_scorer_trainability(capsys):
     final_auc = curve[-1]["auc"]
 
     frozen = init_scorer_params(4, np.random.default_rng(2))
-    before = {name: t.data.copy() for name, t in frozen.tensors().items()}
+    before = {name: w.copy() for name, w in frozen.arrays().items()}
     train_scorer(impressions, {}, frozen, lr=0.0, epochs=3, seed=0)
     untouched = all(
-        np.array_equal(before[name], t.data) for name, t in frozen.tensors().items()
+        np.array_equal(before[name], w) for name, w in frozen.arrays().items()
     )
     ok = final_auc >= 0.95 and untouched
     announce(

@@ -2,8 +2,9 @@
 
 The forward oracle re-derives the whole score path with scalar loops:
 both excitation gates, the seven-block feature row, the ReLU hidden
-layer, and the two-logit softmax.  The fused training ops are held bit
-for bit to the composed autodiff graphs in `composed_scorer`.
+layer, and the two-logit softmax.  The training math of
+`diverank.autodiff` is held bit for bit to the composed autodiff graphs in
+`composed_scorer`.
 """
 
 import json
@@ -12,25 +13,22 @@ import math
 import numpy as np
 import pytest
 
-import diverank.accuracy as accuracy
 import diverank.autodiff as ad
-from composed_scorer import cross_entropy_oracle, score_logits_oracle
+from composed_scorer import composed_backward, composed_step
 from diverank.accuracy import (
     ContextState,
     build_impressions,
-    cross_entropy,
     init_scorer_params,
     initial_context,
     score_batch,
-    score_logits,
     scorer_params_from_arrays,
     train_scorer,
     update_context,
     Impressions,
 )
-from diverank.autodiff import Tensor
 from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError, load_behaviors
 from diverank.interests import InterestProfile
+from test_autodiff import assert_scorer_grads_match
 
 
 def sigmoid(x):
@@ -48,8 +46,8 @@ def gate_oracle(ctx, w1, w2):
 
 def score_oracle(target, h_macro, h_micro, h_prev, h_cand, params):
     """Scalar-loop positive-class probability for a single target row."""
-    g_prev = gate_oracle(h_prev, params.w1_prev.data, params.w2_prev.data)
-    g_cand = gate_oracle(h_cand, params.w1_cand.data, params.w2_cand.data)
+    g_prev = gate_oracle(h_prev, params.w1_prev, params.w2_prev)
+    g_cand = gate_oracle(h_cand, params.w1_cand, params.w2_cand)
     feats = []
     feats += list(target)
     feats += [t * g for t, g in zip(target, g_prev)]
@@ -59,11 +57,11 @@ def score_oracle(target, h_macro, h_micro, h_prev, h_cand, params):
     feats += [m * g for m, g in zip(h_macro, g_cand)]
     feats += [m * g for m, g in zip(h_micro, g_cand)]
     hidden = [
-        max(0.0, z + params.mlp_b1.data[0, i])
-        for i, z in enumerate(matvec(feats, params.mlp_w1.data))
+        max(0.0, z + params.mlp_b1[0, i])
+        for i, z in enumerate(matvec(feats, params.mlp_w1))
     ]
     logits = [
-        z + params.mlp_b2.data[0, i] for i, z in enumerate(matvec(hidden, params.mlp_w2.data))
+        z + params.mlp_b2[0, i] for i, z in enumerate(matvec(hidden, params.mlp_w2))
     ]
     m = max(logits)
     exp = [math.exp(z - m) for z in logits]
@@ -134,22 +132,15 @@ class TestScore:
         probs = score_batch(embs, profile, ctx, params)
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 1.0)
-        logits = score_logits(
-            ad.constant(embs),
-            ad.constant(profile.h_macro),
-            ad.constant(profile.h_micro),
-            ad.constant(ctx.h_prev),
-            ad.constant(ctx.h_cand),
-            params,
-        )
-        rows = ad.softmax_rows(logits).data
+        logits = ad.score_logits(embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params)
+        rows = ad.softmax(logits)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
     def test_logit_gap_affine_invariance(self, rng):
         # Scaling the output layer scales both logits, hence the gap, by the
         # same positive factor: the candidate ordering must not change.
         params = init_scorer_params(4, rng)
-        arrays = {name: t.data.copy() for name, t in params.tensors().items()}
+        arrays = {name: w.copy() for name, w in params.arrays().items()}
         arrays["mlp_w2"] = 3.5 * arrays["mlp_w2"]
         arrays["mlp_b2"] = 3.5 * arrays["mlp_b2"] + 0.7  # shared shift
         scaled = scorer_params_from_arrays(arrays)
@@ -165,22 +156,15 @@ class TestScore:
         profile = make_profile("u", rng, 4)
         embs = rng.normal(size=(4, 4))
         ctx = initial_context(embs)
-        shared = score_logits(
-            ad.constant(embs),
-            ad.constant(profile.h_macro),
-            ad.constant(profile.h_micro),
-            ad.constant(ctx.h_prev),
-            ad.constant(ctx.h_cand),
+        shared = ad.score_logits(embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params)
+        tiled = ad.score_logits(
+            embs,
+            np.tile(profile.h_macro, (4, 1)),
+            np.tile(profile.h_micro, (4, 1)),
+            np.tile(ctx.h_prev, (4, 1)),
+            np.tile(ctx.h_cand, (4, 1)),
             params,
-        ).data
-        tiled = score_logits(
-            ad.constant(embs),
-            ad.constant(np.tile(profile.h_macro, (4, 1))),
-            ad.constant(np.tile(profile.h_micro, (4, 1))),
-            ad.constant(np.tile(ctx.h_prev, (4, 1))),
-            ad.constant(np.tile(ctx.h_cand, (4, 1))),
-            params,
-        ).data
+        )
         np.testing.assert_allclose(shared, tiled, atol=1e-13)
 
 
@@ -226,16 +210,16 @@ class TestContext:
 
 class TestCrossEntropy:
     def test_matches_manual_value(self):
-        logits = ad.constant(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        logits = np.array([[2.0, 0.0], [0.0, 1.0]])
         labels = np.array([0, 1])
-        loss = cross_entropy(logits, labels).item()
+        loss = ad.cross_entropy(logits, labels)[0]
         p0 = math.exp(2.0) / (math.exp(2.0) + 1.0)
         p1 = math.exp(1.0) / (1.0 + math.exp(1.0))
         assert loss == pytest.approx(-(math.log(p0) + math.log(p1)) / 2.0, abs=1e-12)
 
     def test_label_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            cross_entropy(ad.constant(np.zeros((3, 2))), np.array([0, 1]))
+            ad.cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
 
 
 def impressions_oracle(log, table):
@@ -360,11 +344,11 @@ class TestTraining:
     def test_lr_zero_bit_identical_and_flat(self, rng):
         impressions = separable_impressions(rng, n=20)
         params = init_scorer_params(4, np.random.default_rng(1))
-        before = {name: t.data.copy() for name, t in params.tensors().items()}
+        before = {name: w.copy() for name, w in params.arrays().items()}
         profiles = {"u1": make_profile("u1", rng, 4)}
         curve = train_scorer(impressions, profiles, params, lr=0.0, epochs=3, seed=0)
-        for name, t in params.tensors().items():
-            assert np.array_equal(t.data, before[name]), name
+        for name, w in params.arrays().items():
+            assert np.array_equal(w, before[name]), name
         losses = [row["loss"] for row in curve]
         assert losses[0] == losses[1] == losses[2]
 
@@ -401,40 +385,31 @@ class TestTraining:
 
 class TestScorerGradients:
     def test_full_path_finite_difference(self, rng):
-        from test_autodiff import assert_grads_match
-
         params = init_scorer_params(3, rng, reduction=3, hidden=5)
-        targets = ad.constant(rng.normal(size=(4, 3)))
-        h_macro = ad.constant(rng.normal(size=3))
-        h_micro = ad.constant(rng.normal(size=3))
-        h_prev = ad.constant(rng.normal(size=3))
-        h_cand = ad.constant(rng.normal(size=3))
+        inputs = [rng.normal(size=(4, 3))] + [rng.normal(size=3) for _ in range(4)]
         labels = np.array([0, 1, 1, 0])
-
-        def loss():
-            logits = score_logits(targets, h_macro, h_micro, h_prev, h_cand, params)
-            return cross_entropy(logits, labels)
-
-        assert_grads_match(loss, list(params.tensors().values()))
+        assert_scorer_grads_match(inputs, params, labels)
 
 
 def assert_same_bits(got, want, what):
     """Equal values, NaNs in the same places and zeros of the same sign."""
+    got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape, what
     assert np.array_equal(got, want, equal_nan=True), what
     assert np.array_equal(np.signbit(got), np.signbit(want)), what
 
 
-def training_step(score_fn, loss_fn, params, inputs, labels):
-    """One recorded forward and backward; returns logits, loss, gradients and tape length."""
-    for t in params.tensors().values():
-        t.grad = None
-    with ad.Tape() as tape, np.errstate(all="ignore"):
-        logits = score_fn(*map(ad.constant, inputs), params)
-        loss = loss_fn(logits, labels)
-        ad.backward(loss)
-    grads = {name: t.grad.copy() for name, t in params.tensors().items()}
-    return logits.data, loss.data, grads, len(tape)
+def fused_step(inputs, params, labels):
+    """`composed_step`'s logits, loss and gradients from the library's training math."""
+    loss, grads = ad.backward(*inputs, params, labels)
+    return ad.score_logits(*inputs, params), loss, grads
+
+
+def scaled_params(d, rng, weight_scale):
+    params = init_scorer_params(d, rng)
+    for w in params.arrays().values():
+        w *= weight_scale
+    return params
 
 
 class TestFusedOpsMatchComposedOracle:
@@ -444,43 +419,32 @@ class TestFusedOpsMatchComposedOracle:
     @pytest.mark.parametrize("d", [1, 3, 16])  # d=3 with reduction 4: a bottleneck of 1
     def test_logits_loss_and_gradients_bit_identical(self, d, n, shared, weight_scale):
         rng = np.random.default_rng(100 * d + n)
-        params = init_scorer_params(d, rng)
-        for t in params.tensors().values():
-            t.data *= weight_scale
+        params = scaled_params(d, rng, weight_scale)
         rows = 1 if shared else n
         inputs = [rng.normal(size=(n, d))] + [rng.normal(size=(rows, d)) for _ in range(4)]
         labels = np.arange(n) % 2
-        fused = training_step(score_logits, cross_entropy, params, inputs, labels)
-        oracle = training_step(score_logits_oracle, cross_entropy_oracle, params, inputs, labels)
+        with np.errstate(all="ignore"):
+            fused = fused_step(inputs, params, labels)
+            oracle = composed_step(*inputs, params, labels)
         assert_same_bits(fused[0], oracle[0], "logits")
         assert_same_bits(fused[1], oracle[1], "loss")
-        for name, grad in oracle[2].items():
-            assert_same_bits(fused[2][name], grad, name)
+        for name, got, want in zip(params.arrays(), fused[2], oracle[2]):
+            assert_same_bits(got, want, name)
 
     def test_saturated_grid_reaches_nan_gradients(self):
         # The saturated cases above must exercise a softmax underflow.
         rng = np.random.default_rng(100 * 16 + 33)
-        params = init_scorer_params(16, rng)
-        for t in params.tensors().values():
-            t.data *= 50.0
+        params = scaled_params(16, rng, 50.0)
         inputs = [rng.normal(size=(33, 16)) for _ in range(5)]
-        _, loss, grads, _ = training_step(score_logits, cross_entropy, params, inputs, np.arange(33) % 2)
-        assert np.isnan(loss).all() and any(np.isnan(g).any() for g in grads.values())
+        with np.errstate(all="ignore"):
+            loss, grads = ad.backward(*inputs, params, np.arange(33) % 2)
+        assert np.isnan(loss) and any(np.isnan(g).any() for g in grads)
 
-    def test_one_training_step_records_two_ops(self, rng):
+    def test_composed_oracle_step_records_25_ops(self, rng):
         params = init_scorer_params(4, rng)
         inputs = [rng.normal(size=(5, 4)), *(rng.normal(size=(1, 4)) for _ in range(4))]
         labels = np.array([0, 1, 1, 0, 1])
-        assert training_step(score_logits, cross_entropy, params, inputs, labels)[3] == 2
-        assert training_step(score_logits_oracle, cross_entropy_oracle, params, inputs, labels)[3] == 25
-
-    @pytest.mark.parametrize("position", range(5))
-    def test_input_requiring_gradient_is_rejected(self, rng, position):
-        params = init_scorer_params(3, rng)
-        inputs = [ad.constant(rng.normal(size=(2, 3))) for _ in range(5)]
-        inputs[position].requires_grad = True
-        with pytest.raises(ValidationError, match="constant"):
-            score_logits(*inputs, params)
+        assert composed_step(*inputs, params, labels)[3] == 25
 
     def test_training_run_matches_composed_oracle(self, rng, monkeypatch):
         impressions = separable_impressions(rng, n=70)
@@ -492,9 +456,57 @@ class TestFusedOpsMatchComposedOracle:
             return params, curve
 
         fused_params, fused_curve = train()
-        monkeypatch.setattr(accuracy, "score_logits", score_logits_oracle)
-        monkeypatch.setattr(accuracy, "cross_entropy", cross_entropy_oracle)
+        monkeypatch.setattr(ad, "backward", composed_backward)
         oracle_params, oracle_curve = train()
         assert fused_curve == oracle_curve
-        for name, t in oracle_params.tensors().items():
-            assert fused_params.tensors()[name].data.tobytes() == t.data.tobytes(), name
+        for name, w in oracle_params.arrays().items():
+            assert fused_params.arrays()[name].tobytes() == w.tobytes(), name
+
+
+class TestTrainingCallsBackward:
+    """`train_scorer` reaches the gradients only through `autodiff.backward`,
+    looked up on the module once per minibatch, so a wrapper there sees
+    every step."""
+
+    @pytest.mark.parametrize("n, batch_size, epochs", [(70, 32, 2), (64, 32, 3), (5, 8, 1), (33, 1, 1)])
+    def test_one_call_per_minibatch_and_unchanged_results(self, rng, monkeypatch, n, batch_size, epochs):
+        impressions = separable_impressions(rng, n=n)
+        profiles = {"u1": make_profile("u1", rng, 4)}
+
+        def train():
+            params = init_scorer_params(4, np.random.default_rng(7))
+            curve = train_scorer(impressions, profiles, params, 0.1, epochs, seed=3, batch_size=batch_size)
+            return params, curve
+
+        plain_params, plain_curve = train()
+        calls = []
+        original = ad.backward
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(ad, "backward", counted)
+        wrapped_params, wrapped_curve = train()
+        assert len(calls) == epochs * math.ceil(n / batch_size)
+        assert sum(calls) == epochs * n
+        assert wrapped_curve == plain_curve
+        for name, w in plain_params.arrays().items():
+            assert wrapped_params.arrays()[name].tobytes() == w.tobytes(), name
+
+
+class TestInit:
+    def test_draws_fan_in_uniforms_in_field_order(self):
+        d, reduction, hidden = 6, 3, 5
+        params = init_scorer_params(d, np.random.default_rng(9), reduction=reduction, hidden=hidden)
+        rng = np.random.default_rng(9)
+        b = d // reduction
+        shapes = {"w1_prev": (d, b), "w2_prev": (b, d), "w1_cand": (d, b), "w2_cand": (b, d),
+                  "mlp_w1": (7 * d, hidden), "mlp_w2": (hidden, 2)}
+        for name, w in params.arrays().items():
+            if name in shapes:
+                bound = 1.0 / np.sqrt(shapes[name][0])
+                want = rng.uniform(-bound, bound, size=shapes[name])
+            else:
+                want = np.zeros((1, hidden if name == "mlp_b1" else 2))
+            assert w.dtype == np.float64 and w.tobytes() == want.tobytes(), name

@@ -1,307 +1,94 @@
-"""Reverse-mode autodiff tests.
+"""Tests of the scorer's training math on plain arrays.
 
-The gradient oracle is central finite differences computed directly on
-the forward function, independent of the tape machinery: for each
-parameter entry p, grad ~ (f(p+h) - f(p-h)) / 2h with h=1e-5.
+The gradient oracle is central finite differences of the loss
+(`oracles.finite_difference`), independent of the analytic backwards; the
+bit-for-bit oracle, the composed tape graph, is held to `backward` in
+`test_accuracy`.
 """
 
 import numpy as np
 import pytest
 
 import diverank.autodiff as ad
-from composed_scorer import concat_cols, log, scale, sigmoid
-from diverank.autodiff import Tape, Tensor
+from diverank.accuracy import init_scorer_params
 from diverank.data import ValidationError
+from oracles import finite_difference
 
-FD_STEP = 1e-5
 FD_RTOL = 1e-4
 
 
-def finite_difference(loss_fn, params):
-    """Central-difference gradients of loss_fn() w.r.t. each Tensor in params."""
-    grads = []
-    for p in params:
-        grad = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + FD_STEP
-            hi = loss_fn()
-            flat[idx] = keep - FD_STEP
-            lo = loss_fn()
-            flat[idx] = keep
-            grad_flat[idx] = (hi - lo) / (2.0 * FD_STEP)
-        grads.append(grad)
-    return grads
+def assert_scorer_grads_match(inputs, params, labels):
+    """Check `autodiff.backward`'s gradients against central differences of the loss."""
+    _, analytic = ad.backward(*inputs, params, labels)
+
+    def loss():
+        return ad.cross_entropy(ad.score_logits(*inputs, params), labels)[0]
+
+    numeric = finite_difference(loss, params.arrays().values())
+    for name, a, n in zip(params.arrays(), analytic, numeric):
+        np.testing.assert_allclose(a, n, rtol=FD_RTOL, atol=1e-7, err_msg=name)
 
 
-def assert_grads_match(loss_builder, params):
-    """Check tape gradients against the finite-difference oracle."""
-    for p in params:
-        p.requires_grad = True
-        p.grad = None
-    with Tape():
-        loss = loss_builder()
-        ad.backward(loss)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-
-    def eval_loss():
-        with ad.no_grad():
-            return loss_builder().item()
-
-    numeric = finite_difference(eval_loss, params)
-    for a, n in zip(analytic, numeric):
-        np.testing.assert_allclose(a, n, rtol=FD_RTOL, atol=1e-7)
+def scorer_case(rng, d=4, n=5, shared=True):
+    params = init_scorer_params(d, rng)
+    rows = 1 if shared else n
+    inputs = [rng.normal(size=(n, d))] + [rng.normal(size=(rows, d)) for _ in range(4)]
+    return params, inputs, np.arange(n) % 2
 
 
-class TestForwardValues:
-    def test_matmul_arithmetic(self):
-        out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-        assert out.data.tolist() == [[11.0]]
+class TestSoftmax:
+    def test_symmetric_logits_split_evenly(self):
+        assert ad.softmax(np.array([[0.0, 0.0]])).tolist() == [[0.5, 0.5]]
 
-    def test_softmax_symmetry(self):
-        out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
-        assert out.data.tolist() == [[0.5, 0.5]]
-
-    def test_relu_definition(self):
-        out = ad.relu(Tensor([[-1.0, 2.0]]))
-        assert out.data.tolist() == [[0.0, 2.0]]
-
-    def test_softmax_rows_sum_to_one(self, rng):
-        x = Tensor(rng.normal(size=(5, 7)))
-        out = ad.softmax_rows(x).data
+    def test_rows_sum_to_one(self, rng):
+        out = ad.softmax(rng.normal(size=(5, 7)))
         assert np.all(out >= 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_softmax_overflow_safe(self):
-        out = ad.softmax_rows(Tensor([[1000.0, 0.0]])).data
+    def test_overflow_safe(self):
+        out = ad.softmax(np.array([[1000.0, 0.0]]))
         assert np.isfinite(out).all()
         assert out[0, 0] == pytest.approx(1.0)
 
-    def test_one_dim_input_becomes_row(self):
-        t = Tensor(np.array([1.0, 2.0, 3.0]))
-        assert t.shape == (1, 3)
 
-    def test_three_dim_rejected(self):
-        with pytest.raises(ValidationError):
-            Tensor(np.zeros((2, 2, 2)))
-
-
-class TestScalarGradients:
-    def test_x_squared_at_three(self):
-        x = Tensor([[3.0]], requires_grad=True)
-        with Tape():
-            loss = ad.mul_elementwise(x, x)
-            ad.backward(loss)
-        assert x.grad.tolist() == [[6.0]]
-
-    def test_softmax_cross_entropy_identity(self):
-        # d(CE)/d(logits) = softmax(logits) - onehot, the standard identity.
-        logits = Tensor([[0.2, -0.4, 1.1]], requires_grad=True)
-        onehot = np.array([[0.0, 1.0, 0.0]])
-        with Tape():
-            log_probs = log(ad.softmax_rows(logits))
-            loss = scale(ad.sum_all(ad.mul_elementwise(log_probs, ad.constant(onehot))), -1.0)
-            ad.backward(loss)
-        expected = ad.softmax_rows(ad.constant(logits.data)).data - onehot
-        np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
+class TestCrossEntropy:
+    def test_logit_gradient_is_softmax_minus_onehot_over_n(self, rng):
+        # d(mean CE)/d(logits) = (softmax(logits) - onehot) / n, the standard identity.
+        logits = rng.normal(size=(4, 2))
+        labels = np.array([0, 1, 1, 0])
+        _, grad = ad.cross_entropy(logits, labels)
+        onehot = np.eye(2)[labels]
+        np.testing.assert_allclose(grad, (ad.softmax(logits) - onehot) / 4, atol=1e-15)
 
 
-class TestPrimitiveGradients:
-    """Finite-difference checks for every primitive on random inputs <= 8x8."""
+class TestScoreLogits:
+    def test_one_dim_inputs_are_single_rows(self, rng):
+        params, inputs, _ = scorer_case(rng, n=1)
+        as_rows = ad.score_logits(*inputs, params)
+        as_vectors = ad.score_logits(*[a.reshape(-1) for a in inputs], params)
+        assert as_vectors.tobytes() == as_rows.tobytes()
 
-    def test_matmul(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=(3, 5)))
-        assert_grads_match(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
+    @pytest.mark.parametrize("position", range(5))
+    def test_input_of_wrong_width_is_rejected(self, rng, position):
+        params, inputs, _ = scorer_case(rng, d=3, n=2, shared=False)
+        inputs[position] = np.zeros((2, 4))
+        with pytest.raises(ValidationError, match="columns"):
+            ad.score_logits(*inputs, params)
 
-    def test_add_and_row_broadcast(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=(1, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.add(a, b)), [a, b])
-
-    def test_mul_elementwise_row_broadcast(self, rng):
-        a = Tensor(rng.normal(size=(4, 3)))
-        b = Tensor(rng.normal(size=(1, 3)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(a, b)), [a, b])
-
-    def test_softmax_rows(self, rng):
-        a = Tensor(rng.normal(size=(4, 5)))
-        weight = ad.constant(rng.normal(size=(4, 5)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(ad.softmax_rows(a), weight)), [a])
-
-    def test_relu(self, rng):
-        a = Tensor(rng.normal(size=(4, 4)) + 0.3)  # keep entries off the kink
-        a.data[np.abs(a.data) < 1e-3] = 0.5
-        assert_grads_match(lambda: ad.sum_all(ad.relu(a)), [a])
-
-    def test_sum_all(self, rng):
-        a = Tensor(rng.normal(size=(3, 5)))
-        # The scale makes the upstream gradient -3, not the loss seed 1.
-        assert_grads_match(lambda: scale(ad.sum_all(a), -3.0), [a])
+    def test_context_of_wrong_row_count_is_rejected(self, rng):
+        params, inputs, _ = scorer_case(rng, n=4)
+        inputs[3] = np.zeros((3, 4))
+        with pytest.raises(ValidationError, match="1 or 4 rows"):
+            ad.score_logits(*inputs, params)
 
 
-class TestCompositeGradients:
-    def test_two_layer_network(self, rng):
-        x = ad.constant(rng.normal(size=(5, 4)))
-        w1 = Tensor(rng.normal(size=(4, 6)))
-        b1 = Tensor(rng.normal(size=(1, 6)))
-        w2 = Tensor(rng.normal(size=(6, 2)))
-        y = np.zeros((5, 2))
-        y[np.arange(5), rng.integers(0, 2, size=5)] = 1.0
-
-        def loss():
-            hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
-            logits = ad.matmul(hidden, w2)
-            picked = ad.mul_elementwise(log(ad.softmax_rows(logits)), ad.constant(y))
-            return scale(ad.sum_all(picked), -1.0 / 5)
-
-        assert_grads_match(loss, [w1, b1, w2])
-
-    def test_backward_bit_deterministic(self, rng):
-        w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-        x = ad.constant(rng.normal(size=(3, 4)))
-
-        def run():
-            w.grad = None
-            with Tape():
-                loss = ad.sum_all(sigmoid(ad.matmul(x, w)))
-                ad.backward(loss)
-            return w.grad.copy()
-
-        g1, g2 = run(), run()
-        assert np.array_equal(g1, g2)
-
-
-class TestTapeDiscipline:
-    def test_no_tape_no_backward(self):
-        x = Tensor([[2.0]], requires_grad=True)
-        loss = ad.mul_elementwise(x, x)
-        with pytest.raises(ValidationError):
-            ad.backward(loss)
-
-    def test_no_grad_suppresses_recording(self):
-        x = Tensor([[2.0]], requires_grad=True)
-        with Tape() as tape:
-            with ad.no_grad():
-                ad.mul_elementwise(x, x)
-            assert len(tape) == 0
-
-    def test_non_scalar_loss_rejected(self):
-        x = Tensor([[1.0, 2.0]], requires_grad=True)
-        with Tape():
-            out = scale(x, 2.0)
-            with pytest.raises(ValidationError):
-                ad.backward(out)
-
-
-class TestGradientBuffers:
-    """A tensor's first gradient may be a view of, or the very array that
-    is, another tensor's gradient; storing it must not alias the two."""
-
-    def test_add_passthrough_is_not_shared(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        with Tape():
-            d = scale(b, 2.0)  # replayed last: accumulates into b after the add
-            c = ad.add(a, b)  # same shapes: both operands receive the upstream array
-            ad.backward(ad.sum_all(ad.add(c, d)))
-        assert np.array_equal(a.grad, np.ones((2, 3)))
-        assert np.array_equal(b.grad, np.full((2, 3), 3.0))
-        assert np.array_equal(c.grad, np.ones((2, 3)))
-
-    def test_concat_slice_keeps_its_value(self, rng):
-        a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 1)), requires_grad=True)
-        e = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        with Tape():
-            f = scale(e, 2.0)  # replayed last: accumulates into e's buffer
-            out = concat_cols([a, b])  # a and b receive column slices of out's gradient
-            ad.backward(ad.sum_all(ad.add(ad.add(out, e), f)))
-        assert np.array_equal(a.grad, np.ones((2, 2)))
-        assert np.array_equal(b.grad, np.ones((2, 1)))
-        assert np.array_equal(out.grad, np.ones((2, 3)))
-        assert np.array_equal(e.grad, np.full((2, 3), 3.0))
-
-    def test_first_gradient_is_copied_and_shape_checked(self):
-        t = Tensor(np.zeros((2, 3)), requires_grad=True)
-        for bad in (np.ones((1, 3)), np.ones((3, 2)), np.ones((2, 3, 1))):
-            with pytest.raises(ValidationError, match="gradient shape"):
-                t.accumulate(bad)
-        assert t.grad is None
-        g = np.ones((2, 3))
-        t.accumulate(g)
-        g += 5.0
-        assert np.array_equal(t.grad, np.ones((2, 3)))
-
-
-class TestSgd:
-    def test_single_step_arithmetic(self):
-        p = Tensor([[1.0]], requires_grad=True)
-        p.grad = np.array([[2.0]])
-        ad.sgd_step([p], lr=0.1)
-        assert p.data.tolist() == [[0.8]]
-        assert p.grad is None  # cleared for the next step
-
-    def test_lr_zero_is_identity(self):
-        p = Tensor([[1.5, -2.0]], requires_grad=True)
-        p.grad = np.array([[1.0, 1.0]])
-        before = p.data.copy()
-        ad.sgd_step([p], lr=0.0)
-        assert np.array_equal(p.data, before)
-
-    def test_missing_grad_rejected(self):
-        p = Tensor([[1.0]], requires_grad=True)
-        with pytest.raises(ValidationError):
-            ad.sgd_step([p], lr=0.1)
-
-    def test_two_steps_decrease_quadratic(self):
-        p = Tensor([[3.0]], requires_grad=True)
-
-        def loss_value():
-            return float(p.data[0, 0] ** 2)
-
-        losses = [loss_value()]
-        for _ in range(2):
-            with Tape():
-                loss = ad.mul_elementwise(p, p)
-                ad.backward(loss)
-            ad.sgd_step([p], lr=0.05)
-            losses.append(loss_value())
-        assert losses[1] < losses[0]
-        assert losses[2] < losses[1]
-
-
-class TestInit:
-    def test_init_param_scale(self, rng):
-        t = ad.init_param(16, 8, rng)
-        bound = 1.0 / np.sqrt(16)
-        assert t.data.shape == (16, 8)
-        assert np.all(np.abs(t.data) <= bound)
-        assert t.data.std() > 0.1 * bound
-
-    def test_zeros_param(self):
-        t = ad.zeros_param(2, 3)
-        assert np.array_equal(t.data, np.zeros((2, 3)))
-
-
-class TestCheckpoint:
-    def test_round_trip_with_meta(self, tmp_path, rng):
-        path = str(tmp_path / "ckpt.json")
-        tensors = {
-            "layer.w": Tensor(rng.normal(size=(3, 4))),
-            "layer.b": rng.normal(size=(1, 4)),
-        }
-        ad.save_checkpoint(path, tensors, meta={"dim": 4, "note": "x"})
-        arrays, meta = ad.load_checkpoint(path)
-        assert set(arrays) == {"layer.w", "layer.b"}
-        np.testing.assert_array_equal(arrays["layer.w"], tensors["layer.w"].data)
-        assert meta["dim"] == 4
-        assert meta["note"] == "x"
-
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"version": 999}\n')
-        with pytest.raises(ValidationError):
-            ad.load_checkpoint(str(path))
+class TestBackward:
+    def test_bit_deterministic_and_leaves_its_arguments_alone(self, rng):
+        params, inputs, labels = scorer_case(rng, n=7, shared=False)
+        before = [a.copy() for a in (*inputs, *params.arrays().values())]
+        first, second = ad.backward(*inputs, params, labels), ad.backward(*inputs, params, labels)
+        assert first[0] == second[0]
+        for a, b in zip(first[1], second[1]):
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(before, (*inputs, *params.arrays().values())):
+            assert a.tobytes() == b.tobytes()

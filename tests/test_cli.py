@@ -18,13 +18,14 @@ import pytest
 
 from diverank import cli
 from diverank.accuracy import init_scorer_params
-from diverank.autodiff import load_checkpoint, save_checkpoint
 from diverank.data import (
     CandidateSet,
     ExperimentConfig,
     load_candidates,
+    load_checkpoint,
     load_results,
     save_candidates,
+    save_checkpoint,
 )
 from diverank.interests import InterestProfile, save_profiles
 
@@ -328,10 +329,10 @@ def write_duplicate_fixture(root):
     )
     save_candidates(root / "candidates.jsonl", [cands])
     save_profiles(root / "profiles.jsonl", [])
-    params = init_scorer_params(2, np.random.default_rng(0), requires_grad=False)
-    for t in params.tensors().values():
-        t.data[...] = 0.0
-    tensors = {f"scorer.{k}": v for k, v in params.tensors().items()}
+    params = init_scorer_params(2, np.random.default_rng(0))
+    for w in params.arrays().values():
+        w[...] = 0.0
+    tensors = {f"scorer.{k}": v for k, v in params.arrays().items()}
     save_checkpoint(root / "checkpoint.json", tensors, {"dim": 2})
     return root
 

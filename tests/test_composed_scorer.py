@@ -1,14 +1,14 @@
 """Finite-difference checks of the ops that only the composed oracles use.
 
 The ops live in `composed_scorer`, beside the oracle graphs of the scorer
-and its loss; the oracle itself is checked against the fused ops in
-`test_accuracy`.
+and its loss; the oracle itself is checked against the library's
+analytic backward in `test_accuracy`.
 """
 
-import diverank.autodiff as ad
+import tape as ad
 from composed_scorer import concat_cols, log, scale, sigmoid, tile_rows
-from diverank.autodiff import Tensor
-from test_autodiff import assert_grads_match
+from tape import Tensor
+from test_tape import assert_grads_match
 
 
 class TestPrimitiveGradients:

@@ -21,11 +21,13 @@ from diverank.data import (
     _finite_vector,
     load_behaviors,
     load_candidates,
+    load_checkpoint,
     load_config,
     load_items,
     load_results,
     save_behaviors,
     save_candidates,
+    save_checkpoint,
     save_items,
     save_results,
 )
@@ -412,3 +414,24 @@ class TestNumberRule:
             assert embs.dtype == np.float64
             assert embs.shape == ((len(rows), len(want[0])) if rows else (0, 0))
             assert embs.tolist() == want
+
+
+class TestCheckpoint:
+    def test_round_trip_with_meta(self, tmp_path, rng):
+        path = str(tmp_path / "ckpt.json")
+        arrays = {
+            "layer.w": rng.normal(size=(3, 4)),
+            "layer.b": rng.normal(size=(1, 4)),
+        }
+        save_checkpoint(path, arrays, meta={"dim": 4, "note": "x"})
+        loaded, meta = load_checkpoint(path)
+        assert set(loaded) == {"layer.w", "layer.b"}
+        np.testing.assert_array_equal(loaded["layer.w"], arrays["layer.w"])
+        assert meta["dim"] == 4
+        assert meta["note"] == "x"
+
+    def test_corrupt_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": 999}\n')
+        with pytest.raises(ValidationError):
+            load_checkpoint(str(path))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from diverank.data import ValidationError
-from diverank.metrics import auc, dcg_at_k, ilad, logloss, ndcg_at_k
+from diverank.metrics import auc, dcg_at_k, ilad, ndcg_at_k
+from oracles import logloss
 
 
 def pairwise_cosine_distance_mean(vectors):

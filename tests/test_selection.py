@@ -24,11 +24,11 @@ from diverank.selection import (
     bs_dpp_select,
     constant_scorer,
     cosine_similarity_fn,
-    exhaustive_map,
     fixed_score_dpp_select,
     mmr_select,
     profile_scorer,
 )
+from oracles import exhaustive_map
 
 
 def make_candidates(scores, dim=2, embs=None):
@@ -386,13 +386,12 @@ class TestProfileScorer:
     )
     def test_every_step_matches_autodiff_oracle(self, n, d, hidden, w2_scale):
         # Rebuild each step's context from the chosen order and hold the
-        # folded plain-numpy forward to the autodiff graph it replaces.
+        # folded forward to the training forward it replaces.
         from diverank import autodiff as ad
         from diverank.accuracy import (
             init_scorer_params,
             initial_context,
             score_batch,
-            score_logits,
             update_context,
         )
         from diverank.interests import InterestProfile
@@ -401,8 +400,8 @@ class TestProfileScorer:
         embs = rng.normal(size=(n, d))
         cands = make_candidates(rng.random(n), embs=embs)
         profile = InterestProfile("u1", h_macro=rng.normal(size=d), h_micro=rng.normal(size=d))
-        params = init_scorer_params(d, rng, hidden=hidden, requires_grad=False)
-        params.mlp_w2.data *= w2_scale
+        params = init_scorer_params(d, rng, hidden=hidden)
+        params.mlp_w2 *= w2_scale
         cfg = ExperimentConfig(k=10, alpha=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -420,16 +419,10 @@ class TestProfileScorer:
                     ctx = update_context(ctx, embs[j])
                 got = score_batch(embs, profile, ctx, params)
                 np.testing.assert_array_equal(got, step.scores)
-                with ad.no_grad():
-                    logits = score_logits(
-                        ad.constant(embs),
-                        ad.constant(profile.h_macro),
-                        ad.constant(profile.h_micro),
-                        ad.constant(ctx.h_prev),
-                        ad.constant(ctx.h_cand),
-                        params,
-                    )
-                    want = ad.softmax_rows(logits).data[:, 1]
+                logits = ad.score_logits(
+                    embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
+                )
+                want = ad.softmax(logits)[:, 1]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
                 assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
                 single = score_batch(embs[step.chosen], profile, ctx, params)  # 1-D target
