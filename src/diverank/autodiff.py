@@ -98,7 +98,8 @@ def _forward(targets, h_macro, h_micro, h_prev, h_cand, params):
             # A one-row bias gradient is passed on as is, keeping its -0.0s.
             g_pre if n == 1 else g_pre.sum(axis=0, keepdims=True),
             hidden.T @ g,
-            g if n == 1 else g.sum(axis=0, keepdims=True),
+            # No -0.0 to keep here: test_one_row_logit_gradient_holds_no_negative_zero.
+            g.sum(axis=0, keepdims=True),
         )
 
     return logits, back

@@ -1,8 +1,9 @@
 """Reference implementations that only the tests call.
 
 Each is slow or narrow by design: exhaustive subset search for the
-greedy selector, a clamped binary log-loss for the metric goldens, and
-central finite differences for every analytic gradient.
+greedy selector, a full check of a built kernel matrix, a clamped binary
+log-loss for the metric goldens, and central finite differences for every
+analytic gradient.
 """
 
 from __future__ import annotations
@@ -51,6 +52,15 @@ def exhaustive_map(
             best_subset = subset
     assert best_subset is not None
     return best_subset, best_value
+
+
+def assert_valid_kernel(values) -> None:
+    """Every entry finite and the matrix exactly symmetric: the O(n^2) check
+    that `composite_matrix` leaves to its diagonal and its mirror copies."""
+    values = np.asarray(values)
+    assert values.ndim == 2 and values.shape[0] == values.shape[1], values.shape
+    assert np.isfinite(values).all(), "kernel matrix contains non-finite entries"
+    assert np.array_equal(values, values.T), "kernel matrix is not exactly symmetric"
 
 
 def logloss(labels, probabilities) -> float:

@@ -8,6 +8,8 @@ bit-for-bit oracle, the composed tape graph, is held to `backward` in
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diverank.autodiff as ad
 from diverank.accuracy import init_scorer_params
@@ -15,6 +17,8 @@ from diverank.data import ValidationError
 from oracles import finite_difference
 
 FD_RTOL = 1e-4
+# Logits anywhere in [-800, 800], with the saturated and signed-zero ones drawn often.
+LOGITS = st.floats(-800.0, 800.0) | st.sampled_from([-800.0, -40.0, -0.0, 0.0, 40.0, 800.0])
 
 
 def assert_scorer_grads_match(inputs, params, labels):
@@ -59,6 +63,22 @@ class TestCrossEntropy:
         _, grad = ad.cross_entropy(logits, labels)
         onehot = np.eye(2)[labels]
         np.testing.assert_allclose(grad, (ad.softmax(logits) - onehot) / 4, atol=1e-15)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(LOGITS, min_size=2, max_size=2), st.integers(0, 1))
+    @example([40.0, -40.0], 0)
+    @example([40.0, -40.0], 1)
+    @example([800.0, -800.0], 0)
+    @example([800.0, -800.0], 1)
+    @example([-0.0, 0.0], 1)
+    def test_one_row_logit_gradient_holds_no_negative_zero(self, logits, label):
+        """So summing the `mlp_b2` gradient over one row keeps its bits.  Each
+        entry is p * (-1/p - inner) or p * (-0.0 - inner), with inner near -1,
+        so never -0.0.  A logit gap past about 709 overflows -1/p or rounds p
+        to 0, and the entries are NaN, which a sum keeps too."""
+        with np.errstate(all="ignore"):
+            _, grad = ad.cross_entropy(np.array([logits]), [label])
+        assert not np.any((grad == 0.0) & np.signbit(grad)), grad
 
 
 class TestScoreLogits:

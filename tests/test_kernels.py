@@ -8,7 +8,9 @@ array per term with every factor applied.  `composite_matrix` computes
 the same products by blocks of rows; above n=256 they are gemm blocks,
 which round a few ulp differently from the oracle's one syrk of
 `V @ V.T`, so `composite_matrix` must match the oracle to `ORACLE_RTOL`
-and be exactly symmetric.
+and be exactly symmetric.  The library checks only the diagonal for
+finiteness, so every matrix built here is also held to the full check,
+`oracles.assert_valid_kernel`.
 """
 
 import math
@@ -17,20 +19,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diverank import kernels
 from diverank.data import ExperimentConfig, NumericalError, ValidationError
 from diverank.interests import InterestProfile
-from diverank.kernels import (
-    KernelMatrix,
-    composite_matrix,
-    modulated_vectors,
-    normalize_rows,
-)
+from diverank.kernels import KernelMatrix, modulated_vectors, normalize_rows
+from oracles import assert_valid_kernel
 
 # gemm row blocks against the oracle's one syrk: a relative gap of at most
 # 1.9e-15 measured over 12 sizes from 1 to 1200 x the 10 ORACLE_CONFIGS.
 ORACLE_RTOL = 1e-14
+
+
+def composite_matrix(ids, embeddings, profile, cfg) -> KernelMatrix:
+    """`kernels.composite_matrix`, its output held to `assert_valid_kernel`."""
+    kernel = kernels.composite_matrix(ids, embeddings, profile, cfg)
+    assert_valid_kernel(kernel.values)
+    return kernel
 
 
 def profile_of(h_macro, h_micro=None):
@@ -376,10 +383,12 @@ class TestRowBlocks:
         )
 
 
-def test_build_peak_is_under_1_6_matrices():
+def test_build_peak_is_under_1_3_matrices():
     """One n=800, d=16 build (three terms) allocates the n x n result, one
-    row block of scratch and the check's row blocks: under 1.6 n^2 floats.
-    A full-size scratch matrix would take it past 2 n^2."""
+    row block of scratch (0.10 n^2), the terms' (n, d) vectors (0.06 n^2)
+    and small per-block temporaries: 1.21 n^2 floats, under 1.3.  A
+    full-size scratch matrix would take it past 2 n^2, and an n x n
+    finiteness mask of the result past 1.3."""
     n, d = 800, 16
     rng = np.random.default_rng(8)
     embs = rng.normal(size=(n, d))
@@ -388,11 +397,12 @@ def test_build_peak_is_under_1_6_matrices():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        composite_matrix(ids, embs, prof, ExperimentConfig())
+        kernel = kernels.composite_matrix(ids, embs, prof, ExperimentConfig())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * n * n * 8
+    assert peak < 1.3 * n * n * 8
+    assert_valid_kernel(kernel.values)
 
 
 def symmetric(n, seed=0):
@@ -402,54 +412,116 @@ def symmetric(n, seed=0):
 
 def asymmetry_places(n):
     """(row, column) of a perturbed entry: in the first row, in the last row,
-    and, when there are two blocks, below the diagonal with its row and
-    column in different blocks of the symmetry check."""
-    block = KernelMatrix.SYMMETRY_BLOCK
+    and, past 128 rows, below the diagonal with its row past row 128 and its
+    column before it."""
     places = [(0, n - 1), (n - 1, n - 2)]
-    if n > block:
-        places.append((min(n - 1, block + 5), block - 1))
+    if n > 128:
+        places.append((min(n - 1, 128 + 5), 128 - 1))
     return places
 
 
-class TestKernelMatrixValidation:
+class TestValidKernelOracle:
     @pytest.mark.parametrize(
         "n, place",
         [(n, place) for n in (2, 127, 128, 129, 300) for place in asymmetry_places(n)],
     )
-    @pytest.mark.parametrize("gap, accepted", [(2e-12, False), (5e-13, True)])
-    def test_asymmetry_tolerance_at_every_place(self, n, place, gap, accepted):
+    @pytest.mark.parametrize("gap", [2e-12, 5e-13, "ulp"])
+    def test_asymmetry_rejected_at_every_place(self, n, place, gap):
         vals = symmetric(n)
-        vals[place] += gap
-        if accepted:
-            assert KernelMatrix(ids=tuple(map(str, range(n))), values=vals).values is vals
-        else:
-            with pytest.raises(ValidationError, match="not symmetric"):
-                KernelMatrix(ids=tuple(map(str, range(n))), values=vals)
+        assert_valid_kernel(vals)
+        vals[place] = np.nextafter(vals[place], np.inf) if gap == "ulp" else vals[place] + gap
+        with pytest.raises(AssertionError, match="not exactly symmetric"):
+            assert_valid_kernel(vals)
 
     @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_last_entry_rejected(self, n, bad):
         vals = symmetric(n)
         vals[-1, -1] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            KernelMatrix(ids=tuple(map(str, range(n))), values=vals)
+        with pytest.raises(AssertionError, match="non-finite"):
+            assert_valid_kernel(vals)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(AssertionError, match="not exactly symmetric"):
+            assert_valid_kernel(np.array([[1.0, 0.5], [0.4, 1.0]]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(AssertionError, match="non-finite"):
+            assert_valid_kernel(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+class TestKernelMatrixValidation:
+    def test_float64_values_kept_as_given(self):
+        """The builder vouches for its values; `KernelMatrix` checks only the shape."""
+        vals = symmetric(5)
+        vals[0, 1] = np.nan
+        assert KernelMatrix(ids=tuple(map(str, range(5))), values=vals).values is vals
 
     def test_empty_accepted(self):
         assert KernelMatrix(ids=(), values=np.zeros((0, 0))).size == 0
 
-    def test_asymmetric_rejected(self):
-        vals = np.array([[1.0, 0.5], [0.4, 1.0]])
-        with pytest.raises(ValidationError):
-            KernelMatrix(ids=("a", "b"), values=vals)
-
-    def test_non_finite_rejected(self):
-        vals = np.array([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(ValidationError):
-            KernelMatrix(ids=("a", "b"), values=vals)
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             KernelMatrix(ids=("a",), values=np.ones((2, 2)))
+
+
+def poisoned_case(n, where, place, bad, normalize):
+    """`oracle_case` with one entry of the embeddings (the middle column of
+    the first, middle or last row) or of an interest vector set to `bad`."""
+    ids, embs, prof, cfg = oracle_case(n, dict(normalize_embeddings=normalize))
+    embs, h_macro, h_micro = embs.copy(), prof.h_macro.copy(), prof.h_micro.copy()
+    if where == "embedding":
+        embs[{"first": 0, "middle": n // 2, "last": n - 1}[place], 4] = bad
+    else:
+        vector = h_macro if where == "h_macro" else h_micro
+        vector[{"first": 0, "middle": 4, "last": 7}[place]] = bad
+    return ids, embs, profile_of(h_macro, h_micro), cfg
+
+
+class TestDiagonalGuard:
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300, 800])
+    @pytest.mark.parametrize("where", ["embedding", "h_macro", "h_micro"])
+    @pytest.mark.parametrize("place", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+    # Only the error raised is under test, not numpy's invalid-value warnings
+    # on the way to it (inf / inf, 0 * inf).
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_input_shows_on_the_diagonal(self, n, where, place, bad, normalize):
+        """The same error and message as the full n x n check gave."""
+        ids, embs, prof, cfg = poisoned_case(n, where, place, bad, normalize)
+        with pytest.raises(ValidationError) as info:
+            kernels.composite_matrix(ids, embs, prof, cfg)
+        assert str(info.value) == "kernel matrix contains non-finite entries"
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.05, 2.0),
+        a=st.floats(0.1, 3.0),
+        b=st.floats(0.8, 2.0),
+        betas=st.sampled_from([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, 2.0)]),
+        normalize=st.booleans(),
+    )
+    @example(n=256, seed=0, scale=2.0, a=3.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # one block
+    @example(n=300, seed=0, scale=2.0, a=3.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # two blocks
+    def test_entries_bounded_by_their_diagonals(self, n, seed, scale, a, b, betas, normalize):
+        """The guard's premise on finite inputs: exact symmetry, and by
+        Cauchy-Schwarz 0 <= D_ij <= D_ii + D_jj, so a finite diagonal bounds
+        every entry."""
+        rng = np.random.default_rng(seed)
+        embs = scale * rng.normal(size=(n, 8))
+        prof = profile_of(0.5 * rng.normal(size=8), 0.5 * rng.normal(size=8))
+        cfg = ExperimentConfig(
+            a_item=a, b_item=b, a_l=a, b_l=b, a_s=a, b_s=b,
+            beta1=betas[0], beta2=betas[1], normalize_embeddings=normalize,
+        )
+        got = kernels.composite_matrix([f"i{k}" for k in range(n)], embs, prof, cfg).values
+        assert np.array_equal(got, got.T)
+        diagonal = got.diagonal()
+        assert (got >= 0.0).all()
+        assert (got <= (diagonal[:, None] + diagonal) * (1.0 + 1e-12)).all()
 
 
 class TestPsdGuard:
