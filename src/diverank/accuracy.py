@@ -11,8 +11,9 @@ two-logit softmax.
 Training runs on plain arrays: each minibatch is one call of
 `autodiff.backward`, which returns the loss and all eight parameter
 gradients from analytic backwards that the tests hold bit for bit to the
-composed graph of tape primitives.  Inference (`score_batch`) folds the
-forward into one matmul per call.
+composed graph of tape primitives.  Inference folds the terms fixed for a
+candidate list once (`list_state`), so a greedy step (`score_batch`) adds
+one small matrix product.
 """
 
 from __future__ import annotations
@@ -158,36 +159,62 @@ def scorer_params_from_arrays(arrays: dict[str, np.ndarray]) -> ScorerParams:
     return ScorerParams(**{name: np.asarray(arrays[name], dtype=np.float64) for name in expected})
 
 
+@dataclass(frozen=True, eq=False)
+class ListState:
+    """The scorer's terms fixed for one candidate list; scoring never writes into them."""
+
+    base: np.ndarray  # (n, hidden): every first-layer term not gated by g_prev
+    interest: np.ndarray  # (d, hidden): g_prev @ interest is the g_prev-gated interest row
+    gap: np.ndarray  # (hidden,): hidden layer to logit gap
+    gap_bias: float
+
+
+def list_state(
+    targets: np.ndarray, profile: InterestProfile, h_cand: np.ndarray, params: ScorerParams
+) -> ListState:
+    """Fold the candidate context, interest rows and output layer into per-list terms.
+
+    Context and interest rows are shared by every target, so each gate is
+    one (d,) vector, and gating the target columns equals scaling the rows
+    of their `mlp_w1` block: (T * g) W = T (g[:, None] * W).  The target
+    and `g_cand`-gated target blocks thus fold into one (d, hidden) weight.
+    """
+    d = targets.shape[1]
+    w1, w2, b2 = params.mlp_w1, params.mlp_w2, params.mlp_b2[0]
+    g_cand = _sigmoid(np.maximum(h_cand @ params.w1_cand, 0.0) @ params.w2_cand)
+    macro, micro = profile.h_macro, profile.h_micro
+    row = np.concatenate([macro * g_cand, micro * g_cand]) @ w1[5 * d :] + params.mlp_b1[0]
+    base = targets @ (w1[:d] + g_cand[:, None] * w1[2 * d : 3 * d]) + row
+    interest = macro[:, None] * w1[3 * d : 4 * d] + micro[:, None] * w1[4 * d : 5 * d]
+    return ListState(base, interest, w2[:, 1] - w2[:, 0], b2[1] - b2[0])
+
+
 def score_batch(
     target_embeddings: np.ndarray,
     profile: InterestProfile,
     ctx: ContextState,
     params: ScorerParams,
+    state: ListState | None = None,
 ) -> np.ndarray:
     """Positive-class probability for each target row, gradient-free.
 
-    The inference form of `autodiff.score_logits`.  Context and
-    interest rows are shared by every target, so each gate is one (d,)
-    vector, and gating the target columns equals scaling the rows of
-    their `mlp_w1` block: (T * g) W = T (g[:, None] * W).  The three target
-    blocks thus fold into one (d, hidden) weight and the four
-    gated-interest blocks plus `mlp_b1` into one row, leaving one matmul
-    per call.  The two-way softmax is a sigmoid of the logit gap.
+    The inference form of `autodiff.score_logits`.  `state` holds the
+    terms fixed for the list (see `list_state`); without one it is built
+    from `ctx.h_cand`.  A call adds the `g_prev`-gated target block, one
+    (n, d) by (d, hidden) product, and the `g_prev`-gated interest row.
+    The two-way softmax is a sigmoid of the logit gap.
     """
     targets = np.asarray(target_embeddings, dtype=np.float64)
     if targets.ndim == 1:
         targets = targets.reshape(1, -1)
+    if state is None:
+        state = list_state(targets, profile, ctx.h_cand, params)
     d = targets.shape[1]
-    w1, w2 = params.mlp_w1, params.mlp_w2
     g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
-    g_cand = _sigmoid(np.maximum(ctx.h_cand @ params.w1_cand, 0.0) @ params.w2_cand)
-    weight = w1[:d] + g_prev[:, None] * w1[d : 2 * d] + g_cand[:, None] * w1[2 * d : 3 * d]
-    macro, micro = profile.h_macro, profile.h_micro
-    gated = np.concatenate([macro * g_prev, micro * g_prev, macro * g_cand, micro * g_cand])
-    row = gated @ w1[3 * d :] + params.mlp_b1[0]
-    b2 = params.mlp_b2[0]
-    gap = np.maximum(targets @ weight + row, 0.0) @ (w2[:, 1] - w2[:, 0]) + (b2[1] - b2[0])
-    return _sigmoid(gap)
+    hidden = targets @ (g_prev[:, None] * params.mlp_w1[d : 2 * d])
+    hidden += state.base  # in place: a fresh (n, hidden) array per add costs more than the add
+    hidden += g_prev @ state.interest
+    return _sigmoid(np.maximum(hidden, 0.0, out=hidden) @ state.gap + state.gap_bias)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

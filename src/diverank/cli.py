@@ -252,8 +252,8 @@ def cmd_rerank(args) -> None:
         kernel = composite_matrix(cs.ids, cs.embeddings, profile, cfg)
         if args.dump_kernel:
             _dump_kernel(args.dump_kernel, cs.user_id, kernel.values)
-        scorer = profile_scorer(cs, profile, params)
-        result, trace = bs_dpp_select(cs, kernel, scorer, cfg, collect_trace=True)
+        # Built inline, so its per-list terms are freed before the next kernel build.
+        result, trace = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg, collect_trace=True)
         results.append(result)
         diag_rows.append(
             [
@@ -373,12 +373,15 @@ def cmd_sweep(args) -> None:
         row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)
+        # Neither depends on alpha, so each is built once per user.
+        scorer = profile_scorer(cs, profile, params)
+        sim = cosine_similarity_fn(cs.embeddings)
         for alpha, cfg_a, acc_a, times_a in zip(alphas, cfgs, acc, times):
             # Looked up at call time, so that a wrapped module global is the one timed.
             select = {
-                "bs_dpp": lambda: bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg_a),
+                "bs_dpp": lambda: bs_dpp_select(cs, kernel, scorer, cfg_a),
                 "fixed_dpp": lambda: fixed_score_dpp_select(cs, kernel, cfg_a),
-                "mmr": lambda: mmr_select(cs, cosine_similarity_fn(cs.embeddings), 1.0 / (1.0 + alpha), cfg.k),
+                "mmr": lambda: mmr_select(cs, sim, 1.0 / (1.0 + alpha), cfg.k),
             }
             for method in methods:
                 t0 = time.perf_counter()
@@ -392,6 +395,7 @@ def cmd_sweep(args) -> None:
                 else:
                     h = picked.objective
                 acc_a[method].append([ndcg, div, h])
+        del scorer, sim  # freed before the next user's kernel build
 
     table_rows = []
     for alpha, acc_a, times_a in zip(alphas, acc, times):

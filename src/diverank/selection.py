@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accuracy import ContextState, ScorerParams, initial_context, score_batch, update_context
+from .accuracy import ContextState, ScorerParams, initial_context, list_state, score_batch, update_context
 from .data import CandidateSet, ExperimentConfig, NumericalError, RerankResult, SelectionStep, ValidationError
 from .interests import InterestProfile
 from .kernels import KernelMatrix, normalize_rows
@@ -44,13 +44,17 @@ def constant_scorer(scores: np.ndarray) -> Scorer:
 def profile_scorer(
     candidates: CandidateSet, profile: InterestProfile, params: ScorerParams
 ) -> Scorer:
-    """Context-aware scorer backed by the trained accuracy model."""
-    return lambda ctx: score_batch(candidates.embeddings, profile, ctx, params)
+    """Context-aware scorer backed by the trained accuracy model; the terms
+    fixed for the list are built once, here, and shared by every call."""
+    embs = candidates.embeddings
+    state = list_state(embs, profile, initial_context(embs).h_cand, params)
+    return lambda ctx: score_batch(embs, profile, ctx, params, state)
 
 
 @dataclass
 class StepTrace:
-    """Numerical snapshot of one greedy step, for audit and testing."""
+    """Numerical snapshot of one greedy step, for audit and testing.  The arrays
+    are the loop's own, not copies: it rebinds them and never writes into them."""
 
     chosen: int
     selected_before: tuple[int, ...]
@@ -63,14 +67,6 @@ class StepTrace:
 class SelectionTrace:
     steps: list[StepTrace] = field(default_factory=list)
     min_d2_before_clamp: float = np.inf
-
-
-def _argmax_lowest(values: np.ndarray, eligible: np.ndarray) -> int:
-    masked = np.where(eligible, values, -np.inf)
-    best = int(np.argmax(masked))  # first occurrence = lowest index on ties
-    if not eligible[best]:
-        raise NumericalError("argmax over an empty eligible set")
-    return best
 
 
 def bs_dpp_select(
@@ -96,13 +92,13 @@ def bs_dpp_select(
 
     d_matrix = kernel.values
     embs = candidates.embeddings
-    d2 = np.diag(d_matrix).astype(np.float64).copy()
+    d2 = np.diag(d_matrix).astype(np.float64)
     cis = np.zeros((k, n))
     trace = SelectionTrace()
     trace.min_d2_before_clamp = float(d2.min())
 
     selected: list[int] = []
-    selected_mask = np.zeros(n, dtype=bool)
+    unselected = np.ones(n, dtype=bool)
     steps: list[SelectionStep] = []
     objective = 0.0
     exhausted = False
@@ -112,64 +108,51 @@ def bs_dpp_select(
     if scores.shape != (n,):
         raise ValidationError("scorer must return one score per candidate")
 
-    eligible = (d2 > epsilon) & ~selected_mask
+    eligible = d2 > epsilon
     if not eligible.any():
         raise NumericalError(
             "no candidate has d^2 above epsilon at initialization; "
             "the kernel is numerically singular (try a larger jitter)"
         )
 
-    while len(selected) < k:
-        # Finite floor keeps alpha * log_d2 NaN-free at excluded entries;
-        # eligibility masking governs exclusion, not the log value.
-        log_d2 = np.log(np.maximum(d2, 1e-300))
-        with np.errstate(over="ignore"):  # only eligible entries must stay finite
+    # Only eligible joint values must stay finite, which each step checks.
+    with np.errstate(over="ignore"):
+        while len(selected) < k:
+            # Finite floor keeps alpha * log_d2 NaN-free at excluded entries;
+            # eligibility masking governs exclusion, not the log value.
+            log_d2 = np.log(np.maximum(d2, 1e-300))
             joint = scores + alpha * log_d2
-        if not np.isfinite(joint[eligible]).all():
-            raise NumericalError(f"score + alpha * log d^2 overflows at alpha={alpha:g}; lower alpha")
-        values = log_d2 if not selected and cfg.diversity_only_init else joint
-        j = _argmax_lowest(values, eligible)
-        if collect_trace:
-            trace.steps.append(
-                StepTrace(
-                    chosen=j,
-                    selected_before=tuple(selected),
-                    d2=d2.copy(),
-                    scores=scores.copy(),
-                    eligible=eligible.copy(),
-                )
-            )
-        marginal = joint[j]
-        steps.append(
-            SelectionStep(
-                item_id=candidates.ids[j],
-                score=float(scores[j]),
-                log_d2=float(log_d2[j]),
-                marginal=float(marginal),
-            )
-        )
-        objective += float(marginal)
-        t = len(selected)
-        selected.append(j)
-        selected_mask[j] = True
-        if len(selected) == k:
-            break
+            if not np.isfinite(joint[eligible]).all():  # faster than .all(where=eligible)
+                raise NumericalError(f"score + alpha * log d^2 overflows at alpha={alpha:g}; lower alpha")
+            values = log_d2 if not selected and cfg.diversity_only_init else joint
+            # Some entry is eligible, so its finite value wins; ties go to the lowest index.
+            j = int(np.where(eligible, values, -np.inf).argmax())
+            if collect_trace:
+                trace.steps.append(StepTrace(j, tuple(selected), d2, scores, eligible))
+            marginal = joint[j]
+            steps.append(SelectionStep(candidates.ids[j], float(scores[j]), float(log_d2[j]), float(marginal)))
+            objective += float(marginal)
+            t = len(selected)
+            selected.append(j)
+            unselected[j] = False
+            if len(selected) == k:
+                break
 
-        # Rank-one Cholesky extension relative to the newly chosen j.
-        d_j = np.sqrt(d2[j])
-        e = (d_matrix[j, :] - cis[:t, j] @ cis[:t, :]) / d_j
-        cis[t, :] = e
-        d2 = d2 - np.square(e)
-        pre_clamp_min = float(d2[~selected_mask].min()) if (~selected_mask).any() else 0.0
-        trace.min_d2_before_clamp = min(trace.min_d2_before_clamp, pre_clamp_min)
-        d2 = np.maximum(d2, 0.0)
+            # Rank-one Cholesky extension relative to the newly chosen j.
+            d_j = np.sqrt(d2[j])
+            e = (d_matrix[j, :] - cis[:t, j] @ cis[:t, :]) / d_j
+            cis[t, :] = e
+            d2 = d2 - np.square(e)
+            # Fewer than k <= n items are selected, so some entry is left.
+            trace.min_d2_before_clamp = min(trace.min_d2_before_clamp, float(d2[unselected].min()))
+            d2 = np.maximum(d2, 0.0)
 
-        eligible = (d2 > epsilon) & ~selected_mask
-        if not eligible.any():
-            exhausted = True
-            break
-        ctx = update_context(ctx, embs[j])
-        scores = np.asarray(scorer(ctx), dtype=np.float64)
+            eligible = (d2 > epsilon) & unselected
+            if not eligible.any():
+                exhausted = True
+                break
+            ctx = update_context(ctx, embs[j])
+            scores = np.asarray(scorer(ctx), dtype=np.float64)
 
     if not np.isfinite(objective):
         raise NumericalError(f"objective sum overflows at alpha={alpha:g}; lower alpha")
@@ -231,7 +214,7 @@ def mmr_select(
     # -inf floor: the max over selected similarities may be negative, and
     # a zero floor would erase that boost for anti-correlated candidates.
     max_sim = np.full(n, -np.inf)
-    all_indices = np.arange(n)
+    all_rows = slice(None)  # a basic index: sim's rows stay a view
     selected_mask = np.zeros(n, dtype=bool)
     order: list[int] = []
     for step in range(k):
@@ -244,12 +227,12 @@ def mmr_select(
         order.append(j)
         selected_mask[j] = True
         if step + 1 < k:
-            max_sim = np.maximum(max_sim, sim(all_indices, j))
+            max_sim = np.maximum(max_sim, sim(all_rows, j))
     return [candidates.ids[j] for j in order]
 
 
 def cosine_similarity_fn(embeddings: np.ndarray) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Cosine similarity of candidate rows `i` (an index or index array) to row j, for MMR."""
+    """Cosine similarity of candidate rows `i` (any numpy index) to row j, for MMR."""
     unit = normalize_rows(embeddings)
 
     def sim(i, j: int):

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests call.
 
 Each is slow or narrow by design: exhaustive subset search for the
-greedy selector, a full check of a built kernel matrix, a clamped binary
-log-loss for the metric goldens, and central finite differences for every
-analytic gradient.
+greedy selector, the greedy loop and scorer as they were before the
+scorer's list-invariant terms were hoisted, a full check of a built kernel
+matrix, a clamped binary log-loss for the metric goldens, and central
+finite differences for every analytic gradient.
 """
 
 from __future__ import annotations
@@ -13,9 +14,18 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from diverank.data import ValidationError
+from diverank.accuracy import ContextState, ScorerParams, initial_context, update_context
+from diverank.data import (
+    CandidateSet,
+    ExperimentConfig,
+    NumericalError,
+    RerankResult,
+    SelectionStep,
+    ValidationError,
+)
+from diverank.interests import InterestProfile
 from diverank.kernels import KernelMatrix
-from diverank.selection import subset_objective
+from diverank.selection import Scorer, SelectionTrace, StepTrace, subset_objective
 
 FD_STEP = 1e-5
 
@@ -52,6 +62,94 @@ def exhaustive_map(
             best_subset = subset
     assert best_subset is not None
     return best_subset, best_value
+
+
+def reference_scores(
+    targets: np.ndarray, profile: InterestProfile, ctx: ContextState, params: ScorerParams
+) -> np.ndarray:
+    """The scorer's forward folded into one matmul per call, every gate
+    rebuilt from `ctx`: what `score_batch` computed before its list state."""
+    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+    d = targets.shape[1]
+    w1, w2, b2 = params.mlp_w1, params.mlp_w2, params.mlp_b2[0]
+
+    def sigmoid(x):
+        return np.exp(-np.logaddexp(0.0, -x))
+
+    g_prev = sigmoid(np.maximum(ctx.h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
+    g_cand = sigmoid(np.maximum(ctx.h_cand @ params.w1_cand, 0.0) @ params.w2_cand)
+    weight = w1[:d] + g_prev[:, None] * w1[d : 2 * d] + g_cand[:, None] * w1[2 * d : 3 * d]
+    macro, micro = profile.h_macro, profile.h_micro
+    gated = np.concatenate([macro * g_prev, micro * g_prev, macro * g_cand, micro * g_cand])
+    row = gated @ w1[3 * d :] + params.mlp_b1[0]
+    gap = np.maximum(targets @ weight + row, 0.0) @ (w2[:, 1] - w2[:, 0]) + (b2[1] - b2[0])
+    return sigmoid(gap)
+
+
+def reference_greedy(
+    candidates: CandidateSet, kernel: KernelMatrix, scorer: Scorer, cfg: ExperimentConfig
+) -> tuple[RerankResult, SelectionTrace]:
+    """The greedy loop of `bs_dpp_select` as it was before it was trimmed:
+    a warning scope and a copied finiteness check per step, copied trace
+    arrays, and an argmax that re-checks eligibility."""
+    n = candidates.size
+    alpha, epsilon, k = float(cfg.alpha), float(cfg.epsilon), min(cfg.k, n)
+    d_matrix = kernel.values
+    embs = candidates.embeddings
+    d2 = np.diag(d_matrix).astype(np.float64).copy()
+    cis = np.zeros((k, n))
+    trace = SelectionTrace()
+    trace.min_d2_before_clamp = float(d2.min())
+    selected: list[int] = []
+    selected_mask = np.zeros(n, dtype=bool)
+    steps: list[SelectionStep] = []
+    objective = 0.0
+    exhausted = False
+    ctx = initial_context(embs)
+    scores = np.asarray(scorer(ctx), dtype=np.float64)
+    eligible = (d2 > epsilon) & ~selected_mask
+    if not eligible.any():
+        raise NumericalError("no candidate has d^2 above epsilon at initialization")
+    while len(selected) < k:
+        log_d2 = np.log(np.maximum(d2, 1e-300))
+        with np.errstate(over="ignore"):
+            joint = scores + alpha * log_d2
+        if not np.isfinite(joint[eligible]).all():
+            raise NumericalError(f"score + alpha * log d^2 overflows at alpha={alpha:g}; lower alpha")
+        values = log_d2 if not selected and cfg.diversity_only_init else joint
+        j = int(np.argmax(np.where(eligible, values, -np.inf)))
+        if not eligible[j]:
+            raise NumericalError("argmax over an empty eligible set")
+        trace.steps.append(StepTrace(j, tuple(selected), d2.copy(), scores.copy(), eligible.copy()))
+        marginal = joint[j]
+        steps.append(SelectionStep(candidates.ids[j], float(scores[j]), float(log_d2[j]), float(marginal)))
+        objective += float(marginal)
+        t = len(selected)
+        selected.append(j)
+        selected_mask[j] = True
+        if len(selected) == k:
+            break
+        d_j = np.sqrt(d2[j])
+        e = (d_matrix[j, :] - cis[:t, j] @ cis[:t, :]) / d_j
+        cis[t, :] = e
+        d2 = d2 - np.square(e)
+        pre_clamp_min = float(d2[~selected_mask].min()) if (~selected_mask).any() else 0.0
+        trace.min_d2_before_clamp = min(trace.min_d2_before_clamp, pre_clamp_min)
+        d2 = np.maximum(d2, 0.0)
+        eligible = (d2 > epsilon) & ~selected_mask
+        if not eligible.any():
+            exhausted = True
+            break
+        ctx = update_context(ctx, embs[j])
+        scores = np.asarray(scorer(ctx), dtype=np.float64)
+    result = RerankResult(
+        user_id=candidates.user_id,
+        item_ids=tuple(candidates.ids[j] for j in selected),
+        steps=tuple(steps),
+        objective=objective,
+        exhausted=exhausted,
+    )
+    return result, trace
 
 
 def assert_valid_kernel(values) -> None:

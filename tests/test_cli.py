@@ -318,6 +318,30 @@ class TestDeterminism:
         assert len(built) == 8
         assert max(alive_at_build) <= 1
 
+    def test_sweep_builds_scorer_and_similarity_once_per_user(self, pipeline, tmp_path, monkeypatch):
+        # Neither depends on alpha; both stay looked up as cli globals.
+        calls = {"profile_scorer": 0, "cosine_similarity_fn": 0}
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        out = tmp_path / "sweep.csv"
+        argv = [
+            "sweep",
+            "--candidates", str(pipeline["fix"] / "candidates.jsonl"),
+            "--labels", str(pipeline["fix"] / "labels.jsonl"),
+            "--profiles", str(pipeline["model"] / "profiles.jsonl"),
+            "--checkpoint", str(pipeline["model"] / "checkpoint.json"),
+            "--alphas", "0,0.5,1,2",
+            "--runs", "3",
+        ]
+        assert run(*argv, "--out", str(out)) == 0
+        assert calls == {"profile_scorer": 3, "cosine_similarity_fn": 3}
+
 
 def write_duplicate_fixture(root):
     """Two identical high-score items plus one orthogonal low-score item."""

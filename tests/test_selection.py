@@ -28,7 +28,7 @@ from diverank.selection import (
     mmr_select,
     profile_scorer,
 )
-from oracles import exhaustive_map
+from oracles import exhaustive_map, reference_greedy, reference_scores
 
 
 def make_candidates(scores, dim=2, embs=None):
@@ -329,6 +329,21 @@ class TestMmr:
             remaining.remove(best)
         assert got == [f"i{j + 1}" for j in chosen]
 
+    def test_similarity_rows_are_a_view(self, rng):
+        # Each MMR step asks for every row's similarity to the last pick;
+        # the rows index must not copy the (n, d) matrix.
+        embs = rng.normal(size=(20, 4))
+        cands = make_candidates(rng.random(20), embs=embs)
+        sim = cosine_similarity_fn(embs)
+        seen = []
+
+        def recording_sim(rows, j):
+            seen.append(np.shares_memory(embs[rows], embs))
+            return sim(rows, j)
+
+        assert mmr_select(cands, recording_sim, lam=0.5, k=6) == mmr_select(cands, sim, lam=0.5, k=6)
+        assert seen and all(seen)
+
     def test_lambda_out_of_range_rejected(self, rng):
         cands = make_candidates([0.5])
         sim = cosine_similarity_fn(cands.embeddings)
@@ -428,3 +443,105 @@ class TestProfileScorer:
                 single = score_batch(embs[step.chosen], profile, ctx, params)  # 1-D target
                 assert single.shape == (1,)
                 assert single[0] == pytest.approx(want[step.chosen], abs=1e-12)
+
+
+def _scored_case(n, d, k, *, hidden=None, w2_scale=1.0, rank=None, seed=23, **cfg_fields):
+    """Candidates, kernel, profile, params and config for one greedy run.
+
+    The kernel is the composite one, or, with `rank`, a jitter-free Gram
+    matrix of that rank, which exhausts after `rank` picks.
+    """
+    from diverank.accuracy import init_scorer_params
+    from diverank.interests import InterestProfile
+    from diverank.kernels import composite_matrix
+
+    rng = np.random.default_rng(seed)
+    embs = rng.normal(size=(n, d))
+    cands = make_candidates(rng.random(n), embs=embs)
+    profile = InterestProfile("u1", h_macro=rng.normal(size=d), h_micro=rng.normal(size=d))
+    params = init_scorer_params(d, rng, hidden=hidden)
+    params.mlp_w2 *= w2_scale
+    params.mlp_b1 += rng.normal(size=params.mlp_b1.shape)  # trained biases are not zero
+    params.mlp_b2 += rng.normal(size=2)
+    cfg = ExperimentConfig(k=k, **cfg_fields)
+    if rank is None:
+        kernel = composite_matrix(cands.ids, embs, profile, cfg)
+    else:
+        basis = rng.normal(size=(n, rank))
+        kernel = KernelMatrix(ids=cands.ids, values=basis @ basis.T)
+    return cands, kernel, profile, params, cfg
+
+
+GREEDY_GRID = {
+    "n100-d16-k10": dict(n=100, d=16, k=10),
+    "n800-d16-k5": dict(n=800, d=16, k=5),
+    "bottleneck1": dict(n=12, d=3, k=5),
+    "w2-times-1e3": dict(n=40, d=8, k=10, w2_scale=1e3),
+    "diversity-only-init": dict(n=100, d=16, k=10, diversity_only_init=True),
+    "alpha0": dict(n=100, d=16, k=10, alpha=0.0),
+    "rank3-exhausts": dict(n=30, d=8, k=10, rank=3),
+}
+
+
+class TestReferenceGreedy:
+    """The trimmed loop with the per-list scorer state, held to the loop
+    and the one-matmul scorer it replaced."""
+
+    @pytest.mark.parametrize("case", GREEDY_GRID.values(), ids=GREEDY_GRID.keys())
+    def test_matches_reference_loop_and_scorer(self, case):
+        cands, kernel, profile, params, cfg = _scored_case(**case)
+        got, trace = bs_dpp_select(
+            cands, kernel, profile_scorer(cands, profile, params), cfg, collect_trace=True
+        )
+        want, want_trace = reference_greedy(
+            cands,
+            kernel,
+            lambda ctx: reference_scores(cands.embeddings, profile, ctx, params),
+            cfg,
+        )
+        assert got.item_ids == want.item_ids
+        assert got.exhausted == want.exhausted == ("rank" in case)
+        assert trace.min_d2_before_clamp == want_trace.min_d2_before_clamp
+        assert got.objective == pytest.approx(want.objective, rel=0.0, abs=1e-12)
+        for a, b in zip(got.steps, want.steps):
+            assert a.item_id == b.item_id
+            for name in ("score", "log_d2", "marginal"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=0.0, abs=1e-12)
+        assert len(trace.steps) == len(want_trace.steps) == len(got.item_ids)
+        for a, b in zip(trace.steps, want_trace.steps):
+            assert (a.chosen, a.selected_before) == (b.chosen, b.selected_before)
+            np.testing.assert_array_equal(a.eligible, b.eligible)
+            np.testing.assert_allclose(a.d2, b.d2, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(a.scores, b.scores, rtol=0.0, atol=1e-12)
+
+
+class TestListState:
+    @pytest.mark.parametrize("case", GREEDY_GRID.values(), ids=GREEDY_GRID.keys())
+    def test_state_matches_stateless_bit_for_bit_and_is_never_written(self, case):
+        from diverank.accuracy import initial_context, list_state, score_batch, update_context
+
+        cands, _, profile, params, _ = _scored_case(**case)
+        embs = cands.embeddings
+        ctx = initial_context(embs)
+        state = list_state(embs, profile, ctx.h_cand, params)
+        before = {name: np.copy(getattr(state, name)) for name in ("base", "interest", "gap", "gap_bias")}
+        for j in range(min(len(embs), 12)):
+            np.testing.assert_array_equal(
+                score_batch(embs, profile, ctx, params, state),
+                score_batch(embs, profile, ctx, params),
+            )
+            ctx = update_context(ctx, embs[j])
+        for name, value in before.items():
+            np.testing.assert_array_equal(getattr(state, name), value)
+
+    def test_profile_scorer_builds_one_state_per_list(self, monkeypatch):
+        from diverank import accuracy, selection
+
+        built = []
+        list_state = accuracy.list_state
+        for module in (accuracy, selection):  # profile_scorer's name and score_batch's
+            monkeypatch.setattr(module, "list_state", lambda *a: built.append(a) or list_state(*a))
+        cands, kernel, profile, params, cfg = _scored_case(n=30, d=8, k=6)
+        bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
+        assert len(built) == 1
+
