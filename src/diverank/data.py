@@ -299,16 +299,6 @@ class CandidateSet:
     def dim(self) -> int:
         return self.embeddings.shape[1]
 
-    def to_json(self) -> str:
-        items = [
-            {"base_score": score, "embedding": emb, "item_id": item_id}
-            for item_id, emb, score in zip(
-                self.ids, self.embeddings.tolist(), self.base_scores.tolist()
-            )
-        ]
-        doc = {"items": items, "user_id": self.user_id}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CandidateSet":
         """Build the columns straight from one parsed candidates line."""
@@ -506,7 +496,7 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
     after the object is an error."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(" \t\r\n")  # JSON whitespace only, as json.loads allows
             if not line:
                 continue
             try:
@@ -603,16 +593,21 @@ def load_behaviors(path: str, labelled: bool = False) -> BehaviorLog:
     return log.take(order)
 
 
+# The writers below build each line from validated columns, keys in sorted
+# order.  For a str or a list of floats this encoder gives the text of
+# json.dumps(..., separators=(",", ":")), so their files match its output.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def save_behaviors(path: str, log: BehaviorLog) -> None:
     """Write one line per row; `label` is left out for NO_LABEL rows."""
     with open(path, "w", encoding="utf-8") as fh:
         for user_id, item_id, stamp, label in zip(
             log.user_ids, log.item_ids, log.ts.tolist(), log.labels.tolist()
         ):
-            doc = {"user_id": user_id, "item_id": item_id, "ts": stamp}
-            if label != NO_LABEL:
-                doc["label"] = label
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            label = "" if label == NO_LABEL else f'"label":{label},'
+            user_id, item_id = _encode(user_id), _encode(item_id)
+            fh.write(f'{{"item_id":{item_id},{label}"ts":{stamp},"user_id":{user_id}}}\n')
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
@@ -632,9 +627,19 @@ def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
 
 
 def save_candidates(path: str, sets: Iterable[CandidateSet]) -> None:
+    """Write one line per set.  Candidate rows are mostly copies of catalog
+    rows, so each distinct row's text is rendered once, keyed by its bytes."""
+    rendered: dict[bytes, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for cs in sets:
-            fh.write(cs.to_json() + "\n")
+            items = []
+            for item_id, row, score in zip(cs.ids, cs.embeddings, cs.base_scores.tolist()):
+                key = row.tobytes()
+                if key not in rendered:
+                    rendered[key] = _encode(row.tolist())
+                emb, item_id = rendered[key], _encode(item_id)
+                items.append(f'{{"base_score":{score!r},"embedding":{emb},"item_id":{item_id}}}')
+            fh.write(f'{{"items":[{",".join(items)}],"user_id":{_encode(cs.user_id)}}}\n')
 
 
 def load_results(path: str) -> list[RerankResult]:

@@ -3,12 +3,14 @@
 Each is slow or narrow by design: exhaustive subset search for the
 greedy selector, the greedy loop and scorer as they were before the
 scorer's list-invariant terms were hoisted, a full check of a built kernel
-matrix, a clamped binary log-loss for the metric goldens, and central
-finite differences for every analytic gradient.
+matrix, a clamped binary log-loss for the metric goldens, central
+finite differences for every analytic gradient, and candidate and behavior
+lines written by one `json.dumps` call each.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -16,6 +18,8 @@ import numpy as np
 
 from diverank.accuracy import ContextState, ScorerParams, initial_context, update_context
 from diverank.data import (
+    NO_LABEL,
+    BehaviorLog,
     CandidateSet,
     ExperimentConfig,
     NumericalError,
@@ -194,3 +198,31 @@ def finite_difference(loss_fn: Callable[[], float], arrays: Iterable[np.ndarray]
             grad_flat[idx] = (hi - lo) / (2.0 * FD_STEP)
         grads.append(grad)
     return grads
+
+
+def _dumps(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def candidates_line(cs: CandidateSet) -> str:
+    """One candidates line built as a dict and dumped whole: the reference
+    that `save_candidates` writes byte for byte."""
+    items = [
+        {"base_score": score, "embedding": emb, "item_id": item_id}
+        for item_id, emb, score in zip(cs.ids, cs.embeddings.tolist(), cs.base_scores.tolist())
+    ]
+    return _dumps({"items": items, "user_id": cs.user_id})
+
+
+def behavior_lines(log: BehaviorLog) -> list[str]:
+    """Each row of `log` as a dumped dict, `label` left out for NO_LABEL: the
+    reference that `save_behaviors` writes byte for byte."""
+    lines = []
+    for user_id, item_id, stamp, label in zip(
+        log.user_ids, log.item_ids, log.ts.tolist(), log.labels.tolist()
+    ):
+        doc = {"user_id": user_id, "item_id": item_id, "ts": stamp}
+        if label != NO_LABEL:
+            doc["label"] = label
+        lines.append(_dumps(doc))
+    return lines

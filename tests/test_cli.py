@@ -762,6 +762,9 @@ MALFORMED_LINES = {
     "label absent": ("eval --labels", {"user_id": "u1", "item_id": "i1", "ts": 0},
                      "label line for (u1, i1) lacks a label"),
     "label null": ("eval --labels", _event(label=None), "lacks a label"),
+    # Only " \t\r\n" is JSON whitespace; str.strip() would also drop these.
+    "label trailing form feed": ("eval --labels", json.dumps(_event(label=1)) + "\f", "Extra data"),
+    "label leading nbsp": ("eval --labels", "\xa0" + json.dumps(_event(label=1)), "Expecting value"),
     "cluster float id": ("train-scorer --clusters", _cluster(cluster_id=1.9), CLUSTER_RULE),
     "cluster bool id": ("train-scorer --clusters", _cluster(cluster_id=True), CLUSTER_RULE),
     "cluster string id": ("train-scorer --clusters", _cluster(cluster_id="3"), CLUSTER_RULE),
@@ -784,7 +787,7 @@ class TestMalformedInput:
         stage, doc, fragment = MALFORMED_LINES[case]
         write_duplicate_fixture(tmp_path)
         bad = tmp_path / "bad.jsonl"
-        bad.write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n")
+        bad.write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n", encoding="utf-8")
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         command, flag = stage.split()

@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diverank.data import (
@@ -31,6 +31,7 @@ from diverank.data import (
     save_items,
     save_results,
 )
+from oracles import behavior_lines, candidates_line
 
 
 def make_item(item_id="it1", dim=4, base_score=0.5):
@@ -199,6 +200,7 @@ class TestBehaviorIO:
         path = tmp_path / "behaviors.jsonl"
         events = make_log(
             ("u1", "i1", 5, 1),
+            ("u1", "i2", 2**63 - 1, 0),
             ("u2", "i9", 7, NO_LABEL),
         )
         save_behaviors(str(path), events)
@@ -249,15 +251,87 @@ class TestCandidateSet:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "candidates.jsonl"
+        signed = make_item("c", base_score=0.3)
+        signed["embedding"][0] = -0.0
         sets = [
             candidate_set("u1", make_item("a", base_score=0.9)),
-            candidate_set("u2", make_item("b", base_score=0.2), make_item("c", base_score=0.3)),
+            candidate_set("u2", make_item("b", base_score=0.2), signed),
         ]
         save_candidates(str(path), sets)
         loaded = load_candidates(str(path))
         assert [cs.user_id for cs in loaded] == ["u1", "u2"]
         assert loaded[1].ids == ("b", "c")
         assert np.array_equal(loaded[1].embeddings, sets[1].embeddings)
+        # -0.0 == 0.0, so the sign survives only if the raw bits match.
+        assert loaded[1].embeddings.view(np.int64)[1, 0] == np.array(-0.0).view(np.int64)
+        for got, want in zip(loaded, sets):
+            assert np.array_equal(got.base_scores, want.base_scores)
+
+
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0, 1e16, 0.1)
+EMBEDDING_ENTRIES = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+BASE_SCORES = st.sampled_from((-0.0, 0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0)
+# Quotes, backslashes, control characters and non-ASCII text, which the
+# writers must escape as json.dumps does.
+IDS = st.text(st.sampled_from('a"\\\x00\x1f\x7f\u2028é中\U0001f600') | st.characters(), min_size=1, max_size=4)
+
+
+@st.composite
+def candidate_sets(draw):
+    """Sets drawing rows from one small pool and ids from one small pool, so
+    one row sits under several ids and one id holds different rows."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(EMBEDDING_ENTRIES, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    id_pool = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
+    sets = []
+    for _ in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.sampled_from(id_pool), min_size=1, max_size=len(id_pool), unique=True))
+        n = len(ids)
+        rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        scores = draw(st.lists(BASE_SCORES, min_size=n, max_size=n))
+        sets.append(CandidateSet(draw(IDS), tuple(ids), np.array(rows).reshape(n, dim), scores))
+    return sets
+
+
+EDGE_SETS = [
+    CandidateSet('u"\\\x01é', ("a", "b\x7f中"), [[-0.0, 5e-324, 2.0]] * 2, [-0.0, 5e-324]),
+    CandidateSet("u2", ("a",), [[1.7976931348623157e308, -1.7976931348623157e308, 1.0]], [1.0]),
+]
+EDGE_ROWS = [("u\x00", 'i"\\', 2**63 - 1, NO_LABEL), ("u1", "i\u2028", 0, 0), ("u1", "é", 3, 1)]
+
+
+class TestWriterOracle:
+    """The writers build lines by hand; `json.dumps` with sorted keys is the
+    reference they must match byte for byte."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sets=candidate_sets())
+    @example(sets=EDGE_SETS)
+    def test_candidates_match_dumps(self, tmp_path_factory, sets):
+        path = tmp_path_factory.getbasetemp() / "oracle_candidates.jsonl"
+        save_candidates(str(path), sets)
+        want = "".join(candidates_line(cs) + "\n" for cs in sets)
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                IDS,
+                IDS,
+                st.sampled_from((0, 2**63 - 1)) | st.integers(0, 2**63 - 1),
+                st.sampled_from((0, 1, NO_LABEL)),
+            ),
+            max_size=6,
+        )
+    )
+    @example(rows=EDGE_ROWS)
+    def test_behaviors_match_dumps(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "oracle_behaviors.jsonl"
+        log = make_log(*rows)
+        save_behaviors(str(path), log)
+        want = "".join(line + "\n" for line in behavior_lines(log))
+        assert path.read_bytes() == want.encode("utf-8")
 
 
 class TestItemRoundTrip:
