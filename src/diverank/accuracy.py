@@ -88,10 +88,6 @@ class ScorerParams:
         return self.w1_prev.shape[0]
 
     @property
-    def reduction(self) -> int:
-        return self.dim // self.w1_prev.shape[1]
-
-    @property
     def hidden(self) -> int:
         return self.mlp_w1.shape[1]
 
@@ -194,21 +190,17 @@ def score_batch(
     profile: InterestProfile,
     ctx: ContextState,
     params: ScorerParams,
-    state: ListState | None = None,
+    state: ListState,
 ) -> np.ndarray:
-    """Positive-class probability for each target row, gradient-free.
+    """Positive-class probability for each row of the (n, d) targets, gradient-free.
 
     The inference form of `autodiff.score_logits`.  `state` holds the
-    terms fixed for the list (see `list_state`); without one it is built
-    from `ctx.h_cand`.  A call adds the `g_prev`-gated target block, one
-    (n, d) by (d, hidden) product, and the `g_prev`-gated interest row.
-    The two-way softmax is a sigmoid of the logit gap.
+    terms fixed for the list (see `list_state`).  A call adds the
+    `g_prev`-gated target block, one (n, d) by (d, hidden) product, and
+    the `g_prev`-gated interest row.  The two-way softmax is a sigmoid of
+    the logit gap.
     """
     targets = np.asarray(target_embeddings, dtype=np.float64)
-    if targets.ndim == 1:
-        targets = targets.reshape(1, -1)
-    if state is None:
-        state = list_state(targets, profile, ctx.h_cand, params)
     d = targets.shape[1]
     g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
     hidden = targets @ (g_prev[:, None] * params.mlp_w1[d : 2 * d])

@@ -1,10 +1,12 @@
 """Core record types, validation, and line-delimited JSON persistence.
 
-Every on-disk format used by the pipeline lives here: item and behavior
-lines, candidate sets, experiment configuration, re-ranking results and
-scorer checkpoints.  Loaders fail fast with line numbers; serializers are
-deterministic so a pipeline re-run with the same seed writes
-byte-identical files.
+Item and behavior lines, candidate sets, experiment configuration,
+re-ranking results and scorer checkpoints are read and written here.
+The other formats live with their stage: cluster lines in `clustering`,
+profile lines in `interests`, the training log in `accuracy`, and the
+diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Loaders fail
+fast with line numbers; serializers are deterministic so a pipeline
+re-run with the same seed writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -323,88 +325,61 @@ class CandidateSet:
         return cls(user_id=user_id, ids=tuple(ids), embeddings=embs, base_scores=base_scores)
 
 
-@dataclass(frozen=True)
-class SelectionStep:
-    """One greedy pick: score, diversity increment, and their combination."""
-
-    item_id: str
-    score: float
-    log_d2: float
-    marginal: float
-
-    def to_dict(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "score": float(self.score),
-            "log_d2": float(self.log_d2),
-            "marginal": float(self.marginal),
-        }
+_RESULT_COLUMNS = ("scores", "log_d2", "marginals")
 
 
 @dataclass(frozen=True)
 class RerankResult:
-    """Ordered re-ranked list plus per-step diagnostics.
+    """Ordered re-ranked list plus each pick's numbers, held as columns.
 
-    `objective` is the accumulated joint value: the sum over steps of
-    score + alpha * log d^2, whose diversity part telescopes to
-    alpha * log det of the selected principal submatrix.  `exhausted`
-    flags lists cut short because every remaining candidate fell at or
-    below the numerical exclusion threshold.
+    Pick t chose `item_ids[t]` at context-aware score `scores[t]` and
+    diversity increment `log_d2[t]`; its joint value is `marginals[t]`.
+    The three are tuples of floats aligned with `item_ids`.  `objective`
+    is the left-to-right sum of `marginals`, whose diversity part
+    telescopes to alpha * log det of the selected principal submatrix.
+    `exhausted` flags lists cut short because every remaining candidate
+    fell at or below the numerical exclusion threshold.
     """
 
     user_id: str
     item_ids: tuple[str, ...]
-    steps: tuple[SelectionStep, ...]
+    scores: tuple[float, ...]
+    log_d2: tuple[float, ...]
+    marginals: tuple[float, ...]
     objective: float
     exhausted: bool = False
 
     def __post_init__(self):
         _check_id(self.user_id, "user_id")
         _check_id_column(self.item_ids, "item_id", f"result {self.user_id}: ")
-        if len(self.item_ids) != len(self.steps):
-            raise ValidationError("result steps and item_ids must align")
+        if not len(self.item_ids) == len(self.scores) == len(self.log_d2) == len(self.marginals):
+            raise ValidationError("result columns must hold one entry per item id")
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValidationError("result contains duplicate item ids")
 
     def to_json(self) -> str:
-        doc = {
-            "user_id": self.user_id,
-            "item_ids": list(self.item_ids),
-            "steps": [s.to_dict() for s in self.steps],
-            "objective": float(self.objective),
-            "exhausted": bool(self.exhausted),
-        }
+        doc = {name: list(getattr(self, name)) for name in ("item_ids", *_RESULT_COLUMNS)}
+        doc.update(user_id=self.user_id, objective=float(self.objective), exhausted=bool(self.exhausted))
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
-        for name in ("user_id", "item_ids", "steps", "objective"):
+        for name in ("user_id", "item_ids", *_RESULT_COLUMNS, "objective"):
             if name not in doc:
                 raise ValidationError(f"result missing field {name!r}")
-        steps, item_ids = doc["steps"], doc["item_ids"]
-        if not isinstance(steps, list) or not all(isinstance(s, dict) for s in steps):
-            raise ValidationError("steps must be a list of objects")
+        item_ids = doc["item_ids"]
         if not isinstance(item_ids, list):
             raise ValidationError("item_ids must be a list")
         exhausted = doc.get("exhausted", False)
         if type(exhausted) is not bool:
             raise ValidationError("exhausted must be true or false")
-        try:
-            steps = tuple(
-                SelectionStep(
-                    item_id=s["item_id"],
-                    score=_finite_number(s["score"], "score"),
-                    log_d2=_finite_number(s["log_d2"], "log_d2"),
-                    marginal=_finite_number(s["marginal"], "marginal"),
-                )
-                for s in steps
-            )
-        except KeyError as exc:
-            raise ValidationError(f"step missing field {exc}") from exc
+        columns = {
+            name: tuple(_finite_vector(doc[name], name, len(item_ids)).tolist()) for name in _RESULT_COLUMNS
+        }
         return cls(
             user_id=doc["user_id"],
             item_ids=tuple(item_ids),
-            steps=steps,
+            **columns,
             objective=_finite_number(doc["objective"], "objective"),
             exhausted=exhausted,
         )

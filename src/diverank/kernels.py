@@ -52,11 +52,24 @@ class KernelMatrix:
 
 
 def normalize_rows(embeddings: np.ndarray) -> np.ndarray:
-    """L2-normalize each row; all-zero rows stay zero (cold-start safe)."""
+    """L2-normalize each row; all-zero rows stay zero (cold-start safe).
+
+    `np.linalg.norm` squares the entries, so the norm of a finite row can
+    overflow to inf, or underflow to 0 while an entry is non-zero.  Only
+    such a row is divided by its largest absolute entry first; every other
+    row keeps the bits of `np.linalg.norm`.
+    """
     embs = np.asarray(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(embs, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return embs / safe
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(embs, axis=1, keepdims=True)
+    rescale = (np.isinf(norms) | (norms == 0.0))[:, 0]
+    if rescale.any():
+        rows = embs[rescale]
+        peak = np.abs(rows).max(axis=1, keepdims=True)
+        embs = embs.copy()
+        embs[rescale] = rows / np.where(peak > 0.0, peak, 1.0)
+        norms[rescale] = np.linalg.norm(embs[rescale], axis=1, keepdims=True)
+    return embs / np.where(norms > 0.0, norms, 1.0)
 
 
 def modulated_vectors(embeddings: np.ndarray, interest: np.ndarray) -> np.ndarray:

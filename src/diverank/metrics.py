@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import ValidationError
+from .kernels import normalize_rows
 
 
 def _check_k(k: int) -> None:
@@ -80,10 +81,9 @@ def ilad(embeddings) -> float:
     embs = np.asarray(embeddings, dtype=np.float64)
     if embs.ndim != 2 or embs.shape[0] < 2:
         raise ValidationError("ilad needs at least two embeddings")
-    norms = np.linalg.norm(embs, axis=1)
-    if np.any(norms == 0.0):
+    unit = normalize_rows(embs)
+    if not unit.any(axis=1).all():  # only an all-zero row stays zero
         raise ValidationError("ilad is undefined for zero-norm embeddings")
-    unit = embs / norms[:, None]
     cosine = unit @ unit.T
     n = embs.shape[0]
     iu = np.triu_indices(n, k=1)

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .accuracy import ContextState, ScorerParams, initial_context, list_state, score_batch, update_context
-from .data import CandidateSet, ExperimentConfig, NumericalError, RerankResult, SelectionStep, ValidationError
+from .data import CandidateSet, ExperimentConfig, NumericalError, RerankResult, ValidationError
 from .interests import InterestProfile
 from .kernels import KernelMatrix, normalize_rows
 
@@ -99,7 +99,7 @@ def bs_dpp_select(
 
     selected: list[int] = []
     unselected = np.ones(n, dtype=bool)
-    steps: list[SelectionStep] = []
+    picks: list[tuple[float, float, float]] = []  # (score, log_d2, marginal) per pick
     objective = 0.0
     exhausted = False
 
@@ -129,9 +129,9 @@ def bs_dpp_select(
             j = int(np.where(eligible, values, -np.inf).argmax())
             if collect_trace:
                 trace.steps.append(StepTrace(j, tuple(selected), d2, scores, eligible))
-            marginal = joint[j]
-            steps.append(SelectionStep(candidates.ids[j], float(scores[j]), float(log_d2[j]), float(marginal)))
-            objective += float(marginal)
+            marginal = float(joint[j])
+            picks.append((float(scores[j]), float(log_d2[j]), marginal))
+            objective += marginal
             t = len(selected)
             selected.append(j)
             unselected[j] = False
@@ -156,13 +156,8 @@ def bs_dpp_select(
 
     if not np.isfinite(objective):
         raise NumericalError(f"objective sum overflows at alpha={alpha:g}; lower alpha")
-    result = RerankResult(
-        user_id=candidates.user_id,
-        item_ids=tuple(candidates.ids[j] for j in selected),
-        steps=tuple(steps),
-        objective=objective,
-        exhausted=exhausted,
-    )
+    item_ids = tuple(candidates.ids[j] for j in selected)
+    result = RerankResult(candidates.user_id, item_ids, *zip(*picks), objective, exhausted)
     if collect_trace:
         return result, trace
     return result

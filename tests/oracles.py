@@ -24,7 +24,6 @@ from diverank.data import (
     ExperimentConfig,
     NumericalError,
     RerankResult,
-    SelectionStep,
     ValidationError,
 )
 from diverank.interests import InterestProfile
@@ -106,7 +105,7 @@ def reference_greedy(
     trace.min_d2_before_clamp = float(d2.min())
     selected: list[int] = []
     selected_mask = np.zeros(n, dtype=bool)
-    steps: list[SelectionStep] = []
+    picks: list[tuple[float, float, float]] = []
     objective = 0.0
     exhausted = False
     ctx = initial_context(embs)
@@ -126,7 +125,7 @@ def reference_greedy(
             raise NumericalError("argmax over an empty eligible set")
         trace.steps.append(StepTrace(j, tuple(selected), d2.copy(), scores.copy(), eligible.copy()))
         marginal = joint[j]
-        steps.append(SelectionStep(candidates.ids[j], float(scores[j]), float(log_d2[j]), float(marginal)))
+        picks.append((float(scores[j]), float(log_d2[j]), float(marginal)))
         objective += float(marginal)
         t = len(selected)
         selected.append(j)
@@ -149,7 +148,9 @@ def reference_greedy(
     result = RerankResult(
         user_id=candidates.user_id,
         item_ids=tuple(candidates.ids[j] for j in selected),
-        steps=tuple(steps),
+        scores=tuple(p[0] for p in picks),
+        log_d2=tuple(p[1] for p in picks),
+        marginals=tuple(p[2] for p in picks),
         objective=objective,
         exhausted=exhausted,
     )

@@ -20,6 +20,7 @@ from diverank.accuracy import (
     build_impressions,
     init_scorer_params,
     initial_context,
+    list_state,
     score_batch,
     scorer_params_from_arrays,
     train_scorer,
@@ -68,6 +69,11 @@ def score_oracle(target, h_macro, h_micro, h_prev, h_cand, params):
     return exp[1] / sum(exp)
 
 
+def score(targets, profile, ctx, params):
+    """`score_batch` of (n, d) targets with the list state built from `ctx.h_cand`."""
+    return score_batch(targets, profile, ctx, params, list_state(targets, profile, ctx.h_cand, params))
+
+
 def make_profile(user_id, rng, dim):
     return InterestProfile(
         user_id=user_id, h_macro=rng.normal(size=dim), h_micro=rng.normal(size=dim)
@@ -91,17 +97,15 @@ class TestScore:
         rng = np.random.default_rng(3)
         profile = make_profile("u", rng, 4)
         ctx = initial_context(rng.normal(size=(5, 4)))
-        value = score_batch(rng.normal(size=4), profile, ctx, params)[0]
+        value = score(rng.normal(size=(1, 4)), profile, ctx, params)[0]
         assert value == pytest.approx(0.5)
 
     def test_deterministic(self, rng):
         params = init_scorer_params(4, rng)
         profile = make_profile("u", rng, 4)
         ctx = initial_context(rng.normal(size=(5, 4)))
-        target = rng.normal(size=4)
-        assert np.array_equal(
-            score_batch(target, profile, ctx, params), score_batch(target, profile, ctx, params)
-        )
+        target = rng.normal(size=(1, 4))
+        assert np.array_equal(score(target, profile, ctx, params), score(target, profile, ctx, params))
 
     def test_matches_scalar_oracle(self, rng):
         params = init_scorer_params(4, rng)
@@ -109,7 +113,7 @@ class TestScore:
         embs = rng.normal(size=(6, 4))
         ctx = update_context(initial_context(embs), embs[0])
         for row in range(3):
-            got = score_batch(embs[row], profile, ctx, params)[0]
+            got = score(embs[[row]], profile, ctx, params)[0]
             want = score_oracle(
                 embs[row], profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
             )
@@ -120,8 +124,8 @@ class TestScore:
         profile = make_profile("u", rng, 4)
         embs = rng.normal(size=(5, 4))
         ctx = initial_context(embs)
-        batch = score_batch(embs, profile, ctx, params)
-        singles = [score_batch(embs[i], profile, ctx, params)[0] for i in range(5)]
+        batch = score(embs, profile, ctx, params)
+        singles = [score(embs[[i]], profile, ctx, params)[0] for i in range(5)]
         np.testing.assert_allclose(batch, singles, atol=1e-12)
 
     def test_probability_range_and_softmax_sum(self, rng):
@@ -129,7 +133,7 @@ class TestScore:
         profile = make_profile("u", rng, 4)
         embs = rng.normal(size=(8, 4)) * 3.0
         ctx = initial_context(embs)
-        probs = score_batch(embs, profile, ctx, params)
+        probs = score(embs, profile, ctx, params)
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 1.0)
         logits = ad.score_logits(embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params)
@@ -147,8 +151,8 @@ class TestScore:
         profile = make_profile("u", rng, 4)
         embs = rng.normal(size=(10, 4))
         ctx = initial_context(embs)
-        base = score_batch(embs, profile, ctx, params)
-        other = score_batch(embs, profile, ctx, scaled)
+        base = score(embs, profile, ctx, params)
+        other = score(embs, profile, ctx, scaled)
         assert np.array_equal(np.argsort(base), np.argsort(other))
 
     def test_shared_and_per_row_context_agree(self, rng):

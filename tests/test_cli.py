@@ -20,14 +20,19 @@ from diverank import cli
 from diverank.accuracy import init_scorer_params
 from diverank.data import (
     CandidateSet,
+    EmbeddingTable,
     ExperimentConfig,
+    RerankResult,
     load_candidates,
     load_checkpoint,
     load_results,
     save_candidates,
     save_checkpoint,
+    save_items,
+    save_results,
 )
 from diverank.interests import InterestProfile, save_profiles
+from diverank.metrics import ilad
 
 SYNTH_ARGS = [
     "--seed", "0",
@@ -487,6 +492,101 @@ class TestSingleItemLists:
         assert all(row["mean_ndcg"] != "" and row["mean_objective"] != "" for row in rows)
 
 
+def _entry_1e200():
+    row = np.random.default_rng(4).normal(size=16)
+    row[3] = 1e200
+    return row
+
+
+# Finite rows whose squared entries overflow, or underflow to a zero sum,
+# each with the factor that brings it to an ordinary scale.
+EXTREME_ROWS = {
+    "entry 1e200": (_entry_1e200(), 1e-200),
+    "sixteen 1e-170": (np.full(16, 1e-170), 1e170),
+}
+
+
+def write_extreme_fixture(root, row):
+    """Six candidates of dimension 16 for u1 whose first row is `row`, the
+    same rows as a catalog, labels, a profile and a random checkpoint."""
+    root.mkdir()
+    rng = np.random.default_rng(8)
+    embs = rng.normal(size=(6, 16))
+    embs[0] = row
+    ids = tuple(f"i{r}" for r in range(6))
+    save_candidates(root / "candidates.jsonl", [CandidateSet("u1", ids, embs, rng.random(6))])
+    save_items(root / "items.jsonl", EmbeddingTable(ids, embs))
+    save_results(root / "results.jsonl", [RerankResult("u1", ids, (0.5,) * 6, (0.0,) * 6, (0.5,) * 6, 3.0)])
+    (root / "labels.jsonl").write_text(
+        "".join(json.dumps({"user_id": "u1", "item_id": i, "ts": 0, "label": int(i < "i3")}) + "\n" for i in ids)
+    )
+    save_profiles(root / "profiles.jsonl", [InterestProfile("u1", rng.normal(size=16), rng.normal(size=16))])
+    params = init_scorer_params(16, rng)
+    save_checkpoint(root / "checkpoint.json", {f"scorer.{k}": v for k, v in params.arrays().items()}, {"dim": 16})
+    return embs
+
+
+class TestExtremeRows:
+    """A row whose norm np.linalg.norm cannot form directly is normalized as
+    the same row at an ordinary scale, without a warning."""
+
+    def _run_both(self, tmp_path, case, capsys, *argv):
+        """Run `argv` on the fixture with the extreme row, then with it rescaled;
+        each must exit 0 and write nothing to stderr."""
+        row, factor = EXTREME_ROWS[case]
+        out = []
+        for name, first in (("extreme", row), ("rescaled", row * factor)):
+            root = tmp_path / name
+            embs = write_extreme_fixture(root, first)
+            assert run(*(str(arg).format(root=root) for arg in argv)) == 0
+            assert capsys.readouterr().err == ""
+            out.append((root, embs))
+        return out
+
+    @pytest.mark.parametrize("case", EXTREME_ROWS)
+    def test_rerank(self, tmp_path, case, capsys):
+        runs = self._run_both(
+            tmp_path, case, capsys, "rerank", "--candidates", "{root}/candidates.jsonl",
+            "--profiles", "{root}/profiles.jsonl", "--checkpoint", "{root}/checkpoint.json",
+            "--out", "{root}/out.jsonl", "--dump-kernel", "{root}/kernel_", "--k", 6,
+        )
+        (extreme, embs), (rescaled, _) = runs
+        np.testing.assert_allclose(
+            np.loadtxt(extreme / "kernel_u1.csv", delimiter=","),
+            np.loadtxt(rescaled / "kernel_u1.csv", delimiter=","),
+            rtol=1e-12, atol=0.0,
+        )
+        (result,) = load_results(extreme / "out.jsonl")
+        rows = [int(i[1:]) for i in result.item_ids]
+        assert 0 in rows
+        want = embs.copy()
+        want[0] *= EXTREME_ROWS[case][1]
+        assert ilad(embs[rows]) == pytest.approx(ilad(want[rows]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", EXTREME_ROWS)
+    def test_eval(self, tmp_path, case, capsys):
+        runs = self._run_both(
+            tmp_path, case, capsys, "eval", "--results", "{root}/results.jsonl",
+            "--labels", "{root}/labels.jsonl", "--items", "{root}/items.jsonl", "--out", "{root}/eval.csv",
+        )
+        extreme, rescaled = (list(csv.DictReader(open(root / "eval.csv"))) for root, _ in runs)
+        assert float(extreme[0]["ilad"]) == pytest.approx(float(rescaled[0]["ilad"]), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("case", EXTREME_ROWS)
+    def test_sweep(self, tmp_path, case, capsys):
+        # With k = n every method selects every candidate, so each list is the same set.
+        runs = self._run_both(
+            tmp_path, case, capsys, "sweep", "--candidates", "{root}/candidates.jsonl",
+            "--labels", "{root}/labels.jsonl", "--profiles", "{root}/profiles.jsonl",
+            "--checkpoint", "{root}/checkpoint.json", "--out", "{root}/sweep.csv",
+            "--k", 6, "--alphas", "0,1",
+        )
+        extreme, rescaled = (list(csv.DictReader(open(root / "sweep.csv"))) for root, _ in runs)
+        assert len(extreme) == 6
+        for a, b in zip(extreme, rescaled):
+            assert float(a["mean_ilad"]) == pytest.approx(float(b["mean_ilad"]), rel=1e-12, abs=0.0)
+
+
 class TestExitCodes:
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert run("rerank") == 1
@@ -637,8 +737,8 @@ def _line(*items):
 
 
 def _result(**overrides):
-    step = {"item_id": "a", "score": 0.5, "log_d2": 0.0, "marginal": 0.5}
-    doc = {"user_id": "u1", "item_ids": ["a"], "steps": [step], "objective": 0.5}
+    doc = {"user_id": "u1", "item_ids": ["a"], "scores": [0.5], "log_d2": [0.0], "marginals": [0.5],
+           "objective": 0.5}
     doc.update(overrides)
     return doc
 
@@ -671,7 +771,7 @@ HUGE = 10**400  # a JSON integer too large for float64
 TS_RULE = "ts must be an integer >= 0"
 CLUSTER_RULE = "cluster_id must be an integer >= 0"
 LABEL_RULE = "label must be absent, null, 0 or 1"
-STEPS_RULE = "steps must be a list of objects"
+COLUMN_RULE = "must be a list of 1 numbers"
 
 # (command and the flag reading the line, the line as an object or raw text,
 #  a fragment its error must name)
@@ -713,26 +813,29 @@ MALFORMED_LINES = {
     "result list item id": ("eval --results", _result(item_ids=[["a"]]), "item_id"),
     "result empty item id": ("eval --results", _result(item_ids=[""]), "item_id"),
     "result list user id": ("eval --results", _result(user_id=["u1"]), "user_id"),
-    "result steps not a list": ("eval --results", _result(steps=5), STEPS_RULE),
-    "result step not an object": ("eval --results", _result(steps=[5]), STEPS_RULE),
-    "result step missing score": ("eval --results",
-                                  _result(steps=[{"item_id": "a", "log_d2": 0.0, "marginal": 0.5}]),
-                                  "step missing field 'score'"),
-    "result string score": ("eval --results",
-                            _result(steps=[{"item_id": "a", "score": "0.5", "log_d2": 0.0,
-                                            "marginal": 0.5}]),
-                            "score must be a number"),
-    "result bool score": ("eval --results",
-                          _result(steps=[{"item_id": "a", "score": True, "log_d2": 0.0,
-                                          "marginal": 0.5}]),
-                          "score must be a number"),
+    "result scores not a list": ("eval --results", _result(scores=5), "scores " + COLUMN_RULE),
+    "result log_d2 entry an object": ("eval --results", _result(log_d2=[{"x": 0.0}]),
+                                      "log_d2 " + COLUMN_RULE),
+    "result missing scores": ("eval --results", _result_without("scores"),
+                              "result missing field 'scores'"),
+    "result string score": ("eval --results", _result(scores=["0.5"]), "scores " + COLUMN_RULE),
+    "result bool score": ("eval --results", _result(scores=[True]), "scores " + COLUMN_RULE),
+    "result short column": ("eval --results", _result(item_ids=["a", "b"], scores=[0.5, 0.4],
+                                                      log_d2=[0.0, -0.1], marginals=[0.5]),
+                            "marginals must be a list of 2 numbers"),
+    "result nan literal": ("eval --results",
+                           '{"user_id": "u1", "item_ids": ["a"], "scores": [NaN], "log_d2": [0.0], '
+                           '"marginals": [0.5], "objective": 0.5}',
+                           "scores has non-finite values"),
+    "result null entry": ("eval --results", _result(log_d2=[None]), "log_d2 " + COLUMN_RULE),
+    "result nested list": ("eval --results", _result(marginals=[[0.5]]), "marginals " + COLUMN_RULE),
     "result huge objective": ("eval --results", _result(objective=HUGE), "objective"),
     "result missing user_id": ("eval --results", _result_without("user_id"),
                                "result missing field 'user_id'"),
     "result missing item_ids": ("eval --results", _result_without("item_ids"),
                                 "result missing field 'item_ids'"),
-    "result missing steps": ("eval --results", _result_without("steps"),
-                             "result missing field 'steps'"),
+    "result missing marginals": ("eval --results", _result_without("marginals"),
+                                 "result missing field 'marginals'"),
     "result missing objective": ("eval --results", _result_without("objective"),
                                  "result missing field 'objective'"),
     "result string exhausted": ("eval --results", _result(exhausted="no"), "exhausted"),

@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from diverank.data import (
@@ -16,6 +16,7 @@ from diverank.data import (
     EmbeddingTable,
     ExperimentConfig,
     ParseError,
+    RerankResult,
     ValidationError,
     _finite_rows,
     _finite_vector,
@@ -398,26 +399,71 @@ class TestConfig:
             load_config(str(path))
 
 
+RESULT_NUMBERS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rerank_results(draw):
+    n = draw(st.integers(0, 4))
+    column = st.lists(RESULT_NUMBERS, min_size=n, max_size=n).map(tuple)
+    return RerankResult(
+        user_id=draw(IDS),
+        item_ids=tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True))),
+        scores=draw(column),
+        log_d2=draw(column),
+        marginals=draw(column),
+        objective=draw(RESULT_NUMBERS),
+        exhausted=draw(st.booleans()),
+    )
+
+
+def float_bits(res):
+    """Every number of a result as int64 bit patterns, so that -0.0 differs from 0.0."""
+    return np.array([*res.scores, *res.log_d2, *res.marginals, res.objective]).view(np.int64).tolist()
+
+
 class TestResultsIO:
     def test_round_trip(self, tmp_path):
-        from diverank.data import RerankResult, SelectionStep
-
         path = tmp_path / "results.jsonl"
         results = [
             RerankResult(
                 user_id="u1",
                 item_ids=("a", "b"),
-                steps=(
-                    SelectionStep("a", score=0.9, log_d2=0.0, marginal=0.9),
-                    SelectionStep("b", score=0.5, log_d2=-0.3, marginal=0.2),
-                ),
+                scores=(0.9, 0.5),
+                log_d2=(0.0, -0.3),
+                marginals=(0.9, 0.2),
                 objective=1.1,
                 exhausted=False,
             )
         ]
         save_results(str(path), results)
+        assert path.read_text() == (
+            '{"exhausted":false,"item_ids":["a","b"],"log_d2":[0.0,-0.3],'
+            '"marginals":[0.9,0.2],"objective":1.1,"scores":[0.9,0.5],"user_id":"u1"}\n'
+        )
         loaded = load_results(str(path))
         assert loaded == results
+
+    @settings(
+        derandomize=True, max_examples=100, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(rerank_results(), max_size=3, unique_by=lambda res: res.user_id))
+    @example([
+        RerankResult('u"\\\x01', ('a"', "b\\", "\x1f", "\u00fc\u20ac"), EDGE_FLOATS[:4], EDGE_FLOATS[3:],
+                     (0.0, *EDGE_FLOATS[1:4]), -0.0, True),
+        RerankResult("\u00e9", ("x",), (-0.0,), (1.7976931348623157e308,), (-1.7976931348623157e308,), 5e-324),
+    ])
+    def test_save_then_load_is_the_identity(self, tmp_path, results):
+        path = tmp_path / "results.jsonl"
+        save_results(str(path), results)
+        loaded = load_results(str(path))
+        assert loaded == results
+        assert [float_bits(res) for res in loaded] == [float_bits(res) for res in results]
+
+    def test_columns_must_match_item_ids(self):
+        with pytest.raises(ValidationError, match="one entry per item id"):
+            RerankResult("u1", ("a", "b"), (0.5, 0.5), (0.0,), (0.5, 0.5), 1.0)
 
 
 # JSON-shaped values: numbers (ints up to 10**400, floats with NaN and

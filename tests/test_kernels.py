@@ -156,6 +156,19 @@ class TestNormalizeAndModulate:
         assert np.array_equal(out[0], [0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.6, 0.8])
 
+    def test_ordinary_rows_keep_the_bits_of_linalg_norm(self, rng):
+        embs = rng.normal(size=(50, 7)) * np.logspace(-100, 100, 50)[:, None]
+        want = embs / np.linalg.norm(embs, axis=1, keepdims=True)
+        assert np.array_equal(normalize_rows(embs), want)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-300, 1.7976931348623157e308])
+    def test_extreme_rows_normalize_as_rescaled_rows(self, rng, scale):
+        # Squaring these rows' entries overflows, or underflows to a zero sum.
+        row = rng.normal(size=16)
+        row /= np.abs(row).max()
+        out = normalize_rows(np.stack([row * scale, row]))
+        np.testing.assert_allclose(out[0], out[1], rtol=1e-12, atol=0.0)
+
     def test_elementwise_modulation(self):
         embs = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = modulated_vectors(embs, np.array([0.5, 2.0]))

@@ -198,6 +198,13 @@ class TestIlad:
         with pytest.raises(ValidationError):
             ilad(np.ones((1, 3)))
 
+    def test_rows_whose_squares_overflow_or_underflow(self, rng):
+        v = rng.normal(size=(4, 16))
+        want = ilad(v)
+        for row, scale in ((0, 1e200), (2, 1e-170)):
+            v[row] *= scale
+        assert ilad(v) == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_zero_norm_rejected(self):
         with pytest.raises(ValidationError):
             ilad(np.array([[0.0, 0.0], [1.0, 0.0]]))

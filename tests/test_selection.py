@@ -353,7 +353,7 @@ class TestMmr:
 
 class TestProfileScorer:
     def test_first_step_scores_match_score_batch(self, rng):
-        from diverank.accuracy import init_scorer_params, initial_context, score_batch
+        from diverank.accuracy import init_scorer_params, initial_context, list_state, score_batch
         from diverank.interests import InterestProfile
 
         n, d = 6, 4
@@ -366,7 +366,7 @@ class TestProfileScorer:
         scorer = profile_scorer(cands, profile, params)
         ctx = initial_context(embs)
         got = scorer(ctx)
-        want = score_batch(embs, profile, ctx, params)
+        want = score_batch(embs, profile, ctx, params, list_state(embs, profile, ctx.h_cand, params))
         np.testing.assert_array_equal(got, want)
 
     def test_context_updates_shift_scores(self, rng):
@@ -406,6 +406,7 @@ class TestProfileScorer:
         from diverank.accuracy import (
             init_scorer_params,
             initial_context,
+            list_state,
             score_batch,
             update_context,
         )
@@ -428,11 +429,12 @@ class TestProfileScorer:
                 collect_trace=True,
             )
             assert len(trace.steps) == cfg.k
+            state = list_state(embs, profile, initial_context(embs).h_cand, params)
             for step in trace.steps:
                 ctx = initial_context(embs)
                 for j in step.selected_before:
                     ctx = update_context(ctx, embs[j])
-                got = score_batch(embs, profile, ctx, params)
+                got = score_batch(embs, profile, ctx, params, state)
                 np.testing.assert_array_equal(got, step.scores)
                 logits = ad.score_logits(
                     embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
@@ -440,7 +442,9 @@ class TestProfileScorer:
                 want = ad.softmax(logits)[:, 1]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
                 assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
-                single = score_batch(embs[step.chosen], profile, ctx, params)  # 1-D target
+                chosen = embs[[step.chosen]]  # a batch of one row
+                single_state = list_state(chosen, profile, ctx.h_cand, params)
+                single = score_batch(chosen, profile, ctx, params, single_state)
                 assert single.shape == (1,)
                 assert single[0] == pytest.approx(want[step.chosen], abs=1e-12)
 
@@ -503,10 +507,8 @@ class TestReferenceGreedy:
         assert got.exhausted == want.exhausted == ("rank" in case)
         assert trace.min_d2_before_clamp == want_trace.min_d2_before_clamp
         assert got.objective == pytest.approx(want.objective, rel=0.0, abs=1e-12)
-        for a, b in zip(got.steps, want.steps):
-            assert a.item_id == b.item_id
-            for name in ("score", "log_d2", "marginal"):
-                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=0.0, abs=1e-12)
+        for name in ("scores", "log_d2", "marginals"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)
         assert len(trace.steps) == len(want_trace.steps) == len(got.item_ids)
         for a, b in zip(trace.steps, want_trace.steps):
             assert (a.chosen, a.selected_before) == (b.chosen, b.selected_before)
@@ -517,7 +519,7 @@ class TestReferenceGreedy:
 
 class TestListState:
     @pytest.mark.parametrize("case", GREEDY_GRID.values(), ids=GREEDY_GRID.keys())
-    def test_state_matches_stateless_bit_for_bit_and_is_never_written(self, case):
+    def test_state_matches_reference_scores_and_is_never_written(self, case):
         from diverank.accuracy import initial_context, list_state, score_batch, update_context
 
         cands, _, profile, params, _ = _scored_case(**case)
@@ -526,9 +528,11 @@ class TestListState:
         state = list_state(embs, profile, ctx.h_cand, params)
         before = {name: np.copy(getattr(state, name)) for name in ("base", "interest", "gap", "gap_bias")}
         for j in range(min(len(embs), 12)):
-            np.testing.assert_array_equal(
+            np.testing.assert_allclose(
                 score_batch(embs, profile, ctx, params, state),
-                score_batch(embs, profile, ctx, params),
+                reference_scores(embs, profile, ctx, params),
+                rtol=0.0,
+                atol=1e-12,
             )
             ctx = update_context(ctx, embs[j])
         for name, value in before.items():
