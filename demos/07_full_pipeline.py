@@ -35,6 +35,20 @@ def peek(path, n=2, label=None):
             print(f"    {text}")
 
 
+def peek_user_line(path, n=4):
+    """The first line of a one-line-per-user file, each list cut to `n` entries."""
+    with open(path) as fh:
+        doc = json.loads(fh.readline())
+    fields = []
+    for key, value in doc.items():
+        text = json.dumps(value[:n] if isinstance(value, list) else value)
+        if isinstance(value, list) and len(value) > n:
+            text = f"{text[:-1]}, ... {len(value)} in all]"
+        fields.append(f'"{key}": {text}')
+    print(f"  {path.name} (one line per user, aligned lists):")
+    print("    {" + ",\n     ".join(fields) + "}")
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -44,7 +58,8 @@ def main():
         section("1. synth: a seeded world with known structure")
         cli.main(["synth", "--out", str(fix), "--seed", "0"])
         peek(fix / "items.jsonl")
-        peek(fix / "behaviors.jsonl")
+        peek_user_line(fix / "behaviors.jsonl")
+        peek_user_line(fix / "labels.jsonl")
 
         section("2. cluster: interaction graph -> item communities")
         cli.main([

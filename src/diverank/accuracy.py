@@ -319,6 +319,7 @@ def train_scorer(
     columns = (impressions.embeddings, macro[rows], micro[rows], impressions.h_prev, impressions.h_cand)
 
     weights = list(params.arrays().values())
+    initial = ScorerParams(*(w.copy() for w in weights))  # a few KB, read only on divergence
     rng = np.random.default_rng(seed)
     curve: list[dict[str, float]] = []
     # Divergence is caught below as a non-finite loss or parameter, so
@@ -335,10 +336,12 @@ def train_scorer(
                     w -= lr * g
             epoch_loss = float(np.sum(losses) / n)
             if not math.isfinite(epoch_loss) or not all(np.isfinite(w).all() for w in weights):
+                at_init = ad.cross_entropy(ad.score_logits(*columns, initial), labels_all)[0]
+                advice = "lower the learning rate" if math.isfinite(at_init) else (
+                    "the scorer's inputs (item embeddings or interest vectors) overflow at its "
+                    "initial weights; rescale or normalize the catalog")
                 raise NumericalError(
-                    f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); "
-                    "lower the learning rate"
-                )
+                    f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); {advice}")
             probs = ad.softmax(ad.score_logits(*columns, params))[:, 1]
             curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels_all, probs))})
     return curve

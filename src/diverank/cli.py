@@ -15,7 +15,9 @@ import csv
 import os
 import sys
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
+from typing import Iterable
 
 import numpy as np
 
@@ -109,23 +111,17 @@ def _zero_profile(user_id: str, dim: int) -> InterestProfile:
 
 def cmd_synth(args) -> None:
     spec = SyntheticSpec(
-        clusters=args.clusters,
-        items_per_cluster=args.items_per_cluster,
-        dim=args.dim,
-        noise=args.noise,
-        users=args.users,
-        behaviors_per_user=args.behaviors_per_user,
-        candidates_per_user=args.candidates_per_user,
-        sharpness=args.sharpness,
-        score_noise=args.score_noise,
-        seed=args.seed,
+        clusters=args.clusters, items_per_cluster=args.items_per_cluster, dim=args.dim, noise=args.noise,
+        users=args.users, behaviors_per_user=args.behaviors_per_user,
+        candidates_per_user=args.candidates_per_user, sharpness=args.sharpness,
+        score_noise=args.score_noise, seed=args.seed,
     )
     world = generate(spec)
     os.makedirs(args.out, exist_ok=True)
     save_items(os.path.join(args.out, "items.jsonl"), world.items)
     save_behaviors(os.path.join(args.out, "behaviors.jsonl"), world.behaviors)
     save_candidates(os.path.join(args.out, "candidates.jsonl"), world.candidates)
-    save_behaviors(os.path.join(args.out, "labels.jsonl"), world.labels)
+    save_behaviors(os.path.join(args.out, "labels.jsonl"), world.labels, labelled=True)
     print(
         f"synth: {len(world.items)} items, {len(world.behaviors)} behaviors, "
         f"{len(world.candidates)} candidate sets -> {args.out}"
@@ -168,19 +164,11 @@ def cmd_train_scorer(args) -> None:
         raise ValidationError("no behavior events to train on")
     now = int(behaviors.ts.max())
 
-    profiles = []
-    for user_id, user_log in behaviors.by_user():
-        profiles.append(
-            build_profile(
-                user_id,
-                user_log,
-                table,
-                item_clusters,
-                top_m=cfg.top_m,
-                recent_window=cfg.recent_window,
-                now=now,
-            )
-        )
+    profiles = [
+        build_profile(user_id, behaviors.take(rows), table, item_clusters,
+                      top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
+        for user_id, rows in behaviors.user_rows().items()
+    ]
     profile_map = {p.user_id: p for p in profiles}
 
     impressions = build_impressions(behaviors, table)
@@ -215,23 +203,16 @@ def _check_dims(candidates: list[CandidateSet], profiles: dict[str, InterestProf
     """Reject inputs whose dimension differs from the checkpoint's, before any arithmetic."""
     for cs in candidates:
         if cs.dim != dim:
-            raise ValidationError(
-                f"candidate set {cs.user_id}: embedding dim {cs.dim} != checkpoint dim {dim}"
-            )
+            raise ValidationError(f"candidate set {cs.user_id}: embedding dim {cs.dim} != checkpoint dim {dim}")
     for profile in profiles.values():
         if profile.h_macro.shape != (dim,):
             raise ValidationError(
-                f"profile {profile.user_id}: dim {profile.h_macro.size} != checkpoint dim {dim}"
-            )
+                f"profile {profile.user_id}: dim {profile.h_macro.size} != checkpoint dim {dim}")
 
 
 def _load_scorer_checkpoint(path: str) -> ScorerParams:
     arrays, _meta = load_checkpoint(path)
-    scoped = {
-        name.removeprefix("scorer."): arr
-        for name, arr in arrays.items()
-        if name.startswith("scorer.")
-    }
+    scoped = {name.removeprefix("scorer."): arr for name, arr in arrays.items() if name.startswith("scorer.")}
     return scorer_params_from_arrays(scoped)
 
 
@@ -255,16 +236,8 @@ def cmd_rerank(args) -> None:
         # Built inline, so its per-list terms are freed before the next kernel build.
         result, trace = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg, collect_trace=True)
         results.append(result)
-        diag_rows.append(
-            [
-                cs.user_id,
-                cs.size,
-                len(result.item_ids),
-                int(result.exhausted),
-                _fmt(result.objective),
-                _fmt(trace.min_d2_before_clamp),
-            ]
-        )
+        diag_rows.append([cs.user_id, cs.size, len(result.item_ids), int(result.exhausted),
+                          _fmt(result.objective), _fmt(trace.min_d2_before_clamp)])
 
     save_results(args.out, results)
     with open(args.out + ".diag.csv", "w", encoding="utf-8", newline="") as fh:
@@ -288,11 +261,15 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 # ----- eval -----
 
 
-def _label_map(path: str) -> dict[str, dict[str, int]]:
-    log = load_behaviors(path, labelled=True)
+def _label_map(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
+    """The label of each item by user, for those of `users` with a label line."""
+    log = load_behaviors(path, labelled=True)  # sorted, so a user's rows are one run
     by_user: dict[str, dict[str, int]] = {}
-    for user_id, item_id, label in zip(log.user_ids, log.item_ids, log.labels.tolist()):
-        by_user.setdefault(user_id, {})[item_id] = label
+    for user_id in users:
+        lo = bisect_left(log.user_ids, user_id)
+        hi = bisect_right(log.user_ids, user_id, lo)
+        if lo < hi:
+            by_user[user_id] = dict(zip(log.item_ids[lo:hi], log.labels[lo:hi].tolist()))
     return by_user
 
 
@@ -307,7 +284,7 @@ def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal
 def cmd_eval(args) -> None:
     cfg = _load_experiment_config(args)
     results = load_results(args.results)
-    labels = _label_map(args.labels)
+    labels = _label_map(args.labels, (res.user_id for res in results))
     table = load_items(args.items)
 
     rows = []
@@ -356,7 +333,7 @@ def cmd_sweep(args) -> None:
     candidates = load_candidates(args.candidates, limit=args.runs)
     if not candidates:
         raise ValidationError("no candidate sets to sweep over")
-    labels = _label_map(args.labels)
+    labels = _label_map(args.labels, (cs.user_id for cs in candidates))
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
     _check_dims(candidates, profiles, params.dim)

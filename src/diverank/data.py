@@ -1,7 +1,8 @@
 """Core record types, validation, and line-delimited JSON persistence.
 
-Item and behavior lines, candidate sets, experiment configuration,
-re-ranking results and scorer checkpoints are read and written here.
+Item lines, candidate sets, behavior and label lines, experiment
+configuration, re-ranking results and scorer checkpoints are read and
+written here; the last four of these formats hold one line per user.
 The other formats live with their stage: cluster lines in `clustering`,
 profile lines in `interests`, the training log in `accuracy`, and the
 diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Loaders fail
@@ -14,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -210,13 +212,12 @@ class BehaviorLog:
             self.labels[rows],
         )
 
-    def by_user(self) -> Iterator[tuple[str, "BehaviorLog"]]:
-        """Each user's rows as a log of its own, users in sorted order."""
+    def user_rows(self) -> dict[str, list[int]]:
+        """Each user's row numbers in log order, users in sorted order."""
         rows: dict[str, list[int]] = {}
         for row, user_id in enumerate(self.user_ids):
             rows.setdefault(user_id, []).append(row)
-        for user_id in sorted(rows):
-            yield user_id, self.take(rows[user_id])
+        return {user_id: rows[user_id] for user_id in sorted(rows)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,64 +526,95 @@ def _ts_column(values: Sequence) -> np.ndarray:
 
 
 def _label_column(values: Sequence) -> np.ndarray:
-    """JSON `label` values as int8 codes: absent or null is NO_LABEL, else the int 0 or 1."""
+    """JSON label values as int8 codes: null is NO_LABEL, else the int 0 or 1."""
     # Types first: a list label is unhashable, and True and 1.0 equal 1.
     if set(map(type, values)) <= {int, type(None)} and set(values) <= {None, 0, 1}:
         return np.array([NO_LABEL if v is None else v for v in values], dtype=np.int8)
     row = next(
         r for r, v in enumerate(values) if v is not None and (type(v) is not int or v not in (0, 1))
     )
-    raise ValidationError(f"label must be absent, null, 0 or 1, got {values[row]!r}", row)
+    raise ValidationError(f"label must be null, 0 or 1, got {values[row]!r}", row)
 
 
 def load_behaviors(path: str, labelled: bool = False) -> BehaviorLog:
-    """Read a behavior file into one BehaviorLog sorted by (user_id, ts).
+    """Read a behavior or label file into one BehaviorLog sorted by (user_id, ts).
 
-    The file is read in one streaming pass into columns, which are then
-    checked whole; an error cites the line of its row.  With `labelled`,
-    as for a label file, every line must carry a label.  The sort is
-    stable, so equal timestamps keep their input order.
+    A line holds one user's rows as aligned lists: `item_ids`, `ts` and an
+    optional `labels`.  With `labelled`, as for a label file, a line has
+    no `ts` (every judgment's is 0) and every entry needs a label.  The
+    lists are gathered into columns and checked whole; an error cites the
+    line and the index of its entry.  A user has at most one line.  The
+    sort is stable, so equal timestamps keep their order in the line.
     """
+    kind, needed = ("label", "labels") if labelled else ("behavior", "ts")
+    starts: dict[str, int] = {}  # user id -> the row of its line's first entry
     linenos: list[int] = []
-    rows: list[tuple] = []
+    columns: tuple[list, ...] = ([], [], [], [])  # user id, item id, ts, label per row
     for lineno, doc in _iter_json_lines(path):
         try:
-            rows.append((doc["user_id"], doc["item_id"], doc["ts"], doc.get("label")))
-        except KeyError as exc:
-            raise ParseError(f"behavior record missing field {exc}", line=lineno) from exc
+            for name in ("user_id", "item_ids", needed):
+                if name not in doc:
+                    raise ValidationError(f"{kind} line missing field {name!r}")
+            user_id, ids = doc["user_id"], doc["item_ids"]
+            _check_id(user_id, "user_id")
+            if not isinstance(ids, list):
+                raise ValidationError("item_ids must be a list")
+            n = len(ids)
+            line = ([user_id] * n, ids, [0] * n if labelled else doc["ts"], doc.get("labels", [None] * n))
+            for name, values in zip(("ts", "labels"), line[2:]):
+                if not isinstance(values, list) or len(values) != n:
+                    raise ValidationError(f"{name} must be a list of {n} entries, one per item id")
+            if user_id in starts:
+                raise ValidationError(f"duplicate {kind} line for user {user_id!r}")
+        except ValidationError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        starts[user_id] = len(columns[0])
         linenos.append(lineno)
-    user_ids, item_ids, ts, labels = zip(*rows) if rows else ((), (), (), ())
+        for column, values in zip(columns, line):
+            column += values
+    user_ids, item_ids, ts, labels = columns
     try:
-        log = BehaviorLog(user_ids, item_ids, _ts_column(ts), _label_column(labels))
+        log = BehaviorLog(tuple(user_ids), tuple(item_ids), _ts_column(ts), _label_column(labels))
         if labelled and (log.labels == NO_LABEL).any():
             row = int(np.argmax(log.labels == NO_LABEL))
             raise ValidationError(
                 f"label line for ({log.user_ids[row]}, {log.item_ids[row]}) lacks a label", row
             )
     except ValidationError as exc:
-        line = None if exc.row is None else linenos[exc.row]
-        raise ParseError(str(exc), line=line) from exc
-    rank = {user_id: r for r, user_id in enumerate(sorted(set(log.user_ids)))}
-    user_rank = np.fromiter(map(rank.__getitem__, log.user_ids), np.int64, len(log))
+        first_rows = list(starts.values())
+        at = bisect_right(first_rows, exc.row) - 1
+        raise ParseError(f"entry {exc.row - first_rows[at]}: {exc}", line=linenos[at]) from exc
+    rank = {user_id: r for r, user_id in enumerate(sorted(starts))}
+    user_rank = np.repeat([rank[user_id] for user_id in starts], np.diff([*starts.values(), len(log)]))
     order = np.lexsort((log.ts, user_rank))  # stable: last key sorts first
-    return log.take(order)
+    return log if (order == np.arange(len(log))).all() else log.take(order)
 
 
 # The writers below build each line from validated columns, keys in sorted
-# order.  For a str or a list of floats this encoder gives the text of
-# json.dumps(..., separators=(",", ":")), so their files match its output.
+# order.  For the strs, ints, floats, None, lists and dicts they pass, this
+# encoder gives the text of json.dumps(..., separators=(",", ":")), so their
+# files match its output.
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def save_behaviors(path: str, log: BehaviorLog) -> None:
-    """Write one line per row; `label` is left out for NO_LABEL rows."""
+def save_behaviors(path: str, log: BehaviorLog, labelled: bool = False) -> None:
+    """Write one line per user, users sorted and each user's rows in log
+    order.  A NO_LABEL row's label is null, and a line without labels
+    leaves `labels` out.  With `labelled`, as for a label file, `ts` is
+    left out, so every row must be labelled at ts 0."""
+    if labelled and (log.ts.any() or (log.labels == NO_LABEL).any()):
+        raise ValidationError("a label file holds only labelled rows at ts 0")
+    stamps = log.ts.tolist()
+    labels = [None if label == NO_LABEL else label for label in log.labels.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        for user_id, item_id, stamp, label in zip(
-            log.user_ids, log.item_ids, log.ts.tolist(), log.labels.tolist()
-        ):
-            label = "" if label == NO_LABEL else f'"label":{label},'
-            user_id, item_id = _encode(user_id), _encode(item_id)
-            fh.write(f'{{"item_id":{item_id},{label}"ts":{stamp},"user_id":{user_id}}}\n')
+        for user_id, rows in log.user_rows().items():
+            doc = {"item_ids": [log.item_ids[r] for r in rows], "labels": [labels[r] for r in rows]}
+            if doc["labels"].count(None) == len(rows):
+                del doc["labels"]
+            if not labelled:
+                doc["ts"] = [stamps[r] for r in rows]
+            doc["user_id"] = user_id
+            fh.write(_encode(doc) + "\n")
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:

@@ -44,25 +44,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        problems = []
-        if self.clusters < 1:
-            problems.append("clusters must be >= 1")
-        if self.items_per_cluster < 1:
-            problems.append("items_per_cluster must be >= 1")
-        if self.dim < 2:
-            problems.append("dim must be >= 2")
-        if self.noise < 0:
-            problems.append("noise must be >= 0")
-        if self.users < 1:
-            problems.append("users must be >= 1")
-        if self.behaviors_per_user < 1:
-            problems.append("behaviors_per_user must be >= 1")
-        if self.candidates_per_user < 1:
-            problems.append("candidates_per_user must be >= 1")
+        least = {"clusters": 1, "items_per_cluster": 1, "dim": 2, "noise": 0, "users": 1,
+                 "behaviors_per_user": 1, "candidates_per_user": 1, "score_noise": 0}
+        problems = [f"{name} must be >= {low}" for name, low in least.items() if getattr(self, name) < low]
         if self.sharpness <= 0:
             problems.append("sharpness must be positive")
-        if self.score_noise < 0:
-            problems.append("score_noise must be >= 0")
         n_items = self.clusters * self.items_per_cluster
         if self.candidates_per_user > n_items:
             problems.append("candidates_per_user cannot exceed the catalog size")

@@ -215,15 +215,19 @@ def candidates_line(cs: CandidateSet) -> str:
     return _dumps({"items": items, "user_id": cs.user_id})
 
 
-def behavior_lines(log: BehaviorLog) -> list[str]:
-    """Each row of `log` as a dumped dict, `label` left out for NO_LABEL: the
-    reference that `save_behaviors` writes byte for byte."""
+def behavior_lines(log: BehaviorLog, labelled: bool = False) -> list[str]:
+    """One dumped dict per user, users sorted and each user's rows in log
+    order; `labels` is left out of a line with no label, a NO_LABEL entry
+    is null, and a label line (`labelled`) has no `ts`: the reference that
+    `save_behaviors` writes byte for byte."""
     lines = []
-    for user_id, item_id, stamp, label in zip(
-        log.user_ids, log.item_ids, log.ts.tolist(), log.labels.tolist()
-    ):
-        doc = {"user_id": user_id, "item_id": item_id, "ts": stamp}
-        if label != NO_LABEL:
-            doc["label"] = label
+    for user_id in sorted(set(log.user_ids)):
+        rows = [r for r, owner in enumerate(log.user_ids) if owner == user_id]
+        doc = {"user_id": user_id, "item_ids": [log.item_ids[r] for r in rows]}
+        labels = [int(log.labels[r]) for r in rows]
+        if any(label != NO_LABEL for label in labels):
+            doc["labels"] = [None if label == NO_LABEL else label for label in labels]
+        if not labelled:
+            doc["ts"] = [int(log.ts[r]) for r in rows]
         lines.append(_dumps(doc))
     return lines

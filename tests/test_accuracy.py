@@ -253,13 +253,16 @@ def impressions_oracle(log, table):
 
 
 def write_log(path, rows):
-    """Write (user, item, ts, label or None) rows as a behavior file and load it."""
+    """Write (user, item, ts, label or None) rows as a behavior file, one
+    line per user in order of first row, and load it."""
+    lines: dict = {}
+    for user_id, item_id, ts, label in rows:
+        doc = lines.setdefault(user_id, {"user_id": user_id, "item_ids": [], "ts": [], "labels": []})
+        doc["item_ids"].append(item_id)
+        doc["ts"].append(ts)
+        doc["labels"].append(label)
     with open(path, "w", encoding="utf-8") as fh:
-        for user_id, item_id, ts, label in rows:
-            doc = {"user_id": user_id, "item_id": item_id, "ts": ts}
-            if label is not None:
-                doc["label"] = label
-            fh.write(json.dumps(doc) + "\n")
+        fh.writelines(json.dumps(doc) + "\n" for doc in lines.values())
     return load_behaviors(str(path))
 
 

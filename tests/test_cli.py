@@ -444,7 +444,7 @@ class TestCraftedRerank:
 
 def write_labels(root):
     labels = root / "labels.jsonl"
-    labels.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 0, "label": 1}) + "\n")
+    labels.write_text(json.dumps(_judgment()) + "\n")
     return labels
 
 
@@ -460,7 +460,7 @@ class TestSingleItemLists:
             )
         )
         labels = tmp_path / "labels.jsonl"
-        labels.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 0, "label": 1}))
+        labels.write_text(json.dumps(_judgment()))
         results, out = tmp_path / "results.jsonl", tmp_path / "eval.csv"
         argv = ["rerank", "--candidates", tmp_path / "candidates.jsonl",
                 "--profiles", tmp_path / "profiles.jsonl",
@@ -492,6 +492,40 @@ class TestSingleItemLists:
         assert all(row["mean_ndcg"] != "" and row["mean_objective"] != "" for row in rows)
 
 
+class TestLabelLookups:
+    def test_only_the_requested_users_get_a_lookup(self, tmp_path):
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("".join(json.dumps(doc) + "\n" for doc in (
+            _judgment(user_id="u3", item_ids=["a", "b"], labels=[1, 0]),
+            _judgment(user_id="u1", item_ids=["c"], labels=[0]),
+            _judgment(user_id="u2", item_ids=["a", "d", "a"], labels=[0, 1, 1]),
+        )))
+        assert cli._label_map(str(labels), ["u2", "u9", "u3"]) == {
+            "u2": {"a": 1, "d": 1},  # a repeated item keeps its last label, as before
+            "u3": {"a": 1, "b": 0},
+        }
+        assert cli._label_map(str(labels), []) == {}
+
+    def test_eval_of_a_user_without_label_line(self, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        (tmp_path / "items.jsonl").write_text("".join(
+            json.dumps({"item_id": i, "embedding": e}) + "\n"
+            for i, e in (("i1", [1.0, 0.0]), ("i2", [1.0, 0.0]), ("i3", [0.0, 1.0]))
+        ))
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps(_judgment(user_id="u2")) + "\n")  # no line for u1
+        results, out = tmp_path / "results.jsonl", tmp_path / "eval.csv"
+        argv = ["rerank", "--candidates", tmp_path / "candidates.jsonl",
+                "--profiles", tmp_path / "profiles.jsonl",
+                "--checkpoint", tmp_path / "checkpoint.json", "--out", results, "--k", 2]
+        assert run(*map(str, argv)) == 0
+        argv = ["eval", "--results", results, "--labels", labels, "--items", tmp_path / "items.jsonl",
+                "--out", out, "--k", 2]
+        assert run(*map(str, argv)) == 0
+        assert capsys.readouterr().err == ""
+        assert list(csv.reader(open(out)))[1:] == [["u1", "2", "0", "1"], ["__mean__", "", "0", "1"]]
+
+
 def _entry_1e200():
     row = np.random.default_rng(4).normal(size=16)
     row[3] = 1e200
@@ -517,9 +551,7 @@ def write_extreme_fixture(root, row):
     save_candidates(root / "candidates.jsonl", [CandidateSet("u1", ids, embs, rng.random(6))])
     save_items(root / "items.jsonl", EmbeddingTable(ids, embs))
     save_results(root / "results.jsonl", [RerankResult("u1", ids, (0.5,) * 6, (0.0,) * 6, (0.5,) * 6, 3.0)])
-    (root / "labels.jsonl").write_text(
-        "".join(json.dumps({"user_id": "u1", "item_id": i, "ts": 0, "label": int(i < "i3")}) + "\n" for i in ids)
-    )
+    (root / "labels.jsonl").write_text(json.dumps(_judgment(item_ids=ids, labels=[int(i < "i3") for i in ids])) + "\n")
     save_profiles(root / "profiles.jsonl", [InterestProfile("u1", rng.normal(size=16), rng.normal(size=16))])
     params = init_scorer_params(16, rng)
     save_checkpoint(root / "checkpoint.json", {f"scorer.{k}": v for k, v in params.arrays().items()}, {"dim": 16})
@@ -750,7 +782,15 @@ def _result_without(field):
 
 
 def _event(**overrides):
-    doc = {"user_id": "u1", "item_id": "i1", "ts": 1, "label": 1}
+    """A behavior line holding one labelled row."""
+    doc = {"user_id": "u1", "item_ids": ["i1"], "ts": [1], "labels": [1]}
+    doc.update(overrides)
+    return doc
+
+
+def _judgment(**overrides):
+    """A label line holding one judgment."""
+    doc = {"user_id": "u1", "item_ids": ["i1"], "labels": [1]}
     doc.update(overrides)
     return doc
 
@@ -770,7 +810,7 @@ def _profile(**overrides):
 HUGE = 10**400  # a JSON integer too large for float64
 TS_RULE = "ts must be an integer >= 0"
 CLUSTER_RULE = "cluster_id must be an integer >= 0"
-LABEL_RULE = "label must be absent, null, 0 or 1"
+LABEL_RULE = "label must be null, 0 or 1"
 COLUMN_RULE = "must be a list of 1 numbers"
 
 # (command and the flag reading the line, the line as an object or raw text,
@@ -839,35 +879,56 @@ MALFORMED_LINES = {
     "result missing objective": ("eval --results", _result_without("objective"),
                                  "result missing field 'objective'"),
     "result string exhausted": ("eval --results", _result(exhausted="no"), "exhausted"),
-    "behavior list item id": ("cluster --behaviors", _event(item_id=["a"]), "item_id"),
+    "behavior list item id": ("cluster --behaviors", _event(item_ids=[["a"]]), "entry 0: item_id"),
     "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
-    "behavior list ts": ("cluster --behaviors", _event(ts=[1]), TS_RULE),
-    "behavior float ts": ("cluster --behaviors", _event(ts=1.9), TS_RULE),
-    "behavior bool ts": ("cluster --behaviors", _event(ts=True), TS_RULE),
-    "behavior negative ts": ("cluster --behaviors", _event(ts=-1), TS_RULE),
-    "behavior ts past int64": ("cluster --behaviors", _event(ts=2**63), TS_RULE),
-    "behavior missing ts": ("cluster --behaviors", {"user_id": "u1", "item_id": "i1"},
-                            "missing field 'ts'"),
-    "behavior bool label": ("cluster --behaviors", _event(label=True), LABEL_RULE),
-    "behavior float label": ("cluster --behaviors", _event(label=1.0), LABEL_RULE),
-    "behavior list label": ("cluster --behaviors", _event(label=[1]), LABEL_RULE),
+    "behavior list ts": ("cluster --behaviors", _event(ts=[[1]]), TS_RULE),
+    "behavior float ts": ("cluster --behaviors", _event(ts=[1.9]), TS_RULE),
+    "behavior bool ts": ("cluster --behaviors", _event(ts=[True]), TS_RULE),
+    "behavior negative ts": ("cluster --behaviors", _event(ts=[-1]), TS_RULE),
+    "behavior ts past int64": ("cluster --behaviors", _event(ts=[2**63]), TS_RULE),
+    "behavior missing ts": ("cluster --behaviors", {"user_id": "u1", "item_ids": ["i1"]},
+                            "behavior line missing field 'ts'"),
+    "behavior bool label": ("cluster --behaviors", _event(labels=[True]), LABEL_RULE),
+    "behavior float label": ("cluster --behaviors", _event(labels=[1.0]), LABEL_RULE),
+    "behavior list label": ("cluster --behaviors", _event(labels=[[1]]), LABEL_RULE),
+    "behavior object label": ("cluster --behaviors", _event(labels=[{}]), LABEL_RULE),
     "behavior two objects on one line": ("cluster --behaviors",
                                          json.dumps(_event()) + json.dumps(_event()),
                                          "Extra data"),
-    "label list item id": ("eval --labels", _event(item_id=["a"]), "item_id"),
-    "label list user id": ("eval --labels", _event(user_id=["u1"]), "user_id"),
-    "label list ts": ("eval --labels", _event(ts=[1]), TS_RULE),
-    "label float ts": ("eval --labels", _event(ts=0.5), TS_RULE),
-    "label bool label": ("eval --labels", _event(label=False), LABEL_RULE),
-    "label float label": ("eval --labels", _event(label=1.0), LABEL_RULE),
-    "label minus one": ("eval --labels", _event(label=-1), LABEL_RULE),
-    "label object label": ("eval --labels", _event(label={}), LABEL_RULE),
-    "label absent": ("eval --labels", {"user_id": "u1", "item_id": "i1", "ts": 0},
-                     "label line for (u1, i1) lacks a label"),
-    "label null": ("eval --labels", _event(label=None), "lacks a label"),
+    "behavior item_ids not a list": ("cluster --behaviors", _event(item_ids="i1"),
+                                     "item_ids must be a list"),
+    "behavior ts not a list": ("cluster --behaviors", _event(ts=1),
+                               "ts must be a list of 1 entries, one per item id"),
+    "behavior short ts": ("cluster --behaviors", _event(item_ids=["i1", "i2"], ts=[1], labels=[1, 0]),
+                          "ts must be a list of 2 entries"),
+    "behavior short labels": ("cluster --behaviors", _event(item_ids=["i1", "i2"], ts=[1, 2]),
+                              "labels must be a list of 2 entries"),
+    "behavior null labels": ("cluster --behaviors", _event(labels=None),
+                             "labels must be a list of 1 entries"),
+    "behavior third entry's ts": ("cluster --behaviors",
+                                  _event(item_ids=["i1", "i2", "i3"], ts=[1, 2, "3"], labels=[1, 0, None]),
+                                  "entry 2: " + TS_RULE),
+    "label list item id": ("eval --labels", _judgment(item_ids=[["a"]]), "item_id"),
+    "label list user id": ("eval --labels", _judgment(user_id=["u1"]), "user_id"),
+    "label labels not a list": ("eval --labels", _judgment(labels=1),
+                                "labels must be a list of 1 entries"),
+    "label missing labels": ("eval --labels", {"user_id": "u1", "item_ids": ["i1"], "ts": [0]},
+                             "label line missing field 'labels'"),
+    "label bool label": ("eval --labels", _judgment(labels=[False]), LABEL_RULE),
+    "label true label": ("eval --labels", _judgment(labels=[True]), LABEL_RULE),
+    "label float label": ("eval --labels", _judgment(labels=[1.0]), LABEL_RULE),
+    "label minus one": ("eval --labels", _judgment(labels=[-1]), LABEL_RULE),
+    "label object label": ("eval --labels", _judgment(labels=[{}]), LABEL_RULE),
+    "label item_ids not a list": ("eval --labels", _judgment(item_ids={"i1": 1}),
+                                  "item_ids must be a list"),
+    "label short labels": ("eval --labels", _judgment(item_ids=["i1", "i2"]),
+                           "labels must be a list of 2 entries"),
+    "label absent": ("eval --labels", _judgment(item_ids=["i1", "i2"], labels=[1, None]),
+                     "entry 1: label line for (u1, i2) lacks a label"),
+    "label null": ("eval --labels", _judgment(labels=[None]), "lacks a label"),
     # Only " \t\r\n" is JSON whitespace; str.strip() would also drop these.
-    "label trailing form feed": ("eval --labels", json.dumps(_event(label=1)) + "\f", "Extra data"),
-    "label leading nbsp": ("eval --labels", "\xa0" + json.dumps(_event(label=1)), "Expecting value"),
+    "label trailing form feed": ("eval --labels", json.dumps(_judgment()) + "\f", "Extra data"),
+    "label leading nbsp": ("eval --labels", "\xa0" + json.dumps(_judgment()), "Expecting value"),
     "cluster float id": ("train-scorer --clusters", _cluster(cluster_id=1.9), CLUSTER_RULE),
     "cluster bool id": ("train-scorer --clusters", _cluster(cluster_id=True), CLUSTER_RULE),
     "cluster string id": ("train-scorer --clusters", _cluster(cluster_id="3"), CLUSTER_RULE),
@@ -931,24 +992,36 @@ class TestMalformedInput:
         assert fragment in lines[0]
 
     @pytest.mark.parametrize(
-        "flag, lines, expected",
+        "stage, lines, expected",
         [
-            ("--results", [_result(), _result()], "error: line 2: duplicate result for user 'u1'"),
+            ("eval --results", [_result(), _result()], "error: line 2: duplicate result for user 'u1'"),
             # u1 sorts first, so its row index and its line number differ.
-            ("--labels", [_event(user_id="u2"), _event(item_id="i2", label=None)],
-             "error: line 2: label line for (u1, i2) lacks a label"),
+            ("eval --labels", [_judgment(user_id="u2"), _judgment(item_ids=["i1", "i2"], labels=[0, None])],
+             "error: line 2: entry 1: label line for (u1, i2) lacks a label"),
+            ("eval --labels", [_judgment(), _judgment(user_id="u2"), _judgment(item_ids=["i2"])],
+             "error: line 3: duplicate label line for user 'u1'"),
+            ("cluster --behaviors", [_event(user_id="u2"), _event(), _event(ts=[2])],
+             "error: line 3: duplicate behavior line for user 'u1'"),
+            ("cluster --behaviors", [_event(user_id="u2", item_ids=["i1", "i2"], ts=[4, 3], labels=[0, 1]),
+                                     _event(item_ids=["i1", "i2"], ts=[2, -1], labels=[1, 1])],
+             "error: line 2: entry 1: ts must be an integer >= 0, got -1"),
         ],
-        ids=["duplicate result", "unlabelled label line"],
+        ids=["duplicate result", "unlabelled label line", "second label line for a user",
+             "second behavior line for a user", "bad entry of a later line"],
     )
-    def test_bad_later_line_cites_its_line(self, flag, lines, expected, tmp_path, capsys):
+    def test_bad_later_line_cites_its_line(self, stage, lines, expected, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        inputs = {"--results": empty, "--labels": empty, "--items": empty}
+        command, flag = stage.split()
+        if command == "eval":
+            inputs = {"--results": empty, "--labels": empty, "--items": empty, "--out": tmp_path / "eval.csv"}
+        else:
+            inputs = {"--items": empty, "--behaviors": empty, "--out": tmp_path / "clusters.jsonl"}
         inputs[flag] = bad
-        argv = ["eval", *(part for pair in inputs.items() for part in pair)]
-        assert run(*map(str, argv), "--out", str(tmp_path / "eval.csv")) == 1
+        argv = [command, *(part for pair in inputs.items() for part in pair)]
+        assert run(*map(str, argv)) == 1
         assert capsys.readouterr().err.splitlines() == [expected]
 
     @pytest.mark.parametrize(
@@ -1021,7 +1094,7 @@ class TestMalformedInput:
         items = tmp_path / "items.jsonl"
         items.write_text(json.dumps({"item_id": "i1", "embedding": [1.0, 0.0], field: "x"}) + "\n")
         behaviors = tmp_path / "behaviors.jsonl"
-        behaviors.write_text(json.dumps({"user_id": "u1", "item_id": "i1", "ts": 1}) + "\n")
+        behaviors.write_text(json.dumps({"user_id": "u1", "item_ids": ["i1"], "ts": [1]}) + "\n")
         argv = ["cluster", "--items", items, "--behaviors", behaviors,
                 "--out", tmp_path / "clusters.jsonl"]
         assert run(*map(str, argv)) == 0
@@ -1176,6 +1249,36 @@ class TestBadTrainingArguments:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: --alphas entry {bad} is not a number"]
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_overflowing_catalog_row_is_not_blamed_on_the_learning_rate(self, tmp_path, capsys):
+        # One finite 1e200 entry makes the loss NaN at the initial weights,
+        # where no learning rate has acted yet.
+        fix, out = tmp_path / "fix", tmp_path / "model"
+        assert run("synth", "--out", str(fix), "--seed", "3",
+                   "--items-per-cluster", "5", "--candidates-per-user", "20") == 0
+        items = fix / "items.jsonl"
+        first, *rest = items.read_text().splitlines()
+        doc = json.loads(first)
+        doc["embedding"][0] = 1e200
+        items.write_text("".join(line + "\n" for line in (json.dumps(doc), *rest)))
+        flags = ["--items", str(items), "--behaviors", str(fix / "behaviors.jsonl")]
+        assert run("cluster", *flags, "--out", str(fix / "clusters.jsonl")) == 0
+        capsys.readouterr()
+        assert run("train-scorer", *flags, "--clusters", str(fix / "clusters.jsonl"), "--out", str(out)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical error: training diverged in epoch 0 (loss nan at lr=0.1); the scorer's inputs "
+            "(item embeddings or interest vectors) overflow at its initial weights; rescale or normalize the catalog"
+        ]
+        assert not out.exists()
+
+    def test_learning_rate_advice_stays_when_the_initial_loss_is_finite(self, pipeline, tmp_path, capsys):
+        fix = pipeline["fix"]
+        assert run("train-scorer", "--items", str(fix / "items.jsonl"), "--behaviors", str(fix / "behaviors.jsonl"),
+                   "--clusters", str(fix / "clusters.jsonl"), "--out", str(tmp_path / "model"),
+                   "--epochs", "2", "--lr", "1e308") == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("; lower the learning rate")
+
 
 
 @pytest.mark.parametrize("module", ["diverank", "diverank.cli"])

@@ -166,23 +166,33 @@ class TestBehaviorIO:
     def test_null_and_absent_label_load_as_no_label(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
         path.write_text(
-            '{"user_id": "u1", "item_id": "a", "ts": 1, "label": null}\n'
-            '{"user_id": "u1", "item_id": "b", "ts": 2}\n'
-            '{"user_id": "u1", "item_id": "c", "ts": 3, "label": 0}\n'
+            '{"user_id": "u1", "item_ids": ["a", "b"], "ts": [1, 2], "labels": [null, 0]}\n'
+            '{"user_id": "u2", "item_ids": ["c"], "ts": [3]}\n'
         )
-        assert load_behaviors(str(path)).labels.tolist() == [NO_LABEL, NO_LABEL, 0]
+        assert load_behaviors(str(path)).labels.tolist() == [NO_LABEL, 0, NO_LABEL]
 
-    def test_typed_field_error_cites_line(self, tmp_path):
+    def test_typed_field_error_cites_line_and_entry(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
         path.write_text(
-            '{"user_id": "u2", "item_id": "a", "ts": 1}\n'
+            '{"user_id": "u2", "item_ids": ["a"], "ts": [1]}\n'
             "\n"
-            '{"user_id": "u1", "item_id": "b", "ts": 1.5}\n'
+            '{"user_id": "u1", "item_ids": ["b", "c", "d"], "ts": [1, 1.5, 2]}\n'
         )
         with pytest.raises(ParseError) as err:
             load_behaviors(str(path))
         assert err.value.line == 3
-        assert "ts must be an integer" in str(err.value)
+        assert "line 3: entry 1: ts must be an integer >= 0, got 1.5" == str(err.value)
+
+    def test_label_line_has_no_ts(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"user_id": "u1", "item_ids": ["a", "b"], "labels": [1, 0]}\n')
+        log = load_behaviors(str(path), labelled=True)
+        assert log.item_ids == ("a", "b") and log.labels.tolist() == [1, 0] and log.ts.tolist() == [0, 0]
+
+    def test_label_writer_refuses_what_a_label_line_cannot_hold(self, tmp_path):
+        for rows in ((("u1", "a", 3, 1),), (("u1", "a", 0, NO_LABEL),)):
+            with pytest.raises(ValidationError, match="labelled rows at ts 0"):
+                save_behaviors(str(tmp_path / "labels.jsonl"), make_log(*rows), labelled=True)
 
     def test_sorted_by_user_then_ts_stably(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
@@ -333,6 +343,42 @@ class TestWriterOracle:
         save_behaviors(str(path), log)
         want = "".join(line + "\n" for line in behavior_lines(log))
         assert path.read_bytes() == want.encode("utf-8")
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(IDS, IDS, st.just(0), st.sampled_from((0, 1))), max_size=6))
+    def test_labels_match_dumps(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "oracle_labels.jsonl"
+        log = make_log(*rows)
+        save_behaviors(str(path), log, labelled=True)
+        want = "".join(line + "\n" for line in behavior_lines(log, labelled=True))
+        assert path.read_bytes() == want.encode("utf-8")
+
+
+def behavior_rows(labelled):
+    """(user, item, ts, label) rows whose users interleave and whose
+    timestamps often tie; a label file's rows are labelled at ts 0."""
+    stamps = st.just(0) if labelled else st.sampled_from((0, 1, 2**63 - 1)) | st.integers(0, 3)
+    labels = st.sampled_from((0, 1) if labelled else (0, 1, NO_LABEL))
+    row = st.tuples(st.sampled_from(("u1", "u2", "u\u2028")), st.sampled_from(("a", "b", "é")), stamps, labels)
+    return st.lists(row, max_size=12)
+
+
+class TestBehaviorRoundTrip:
+    """Writing a log and reading it back gives its rows stably sorted by
+    (user_id, ts): tied rows keep their order, which profiles depend on."""
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["behaviors", "labels"])
+    def test_save_then_load_is_the_stable_sort(self, labelled, tmp_path_factory):
+        @settings(derandomize=True, max_examples=80, deadline=None)
+        @given(rows=behavior_rows(labelled))
+        def check(rows):
+            path = tmp_path_factory.getbasetemp() / f"round_trip_{labelled}.jsonl"
+            save_behaviors(str(path), make_log(*rows), labelled=labelled)
+            loaded = load_behaviors(str(path), labelled=labelled)
+            want = sorted(rows, key=lambda row: (row[0], row[2]))  # sorted() is stable
+            assert list(zip(loaded.user_ids, loaded.item_ids, loaded.ts.tolist(), loaded.labels.tolist())) == want
+
+        check()
 
 
 class TestItemRoundTrip:
