@@ -394,22 +394,17 @@ _FIELD_TYPES = {"float": numbers.Real, "int": numbers.Integral, "bool": bool}
 class ExperimentConfig:
     """All re-ranking knobs.
 
-    Field names are the canonical config-file keys.  `a_item` and `b_item`
-    default to the short-term kernel amplitudes when left unset.  Every
-    instance is checked when it is built, `dataclasses.replace` included:
-    types first, then ranges, with one ValidationError naming each
-    violation.
+    Field names are the canonical config-file keys.  Every instance is
+    checked when it is built, `dataclasses.replace` included: types first,
+    then ranges, with one ValidationError naming each violation.
     """
 
     alpha: float = 1.0
     beta1: float = 0.5
     beta2: float = 0.5
-    a_l: float = 1.0
     b_l: float = 1.0
-    a_s: float = 1.0
     b_s: float = 1.0
-    a_item: float | None = None
-    b_item: float | None = None
+    b_item: float = 1.0
     epsilon: float = 1e-10
     k: int = 10
     top_m: int = 5
@@ -419,13 +414,9 @@ class ExperimentConfig:
     diversity_only_init: bool = False
 
     def __post_init__(self):
-        if self.a_item is None:
-            object.__setattr__(self, "a_item", self.a_s)
-        if self.b_item is None:
-            object.__setattr__(self, "b_item", self.b_s)
         problems: list[str] = []
         for f in fields(self):
-            kind = f.type.removesuffix(" | None")
+            kind = f.type
             val = getattr(self, f.name)
             if not isinstance(val, _FIELD_TYPES[kind]) or (kind != "bool" and isinstance(val, bool)):
                 problems.append(f"{f.name} must be of type {kind}, got {type(val).__name__}")
@@ -442,7 +433,7 @@ class ExperimentConfig:
             val = getattr(self, name)
             if not (val >= 0.0) or not math.isfinite(val):
                 problems.append(f"{name} must be >= 0")
-        for name in ("a_l", "b_l", "a_s", "b_s", "a_item", "b_item"):
+        for name in ("b_l", "b_s", "b_item"):
             val = getattr(self, name)
             if not (val > 0.0) or not math.isfinite(val):
                 problems.append(f"{name} must be positive")

@@ -8,11 +8,11 @@ beta1 and beta2, with a jitter ridge on the diagonal.  The exponent is
 squared-exponential kernel up to a constant factor once the embeddings
 are L2-normalized.  The blend is built by row blocks of its upper
 triangle, one gemm per term into the output or one block of scratch,
-skipping factors (1/b^2, a^2, beta) of exactly 1, then mirrored.  A pool of
+skipping factors (1/b^2, beta) of exactly 1, then mirrored.  A pool of
 n^2 <= `ROW_BLOCK_ENTRIES` is one block, run by numpy as the syrk of
 `V @ V.T`; a larger pool's gemm blocks round a few ulp differently.
 Only the diagonal is checked for finiteness.  Each term is
-c * exp(s * <u_i, u_j>), c = a^2 * beta >= 0, s = 1/b^2 > 0, so every entry
+c * exp(s * <u_i, u_j>), c = beta >= 0, s = 1/b^2 > 0, so every entry
 lies in [0, D_ii + D_jj] (Cauchy-Schwarz); with overflow trapped, any NaN
 or inf input shows up on the diagonal.
 """
@@ -89,11 +89,12 @@ def composite_matrix(
 ) -> KernelMatrix:
     """Blend item, macro, and micro kernels into one jittered matrix.
 
-    D = D_item + beta1 * D_macro + beta2 * D_micro + jitter * I, computed
-    on (optionally normalized) embeddings, with every knob read from
-    `cfg`.  Each block of rows is built from its diagonal rightward, then
-    copied below the diagonal, so the result is exactly symmetric by
-    construction; only its diagonal is checked for finiteness.
+    D = D_item + beta1 * D_macro + beta2 * D_micro + jitter * I, each D an
+    exp(<x_i, x_j> / b^2) over (optionally normalized) embeddings with its
+    own b (`b_item`, `b_l`, `b_s`), and every knob read from `cfg`.  Each
+    block of rows is built from its diagonal rightward, then copied below
+    the diagonal, so the result is exactly symmetric by construction; only
+    its diagonal is checked for finiteness.
     """
     ids = tuple(ids)
     embs = np.asarray(embeddings, dtype=np.float64)
@@ -122,41 +123,37 @@ def composite_matrix(
 
 
 def _term_sum(terms: list[tuple], rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the sum of `terms` over `rows` x `cols` into `out`, the first term
-    in place and each later one through `scratch` of the same shape."""
+    """Write the sum of `terms`, each beta * exp(<x_i, x_j> / b^2), over
+    `rows` x `cols` into `out`: the first term in place and each later one
+    through `scratch` of the same shape, skipping a factor of exactly 1."""
     try:
         with np.errstate(over="raise"):
-            for t, (vectors, scale, amp, beta, where) in enumerate(terms):
+            for t, (vectors, scale, beta, where) in enumerate(terms):
                 part = scratch if t else out
                 np.matmul(vectors[rows], vectors[cols].T, out=part)
                 if scale != 1.0:
                     part *= scale
                 np.exp(part, out=part)
-                for factor in (amp, beta):
-                    if factor != 1.0:
-                        part *= factor
+                if beta != 1.0:
+                    part *= beta
                 if t:
                     out += part
     except FloatingPointError:
-        msg = f"kernel term a^2 * exp(<x_i, x_j> / b^2) overflows at {where}"
+        msg = f"kernel term beta * exp(<x_i, x_j> / b^2) overflows at {where}"
         raise NumericalError(f"{msg}; normalize the embeddings or raise b") from None
 
 
 def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) -> list[tuple]:
-    """Per term: vectors, finite 1/b^2 and a^2, beta, and its knobs (named a_s, b_s if equal)."""
-    item_a = ("a_s" if cfg.a_item == cfg.a_s else "a_item", cfg.a_item)
-    item_b = ("b_s" if cfg.b_item == cfg.b_s else "b_item", cfg.b_item)
-    specs = [(base, item_a, item_b, 1.0)]
+    """Per term: vectors, finite 1/b^2, beta, and the knobs that name it."""
+    specs = [(base, 1.0, "", "b_item", cfg.b_item)]
     if cfg.beta1 > 0.0:
-        specs.append((modulated_vectors(base, profile.h_macro), ("a_l", cfg.a_l), ("b_l", cfg.b_l), cfg.beta1))
+        specs.append((modulated_vectors(base, profile.h_macro), cfg.beta1, f"beta1={cfg.beta1:g}, ", "b_l", cfg.b_l))
     if cfg.beta2 > 0.0:
-        specs.append((modulated_vectors(base, profile.h_micro), ("a_s", cfg.a_s), ("b_s", cfg.b_s), cfg.beta2))
+        specs.append((modulated_vectors(base, profile.h_micro), cfg.beta2, f"beta2={cfg.beta2:g}, ", "b_s", cfg.b_s))
     terms = []
-    for vectors, (a_name, a), (b_name, b), beta in specs:
-        b2, amp = b * b, a * a
+    for vectors, beta, knobs, b_name, b in specs:
+        b2 = b * b
         if b2 == 0.0 or not math.isfinite(1.0 / b2):
             raise NumericalError(f"kernel scale 1/{b_name}^2 is not finite at {b_name}={b:g}")
-        if not math.isfinite(amp):
-            raise NumericalError(f"kernel amplitude {a_name}^2 is not finite at {a_name}={a:g}")
-        terms.append((vectors, 1.0 / b2, amp, beta, f"{a_name}={a:g}, {b_name}={b:g}"))
+        terms.append((vectors, 1.0 / b2, beta, f"{knobs}{b_name}={b:g}"))
     return terms

@@ -648,12 +648,12 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_degenerate_kernel_is_numerical_error(self, tmp_path, capsys):
-        # Vanishing amplitudes with jitter off push every initial d_i^2
-        # under epsilon, so selection cannot seed a list.
+        # With jitter off every initial d_i^2 is e, under this epsilon, so
+        # selection cannot seed a list.
         write_duplicate_fixture(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
-            json.dumps({"a_item": 1e-8, "beta1": 0.0, "beta2": 0.0, "jitter": 0.0})
+            json.dumps({"epsilon": 1e6, "beta1": 0.0, "beta2": 0.0, "jitter": 0.0})
         )
         code = run(
             "rerank",
@@ -714,14 +714,16 @@ class TestExitCodes:
         [
             ({"b_s": 1e-200}, "b_s"),  # b^2 underflows to 0
             ({"b_l": 1e-160}, "b_l"),  # 1/b^2 overflows
-            ({"a_s": 1e200}, "a_s"),  # a^2 overflows
-            ({"a_l": 1e160, "beta1": 1e10}, "a_l"),
+            ({"beta1": 1e308}, "beta1"),  # beta1 * e overflows
+            ({"beta2": 1e308}, "beta2"),
         ],
     )
     def test_kernel_scale_factor_is_one_numerical_error_line(
         self, tmp_path, capsys, command, config, field
     ):
         write_duplicate_fixture(tmp_path)
+        # Unit interest weights: each term's diagonal entries are beta * e.
+        save_profiles(tmp_path / "profiles.jsonl", [InterestProfile("u1", np.ones(2), np.ones(2))])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -1136,6 +1138,7 @@ class TestMalformedInput:
             ("alpha", "1"),
             ("alpha", False),
             ("jitter", None),
+            ("b_item", None),
             ("normalize_embeddings", 1),
         ],
     )
@@ -1171,7 +1174,8 @@ class TestMalformedInput:
         assert not (tmp_path / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
-        "field, value", [("negative_exponent_kernels", True), ("time_buckets", 16)]
+        "field, value",
+        [("negative_exponent_kernels", True), ("time_buckets", 16), ("a_l", 1.0), ("a_s", 1.0), ("a_item", 1.0)],
     )
     def test_removed_config_field_is_unknown(self, field, value, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)

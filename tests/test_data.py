@@ -2,7 +2,9 @@
 
 import json
 import math
-from dataclasses import asdict, replace
+import re
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,19 +415,11 @@ class TestConfig:
 
     def test_all_violations_collected(self):
         with pytest.raises(ValidationError) as err:
-            ExperimentConfig(b_l=0.0, k=0, a_s=-1.0)
+            ExperimentConfig(b_l=0.0, k=0, b_s=-1.0)
         message = str(err.value)
         assert "b_l" in message
         assert "k" in message
-        assert "a_s" in message
-
-    def test_item_kernel_defaults_inherit(self):
-        cfg = ExperimentConfig(a_s=2.0, b_s=3.0)
-        assert cfg.a_item == 2.0
-        assert cfg.b_item == 3.0
-        explicit = ExperimentConfig(a_s=2.0, b_s=3.0, a_item=5.0, b_item=7.0)
-        assert explicit.a_item == 5.0
-        assert explicit.b_item == 7.0
+        assert "b_s" in message
 
     def test_replace_is_checked(self):
         with pytest.raises(ValidationError) as err:
@@ -443,6 +437,14 @@ class TestConfig:
         path.write_text('{"alpha": 1.0, "bogus": 2}\n')
         with pytest.raises(ValidationError):
             load_config(str(path))
+
+    def test_readme_table_names_every_field_once(self):
+        """README's Configuration table documents exactly the config fields."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        names = [name for cell in cells for name in re.findall(r"`(\w+)`", cell)]
+        assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
 
 
 RESULT_NUMBERS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)

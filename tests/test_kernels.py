@@ -56,29 +56,28 @@ def composite_entry_oracle(i, j, embs, profile, cfg):
     ei = unit(embs[i]) if cfg.normalize_embeddings else list(embs[i])
     ej = unit(embs[j]) if cfg.normalize_embeddings else list(embs[j])
 
-    def term(a, b, wi, wj):
+    def term(b, wi, wj):
         dot = sum(x * y for x, y in zip(wi, wj))
-        return a * a * math.exp(dot / (b * b))
+        return math.exp(dot / (b * b))
 
-    value = term(cfg.a_item, cfg.b_item, ei, ej)
+    value = term(cfg.b_item, ei, ej)
     if cfg.beta1 > 0.0:
         mi = [x * h for x, h in zip(ei, profile.h_macro)]
         mj = [x * h for x, h in zip(ej, profile.h_macro)]
-        value += cfg.beta1 * term(cfg.a_l, cfg.b_l, mi, mj)
+        value += cfg.beta1 * term(cfg.b_l, mi, mj)
     if cfg.beta2 > 0.0:
         mi = [x * h for x, h in zip(ei, profile.h_micro)]
         mj = [x * h for x, h in zip(ej, profile.h_micro)]
-        value += cfg.beta2 * term(cfg.a_s, cfg.b_s, mi, mj)
+        value += cfg.beta2 * term(cfg.b_s, mi, mj)
     if i == j:
         value += cfg.jitter
     return value
 
 
-def _exp_gram(vectors, a, b):
+def _exp_gram(vectors, b):
     gram = vectors @ vectors.T
     gram *= 1.0 / (b * b)
     np.exp(gram, out=gram)
-    gram *= a * a
     return gram
 
 
@@ -87,15 +86,15 @@ def composite_oracle(ids, embeddings, profile, cfg):
     every factor multiplied in, exactly 1 or not."""
     embs = np.asarray(embeddings, dtype=np.float64)
     base = normalize_rows(embs) if cfg.normalize_embeddings else embs
-    d = _exp_gram(base, cfg.a_item, cfg.b_item)
+    d = _exp_gram(base, cfg.b_item)
     if cfg.beta1 > 0.0:
         macro = modulated_vectors(base, profile.h_macro)
-        term = _exp_gram(macro, cfg.a_l, cfg.b_l)
+        term = _exp_gram(macro, cfg.b_l)
         term *= cfg.beta1
         d += term
     if cfg.beta2 > 0.0:
         micro = modulated_vectors(base, profile.h_micro)
-        term = _exp_gram(micro, cfg.a_s, cfg.b_s)
+        term = _exp_gram(micro, cfg.b_s)
         term *= cfg.beta2
         d += term
     if cfg.jitter:
@@ -104,13 +103,11 @@ def composite_oracle(ids, embeddings, profile, cfg):
     return d
 
 
-def item_term(x, y, a=1.0, b=1.0):
-    """Off-diagonal entry of the elementary form a^2 * exp((x . y) / b^2):
-    the item term of a two-item composite with no modulation, normalization
-    or jitter."""
-    cfg = ExperimentConfig(
-        a_item=a, b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize_embeddings=False,
-    )
+def item_term(x, y, b=1.0):
+    """Off-diagonal entry of the elementary form exp((x . y) / b^2): the
+    item term of a two-item composite with no modulation, normalization or
+    jitter."""
+    cfg = ExperimentConfig(b_item=b, beta1=0.0, beta2=0.0, jitter=0.0, normalize_embeddings=False)
     embs = np.array([x, y], dtype=float)
     return composite_matrix(["x", "y"], embs, profile_of(np.zeros(embs.shape[1])), cfg).values[0, 1]
 
@@ -124,15 +121,12 @@ class TestElementaryKernel:
         assert value == pytest.approx(math.exp(1.0), abs=1e-12)
         assert value == pytest.approx(2.718282, abs=1e-6)
 
-    def test_amplitude_factor(self):
-        assert item_term([1.0, 0.0], [0.0, 1.0], a=2.0) == pytest.approx(4.0)
-
     def test_bandwidth(self):
         assert item_term([1.0], [1.0], b=2.0) == pytest.approx(math.exp(0.25))
 
     def test_nonpositive_hyperparams_rejected(self):
         with pytest.raises(ValidationError):
-            ExperimentConfig(a_item=0.0)
+            ExperimentConfig(b_item=0.0)
         with pytest.raises(ValidationError):
             ExperimentConfig(b_item=-1.0)
 
@@ -140,7 +134,7 @@ class TestElementaryKernel:
 class TestHyperparams:
     def test_positivity_enforced(self):
         with pytest.raises(ValidationError):
-            ExperimentConfig(a_l=0.0)
+            ExperimentConfig(b_l=-1e-3)
         with pytest.raises(ValidationError):
             ExperimentConfig(b_s=-2.0)
 
@@ -185,13 +179,13 @@ def perception_term(embs, profile, cfg):
 
 
 class TestPerceptionKernels:
-    def test_zero_macro_interest_gives_amplitude_everywhere(self, rng):
-        cfg = ExperimentConfig(a_l=3.0, beta1=1.0, beta2=0.0)
+    def test_zero_macro_interest_gives_beta1_everywhere(self, rng):
+        cfg = ExperimentConfig(beta1=9.0, beta2=0.0)
         macro = perception_term(rng.normal(size=(5, 4)), profile_of(np.zeros(4)), cfg)
         np.testing.assert_allclose(macro, 9.0, atol=1e-12)
 
     def test_all_ones_interest_equals_item_kernel(self, rng):
-        cfg = ExperimentConfig(a_l=1.7, b_l=2.2, a_item=1.7, b_item=2.2, beta1=1.0, beta2=0.0)
+        cfg = ExperimentConfig(b_l=2.2, b_item=2.2, beta1=1.0, beta2=0.0)
         embs = rng.normal(size=(5, 4))
         prof = profile_of(np.ones(4))
         item_only = replace(cfg, beta1=0.0, jitter=0.0)
@@ -199,7 +193,7 @@ class TestPerceptionKernels:
         np.testing.assert_allclose(perception_term(embs, prof, cfg), item, atol=1e-12)
 
     def test_micro_uses_micro_interest(self, rng):
-        cfg = ExperimentConfig(a_s=2.0, b_s=1.5, a_item=1.0, b_item=1.0, beta1=0.0, beta2=1.0)
+        cfg = ExperimentConfig(b_s=1.5, beta1=0.0, beta2=4.0)
         prof = profile_of(np.zeros(3), h_micro=rng.normal(size=3))
         embs = rng.normal(size=(2, 3))
         pair = normalize_rows(embs)
@@ -208,7 +202,7 @@ class TestPerceptionKernels:
         assert perception_term(embs, prof, cfg)[0, 1] == pytest.approx(want, abs=1e-12)
 
     def test_random_case_matches_scalar_oracle(self, rng):
-        cfg = ExperimentConfig(a_l=1.3, b_l=0.8, beta1=1.0, beta2=0.0, jitter=0.0)
+        cfg = ExperimentConfig(b_l=0.8, beta1=1.69, beta2=0.0, jitter=0.0)
         prof = profile_of(rng.normal(size=5))
         embs = rng.normal(size=(2, 5))
         want = composite_entry_oracle(0, 1, embs, prof, cfg) - composite_entry_oracle(
@@ -228,24 +222,31 @@ class TestCompositeMatrix:
         np.testing.assert_array_equal(got.values, 0.5 * (want + want.T))
 
     def test_single_zero_item_value(self):
-        cfg = ExperimentConfig(a_item=1.5, a_l=2.0, a_s=0.5, beta1=0.25, beta2=0.75, jitter=1e-3)
+        cfg = ExperimentConfig(beta1=0.25, beta2=0.75, jitter=1e-3)
         prof = profile_of(np.array([1.0, 1.0]))
         got = composite_matrix(["i1"], np.zeros((1, 2)), prof, cfg)
-        want = 1.5**2 + 0.25 * 4.0 + 0.75 * 0.25 + 1e-3
+        want = 1.0 + 0.25 + 0.75 + 1e-3
         assert got.values[0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_random_three_items_match_entry_oracle(self, rng):
         embs = rng.normal(size=(3, 4))
         prof = profile_of(rng.normal(size=4), rng.normal(size=4))
-        cfg = ExperimentConfig(
-            a_l=1.2, b_l=0.9, a_s=0.8, b_s=1.1, a_item=1.05, b_item=1.3,
-            beta1=0.4, beta2=0.6, jitter=1e-5,
-        )
+        cfg = ExperimentConfig(b_l=0.9, b_s=1.1, b_item=1.3, beta1=0.4, beta2=0.6, jitter=1e-5)
         got = composite_matrix(["a", "b", "c"], embs, prof, cfg).values
         for i in range(3):
             for j in range(3):
                 want = composite_entry_oracle(i, j, embs, prof, cfg)
                 assert got[i, j] == pytest.approx(want, abs=1e-12), (i, j)
+
+    def test_replace_builds_the_kernel_of_the_constructor(self, rng):
+        """Equal fields give equal kernels however the config was made: the
+        item term reads its own `b_item`, never `b_s`."""
+        embs = rng.normal(size=(6, 4))
+        prof = profile_of(rng.normal(size=4), rng.normal(size=4))
+        ids = [f"i{k}" for k in range(6)]
+        built = composite_matrix(ids, embs, prof, ExperimentConfig(b_s=2.0)).values
+        replaced = composite_matrix(ids, embs, prof, replace(ExperimentConfig(), b_s=2.0)).values
+        np.testing.assert_array_equal(built, replaced)
 
     def test_symmetry(self, rng):
         embs = rng.normal(size=(6, 4))
@@ -295,7 +296,7 @@ class TestCompositeMatrix:
             composite_matrix(["a", "b"], rng.normal(size=(3, 2)), profile_of(np.zeros(2)), ExperimentConfig())
 
 
-SCALES = dict(a_item=1.3, b_item=0.8, a_l=0.7, b_l=1.6, a_s=2.1, b_s=1.2)
+SCALES = dict(b_item=0.8, b_l=1.6, b_s=1.2)
 ORACLE_CONFIGS = [
     {},
     SCALES,
@@ -305,7 +306,7 @@ ORACLE_CONFIGS = [
     dict(beta1=1.0, beta2=1.0),
     dict(jitter=0.0),
     dict(normalize_embeddings=False),
-    dict(a_item=0.6, b_item=2.0),
+    dict(b_item=2.0),
     dict(SCALES, beta1=0.3, beta2=2.5, jitter=0.0, normalize_embeddings=False),
 ]
 
@@ -376,7 +377,7 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize(
         "norm, h_last, knobs",
-        [(30.0, 0.0, "a_s=1, b_s=1"), (20.0, 1.5, "a_l=1, b_l=1")],
+        [(30.0, 0.0, "b_item=1"), (20.0, 1.5, "beta1=0.5, b_l=1")],
         ids=["item", "macro"],
     )
     def test_overflow_in_last_block_names_knob(self, norm, h_last, knobs):
@@ -391,7 +392,7 @@ class TestRowBlocks:
         with pytest.raises(NumericalError) as info:
             composite_matrix([f"i{k}" for k in range(n)], embs, profile_of([1.0, 1.0, h_last]), cfg)
         assert str(info.value) == (
-            f"kernel term a^2 * exp(<x_i, x_j> / b^2) overflows at {knobs}; "
+            f"kernel term beta * exp(<x_i, x_j> / b^2) overflows at {knobs}; "
             "normalize the embeddings or raise b"
         )
 
@@ -512,14 +513,13 @@ class TestDiagonalGuard:
         n=st.integers(1, 300),
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(0.05, 2.0),
-        a=st.floats(0.1, 3.0),
         b=st.floats(0.8, 2.0),
         betas=st.sampled_from([(0.0, 0.0), (0.5, 0.5), (1.0, 0.0), (0.0, 2.0)]),
         normalize=st.booleans(),
     )
-    @example(n=256, seed=0, scale=2.0, a=3.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # one block
-    @example(n=300, seed=0, scale=2.0, a=3.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # two blocks
-    def test_entries_bounded_by_their_diagonals(self, n, seed, scale, a, b, betas, normalize):
+    @example(n=256, seed=0, scale=2.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # one block
+    @example(n=300, seed=0, scale=2.0, b=0.8, betas=(0.5, 0.5), normalize=False)  # two blocks
+    def test_entries_bounded_by_their_diagonals(self, n, seed, scale, b, betas, normalize):
         """The guard's premise on finite inputs: exact symmetry, and by
         Cauchy-Schwarz 0 <= D_ij <= D_ii + D_jj, so a finite diagonal bounds
         every entry."""
@@ -527,8 +527,7 @@ class TestDiagonalGuard:
         embs = scale * rng.normal(size=(n, 8))
         prof = profile_of(0.5 * rng.normal(size=8), 0.5 * rng.normal(size=8))
         cfg = ExperimentConfig(
-            a_item=a, b_item=b, a_l=a, b_l=b, a_s=a, b_s=b,
-            beta1=betas[0], beta2=betas[1], normalize_embeddings=normalize,
+            b_item=b, b_l=b, b_s=b, beta1=betas[0], beta2=betas[1], normalize_embeddings=normalize,
         )
         got = kernels.composite_matrix([f"i{k}" for k in range(n)], embs, prof, cfg).values
         assert np.array_equal(got, got.T)

@@ -9,9 +9,12 @@ import itertools
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverank.data import (
     CandidateSet,
@@ -236,6 +239,39 @@ class TestEquivalences:
             ExperimentConfig(alpha=1.0, k=1, diversity_only_init=True),
         )
         assert div.item_ids == ("i1",)  # log 2 > log 1
+
+    @pytest.mark.parametrize("c", [4.0, 0.3])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        bases=st.integers(1, 12),
+        n=st.integers(1, 30),
+        k=st.integers(1, 15),
+        alpha=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        diversity_only_init=st.booleans(),
+    )
+    def test_kernel_scale_with_epsilon_shifts_only_log_d2(
+        self, c, seed, bases, n, k, alpha, diversity_only_init
+    ):
+        """Scaling the kernel and `epsilon` by c keeps every pick and shifts
+        each log d^2 by log c, so a factor on the whole kernel only repeats
+        `epsilon` (and `jitter`, which the kernel build adds)."""
+        rng = np.random.default_rng(seed)
+        # Candidates repeat `bases` distinct items, so a list longer than that
+        # is exhausted.  Their diagonals differ by far more than an ulp.
+        weights = rng.uniform(0.5, 2.0, size=bases)
+        base = random_psd_kernel(rng, bases).values * np.outer(weights, weights)
+        rows = rng.integers(0, bases, size=n)
+        values = base[np.ix_(rows, rows)]
+        scores = rng.random(n)
+        cands = make_candidates(scores, dim=3)
+        cfg = ExperimentConfig(alpha=alpha, k=k, diversity_only_init=diversity_only_init)
+        want = bs_dpp_select(cands, kernel_of(values), constant_scorer(scores), cfg)
+        scaled_cfg = replace(cfg, epsilon=c * cfg.epsilon)
+        got = bs_dpp_select(cands, kernel_of(c * values), constant_scorer(scores), scaled_cfg)
+        assert got.item_ids == want.item_ids
+        assert got.exhausted == want.exhausted
+        np.testing.assert_allclose(np.subtract(got.log_d2, math.log(c)), want.log_d2, rtol=0, atol=1e-12)
 
     def test_determinism(self, rng):
         scores = rng.random(9)
