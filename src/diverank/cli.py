@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
-from typing import Iterable
 
 import numpy as np
 
@@ -50,6 +49,7 @@ from .data import (
     load_checkpoint,
     load_config,
     load_items,
+    load_labels,
     load_results,
     save_behaviors,
     save_candidates,
@@ -261,40 +261,24 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 # ----- eval -----
 
 
-def _label_map(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
-    """The label of each item by user, for those of `users` with a label line."""
-    log = load_behaviors(path, labelled=True)  # sorted, so a user's rows are one run
-    by_user: dict[str, dict[str, int]] = {}
-    for user_id in users:
-        lo = bisect_left(log.user_ids, user_id)
-        hi = bisect_right(log.user_ids, user_id, lo)
-        if lo < hi:
-            by_user[user_id] = dict(zip(log.item_ids[lo:hi], log.labels[lo:hi].tolist()))
-    return by_user
-
-
 def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal: list[int], k: int):
     """nDCG@k of one list against its user's labels, and its ILAD (NaN below two items)."""
-    rel = [user_labels.get(item_id, 0) for item_id in item_ids]
-    ndcg = ndcg_at_k(rel, k, ideal_relevances=ideal)
-    diversity = ilad(embs) if len(item_ids) >= 2 else float("nan")
-    return ndcg, diversity
+    ndcg = ndcg_at_k([user_labels.get(item_id, 0) for item_id in item_ids], k, ideal_relevances=ideal)
+    return ndcg, ilad(embs) if len(item_ids) >= 2 else float("nan")
 
 
 def cmd_eval(args) -> None:
     cfg = _load_experiment_config(args)
     results = load_results(args.results)
-    labels = _label_map(args.labels, (res.user_id for res in results))
+    labels = load_labels(args.labels, (res.user_id for res in results))
     table = load_items(args.items)
 
     rows = []
     ndcgs, ilads = [], []
     for res in results:
         user_labels = labels.get(res.user_id, {})
-        ideal = sorted(user_labels.values(), reverse=True)
-        ndcg, diversity = _list_metrics(
-            res.item_ids, table.rows(res.item_ids), user_labels, ideal, cfg.k
-        )
+        ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]  # all that nDCG@k reads
+        ndcg, diversity = _list_metrics(res.item_ids, table.rows(res.item_ids), user_labels, ideal, cfg.k)
         ndcgs.append(ndcg)
         if not np.isnan(diversity):
             ilads.append(diversity)
@@ -333,7 +317,7 @@ def cmd_sweep(args) -> None:
     candidates = load_candidates(args.candidates, limit=args.runs)
     if not candidates:
         raise ValidationError("no candidate sets to sweep over")
-    labels = _label_map(args.labels, (cs.user_id for cs in candidates))
+    labels = load_labels(args.labels, (cs.user_id for cs in candidates))
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
     _check_dims(candidates, profiles, params.dim)
@@ -349,7 +333,7 @@ def cmd_sweep(args) -> None:
         kernel = composite_matrix(cs.ids, cs.embeddings, profile, cfg)
         row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
-        ideal = sorted(user_labels.values(), reverse=True)
+        ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]
         # Neither depends on alpha, so each is built once per user.
         scorer = profile_scorer(cs, profile, params)
         sim = cosine_similarity_fn(cs.embeddings)
@@ -482,8 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args keeps no state between calls
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         args.func(args)

@@ -527,50 +527,46 @@ def _label_column(values: Sequence) -> np.ndarray:
     raise ValidationError(f"label must be null, 0 or 1, got {values[row]!r}", row)
 
 
-def load_behaviors(path: str, labelled: bool = False) -> BehaviorLog:
-    """Read a behavior or label file into one BehaviorLog sorted by (user_id, ts).
+def _user_line(doc: dict, kind: str, columns: tuple[str, ...], seen) -> tuple[str, list, list]:
+    """A behavior or label line's user id, item ids and `columns` lists, checked as both kinds
+    are: fields present (columns after the first default to nulls), lists aligned, user new."""
+    for name in ("user_id", "item_ids", columns[0]):
+        if name not in doc:
+            raise ValidationError(f"{kind} line missing field {name!r}")
+    user_id, ids = doc["user_id"], doc["item_ids"]
+    _check_id(user_id, "user_id")
+    if not isinstance(ids, list):
+        raise ValidationError("item_ids must be a list")
+    lists = [doc.get(name, [None] * len(ids)) for name in columns]
+    for name, values in zip(columns, lists):
+        if not isinstance(values, list) or len(values) != len(ids):
+            raise ValidationError(f"{name} must be a list of {len(ids)} entries, one per item id")
+    if user_id in seen:
+        raise ValidationError(f"duplicate {kind} line for user {user_id!r}")
+    return user_id, ids, lists
 
-    A line holds one user's rows as aligned lists: `item_ids`, `ts` and an
-    optional `labels`.  With `labelled`, as for a label file, a line has
-    no `ts` (every judgment's is 0) and every entry needs a label.  The
-    lists are gathered into columns and checked whole; an error cites the
-    line and the index of its entry.  A user has at most one line.  The
-    sort is stable, so equal timestamps keep their order in the line.
+
+def load_behaviors(path: str) -> BehaviorLog:
+    """Read a behavior file into one BehaviorLog, stably sorted by (user_id, ts).
+
+    A line holds one user's rows as aligned lists `item_ids`, `ts` and an optional
+    `labels`, checked whole as columns; an error cites the line and the entry's index.
     """
-    kind, needed = ("label", "labels") if labelled else ("behavior", "ts")
     starts: dict[str, int] = {}  # user id -> the row of its line's first entry
     linenos: list[int] = []
     columns: tuple[list, ...] = ([], [], [], [])  # user id, item id, ts, label per row
     for lineno, doc in _iter_json_lines(path):
         try:
-            for name in ("user_id", "item_ids", needed):
-                if name not in doc:
-                    raise ValidationError(f"{kind} line missing field {name!r}")
-            user_id, ids = doc["user_id"], doc["item_ids"]
-            _check_id(user_id, "user_id")
-            if not isinstance(ids, list):
-                raise ValidationError("item_ids must be a list")
-            n = len(ids)
-            line = ([user_id] * n, ids, [0] * n if labelled else doc["ts"], doc.get("labels", [None] * n))
-            for name, values in zip(("ts", "labels"), line[2:]):
-                if not isinstance(values, list) or len(values) != n:
-                    raise ValidationError(f"{name} must be a list of {n} entries, one per item id")
-            if user_id in starts:
-                raise ValidationError(f"duplicate {kind} line for user {user_id!r}")
+            user_id, ids, lists = _user_line(doc, "behavior", ("ts", "labels"), starts)
         except ValidationError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         starts[user_id] = len(columns[0])
         linenos.append(lineno)
-        for column, values in zip(columns, line):
+        for column, values in zip(columns, ([user_id] * len(ids), ids, *lists)):
             column += values
     user_ids, item_ids, ts, labels = columns
     try:
         log = BehaviorLog(tuple(user_ids), tuple(item_ids), _ts_column(ts), _label_column(labels))
-        if labelled and (log.labels == NO_LABEL).any():
-            row = int(np.argmax(log.labels == NO_LABEL))
-            raise ValidationError(
-                f"label line for ({log.user_ids[row]}, {log.item_ids[row]}) lacks a label", row
-            )
     except ValidationError as exc:
         first_rows = list(starts.values())
         at = bisect_right(first_rows, exc.row) - 1
@@ -579,6 +575,28 @@ def load_behaviors(path: str, labelled: bool = False) -> BehaviorLog:
     user_rank = np.repeat([rank[user_id] for user_id in starts], np.diff([*starts.values(), len(log)]))
     order = np.lexsort((log.ts, user_rank))  # stable: last key sorts first
     return log if (order == np.arange(len(log))).all() else log.take(order)
+
+
+def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
+    """Each of `users`' item labels (0 or 1) from a label file, a repeated
+    item keeping its last; a user without a line gets no entry.  Every line
+    is checked, and an error cites the line and the index of its entry."""
+    wanted, seen, by_user = set(users), set(), {}
+    for lineno, doc in _iter_json_lines(path):
+        try:
+            user_id, ids, (labels,) = _user_line(doc, "label", ("labels",), seen)
+            if not (set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
+                _label_column(labels)  # names an entry that is not null, 0 or 1
+                row = labels.index(None)
+                _check_id_column(ids, "item_id")
+                raise ValidationError(f"label line for ({user_id}, {ids[row]}) lacks a label", row)
+            _check_id_column(ids, "item_id")
+        except ValidationError as exc:
+            raise ParseError(("" if exc.row is None else f"entry {exc.row}: ") + str(exc), line=lineno) from exc
+        seen.add(user_id)
+        if user_id in wanted:
+            by_user[user_id] = dict(zip(ids, labels))
+    return by_user
 
 
 # The writers below build each line from validated columns, keys in sorted

@@ -129,22 +129,24 @@ def _term_sum(terms: list[tuple], rows: slice, cols: slice, out: np.ndarray, scr
     try:
         with np.errstate(over="raise"):
             for t, (vectors, scale, beta, where) in enumerate(terms):
+                fix = "normalize the embeddings or raise b"
                 part = scratch if t else out
                 np.matmul(vectors[rows], vectors[cols].T, out=part)
                 if scale != 1.0:
                     part *= scale
                 np.exp(part, out=part)
                 if beta != 1.0:
+                    fix = f"lower {where.partition('=')[0]}"  # the beta a term's name starts with
                     part *= beta
                 if t:
                     out += part
     except FloatingPointError:
         msg = f"kernel term beta * exp(<x_i, x_j> / b^2) overflows at {where}"
-        raise NumericalError(f"{msg}; normalize the embeddings or raise b") from None
+        raise NumericalError(f"{msg}; {fix}") from None
 
 
 def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) -> list[tuple]:
-    """Per term: vectors, finite 1/b^2, beta, and the knobs that name it."""
+    """Per term: vectors, finite 1/b^2, beta, and the knobs that name it, beta first."""
     specs = [(base, 1.0, "", "b_item", cfg.b_item)]
     if cfg.beta1 > 0.0:
         specs.append((modulated_vectors(base, profile.h_macro), cfg.beta1, f"beta1={cfg.beta1:g}, ", "b_l", cfg.b_l))

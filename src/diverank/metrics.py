@@ -5,6 +5,8 @@ All functions are pure numpy and operate on plain arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import ValidationError
@@ -72,6 +74,14 @@ def auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, k=1)`, built once per list length and read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def ilad(embeddings) -> float:
     """Intra-list average distance: mean pairwise (1 - cosine similarity).
 
@@ -85,6 +95,4 @@ def ilad(embeddings) -> float:
     if not unit.any(axis=1).all():  # only an all-zero row stays zero
         raise ValidationError("ilad is undefined for zero-norm embeddings")
     cosine = unit @ unit.T
-    n = embs.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return float(np.mean(1.0 - cosine[iu]))
+    return float(np.mean(1.0 - cosine[_upper_pairs(embs.shape[0])]))

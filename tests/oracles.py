@@ -231,3 +231,19 @@ def behavior_lines(log: BehaviorLog, labelled: bool = False) -> list[str]:
             doc["ts"] = [int(log.ts[r]) for r in rows]
         lines.append(_dumps(doc))
     return lines
+
+
+def label_lookups(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
+    """Each requested user's {item_id: label}, read with plain `json.loads`
+    and a loop, a repeated item keeping its last label: the reference that
+    `load_labels` returns for a well-formed label file."""
+    wanted = set(users)
+    by_user = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            doc = json.loads(line)
+            if doc["user_id"] in wanted:
+                lookup = by_user[doc["user_id"]] = {}
+                for item_id, label in zip(doc["item_ids"], doc["labels"]):
+                    lookup[item_id] = label
+    return by_user

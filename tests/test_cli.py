@@ -23,8 +23,10 @@ from diverank.data import (
     EmbeddingTable,
     ExperimentConfig,
     RerankResult,
+    ValidationError,
     load_candidates,
     load_checkpoint,
+    load_labels,
     load_results,
     save_candidates,
     save_checkpoint,
@@ -500,11 +502,32 @@ class TestLabelLookups:
             _judgment(user_id="u1", item_ids=["c"], labels=[0]),
             _judgment(user_id="u2", item_ids=["a", "d", "a"], labels=[0, 1, 1]),
         )))
-        assert cli._label_map(str(labels), ["u2", "u9", "u3"]) == {
-            "u2": {"a": 1, "d": 1},  # a repeated item keeps its last label, as before
+        assert load_labels(str(labels), ["u2", "u9", "u3"]) == {
+            "u2": {"a": 1, "d": 1},  # a repeated item keeps its last label
             "u3": {"a": 1, "b": 0},
         }
-        assert cli._label_map(str(labels), []) == {}
+        assert load_labels(str(labels), []) == {}
+
+    def test_sweep_checks_label_lines_of_users_it_does_not_score(self, pipeline, tmp_path, capsys):
+        """`--runs 1` scores one user, yet a bad last line for another user fails the stage."""
+        lines = (pipeline["fix"] / "labels.jsonl").read_text().splitlines()
+        (first,) = load_candidates(pipeline["fix"] / "candidates.jsonl", limit=1)
+        outsider = json.loads(lines[-1])
+        assert outsider["user_id"] != first.user_id
+        outsider["labels"][-1] = 2
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text("\n".join([*lines[:-1], json.dumps(outsider)]) + "\n")
+        out = tmp_path / "sweep.csv"
+        model = pipeline["model"]
+        argv = ["sweep", "--candidates", pipeline["fix"] / "candidates.jsonl", "--labels", labels,
+                "--profiles", model / "profiles.jsonl", "--checkpoint", model / "checkpoint.json",
+                "--out", out, "--runs", 1]
+        assert run(*map(str, argv)) == 1
+        entry = len(outsider["labels"]) - 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: line {len(lines)}: entry {entry}: label must be null, 0 or 1, got 2"
+        ]
+        assert not out.exists()
 
     def test_eval_of_a_user_without_label_line(self, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)
@@ -737,6 +760,8 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("numerical error:")
         assert f"{field}=" in lines[0]
+        if field.startswith("beta"):  # beta * e overflows, not the exp, so beta is what to lower
+            assert lines[0].endswith(f"; lower {field}")
         assert not out.exists()
 
     def test_non_increasing_alphas_rejected(self, tmp_path, capsys):
@@ -752,6 +777,26 @@ class TestExitCodes:
         )
         assert code == 1
         assert "strictly increasing" in capsys.readouterr().err
+
+    def test_one_parser_serves_successive_calls(self, pipeline, tmp_path, capsys):
+        """`main` builds its parser once per process; a usage error and
+        `--version` on it leave a later `eval` as a fresh parser would."""
+        assert cli._parser() is cli._parser()
+        usage = ["eval", "--k", "x"]
+        with pytest.raises(ValidationError) as fresh:
+            cli.build_parser().parse_args(usage)
+        assert run(*usage) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {fresh.value}"]
+        with pytest.raises(SystemExit) as err:
+            run("--version")
+        assert err.value.code == 0
+        assert capsys.readouterr().out == "diverank 0.1.0\n"
+        root, fix = pipeline["root"], pipeline["fix"]
+        out = tmp_path / "eval.csv"
+        argv = ["eval", "--results", root / "results.jsonl", "--labels", fix / "labels.jsonl",
+                "--items", fix / "items.jsonl", "--out", out]
+        assert run(*map(str, argv)) == 0
+        assert out.read_bytes() == (root / "eval.csv").read_bytes()
 
     def test_version_flag_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as err:

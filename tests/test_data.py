@@ -27,6 +27,7 @@ from diverank.data import (
     load_checkpoint,
     load_config,
     load_items,
+    load_labels,
     load_results,
     save_behaviors,
     save_candidates,
@@ -34,7 +35,7 @@ from diverank.data import (
     save_items,
     save_results,
 )
-from oracles import behavior_lines, candidates_line
+from oracles import behavior_lines, candidates_line, label_lookups
 
 
 def make_item(item_id="it1", dim=4, base_score=0.5):
@@ -188,8 +189,13 @@ class TestBehaviorIO:
     def test_label_line_has_no_ts(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"user_id": "u1", "item_ids": ["a", "b"], "labels": [1, 0]}\n')
-        log = load_behaviors(str(path), labelled=True)
-        assert log.item_ids == ("a", "b") and log.labels.tolist() == [1, 0] and log.ts.tolist() == [0, 0]
+        assert load_labels(str(path), ["u1"]) == {"u1": {"a": 1, "b": 0}}
+
+    def test_a_behavior_line_is_not_a_label_line(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text('{"user_id": "u1", "item_ids": ["a"], "ts": [3]}\n')
+        with pytest.raises(ParseError, match=r"^line 1: label line missing field 'labels'$"):
+            load_labels(str(path), ["u1"])
 
     def test_label_writer_refuses_what_a_label_line_cannot_hold(self, tmp_path):
         for rows in ((("u1", "a", 3, 1),), (("u1", "a", 0, NO_LABEL),)):
@@ -356,12 +362,15 @@ class TestWriterOracle:
         assert path.read_bytes() == want.encode("utf-8")
 
 
+USERS = ("u1", "u2", "u\u2028", "u9")  # u9 never has a line
+
+
 def behavior_rows(labelled):
     """(user, item, ts, label) rows whose users interleave and whose
     timestamps often tie; a label file's rows are labelled at ts 0."""
     stamps = st.just(0) if labelled else st.sampled_from((0, 1, 2**63 - 1)) | st.integers(0, 3)
     labels = st.sampled_from((0, 1) if labelled else (0, 1, NO_LABEL))
-    row = st.tuples(st.sampled_from(("u1", "u2", "u\u2028")), st.sampled_from(("a", "b", "é")), stamps, labels)
+    row = st.tuples(st.sampled_from(USERS[:3]), st.sampled_from(("a", "b", "é")), stamps, labels)
     return st.lists(row, max_size=12)
 
 
@@ -369,18 +378,25 @@ class TestBehaviorRoundTrip:
     """Writing a log and reading it back gives its rows stably sorted by
     (user_id, ts): tied rows keep their order, which profiles depend on."""
 
-    @pytest.mark.parametrize("labelled", [False, True], ids=["behaviors", "labels"])
-    def test_save_then_load_is_the_stable_sort(self, labelled, tmp_path_factory):
+    def test_save_then_load_is_the_stable_sort(self, tmp_path_factory):
         @settings(derandomize=True, max_examples=80, deadline=None)
-        @given(rows=behavior_rows(labelled))
+        @given(rows=behavior_rows(labelled=False))
         def check(rows):
-            path = tmp_path_factory.getbasetemp() / f"round_trip_{labelled}.jsonl"
-            save_behaviors(str(path), make_log(*rows), labelled=labelled)
-            loaded = load_behaviors(str(path), labelled=labelled)
+            path = tmp_path_factory.getbasetemp() / "round_trip_behaviors.jsonl"
+            save_behaviors(str(path), make_log(*rows))
+            loaded = load_behaviors(str(path))
             want = sorted(rows, key=lambda row: (row[0], row[2]))  # sorted() is stable
             assert list(zip(loaded.user_ids, loaded.item_ids, loaded.ts.tolist(), loaded.labels.tolist())) == want
 
         check()
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(rows=behavior_rows(labelled=True), users=st.lists(st.sampled_from(USERS), max_size=4))
+    def test_saved_labels_load_as_the_json_reference(self, tmp_path_factory, rows, users):
+        """Repeated items (last label wins), absent users and empty requests included."""
+        path = tmp_path_factory.getbasetemp() / "round_trip_labels.jsonl"
+        save_behaviors(str(path), make_log(*rows), labelled=True)
+        assert load_labels(str(path), users) == label_lookups(str(path), users)
 
 
 class TestItemRoundTrip:

@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diverank.data import ValidationError
-from diverank.metrics import auc, dcg_at_k, ilad, ndcg_at_k
+from diverank.kernels import normalize_rows
+from diverank.metrics import _upper_pairs, auc, dcg_at_k, ilad, ndcg_at_k
 from oracles import logloss
 
 
@@ -95,6 +98,17 @@ class TestNdcg:
     def test_k_zero_rejected(self):
         with pytest.raises(ValidationError):
             ndcg_at_k([1], 0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        rel=st.lists(st.sampled_from((0, 1)), max_size=12),
+        pool=st.lists(st.sampled_from((0, 1)), max_size=40),
+        k=st.integers(1, 12),
+    )
+    def test_top_k_of_the_pool_is_the_whole_pool(self, rel, pool, k):
+        """eval and sweep pass only a user's k highest labels as the ideal pool."""
+        top = sorted(pool, reverse=True)[:k]
+        assert ndcg_at_k(rel, k, ideal_relevances=top) == ndcg_at_k(rel, k, ideal_relevances=pool)
 
 
 class TestAuc:
@@ -208,3 +222,18 @@ class TestIlad:
     def test_zero_norm_rejected(self):
         with pytest.raises(ValidationError):
             ilad(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_triu_indices_bit_for_bit(self, n, rng):
+        for _ in range(3):  # later calls read the cached index
+            v = rng.normal(size=(n, 16))
+            unit = normalize_rows(v)
+            want = float(np.mean(1.0 - (unit @ unit.T)[np.triu_indices(n, k=1)]))
+            assert ilad(v) == want
+
+    def test_cached_pairs_are_read_only(self):
+        rows, cols = _upper_pairs(5)
+        assert _upper_pairs(5)[0] is rows
+        for index in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 4
