@@ -11,7 +11,7 @@ Run: python3 demos/03_interest_profiles.py
 
 import numpy as np
 
-from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable
+from diverank.data import NO_LABEL, EmbeddingTable, UserEvents
 from diverank.interests import (
     MACRO_SCALE,
     MICRO_SCALE,
@@ -24,13 +24,13 @@ DAY = 86_400
 
 
 def plays(user, names_days, now):
-    """One user's unlabeled BehaviorLog: (item, days before now) per event."""
-    n = len(names_days)
-    return BehaviorLog(
-        user_ids=(user,) * n,
+    """One user's unlabeled behavior record: (item, days before now) per
+    event.  The record holds its events oldest first."""
+    return UserEvents(
+        user_id=user,
         item_ids=tuple(name for name, _ in names_days),
         ts=[now - days * DAY for _, days in names_days],
-        labels=[NO_LABEL] * n,
+        labels=[NO_LABEL] * len(names_days),
     )
 
 
@@ -77,11 +77,11 @@ def main():
         print(f"  {hours:>3} hours old -> weight 1 / (1 + {hours}) = {w:.4f}")
 
     section("4. The assembled profile")
-    profile = build_profile("ana", history, table, clusters,
+    profile = build_profile(history, table, clusters,
                             top_m=4, recent_window=3, now=now)
     print(f"h_macro = {MACRO_SCALE} x mean of the point vectors:", profile.h_macro)
     print(f"h_micro = {MICRO_SCALE} x weighted mean of the last 3 plays:", profile.h_micro)
-    newest = sorted(history.ts.tolist())[-3:]
+    newest = history.ts[-3:]
     w = recency_weights(newest, now)
     print("weights of the last 3 plays (oldest first):", w / w.sum())
     print("pooling has no parameters; the downstream scorer learns how to")
@@ -89,7 +89,7 @@ def main():
 
     section("5. Similar recent histories give similar micro vectors")
     def taste(user, names_days):
-        return build_profile(user, plays(user, names_days, now), table, clusters,
+        return build_profile(plays(user, names_days, now), table, clusters,
                              top_m=4, recent_window=3, now=now)
 
     bob = taste("bob", [("jazz_0", 9), ("jazz_1", 5), ("jazz_2", 1)])
@@ -107,7 +107,7 @@ def main():
     print("even though ana's long-term point ranking is jazz-first")
 
     section("6. Cold start stays well-defined")
-    empty = build_profile("newcomer", plays("newcomer", [], now), table, clusters,
+    empty = build_profile(plays("newcomer", [], now), table, clusters,
                           top_m=4, recent_window=3)
     print("empty history -> zero vectors:",
           bool(np.all(empty.h_macro == 0) and np.all(empty.h_micro == 0)))

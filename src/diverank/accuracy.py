@@ -21,11 +21,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
+from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
-from .data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError
+from .data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError
 from .interests import InterestProfile
 from .metrics import auc
 
@@ -245,29 +246,29 @@ class Impressions:
         return len(self.user_ids)
 
 
-def build_impressions(log: BehaviorLog, table: EmbeddingTable) -> Impressions:
-    """Reconstruct per-user session contexts from a labelled behavior log.
+def build_impressions(records: Iterable[UserEvents], table: EmbeddingTable) -> Impressions:
+    """Reconstruct per-user session contexts from labelled behavior records.
 
-    The log must be sorted by (user_id, ts), as `load_behaviors` returns
-    it.  For the t-th event of a user's session the previous context is
-    the mean of the earlier session embeddings (zero for the first) and
-    the candidate context is the mean over the whole session, mirroring
-    how contexts behave at serving time.  Unlabelled events and events
-    without embeddings are skipped.
+    Users come in the order given, sorted by id as `load_behaviors` returns
+    them, and each session in its record's order, which is by time.  For
+    the t-th event of a user's session the previous context is the mean of
+    the earlier session embeddings (zero for the first) and the candidate
+    context is the mean over the whole session, mirroring how contexts
+    behave at serving time.  Unlabelled events and events without
+    embeddings are skipped.
     """
-    users, items, labels = log.user_ids, log.item_ids, log.labels.tolist()
-    starts = [0] + [r for r in range(1, len(log)) if users[r] != users[r - 1]]
-    back_in_time = np.diff(log.ts) < 0
-    back_in_time[np.asarray(starts[1:], dtype=np.intp) - 1] = False
-    if back_in_time.any() or any(users[a] >= users[b] for a, b in zip(starts, starts[1:])):
-        raise ValidationError("behavior log must be sorted by (user_id, ts)")
-    kept, sizes = [], []  # rows kept, and their count per user
-    for lo, hi in zip(starts, starts[1:] + [len(log)]):
-        session = [r for r in range(lo, hi) if labels[r] != NO_LABEL and items[r] in table]
-        kept.extend(session)
+    kept, sizes = [], []  # (user_id, item_id, label) per kept row, and kept rows per user
+    for events in records:
+        session = [
+            (events.user_id, item_id, label)
+            for item_id, label in zip(events.item_ids, events.labels.tolist())
+            if label != NO_LABEL and item_id in table
+        ]
+        kept += session
         if session:
             sizes.append(len(session))
-    embeddings = table.rows(items[r] for r in kept)
+    user_ids, item_ids, labels = zip(*kept) if kept else ((), (), ())
+    embeddings = table.rows(item_ids)
     h_prev, h_cand = np.zeros_like(embeddings), np.empty_like(embeddings)
     lo = 0
     for size in sizes:
@@ -277,7 +278,7 @@ def build_impressions(log: BehaviorLog, table: EmbeddingTable) -> Impressions:
         running = np.cumsum(np.vstack((np.zeros(embs.shape[1]), embs[:-1])), axis=0)
         h_prev[lo + 1 : lo + size] = running[1:] / np.arange(1, size)[:, None]
         lo += size
-    return Impressions(tuple(users[r] for r in kept), embeddings, h_prev, h_cand, log.labels[kept])
+    return Impressions(user_ids, embeddings, h_prev, h_cand, labels)
 
 
 def train_scorer(

@@ -121,9 +121,9 @@ def cmd_synth(args) -> None:
     save_items(os.path.join(args.out, "items.jsonl"), world.items)
     save_behaviors(os.path.join(args.out, "behaviors.jsonl"), world.behaviors)
     save_candidates(os.path.join(args.out, "candidates.jsonl"), world.candidates)
-    save_behaviors(os.path.join(args.out, "labels.jsonl"), world.labels, labelled=True)
+    save_behaviors(os.path.join(args.out, "labels.jsonl"), world.labels)
     print(
-        f"synth: {len(world.items)} items, {len(world.behaviors)} behaviors, "
+        f"synth: {len(world.items)} items, {sum(map(len, world.behaviors))} behaviors, "
         f"{len(world.candidates)} candidate sets -> {args.out}"
     )
 
@@ -134,9 +134,10 @@ def cmd_synth(args) -> None:
 def cmd_cluster(args) -> None:
     table = load_items(args.items)
     behaviors = load_behaviors(args.behaviors)
-    if not len(behaviors):
+    edges = [(events.user_id, item_id) for events in behaviors for item_id in events.item_ids]
+    if not edges:
         raise ValidationError("no behavior events to cluster on")
-    graph = BipartiteGraph.from_edges(zip(behaviors.user_ids, behaviors.item_ids))
+    graph = BipartiteGraph.from_edges(edges)
     assignment = louvain(graph)
     item_clusters = assignment.item_clusters()
     q = modularity(graph, assignment.labels)
@@ -160,14 +161,14 @@ def cmd_train_scorer(args) -> None:
     table = load_items(args.items)
     behaviors = load_behaviors(args.behaviors)
     item_clusters = load_clusters(args.clusters)
-    if not len(behaviors):
+    latest = [int(events.ts[-1]) for events in behaviors if len(events)]
+    if not latest:
         raise ValidationError("no behavior events to train on")
-    now = int(behaviors.ts.max())
+    now = max(latest)
 
     profiles = [
-        build_profile(user_id, behaviors.take(rows), table, item_clusters,
-                      top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
-        for user_id, rows in behaviors.user_rows().items()
+        build_profile(events, table, item_clusters, top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
+        for events in behaviors
     ]
     profile_map = {p.user_id: p for p in profiles}
 

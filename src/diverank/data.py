@@ -2,7 +2,8 @@
 
 Item lines, candidate sets, behavior and label lines, experiment
 configuration, re-ranking results and scorer checkpoints are read and
-written here; the last four of these formats hold one line per user.
+written here; candidates, behaviors, labels and results hold one line
+per user.
 The other formats live with their stage: cluster lines in `clustering`,
 profile lines in `interests`, the training log in `accuracy`, and the
 diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Loaders fail
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
@@ -161,63 +161,53 @@ NO_LABEL = -1
 
 
 @dataclass(frozen=True, eq=False)
-class BehaviorLog:
-    """User interactions held as columns, one row per event.
+class UserEvents:
+    """One user's events, as one behavior or label line holds them, in columns.
 
-    Row r says that `user_ids[r]` interacted with `item_ids[r]` at time
-    `ts[r]` (int64 seconds, >= 0); `labels[r]` (int8) is 0, 1, or
-    NO_LABEL.  Both arrays are read-only copies, validated once as whole
-    columns; a failure names its row in `ValidationError.row`.
+    Row r says that the user met `item_ids[r]` at time `ts[r]` (int64
+    seconds, >= 0) with label `labels[r]` (int8): 0, 1 or NO_LABEL.  A
+    label line has no times: its `ts` is None and every row is labelled.
+    Rows are held in the stable sort by `ts`.  The arrays are read-only
+    copies, validated once as whole columns before that sort; a failure
+    names its row in `ValidationError.row`.
     """
 
-    user_ids: tuple[str, ...]
+    user_id: str
     item_ids: tuple[str, ...]
-    ts: np.ndarray
+    ts: np.ndarray | None
     labels: np.ndarray
 
     def __post_init__(self):
-        user_ids = _check_id_column(self.user_ids, "user_id")
+        _check_id(self.user_id, "user_id")
         item_ids = _check_id_column(self.item_ids, "item_id")
-        n = len(user_ids)
-        ts = np.array(self.ts, dtype=np.int64)
+        n = len(item_ids)
+        ts = None if self.ts is None else np.array(self.ts, dtype=np.int64)
         labels = np.array(self.labels, dtype=np.int8)
-        if len(item_ids) != n or ts.shape != (n,) or labels.shape != (n,):
-            raise ValidationError(f"behavior columns must all hold {n} rows")
-        bad = ts < 0
+        if labels.shape != (n,) or (ts is not None and ts.shape != (n,)):
+            raise ValidationError(f"event columns must all hold {n} rows")
+        bad = (labels != 0) & (labels != 1)
+        if ts is not None:
+            bad &= labels != NO_LABEL
         if bad.any():
             row = int(np.argmax(bad))
-            raise ValidationError(f"ts must be >= 0, got {ts[row]}", row)
-        bad = (labels != 0) & (labels != 1) & (labels != NO_LABEL)
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValidationError(f"label must be 0, 1 or {NO_LABEL}, got {labels[row]}", row)
-        ts.flags.writeable = False
+            rule = "0 or 1 on a label line" if ts is None else f"0, 1 or {NO_LABEL}"
+            raise ValidationError(f"label must be {rule}, got {labels[row]}", row)
+        if ts is not None:
+            if (ts < 0).any():
+                row = int(np.argmax(ts < 0))
+                raise ValidationError(f"ts must be >= 0, got {ts[row]}", row)
+            if (ts[1:] < ts[:-1]).any():
+                order = np.argsort(ts, kind="stable")
+                item_ids = tuple(item_ids[r] for r in order.tolist())
+                ts, labels = ts[order], labels[order]
+            ts.flags.writeable = False
         labels.flags.writeable = False
-        object.__setattr__(self, "user_ids", user_ids)
         object.__setattr__(self, "item_ids", item_ids)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
-        return len(self.user_ids)
-
-    def take(self, rows: Sequence[int]) -> "BehaviorLog":
-        """The log of `rows`, in the order given."""
-        rows = np.asarray(rows, dtype=np.intp)
-        idx = rows.tolist()
-        return BehaviorLog(
-            tuple(self.user_ids[r] for r in idx),
-            tuple(self.item_ids[r] for r in idx),
-            self.ts[rows],
-            self.labels[rows],
-        )
-
-    def user_rows(self) -> dict[str, list[int]]:
-        """Each user's row numbers in log order, users in sorted order."""
-        rows: dict[str, list[int]] = {}
-        for row, user_id in enumerate(self.user_ids):
-            rows.setdefault(user_id, []).append(row)
-        return {user_id: rows[user_id] for user_id in sorted(rows)}
+        return len(self.item_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,35 +536,21 @@ def _user_line(doc: dict, kind: str, columns: tuple[str, ...], seen) -> tuple[st
     return user_id, ids, lists
 
 
-def load_behaviors(path: str) -> BehaviorLog:
-    """Read a behavior file into one BehaviorLog, stably sorted by (user_id, ts).
+def load_behaviors(path: str) -> list[UserEvents]:
+    """Read a behavior file into one UserEvents per line, sorted by user id.
 
-    A line holds one user's rows as aligned lists `item_ids`, `ts` and an optional
-    `labels`, checked whole as columns; an error cites the line and the entry's index.
+    A line holds one user's rows as aligned lists `item_ids`, `ts` and an
+    optional `labels`, checked whole as columns.  The first faulty line
+    raises, its error citing the line and the entry's index.
     """
-    starts: dict[str, int] = {}  # user id -> the row of its line's first entry
-    linenos: list[int] = []
-    columns: tuple[list, ...] = ([], [], [], [])  # user id, item id, ts, label per row
+    by_user: dict[str, UserEvents] = {}
     for lineno, doc in _iter_json_lines(path):
         try:
-            user_id, ids, lists = _user_line(doc, "behavior", ("ts", "labels"), starts)
+            user_id, ids, (ts, labels) = _user_line(doc, "behavior", ("ts", "labels"), by_user)
+            by_user[user_id] = UserEvents(user_id, ids, _ts_column(ts), _label_column(labels))
         except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        starts[user_id] = len(columns[0])
-        linenos.append(lineno)
-        for column, values in zip(columns, ([user_id] * len(ids), ids, *lists)):
-            column += values
-    user_ids, item_ids, ts, labels = columns
-    try:
-        log = BehaviorLog(tuple(user_ids), tuple(item_ids), _ts_column(ts), _label_column(labels))
-    except ValidationError as exc:
-        first_rows = list(starts.values())
-        at = bisect_right(first_rows, exc.row) - 1
-        raise ParseError(f"entry {exc.row - first_rows[at]}: {exc}", line=linenos[at]) from exc
-    rank = {user_id: r for r, user_id in enumerate(sorted(starts))}
-    user_rank = np.repeat([rank[user_id] for user_id in starts], np.diff([*starts.values(), len(log)]))
-    order = np.lexsort((log.ts, user_rank))  # stable: last key sorts first
-    return log if (order == np.arange(len(log))).all() else log.take(order)
+            raise ParseError(("" if exc.row is None else f"entry {exc.row}: ") + str(exc), line=lineno) from exc
+    return [by_user[user_id] for user_id in sorted(by_user)]
 
 
 def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
@@ -606,23 +582,25 @@ def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def save_behaviors(path: str, log: BehaviorLog, labelled: bool = False) -> None:
-    """Write one line per user, users sorted and each user's rows in log
-    order.  A NO_LABEL row's label is null, and a line without labels
-    leaves `labels` out.  With `labelled`, as for a label file, `ts` is
-    left out, so every row must be labelled at ts 0."""
-    if labelled and (log.ts.any() or (log.labels == NO_LABEL).any()):
-        raise ValidationError("a label file holds only labelled rows at ts 0")
-    stamps = log.ts.tolist()
-    labels = [None if label == NO_LABEL else label for label in log.labels.tolist()]
+def save_behaviors(path: str, records: Iterable[UserEvents]) -> None:
+    """Write one line per record, users sorted and each record's rows in
+    its order.  A NO_LABEL row's label is null, a behavior line without
+    labels leaves `labels` out, and a label record, having no `ts`, leaves
+    `ts` out.  Two records for one user are refused, as `load_behaviors`
+    refuses their lines."""
+    records = sorted(records, key=lambda events: events.user_id)
+    for a, b in zip(records, records[1:]):
+        if a.user_id == b.user_id:
+            raise ValidationError(f"two records for user {a.user_id!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        for user_id, rows in log.user_rows().items():
-            doc = {"item_ids": [log.item_ids[r] for r in rows], "labels": [labels[r] for r in rows]}
-            if doc["labels"].count(None) == len(rows):
-                del doc["labels"]
-            if not labelled:
-                doc["ts"] = [stamps[r] for r in rows]
-            doc["user_id"] = user_id
+        for events in records:
+            labels = [None if label == NO_LABEL else label for label in events.labels.tolist()]
+            doc = {"item_ids": list(events.item_ids), "labels": labels}
+            if events.ts is not None:
+                if labels.count(None) == len(labels):
+                    del doc["labels"]
+                doc["ts"] = events.ts.tolist()
+            doc["user_id"] = events.user_id
             fh.write(_encode(doc) + "\n")
 
 

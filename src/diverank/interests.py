@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (
-    BehaviorLog,
     EmbeddingTable,
     ParseError,
+    UserEvents,
     ValidationError,
     _check_id,
     _finite_vector,
@@ -62,7 +62,7 @@ class InterestProfile:
 
 
 def group_interest_points(
-    log: BehaviorLog,
+    events: UserEvents,
     table: EmbeddingTable,
     item_clusters: dict[str, int],
     top_m: int,
@@ -77,7 +77,7 @@ def group_interest_points(
     if top_m < 1:
         raise ValidationError("top_m must be >= 1")
     members: dict[int, dict[str, int]] = {}
-    for item_id, ts in zip(log.item_ids, log.ts.tolist()):
+    for item_id, ts in zip(events.item_ids, events.ts.tolist()):
         cid = item_clusters.get(item_id)
         if cid is None or item_id not in table:
             continue
@@ -111,38 +111,38 @@ def recency_weights(ts: np.ndarray, now: int) -> np.ndarray:
 
 
 def build_profile(
-    user_id: str,
-    log: BehaviorLog,
+    events: UserEvents,
     table: EmbeddingTable,
     item_clusters: dict[str, int],
     top_m: int,
     recent_window: int,
     now: int | None = None,
 ) -> InterestProfile:
-    """Assemble one user's interest profile from that user's behavior log.
+    """Assemble one user's interest profile from that user's behavior record.
 
     h_macro is MACRO_SCALE times the mean of the top-M interest-point
     vectors; h_micro is MICRO_SCALE times the recency-weighted mean of the
-    `recent_window` most recent known items.  An empty or fully-unknown
-    history yields a zero profile (cold start).  `now` defaults to the
-    latest event timestamp.
+    `recent_window` most recent known items, the record's last ones as it
+    holds its rows by time.  An empty or fully-unknown history yields a
+    zero profile (cold start).  `now` defaults to the latest known event
+    timestamp.
     """
     if recent_window < 1:
         raise ValidationError("recent_window must be >= 1")
-    ts = log.ts.tolist()
-    known = sorted((r for r, i in enumerate(log.item_ids) if i in table), key=ts.__getitem__)
+    ts = events.ts.tolist()
+    known = [r for r, item_id in enumerate(events.item_ids) if item_id in table]
     if now is None:
         now = ts[known[-1]] if known else 0
     h_macro, h_micro = np.zeros(table.dim), np.zeros(table.dim)
-    points = group_interest_points(log, table, item_clusters, top_m)
+    points = group_interest_points(events, table, item_clusters, top_m)
     if points:
         h_macro = MACRO_SCALE * np.mean([p.vector for p in points], axis=0)
     window = known[-recent_window:]
     if window:
         weights = recency_weights([ts[r] for r in window], now)
-        recent = table.rows(log.item_ids[r] for r in window)
+        recent = table.rows(events.item_ids[r] for r in window)
         h_micro = MICRO_SCALE * (weights @ recent) / weights.sum()
-    return InterestProfile(user_id=user_id, h_macro=h_macro, h_micro=h_micro)
+    return InterestProfile(user_id=events.user_id, h_macro=h_macro, h_micro=h_micro)
 
 
 # ----- profile cache IO -----

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BehaviorLog, CandidateSet, EmbeddingTable, ValidationError
+from .data import CandidateSet, EmbeddingTable, UserEvents, ValidationError
 
 NOW_TS = 1_700_000_000  # fixed reference clock so fixtures never drift
 THIRTY_DAYS = 30 * 24 * 3600
@@ -61,9 +61,9 @@ class SyntheticWorld:
     """Everything one seed generates, before serialization."""
 
     items: EmbeddingTable
-    behaviors: BehaviorLog
+    behaviors: list[UserEvents]
     candidates: list[CandidateSet]
-    labels: BehaviorLog  # candidate ground truth, ts = 0
+    labels: list[UserEvents]  # candidate ground truth, without times
     true_clusters: dict[str, int]
 
 
@@ -94,14 +94,9 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     items = EmbeddingTable(tuple(item_ids), item_embs)
 
-    behavior_users: list[str] = []
-    behavior_items: list[str] = []
-    behavior_ts: list[np.ndarray] = []
-    behavior_hits: list[bool] = []
+    behaviors: list[UserEvents] = []
     candidates: list[CandidateSet] = []
-    label_users: list[str] = []
-    label_items: list[str] = []
-    label_hits: list[np.ndarray] = []
+    labels: list[UserEvents] = []
     for u in range(spec.users):
         user_id = f"u{u:04d}"
         n_pref = int(rng.integers(1, min(3, spec.clusters) + 1))
@@ -111,6 +106,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
         # Behavior history: mostly preferred clusters, some exploration.
         offsets = np.sort(rng.integers(0, THIRTY_DAYS, size=spec.behaviors_per_user))[::-1]
+        behavior_items, behavior_hits = [], []
         for b in range(spec.behaviors_per_user):
             if rng.random() < 0.9:
                 cluster = int(preferred[rng.integers(0, n_pref)])
@@ -123,8 +119,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
             p_click = float(_sigmoid(spec.sharpness * (affinity - spec.threshold)))
             behavior_items.append(item_ids[idx])
             behavior_hits.append(rng.random() < p_click)
-        behavior_users.extend([user_id] * spec.behaviors_per_user)
-        behavior_ts.append(NOW_TS - offsets)
+        behaviors.append(UserEvents(user_id, behavior_items, NOW_TS - offsets, behavior_hits))
 
         # Candidates: half preferred-cluster items, rest catalog-wide.
         n_cand = spec.candidates_per_user
@@ -149,9 +144,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
         drawn = rng.random(n_cand) < true_p
 
         cand_ids = tuple(item_ids[int(idx)] for idx in chosen_arr)
-        label_users.extend([user_id] * n_cand)
-        label_items.extend(cand_ids)
-        label_hits.append(drawn)
+        labels.append(UserEvents(user_id, cand_ids, None, drawn))
         candidates.append(
             CandidateSet(
                 user_id=user_id,
@@ -163,15 +156,8 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     return SyntheticWorld(
         items=items,
-        behaviors=BehaviorLog(
-            tuple(behavior_users), tuple(behavior_items), np.concatenate(behavior_ts), behavior_hits
-        ),
+        behaviors=behaviors,
         candidates=candidates,
-        labels=BehaviorLog(
-            tuple(label_users),
-            tuple(label_items),
-            np.zeros(len(label_users), dtype=np.int64),
-            np.concatenate(label_hits),
-        ),
+        labels=labels,
         true_clusters=true_clusters,
     )

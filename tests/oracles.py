@@ -5,7 +5,8 @@ greedy selector, the greedy loop and scorer as they were before the
 scorer's list-invariant terms were hoisted, a full check of a built kernel
 matrix, a clamped binary log-loss for the metric goldens, central
 finite differences for every analytic gradient, and candidate and behavior
-lines written by one `json.dumps` call each.
+lines written by one `json.dumps` call each.  `user_records` builds the
+behavior records that the tests feed to the stages from plain rows.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 from diverank.accuracy import ContextState, ScorerParams, initial_context, update_context
 from diverank.data import (
     NO_LABEL,
-    BehaviorLog,
     CandidateSet,
     ExperimentConfig,
     NumericalError,
     RerankResult,
+    UserEvents,
     ValidationError,
 )
 from diverank.interests import InterestProfile
@@ -215,20 +216,34 @@ def candidates_line(cs: CandidateSet) -> str:
     return _dumps({"items": items, "user_id": cs.user_id})
 
 
-def behavior_lines(log: BehaviorLog, labelled: bool = False) -> list[str]:
-    """One dumped dict per user, users sorted and each user's rows in log
-    order; `labels` is left out of a line with no label, a NO_LABEL entry
-    is null, and a label line (`labelled`) has no `ts`: the reference that
-    `save_behaviors` writes byte for byte."""
+def user_records(*rows) -> list[UserEvents]:
+    """One record per user from (user_id, item_id, ts, label) rows, users
+    sorted as `load_behaviors` returns them and each user's rows passed in
+    the order given.  A row without a label is unlabelled (NO_LABEL), and a
+    user whose rows have a ts of None gets a label record."""
+    by_user: dict[str, list] = {}
+    for user_id, item_id, ts, *label in rows:
+        by_user.setdefault(user_id, []).append((item_id, ts, label[0] if label else NO_LABEL))
+    records = []
+    for user_id in sorted(by_user):
+        item_ids, ts, labels = zip(*by_user[user_id])
+        records.append(UserEvents(user_id, item_ids, None if None in ts else ts, labels))
+    return records
+
+
+def behavior_lines(records: Iterable[UserEvents]) -> list[str]:
+    """One dumped dict per record, users sorted and each record's rows in
+    its order; a NO_LABEL entry is null, a behavior line with no label
+    leaves `labels` out, and a label record's line has no `ts`: the
+    reference that `save_behaviors` writes byte for byte."""
     lines = []
-    for user_id in sorted(set(log.user_ids)):
-        rows = [r for r, owner in enumerate(log.user_ids) if owner == user_id]
-        doc = {"user_id": user_id, "item_ids": [log.item_ids[r] for r in rows]}
-        labels = [int(log.labels[r]) for r in rows]
-        if any(label != NO_LABEL for label in labels):
+    for events in sorted(records, key=lambda events: events.user_id):
+        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids)}
+        labels = [int(label) for label in events.labels]
+        if events.ts is None or any(label != NO_LABEL for label in labels):
             doc["labels"] = [None if label == NO_LABEL else label for label in labels]
-        if not labelled:
-            doc["ts"] = [int(log.ts[r]) for r in rows]
+        if events.ts is not None:
+            doc["ts"] = [int(t) for t in events.ts]
         lines.append(_dumps(doc))
     return lines
 

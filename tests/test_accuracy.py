@@ -7,7 +7,6 @@ layer, and the two-logit softmax.  The training math of
 `composed_scorer`.
 """
 
-import json
 import math
 
 import numpy as np
@@ -27,8 +26,9 @@ from diverank.accuracy import (
     update_context,
     Impressions,
 )
-from diverank.data import NO_LABEL, BehaviorLog, EmbeddingTable, NumericalError, ValidationError, load_behaviors
+from diverank.data import NO_LABEL, EmbeddingTable, NumericalError, ValidationError
 from diverank.interests import InterestProfile
+from oracles import user_records
 from test_autodiff import assert_scorer_grads_match
 
 
@@ -226,50 +226,35 @@ class TestCrossEntropy:
             ad.cross_entropy(np.zeros((3, 2)), np.array([0, 1]))
 
 
-def impressions_oracle(log, table):
+def impressions_oracle(rows, table):
     """The per-user loop `build_impressions` replaced, as row tuples.
 
-    It groups rows per user itself and sorts each session by timestamp
-    (stable), so it accepts a log in any row order.
+    It reads raw (user, item, ts, label) rows, groups them per user itself
+    and sorts each session by timestamp (stable), so it accepts rows in any
+    order.
     """
-    ts = log.ts.tolist()
-    labels = log.labels.tolist()
     by_user = {}
-    for row, (user_id, item_id) in enumerate(zip(log.user_ids, log.item_ids)):
-        if labels[row] == NO_LABEL or item_id not in table:
+    for user_id, item_id, ts, label in rows:
+        if label == NO_LABEL or item_id not in table:
             continue
-        by_user.setdefault(user_id, []).append(row)
+        by_user.setdefault(user_id, []).append((ts, item_id, label))
     out = []
     for user_id in sorted(by_user):
-        session = sorted(by_user[user_id], key=ts.__getitem__)
-        embs = table.rows(log.item_ids[r] for r in session)
+        session = sorted(by_user[user_id], key=lambda row: row[0])
+        embs = table.rows(item_id for _, item_id, _ in session)
         h_cand = embs.mean(axis=0)
         running = np.zeros(embs.shape[1])
-        for t, row in enumerate(session):
+        for t, (_, _, label) in enumerate(session):
             h_prev = running / t if t else np.zeros(embs.shape[1])
-            out.append((user_id, embs[t], h_prev, h_cand, labels[row]))
+            out.append((user_id, embs[t], h_prev, h_cand, label))
             running = running + embs[t]
     return out
 
 
-def write_log(path, rows):
-    """Write (user, item, ts, label or None) rows as a behavior file, one
-    line per user in order of first row, and load it."""
-    lines: dict = {}
-    for user_id, item_id, ts, label in rows:
-        doc = lines.setdefault(user_id, {"user_id": user_id, "item_ids": [], "ts": [], "labels": []})
-        doc["item_ids"].append(item_id)
-        doc["ts"].append(ts)
-        doc["labels"].append(label)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(doc) + "\n" for doc in lines.values())
-    return load_behaviors(str(path))
-
-
 class TestImpressions:
-    def test_session_context_reconstruction(self, tmp_path):
+    def test_session_context_reconstruction(self):
         table = EmbeddingTable(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
-        imps = build_impressions(write_log(tmp_path / "b.jsonl", [("u1", "b", 20, 0), ("u1", "a", 10, 1)]), table)
+        imps = build_impressions(user_records(("u1", "b", 20, 0), ("u1", "a", 10, 1)), table)
         assert len(imps) == 2
         # Session order is by timestamp: a then b.
         assert np.array_equal(imps.h_prev, [[0.0, 0.0], [2.0, 0.0]])
@@ -278,43 +263,29 @@ class TestImpressions:
 
     def test_unlabeled_skipped(self):
         table = EmbeddingTable(("a",), np.array([[1.0]]))
-        events = BehaviorLog(("u1", "u1"), ("a", "a"), ts=[1, 2], labels=[NO_LABEL, 1])
+        events = user_records(("u1", "a", 1, NO_LABEL), ("u1", "a", 2, 1))
         assert len(build_impressions(events, table)) == 1
 
-    def test_matches_per_user_loop_bit_for_bit(self, tmp_path):
+    def test_matches_per_user_loop_bit_for_bit(self):
         rng = np.random.default_rng(11)
         embs = rng.normal(size=(12, 5))
         embs[:, 4] = -0.0  # sums must start from +0.0, as the loop's did
         table = EmbeddingTable(tuple(f"i{k}" for k in range(12)), embs)
         rows = []
         for _ in range(90):
-            user = f"u{rng.integers(6)}"  # users interleaved in file order
+            user = f"u{rng.integers(6)}"  # users interleaved in row order
             item = f"i{rng.integers(15)}"  # i12..i14 are not in the catalog
-            label = [None, 0, 1][rng.integers(3)]
+            label = [NO_LABEL, 0, 1][rng.integers(3)]
             rows.append((user, item, int(rng.integers(8)), label))  # many equal timestamps
         rows.append(("u9", "i14", 3, 1))  # a user with no usable row
-        log = write_log(tmp_path / "behaviors.jsonl", rows)
-        unsorted = BehaviorLog(
-            tuple(r[0] for r in rows),
-            tuple(r[1] for r in rows),
-            [r[2] for r in rows],
-            [NO_LABEL if r[3] is None else r[3] for r in rows],
-        )
-        expected = impressions_oracle(unsorted, table)
-        imps = build_impressions(log, table)
+        expected = impressions_oracle(rows, table)
+        imps = build_impressions(user_records(*rows), table)
         assert 0 < len(imps) == len(expected) < len(rows)
         assert imps.user_ids == tuple(e[0] for e in expected)
         for col, pos in (("embeddings", 1), ("h_prev", 2), ("h_cand", 3)):
             want = np.stack([e[pos] for e in expected])
             assert getattr(imps, col).tobytes() == want.tobytes(), col
         assert imps.labels.tolist() == [e[4] for e in expected]
-
-    def test_unsorted_log_rejected(self):
-        table = EmbeddingTable(("a",), np.array([[1.0]]))
-        for users, ts in ((("u1", "u1"), [2, 1]), (("u2", "u1"), [1, 2]), (("u1", "u2", "u1"), [1, 1, 1])):
-            log = BehaviorLog(users, ("a",) * len(users), ts, [1] * len(users))
-            with pytest.raises(ValidationError, match="sorted"):
-                build_impressions(log, table)
 
     @pytest.mark.parametrize(
         "columns",

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from diverank.data import (
     NO_LABEL,
-    BehaviorLog,
     CandidateSet,
     EmbeddingTable,
     ExperimentConfig,
     ParseError,
     RerankResult,
+    UserEvents,
     ValidationError,
     _finite_rows,
     _finite_vector,
@@ -35,7 +35,7 @@ from diverank.data import (
     save_items,
     save_results,
 )
-from oracles import behavior_lines, candidates_line, label_lookups
+from oracles import behavior_lines, candidates_line, label_lookups, user_records
 
 
 def make_item(item_id="it1", dim=4, base_score=0.5):
@@ -49,28 +49,36 @@ def make_table(*ids, dim=4):
     return EmbeddingTable(ids, np.tile(np.arange(dim, dtype=float), (len(ids), 1)))
 
 
-def make_log(*rows):
-    """A BehaviorLog from (user_id, item_id, ts, label) rows."""
-    users, items, ts, labels = zip(*rows) if rows else ((), (), (), ())
-    return BehaviorLog(users, items, ts, labels)
-
-
-class TestBehaviorLog:
+class TestUserEvents:
     def test_valid(self):
-        log = make_log(("u1", "i1", 10, 1))
-        assert log.ts[0] == 10
-        assert log.ts.dtype == np.int64 and log.labels.dtype == np.int8
-        assert not log.ts.flags.writeable and not log.labels.flags.writeable
+        [events] = user_records(("u1", "i1", 10, 1))
+        assert events.ts[0] == 10
+        assert events.ts.dtype == np.int64 and events.labels.dtype == np.int8
+        assert not events.ts.flags.writeable and not events.labels.flags.writeable
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValidationError):
-            make_log(("u1", "i1", -1, NO_LABEL))
+            user_records(("u1", "i1", -1, NO_LABEL))
 
     def test_label_domain(self):
-        make_log(("u", "i", 0, 0))
-        make_log(("u", "i", 0, NO_LABEL))
+        user_records(("u", "i", 0, 0))
+        user_records(("u", "i", 0, NO_LABEL))
         with pytest.raises(ValidationError):
-            make_log(("u", "i", 0, 2))
+            user_records(("u", "i", 0, 2))
+
+    def test_label_record_with_an_unlabelled_row_refused(self):
+        user_records(("u1", "a", None, 0), ("u1", "b", None, 1))
+        with pytest.raises(ValidationError, match=r"^label must be 0 or 1 on a label line, got -1$") as err:
+            UserEvents("u1", ("a", "b"), None, [1, NO_LABEL])
+        assert err.value.row == 1
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3), st.sampled_from((0, 1, NO_LABEL)))))
+    def test_rows_held_in_the_stable_sort_by_ts(self, rows):
+        item_ids, ts, labels = zip(*rows) if rows else ((), (), ())
+        events = UserEvents("u1", item_ids, ts, labels)
+        want = sorted(rows, key=lambda row: row[1])  # sorted() is stable
+        assert list(zip(events.item_ids, events.ts.tolist(), events.labels.tolist())) == want
 
 
 class TestEmbeddingTable:
@@ -149,22 +157,15 @@ class TestEmbeddingTable:
 class TestBehaviorIO:
     def test_out_of_order_events_sorted(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = make_log(
-            ("u1", "i2", 20, NO_LABEL),
-            ("u1", "i1", 10, NO_LABEL),
-        )
-        save_behaviors(str(path), events)
-        loaded = load_behaviors(str(path))
-        assert loaded.ts.tolist() == [10, 20]
+        path.write_text('{"user_id": "u1", "item_ids": ["i2", "i1"], "ts": [20, 10]}\n')
+        [loaded] = load_behaviors(str(path))
+        assert loaded.item_ids == ("i1", "i2") and loaded.ts.tolist() == [10, 20]
 
     def test_duplicates_retained(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = make_log(
-            ("u1", "i1", 5, 1),
-            ("u1", "i1", 5, 1),
-        )
-        save_behaviors(str(path), events)
-        assert len(load_behaviors(str(path))) == 2
+        save_behaviors(str(path), user_records(("u1", "i1", 5, 1), ("u1", "i1", 5, 1)))
+        [loaded] = load_behaviors(str(path))
+        assert len(loaded) == 2
 
     def test_null_and_absent_label_load_as_no_label(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
@@ -172,7 +173,7 @@ class TestBehaviorIO:
             '{"user_id": "u1", "item_ids": ["a", "b"], "ts": [1, 2], "labels": [null, 0]}\n'
             '{"user_id": "u2", "item_ids": ["c"], "ts": [3]}\n'
         )
-        assert load_behaviors(str(path)).labels.tolist() == [NO_LABEL, 0, NO_LABEL]
+        assert [events.labels.tolist() for events in load_behaviors(str(path))] == [[NO_LABEL, 0], [NO_LABEL]]
 
     def test_typed_field_error_cites_line_and_entry(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
@@ -186,6 +187,16 @@ class TestBehaviorIO:
         assert err.value.line == 3
         assert "line 3: entry 1: ts must be an integer >= 0, got 1.5" == str(err.value)
 
+    def test_first_faulty_line_is_named(self, tmp_path):
+        path = tmp_path / "behaviors.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "item_ids": ["a"], "ts": [1.5]}\n'
+            '{"user_id": "u2", "item_ids": ["b"], "ts": [1]}\n'
+            '{"user_id": "u1", "item_ids": ["c"], "ts": [2]}\n'
+        )
+        with pytest.raises(ParseError, match=r"^line 1: entry 0: ts must be an integer >= 0, got 1\.5$"):
+            load_behaviors(str(path))
+
     def test_label_line_has_no_ts(self, tmp_path):
         path = tmp_path / "labels.jsonl"
         path.write_text('{"user_id": "u1", "item_ids": ["a", "b"], "labels": [1, 0]}\n')
@@ -197,36 +208,32 @@ class TestBehaviorIO:
         with pytest.raises(ParseError, match=r"^line 1: label line missing field 'labels'$"):
             load_labels(str(path), ["u1"])
 
-    def test_label_writer_refuses_what_a_label_line_cannot_hold(self, tmp_path):
-        for rows in ((("u1", "a", 3, 1),), (("u1", "a", 0, NO_LABEL),)):
-            with pytest.raises(ValidationError, match="labelled rows at ts 0"):
-                save_behaviors(str(tmp_path / "labels.jsonl"), make_log(*rows), labelled=True)
+    def test_writer_refuses_two_records_for_one_user(self, tmp_path):
+        records = user_records(("u1", "a", 1), ("u2", "b", 2)) + user_records(("u1", "c", 3))
+        with pytest.raises(ValidationError, match=r"^two records for user 'u1'$"):
+            save_behaviors(str(tmp_path / "behaviors.jsonl"), records)
 
     def test_sorted_by_user_then_ts_stably(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = make_log(
-            ("u2", "a", 5, NO_LABEL),
-            ("u1", "b", 7, NO_LABEL),
-            ("u1", "c", 3, NO_LABEL),
-            ("u1", "d", 3, NO_LABEL),
+        path.write_text(
+            '{"user_id": "u2", "item_ids": ["a"], "ts": [5]}\n'
+            '{"user_id": "u1", "item_ids": ["b", "c", "d"], "ts": [7, 3, 3]}\n'
         )
-        save_behaviors(str(path), events)
         loaded = load_behaviors(str(path))
-        assert loaded.item_ids == ("c", "d", "b", "a")
-        assert loaded.ts.tolist() == [3, 3, 7, 5]
+        assert [(events.user_id, events.item_ids, events.ts.tolist()) for events in loaded] == [
+            ("u1", ("c", "d", "b"), [3, 3, 7]),
+            ("u2", ("a",), [5]),
+        ]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "behaviors.jsonl"
-        events = make_log(
-            ("u1", "i1", 5, 1),
-            ("u1", "i2", 2**63 - 1, 0),
-            ("u2", "i9", 7, NO_LABEL),
-        )
-        save_behaviors(str(path), events)
+        records = user_records(("u1", "i1", 5, 1), ("u1", "i2", 2**63 - 1, 0), ("u2", "i9", 7, NO_LABEL))
+        save_behaviors(str(path), records)
         loaded = load_behaviors(str(path))
-        assert (loaded.user_ids, loaded.item_ids) == (events.user_ids, events.item_ids)
-        assert np.array_equal(loaded.ts, events.ts)
-        assert np.array_equal(loaded.labels, events.labels)
+        assert [(e.user_id, e.item_ids) for e in loaded] == [(e.user_id, e.item_ids) for e in records]
+        for got, want in zip(loaded, records):
+            assert np.array_equal(got.ts, want.ts)
+            assert np.array_equal(got.labels, want.labels)
 
 
 def candidate_set(user_id, *items):
@@ -347,18 +354,18 @@ class TestWriterOracle:
     @example(rows=EDGE_ROWS)
     def test_behaviors_match_dumps(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "oracle_behaviors.jsonl"
-        log = make_log(*rows)
-        save_behaviors(str(path), log)
-        want = "".join(line + "\n" for line in behavior_lines(log))
+        records = user_records(*rows)
+        save_behaviors(str(path), records)
+        want = "".join(line + "\n" for line in behavior_lines(records))
         assert path.read_bytes() == want.encode("utf-8")
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(IDS, IDS, st.just(0), st.sampled_from((0, 1))), max_size=6))
+    @given(rows=st.lists(st.tuples(IDS, IDS, st.none(), st.sampled_from((0, 1))), max_size=6))
     def test_labels_match_dumps(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "oracle_labels.jsonl"
-        log = make_log(*rows)
-        save_behaviors(str(path), log, labelled=True)
-        want = "".join(line + "\n" for line in behavior_lines(log, labelled=True))
+        records = user_records(*rows)
+        save_behaviors(str(path), records)
+        want = "".join(line + "\n" for line in behavior_lines(records))
         assert path.read_bytes() == want.encode("utf-8")
 
 
@@ -367,26 +374,31 @@ USERS = ("u1", "u2", "u\u2028", "u9")  # u9 never has a line
 
 def behavior_rows(labelled):
     """(user, item, ts, label) rows whose users interleave and whose
-    timestamps often tie; a label file's rows are labelled at ts 0."""
-    stamps = st.just(0) if labelled else st.sampled_from((0, 1, 2**63 - 1)) | st.integers(0, 3)
+    timestamps often tie; a label file's rows are labelled, without a ts."""
+    stamps = st.none() if labelled else st.sampled_from((0, 1, 2**63 - 1)) | st.integers(0, 3)
     labels = st.sampled_from((0, 1) if labelled else (0, 1, NO_LABEL))
     row = st.tuples(st.sampled_from(USERS[:3]), st.sampled_from(("a", "b", "é")), stamps, labels)
     return st.lists(row, max_size=12)
 
 
 class TestBehaviorRoundTrip:
-    """Writing a log and reading it back gives its rows stably sorted by
-    (user_id, ts): tied rows keep their order, which profiles depend on."""
+    """Writing rows as records and reading them back gives the rows stably
+    sorted by (user_id, ts): tied rows keep their order, which profiles
+    depend on."""
 
     def test_save_then_load_is_the_stable_sort(self, tmp_path_factory):
         @settings(derandomize=True, max_examples=80, deadline=None)
         @given(rows=behavior_rows(labelled=False))
         def check(rows):
             path = tmp_path_factory.getbasetemp() / "round_trip_behaviors.jsonl"
-            save_behaviors(str(path), make_log(*rows))
-            loaded = load_behaviors(str(path))
+            save_behaviors(str(path), user_records(*rows))
+            loaded = [
+                (events.user_id, item_id, ts, label)
+                for events in load_behaviors(str(path))
+                for item_id, ts, label in zip(events.item_ids, events.ts.tolist(), events.labels.tolist())
+            ]
             want = sorted(rows, key=lambda row: (row[0], row[2]))  # sorted() is stable
-            assert list(zip(loaded.user_ids, loaded.item_ids, loaded.ts.tolist(), loaded.labels.tolist())) == want
+            assert loaded == want
 
         check()
 
@@ -395,7 +407,7 @@ class TestBehaviorRoundTrip:
     def test_saved_labels_load_as_the_json_reference(self, tmp_path_factory, rows, users):
         """Repeated items (last label wins), absent users and empty requests included."""
         path = tmp_path_factory.getbasetemp() / "round_trip_labels.jsonl"
-        save_behaviors(str(path), make_log(*rows), labelled=True)
+        save_behaviors(str(path), user_records(*rows))
         assert load_labels(str(path), users) == label_lookups(str(path), users)
 
 

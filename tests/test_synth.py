@@ -22,12 +22,13 @@ SMALL = dict(
 )
 
 
-def same_log(a, b) -> bool:
-    """Two BehaviorLogs hold equal columns."""
-    return (
-        (a.user_ids, a.item_ids) == (b.user_ids, b.item_ids)
-        and np.array_equal(a.ts, b.ts)
-        and np.array_equal(a.labels, b.labels)
+def same_records(a, b) -> bool:
+    """Two lists of UserEvents hold equal columns."""
+    return len(a) == len(b) and all(
+        (x.user_id, x.item_ids) == (y.user_id, y.item_ids)
+        and np.array_equal(x.ts, y.ts)
+        and np.array_equal(x.labels, y.labels)
+        for x, y in zip(a, b)
     )
 
 
@@ -85,10 +86,10 @@ class TestWorldShape:
     def test_counts(self):
         world = generate(small_spec())
         assert len(world.items) == 10
-        assert len(world.behaviors) == 3 * 8
+        assert [len(events) for events in world.behaviors] == [8] * 3
         assert len(world.candidates) == 3
         assert all(cs.size == 6 for cs in world.candidates)
-        assert len(world.labels) == 3 * 6
+        assert [len(events) for events in world.labels] == [6] * 3
 
     def test_item_ids_and_true_clusters(self):
         world = generate(small_spec())
@@ -97,19 +98,16 @@ class TestWorldShape:
 
     def test_behavior_timestamps_in_window_and_per_user_ascending(self):
         world = generate(small_spec())
-        by_user = {}
-        log = world.behaviors
-        for user_id, ts, label in zip(log.user_ids, log.ts.tolist(), log.labels.tolist()):
-            assert NOW_TS - THIRTY_DAYS <= ts <= NOW_TS
-            assert label in (0, 1)
-            by_user.setdefault(user_id, []).append(ts)
-        for ts_list in by_user.values():
-            assert ts_list == sorted(ts_list)
+        for events in world.behaviors:
+            ts = events.ts.tolist()
+            assert all(NOW_TS - THIRTY_DAYS <= t <= NOW_TS for t in ts)
+            assert set(events.labels.tolist()) <= {0, 1}
+            assert ts == sorted(ts)
 
-    def test_labels_use_zero_ts(self):
+    def test_labels_have_no_ts(self):
         world = generate(small_spec())
-        assert all(ts == 0 for ts in world.labels.ts)
-        assert all(label in (0, 1) for label in world.labels.labels)
+        assert all(events.ts is None for events in world.labels)
+        assert all(set(events.labels.tolist()) <= {0, 1} for events in world.labels)
 
     def test_candidate_sets_have_unique_scored_items(self):
         world = generate(small_spec())
@@ -120,7 +118,7 @@ class TestWorldShape:
 
     def test_labels_align_with_candidates(self):
         world = generate(small_spec())
-        labelled = set(zip(world.labels.user_ids, world.labels.item_ids))
+        labelled = {(events.user_id, i) for events in world.labels for i in events.item_ids}
         offered = {(cs.user_id, i) for cs in world.candidates for i in cs.ids}
         assert labelled == offered
 
@@ -129,8 +127,8 @@ class TestDeterminism:
     def test_same_seed_same_world(self):
         a = generate(small_spec(seed=3))
         b = generate(small_spec(seed=3))
-        assert same_log(a.behaviors, b.behaviors)
-        assert same_log(a.labels, b.labels)
+        assert same_records(a.behaviors, b.behaviors)
+        assert same_records(a.labels, b.labels)
         assert a.true_clusters == b.true_clusters
         assert a.items.ids == b.items.ids
         assert np.array_equal(a.items.embeddings, b.items.embeddings)
@@ -170,8 +168,8 @@ class TestWorldModel:
         # artifact must match bit for bit; only base scores may move.
         quiet = generate(small_spec(seed=2, score_noise=0.0))
         loud = generate(small_spec(seed=2, score_noise=4.0))
-        assert same_log(quiet.behaviors, loud.behaviors)
-        assert same_log(quiet.labels, loud.labels)
+        assert same_records(quiet.behaviors, loud.behaviors)
+        assert same_records(quiet.labels, loud.labels)
         assert np.array_equal(quiet.items.embeddings, loud.items.embeddings)
         diffs = [
             abs(qa - la)
@@ -185,8 +183,11 @@ class TestWorldModel:
         # probability, so labels should look calibrated against it: the
         # high-score half of each candidate set must collect more positives.
         world = generate(small_spec(seed=4, score_noise=0.0, candidates_per_user=10))
-        labels = world.labels
-        label_of = dict(zip(zip(labels.user_ids, labels.item_ids), labels.labels.tolist()))
+        label_of = {
+            (events.user_id, item_id): label
+            for events in world.labels
+            for item_id, label in zip(events.item_ids, events.labels.tolist())
+        }
         high, low = [], []
         for cs in world.candidates:
             order = np.argsort(cs.base_scores)
