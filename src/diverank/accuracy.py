@@ -12,7 +12,8 @@ Training runs on plain arrays: each minibatch is one call of
 `autodiff.backward`, which returns the loss and all eight parameter
 gradients from analytic backwards that the tests hold bit for bit to the
 composed graph of tape primitives.  Inference folds the terms fixed for a
-candidate list once (`list_state`), so a greedy step (`score_batch`) adds
+candidate list once (`list_state`), the candidate context among them, so
+a greedy step (`score_batch`) takes only the previous context and adds
 one small matrix product.
 """
 
@@ -29,43 +30,6 @@ from . import autodiff as ad
 from .data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError
 from .interests import InterestProfile
 from .metrics import auc
-
-
-@dataclass(frozen=True)
-class ContextState:
-    """Running means of the selected-so-far and candidate embeddings."""
-
-    h_prev: np.ndarray
-    h_cand: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        if self.h_prev.shape != self.h_cand.shape:
-            raise ValidationError("context vectors must share a dimension")
-        if self.count < 0:
-            raise ValidationError("context count must be >= 0")
-
-
-def initial_context(candidate_embeddings: np.ndarray) -> ContextState:
-    """Empty-selection context: zero previous vector, candidate mean."""
-    embs = np.asarray(candidate_embeddings, dtype=np.float64)
-    if embs.ndim != 2 or embs.shape[0] == 0:
-        raise ValidationError("candidate embeddings must be a non-empty (n, d) array")
-    return ContextState(
-        h_prev=np.zeros(embs.shape[1]),
-        h_cand=embs.mean(axis=0),
-        count=0,
-    )
-
-
-def update_context(ctx: ContextState, embedding: np.ndarray) -> ContextState:
-    """Fold one newly selected embedding into the running previous-mean."""
-    emb = np.asarray(embedding, dtype=np.float64)
-    if emb.shape != ctx.h_prev.shape:
-        raise ValidationError("embedding dim does not match context dim")
-    new_count = ctx.count + 1
-    h_prev = (ctx.h_prev * ctx.count + emb) / new_count
-    return ContextState(h_prev=h_prev, h_cand=ctx.h_cand, count=new_count)
 
 
 @dataclass
@@ -187,23 +151,21 @@ def list_state(
 
 
 def score_batch(
-    target_embeddings: np.ndarray,
-    profile: InterestProfile,
-    ctx: ContextState,
-    params: ScorerParams,
-    state: ListState,
+    target_embeddings: np.ndarray, h_prev: np.ndarray, params: ScorerParams, state: ListState
 ) -> np.ndarray:
     """Positive-class probability for each row of the (n, d) targets, gradient-free.
 
-    The inference form of `autodiff.score_logits`.  `state` holds the
-    terms fixed for the list (see `list_state`).  A call adds the
+    The inference form of `autodiff.score_logits`.  `h_prev` is the mean
+    embedding of the items selected so far (zeros before the first pick),
+    the one input that changes within a list; `state` holds the terms
+    fixed for the list (see `list_state`).  A call adds the
     `g_prev`-gated target block, one (n, d) by (d, hidden) product, and
     the `g_prev`-gated interest row.  The two-way softmax is a sigmoid of
     the logit gap.
     """
     targets = np.asarray(target_embeddings, dtype=np.float64)
     d = targets.shape[1]
-    g_prev = _sigmoid(np.maximum(ctx.h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
+    g_prev = _sigmoid(np.maximum(h_prev @ params.w1_prev, 0.0) @ params.w2_prev)
     hidden = targets @ (g_prev[:, None] * params.mlp_w1[d : 2 * d])
     hidden += state.base  # in place: a fresh (n, hidden) array per add costs more than the add
     hidden += g_prev @ state.interest

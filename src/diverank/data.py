@@ -451,20 +451,41 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) per non-blank line.  `raw_decode` is the
     scanner of `json.loads` without its per-call overhead; as there, text
     after the object is an error."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip(" \t\r\n")  # JSON whitespace only, as json.loads allows
-            if not line:
-                continue
-            try:
-                doc, end = _raw_decode(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON ({exc.msg})", line=lineno) from exc
-            if end != len(line):
-                raise ParseError("malformed JSON (Extra data)", line=lineno)
-            if not isinstance(doc, dict):
-                raise ParseError("expected a JSON object", line=lineno)
-            yield lineno, doc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip(" \t\r\n")  # JSON whitespace only, as json.loads allows
+                if not line:
+                    continue
+                try:
+                    doc, end = _raw_decode(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"malformed JSON ({exc.msg})", line=lineno) from exc
+                except RecursionError as exc:
+                    raise ParseError("malformed JSON (nested too deeply)", line=lineno) from exc
+                if end != len(line):
+                    raise ParseError("malformed JSON (Extra data)", line=lineno)
+                if not isinstance(doc, dict):
+                    raise ParseError("expected a JSON object", line=lineno)
+                yield lineno, doc
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so the line is not known
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _load_json_object(path: str, what: str) -> dict:
+    """The one JSON object a whole file holds; anything else is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed {what} JSON ({exc.msg})") from exc
+    except RecursionError as exc:
+        raise ParseError(f"malformed {what} JSON (nested too deeply)") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return doc
 
 
 def load_items(path: str) -> EmbeddingTable:
@@ -660,13 +681,7 @@ def save_results(path: str, results: Iterable[RerankResult]) -> None:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read a JSON config document whose keys mirror ExperimentConfig."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed config JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("config must be a JSON object")
+    doc = _load_json_object(path, "config")
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = sorted(set(doc) - known)
     if unknown:
@@ -698,13 +713,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict | None 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read named finite 2-D arrays; a malformed document is a ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed checkpoint JSON ({exc.msg})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("checkpoint must be a JSON object")
+    doc = _load_json_object(path, "checkpoint")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {version!r}")

@@ -11,9 +11,11 @@ determinant ratio maintained by incremental Cholesky-style updates:
     d_i^2 <- d_i^2 - e_i^2                   clamped at zero
 
 so det(D_{S + i}) = det(D_S) * d_i^2 holds at every step and the whole
-run costs O(K^2 N) after the kernel is built.  Candidates whose d_i^2
-falls to the numerical floor are excluded; if nothing remains the short
-list is returned and flagged.
+run costs O(K^2 N) after the kernel is built.  After every pick the
+scores are re-read from a scorer whose one input is h_prev, the running
+mean of the picked embeddings.  Candidates whose d_i^2 falls to the
+numerical floor are excluded; if nothing remains the short list is
+returned and flagged.
 
 Baselines with the same call shape: a frozen-score greedy DPP and maximal
 marginal relevance.
@@ -26,29 +28,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .accuracy import ContextState, ScorerParams, initial_context, list_state, score_batch, update_context
+from .accuracy import ScorerParams, list_state, score_batch
 from .data import CandidateSet, ExperimentConfig, NumericalError, RerankResult, ValidationError
 from .interests import InterestProfile
 from .kernels import KernelMatrix, normalize_rows
 
-# A scorer maps the selection context to one score per candidate.
-Scorer = Callable[[ContextState], np.ndarray]
+# A scorer maps h_prev, the mean embedding of the items selected so far
+# (zeros before the first pick), to one score per candidate.
+Scorer = Callable[[np.ndarray], np.ndarray]
 
 
 def constant_scorer(scores: np.ndarray) -> Scorer:
     """Context-insensitive scorer that serves a frozen score vector."""
     frozen = np.asarray(scores, dtype=np.float64).copy()
-    return lambda ctx: frozen
+    return lambda h_prev: frozen
 
 
 def profile_scorer(
     candidates: CandidateSet, profile: InterestProfile, params: ScorerParams
 ) -> Scorer:
     """Context-aware scorer backed by the trained accuracy model; the terms
-    fixed for the list are built once, here, and shared by every call."""
+    fixed for the list, the candidate mean among them, are built once, here,
+    and shared by every call."""
     embs = candidates.embeddings
-    state = list_state(embs, profile, initial_context(embs).h_cand, params)
-    return lambda ctx: score_batch(embs, profile, ctx, params, state)
+    state = list_state(embs, profile, embs.mean(axis=0), params)
+    return lambda h_prev: score_batch(embs, h_prev, params, state)
 
 
 @dataclass
@@ -78,8 +82,8 @@ def bs_dpp_select(
 ) -> RerankResult | tuple[RerankResult, SelectionTrace]:
     """Greedy joint accuracy-diversity selection of up to cfg.k items.
 
-    The scorer is re-evaluated after every pick with the updated
-    selection context.  The first pick maximizes the joint objective
+    The scorer is re-evaluated after every pick with h_prev, the mean
+    embedding of the items picked so far.  The first pick maximizes the joint objective
     unless cfg.diversity_only_init is set, in which case it maximizes
     log(d_i^2) alone.  Ties break to the lowest candidate index.
     """
@@ -103,8 +107,8 @@ def bs_dpp_select(
     objective = 0.0
     exhausted = False
 
-    ctx = initial_context(embs)
-    scores = np.asarray(scorer(ctx), dtype=np.float64)
+    h_prev = np.zeros(embs.shape[1])
+    scores = np.asarray(scorer(h_prev), dtype=np.float64)
     if scores.shape != (n,):
         raise ValidationError("scorer must return one score per candidate")
 
@@ -151,8 +155,8 @@ def bs_dpp_select(
             if not eligible.any():
                 exhausted = True
                 break
-            ctx = update_context(ctx, embs[j])
-            scores = np.asarray(scorer(ctx), dtype=np.float64)
+            h_prev = (h_prev * t + embs[j]) / (t + 1)
+            scores = np.asarray(scorer(h_prev), dtype=np.float64)
 
     if not np.isfinite(objective):
         raise NumericalError(f"objective sum overflows at alpha={alpha:g}; lower alpha")

@@ -2,7 +2,8 @@
 
 Each is slow or narrow by design: exhaustive subset search for the
 greedy selector, the greedy loop and scorer as they were before the
-scorer's list-invariant terms were hoisted, a full check of a built kernel
+scorer's list-invariant terms were hoisted, with the selection context
+they kept as a record (`ContextState`), a full check of a built kernel
 matrix, a clamped binary log-loss for the metric goldens, central
 finite differences for every analytic gradient, and candidate and behavior
 lines written by one `json.dumps` call each.  `user_records` builds the
@@ -12,12 +13,13 @@ behavior records that the tests feed to the stages from plain rows.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
 import numpy as np
 
-from diverank.accuracy import ContextState, ScorerParams, initial_context, update_context
+from diverank.accuracy import ScorerParams
 from diverank.data import (
     NO_LABEL,
     CandidateSet,
@@ -29,7 +31,7 @@ from diverank.data import (
 )
 from diverank.interests import InterestProfile
 from diverank.kernels import KernelMatrix
-from diverank.selection import Scorer, SelectionTrace, StepTrace, subset_objective
+from diverank.selection import SelectionTrace, StepTrace, subset_objective
 
 FD_STEP = 1e-5
 
@@ -68,6 +70,29 @@ def exhaustive_map(
     return best_subset, best_value
 
 
+@dataclass(frozen=True)
+class ContextState:
+    """Running mean of the selected-so-far embeddings (`count` of them) and
+    the candidate mean, rebuilt at every pick."""
+
+    h_prev: np.ndarray
+    h_cand: np.ndarray
+    count: int
+
+
+def initial_context(candidate_embeddings: np.ndarray) -> ContextState:
+    """Empty-selection context: zero previous vector, candidate mean."""
+    embs = np.asarray(candidate_embeddings, dtype=np.float64)
+    return ContextState(h_prev=np.zeros(embs.shape[1]), h_cand=embs.mean(axis=0), count=0)
+
+
+def update_context(ctx: ContextState, embedding: np.ndarray) -> ContextState:
+    """Fold one newly selected embedding into the running previous-mean."""
+    new_count = ctx.count + 1
+    h_prev = (ctx.h_prev * ctx.count + np.asarray(embedding, dtype=np.float64)) / new_count
+    return ContextState(h_prev=h_prev, h_cand=ctx.h_cand, count=new_count)
+
+
 def reference_scores(
     targets: np.ndarray, profile: InterestProfile, ctx: ContextState, params: ScorerParams
 ) -> np.ndarray:
@@ -91,11 +116,15 @@ def reference_scores(
 
 
 def reference_greedy(
-    candidates: CandidateSet, kernel: KernelMatrix, scorer: Scorer, cfg: ExperimentConfig
+    candidates: CandidateSet,
+    kernel: KernelMatrix,
+    scorer: Callable[[ContextState], np.ndarray],
+    cfg: ExperimentConfig,
 ) -> tuple[RerankResult, SelectionTrace]:
     """The greedy loop of `bs_dpp_select` as it was before it was trimmed:
     a warning scope and a copied finiteness check per step, copied trace
-    arrays, and an argmax that re-checks eligibility."""
+    arrays, an argmax that re-checks eligibility, and a scorer handed the
+    whole `ContextState` rebuilt at every pick."""
     n = candidates.size
     alpha, epsilon, k = float(cfg.alpha), float(cfg.epsilon), min(cfg.k, n)
     d_matrix = kernel.values

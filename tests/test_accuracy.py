@@ -15,20 +15,17 @@ import pytest
 import diverank.autodiff as ad
 from composed_scorer import composed_backward, composed_step
 from diverank.accuracy import (
-    ContextState,
     build_impressions,
     init_scorer_params,
-    initial_context,
     list_state,
     score_batch,
     scorer_params_from_arrays,
     train_scorer,
-    update_context,
     Impressions,
 )
 from diverank.data import NO_LABEL, EmbeddingTable, NumericalError, ValidationError
 from diverank.interests import InterestProfile
-from oracles import user_records
+from oracles import initial_context, update_context, user_records
 from test_autodiff import assert_scorer_grads_match
 
 
@@ -71,7 +68,7 @@ def score_oracle(target, h_macro, h_micro, h_prev, h_cand, params):
 
 def score(targets, profile, ctx, params):
     """`score_batch` of (n, d) targets with the list state built from `ctx.h_cand`."""
-    return score_batch(targets, profile, ctx, params, list_state(targets, profile, ctx.h_cand, params))
+    return score_batch(targets, ctx.h_prev, params, list_state(targets, profile, ctx.h_cand, params))
 
 
 def make_profile(user_id, rng, dim):
@@ -170,46 +167,6 @@ class TestScore:
             params,
         )
         np.testing.assert_allclose(shared, tiled, atol=1e-13)
-
-
-class TestContext:
-    def test_first_update(self):
-        ctx = ContextState(h_prev=np.zeros(2), h_cand=np.zeros(2), count=0)
-        out = update_context(ctx, np.array([2.0, 0.0]))
-        assert np.array_equal(out.h_prev, [2.0, 0.0])
-        assert out.count == 1
-
-    def test_second_update_is_mean(self):
-        ctx = ContextState(h_prev=np.array([2.0, 0.0]), h_cand=np.zeros(2), count=1)
-        out = update_context(ctx, np.array([0.0, 2.0]))
-        assert np.array_equal(out.h_prev, [1.0, 1.0])
-        assert out.count == 2
-
-    def test_ten_adds_equal_batch_mean(self, rng):
-        embs = rng.normal(size=(10, 5))
-        ctx = initial_context(embs)
-        for row in embs:
-            ctx = update_context(ctx, row)
-        np.testing.assert_allclose(ctx.h_prev, embs.mean(axis=0), atol=1e-12)
-        assert ctx.count == 10
-
-    def test_initial_context_candidate_mean(self, rng):
-        embs = rng.normal(size=(7, 3))
-        ctx = initial_context(embs)
-        assert np.array_equal(ctx.h_prev, np.zeros(3))
-        np.testing.assert_allclose(ctx.h_cand, embs.mean(axis=0), atol=1e-15)
-
-    def test_h_cand_frozen_across_updates(self, rng):
-        embs = rng.normal(size=(4, 3))
-        ctx = initial_context(embs)
-        before = ctx.h_cand.copy()
-        ctx = update_context(ctx, embs[2])
-        assert np.array_equal(ctx.h_cand, before)
-
-    def test_dim_mismatch_rejected(self):
-        ctx = ContextState(h_prev=np.zeros(3), h_cand=np.zeros(3), count=0)
-        with pytest.raises(ValidationError):
-            update_context(ctx, np.zeros(4))
 
 
 class TestCrossEntropy:

@@ -926,6 +926,8 @@ MALFORMED_LINES = {
     "result missing objective": ("eval --results", _result_without("objective"),
                                  "result missing field 'objective'"),
     "result string exhausted": ("eval --results", _result(exhausted="no"), "exhausted"),
+    "result nested too deeply": ("eval --results", '{"user_id": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                                 "malformed JSON (nested too deeply)"),
     "behavior list item id": ("cluster --behaviors", _event(item_ids=[["a"]]), "entry 0: item_id"),
     "behavior int user id": ("cluster --behaviors", _event(user_id=3), "user_id"),
     "behavior list ts": ("cluster --behaviors", _event(ts=[[1]]), TS_RULE),
@@ -1071,9 +1073,21 @@ class TestMalformedInput:
         assert run(*map(str, argv)) == 1
         assert capsys.readouterr().err.splitlines() == [expected]
 
+    @pytest.mark.parametrize("flag", ["--results", "--config"])
+    def test_non_utf8_file_is_one_error_line(self, flag, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"user_id": 1}\n')  # a UTF-16 byte-order mark first
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        inputs = {"--results": empty, "--labels": empty, "--items": empty, "--out": tmp_path / "eval.csv"}
+        inputs[flag] = bad
+        assert run("eval", *map(str, (part for pair in inputs.items() for part in pair))) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text (invalid start byte)"]
+
     @pytest.mark.parametrize(
         "case",
-        ["no tensors", "not json", "data length", "head width", "shape not a pair", "nan data"],
+        ["no tensors", "not json", "nested too deeply", "data length", "head width", "shape not a pair",
+         "nan data"],
     )
     def test_malformed_checkpoint_is_one_error_line(self, case, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)
@@ -1092,7 +1106,8 @@ class TestMalformedInput:
             entry["scorer.mlp_b2"]["shape"] = [2]
         elif case == "nan data":
             entry["scorer.w1_prev"]["data"][0] = float("nan")
-        path.write_text("not json" if case == "not json" else json.dumps(doc))
+        text = {"not json": "not json", "nested too deeply": "[" * 100_000 + "]" * 100_000}
+        path.write_text(text.get(case) or json.dumps(doc))
         code = run(
             "rerank",
             "--candidates", str(tmp_path / "candidates.jsonl"),

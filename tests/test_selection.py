@@ -31,7 +31,7 @@ from diverank.selection import (
     mmr_select,
     profile_scorer,
 )
-from oracles import exhaustive_map, reference_greedy, reference_scores
+from oracles import exhaustive_map, initial_context, reference_greedy, reference_scores, update_context
 
 
 def make_candidates(scores, dim=2, embs=None):
@@ -389,7 +389,7 @@ class TestMmr:
 
 class TestProfileScorer:
     def test_first_step_scores_match_score_batch(self, rng):
-        from diverank.accuracy import init_scorer_params, initial_context, list_state, score_batch
+        from diverank.accuracy import init_scorer_params, list_state, score_batch
         from diverank.interests import InterestProfile
 
         n, d = 6, 4
@@ -400,15 +400,14 @@ class TestProfileScorer:
         )
         params = init_scorer_params(d, rng)
         scorer = profile_scorer(cands, profile, params)
-        ctx = initial_context(embs)
-        got = scorer(ctx)
-        want = score_batch(embs, profile, ctx, params, list_state(embs, profile, ctx.h_cand, params))
+        got = scorer(np.zeros(d))
+        want = score_batch(embs, np.zeros(d), params, list_state(embs, profile, embs.mean(axis=0), params))
         np.testing.assert_array_equal(got, want)
 
     def test_context_updates_shift_scores(self, rng):
         # After a pick the previous-context gate changes, so at least one
         # candidate's score should move for a generic random model.
-        from diverank.accuracy import init_scorer_params, initial_context, update_context
+        from diverank.accuracy import init_scorer_params
         from diverank.interests import InterestProfile
 
         n, d = 6, 4
@@ -419,10 +418,8 @@ class TestProfileScorer:
         )
         params = init_scorer_params(d, rng)
         scorer = profile_scorer(cands, profile, params)
-        ctx0 = initial_context(embs)
-        ctx1 = update_context(ctx0, embs[0])
-        before = scorer(ctx0)
-        after = scorer(ctx1)
+        before = scorer(np.zeros(d))
+        after = scorer(embs[0])  # h_prev after picking candidate 0
         assert not np.allclose(before, after)
 
     @pytest.mark.parametrize(
@@ -439,13 +436,7 @@ class TestProfileScorer:
         # Rebuild each step's context from the chosen order and hold the
         # folded forward to the training forward it replaces.
         from diverank import autodiff as ad
-        from diverank.accuracy import (
-            init_scorer_params,
-            initial_context,
-            list_state,
-            score_batch,
-            update_context,
-        )
+        from diverank.accuracy import init_scorer_params, list_state, score_batch
         from diverank.interests import InterestProfile
 
         rng = np.random.default_rng(17)
@@ -470,7 +461,7 @@ class TestProfileScorer:
                 ctx = initial_context(embs)
                 for j in step.selected_before:
                     ctx = update_context(ctx, embs[j])
-                got = score_batch(embs, profile, ctx, params, state)
+                got = score_batch(embs, ctx.h_prev, params, state)
                 np.testing.assert_array_equal(got, step.scores)
                 logits = ad.score_logits(
                     embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
@@ -480,7 +471,7 @@ class TestProfileScorer:
                 assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
                 chosen = embs[[step.chosen]]  # a batch of one row
                 single_state = list_state(chosen, profile, ctx.h_cand, params)
-                single = score_batch(chosen, profile, ctx, params, single_state)
+                single = score_batch(chosen, ctx.h_prev, params, single_state)
                 assert single.shape == (1,)
                 assert single[0] == pytest.approx(want[step.chosen], abs=1e-12)
 
@@ -556,7 +547,7 @@ class TestReferenceGreedy:
 class TestListState:
     @pytest.mark.parametrize("case", GREEDY_GRID.values(), ids=GREEDY_GRID.keys())
     def test_state_matches_reference_scores_and_is_never_written(self, case):
-        from diverank.accuracy import initial_context, list_state, score_batch, update_context
+        from diverank.accuracy import list_state, score_batch
 
         cands, _, profile, params, _ = _scored_case(**case)
         embs = cands.embeddings
@@ -565,7 +556,7 @@ class TestListState:
         before = {name: np.copy(getattr(state, name)) for name in ("base", "interest", "gap", "gap_bias")}
         for j in range(min(len(embs), 12)):
             np.testing.assert_allclose(
-                score_batch(embs, profile, ctx, params, state),
+                score_batch(embs, ctx.h_prev, params, state),
                 reference_scores(embs, profile, ctx, params),
                 rtol=0.0,
                 atol=1e-12,
@@ -584,4 +575,47 @@ class TestListState:
         cands, kernel, profile, params, cfg = _scored_case(n=30, d=8, k=6)
         bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
         assert len(built) == 1
+        # The candidate context is the mean of the list's embeddings.
+        np.testing.assert_allclose(built[0][2], cands.embeddings.mean(axis=0), rtol=0.0, atol=1e-15)
 
+
+class TestScorerInput:
+    """What `bs_dpp_select` hands its scorer at every pick, and how the
+    scorer hands the candidate matrix on to `score_batch`."""
+
+    @pytest.mark.parametrize("kind", ["profile", "constant"])
+    def test_scorer_sees_running_mean_of_picks(self, kind):
+        cands, kernel, profile, params, cfg = _scored_case(n=40, d=8, k=10)
+        embs = cands.embeddings
+        if kind == "profile":
+            scorer = profile_scorer(cands, profile, params)
+        else:
+            scorer = constant_scorer(cands.base_scores)
+        seen = []
+        result = bs_dpp_select(cands, kernel, lambda h_prev: seen.append(h_prev) or scorer(h_prev), cfg)
+        picks = [cands.ids.index(item_id) for item_id in result.item_ids]
+        assert len(seen) == len(picks) == cfg.k  # one call before each pick
+        assert np.array_equal(seen[0], np.zeros(embs.shape[1]))
+        ctx = initial_context(embs)
+        for t, h_prev in enumerate(seen):
+            np.testing.assert_array_equal(h_prev, ctx.h_prev)  # bit for bit
+            if t:
+                np.testing.assert_allclose(h_prev, embs[picks[:t]].mean(axis=0), rtol=0.0, atol=1e-12)
+            ctx = update_context(ctx, embs[picks[t]])
+
+    def test_score_batch_first_argument_is_candidate_matrix(self, monkeypatch):
+        # The benchmark wraps `diverank.selection.score_batch` and counts
+        # `len(args[0])` as the rows scored.
+        from diverank import selection
+
+        firsts = []
+        score_batch = selection.score_batch
+        monkeypatch.setattr(
+            selection, "score_batch", lambda *a, **kw: firsts.append(a[0]) or score_batch(*a, **kw)
+        )
+        cands, kernel, profile, params, cfg = _scored_case(n=30, d=8, k=6)
+        bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
+        assert len(firsts) == cfg.k
+        for first in firsts:
+            assert first.shape == (30, 8)
+            np.testing.assert_array_equal(first, cands.embeddings)
