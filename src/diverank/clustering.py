@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingTable, ParseError, ValidationError, _check_id, _iter_json_lines
+from .data import EmbeddingTable, ValidationError, _check_id, _load_lines
 
 
 @dataclass(frozen=True)
@@ -273,20 +274,14 @@ def save_clusters(path: str, item_clusters: dict[str, int]) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _cluster_line(doc: dict) -> tuple[str, int]:
+    item_id, cid = doc["item_id"], doc["cluster_id"]
+    _check_id(item_id, "item_id")
+    if type(cid) is not int or cid < 0:
+        raise ValidationError(f"cluster_id must be an integer >= 0, got {cid!r}")
+    return item_id, cid
+
+
 def load_clusters(path: str) -> dict[str, int]:
     """Read item -> cluster lines; each id once, each cluster_id an int >= 0."""
-    out: dict[str, int] = {}
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            item_id, cid = doc["item_id"], doc["cluster_id"]
-            _check_id(item_id, "item_id")
-            if type(cid) is not int or cid < 0:
-                raise ValidationError(f"cluster_id must be an integer >= 0, got {cid!r}")
-            if item_id in out:
-                raise ValidationError(f"duplicate cluster entry for {item_id!r}")
-        except KeyError as exc:
-            raise ParseError(f"cluster record missing field {exc}", line=lineno) from exc
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        out[item_id] = cid
-    return out
+    return dict(pair for _, pair in _load_lines(path, "cluster record", _cluster_line, itemgetter(0)))

@@ -6,9 +6,11 @@ written here; candidates, behaviors, labels and results hold one line
 per user.
 The other formats live with their stage: cluster lines in `clustering`,
 profile lines in `interests`, the training log in `accuracy`, and the
-diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Loaders fail
-fast with line numbers; serializers are deterministic so a pipeline
-re-run with the same seed writes byte-identical files.
+diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Every line file,
+theirs too, is read by `_load_lines`, and every reader fails fast with
+an error that names the file and, where it is known, the line;
+serializers are deterministic so a pipeline re-run with the same seed
+writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,11 +38,14 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValueError):
-    """An input file could not be parsed; carries the offending line number."""
+    """An input file could not be parsed; the message starts with the file's
+    path and the offending line number, where each is known."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path: str | None = None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 
@@ -294,20 +300,15 @@ class CandidateSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CandidateSet":
-        """Build the columns straight from one parsed candidates line."""
-        try:
-            user_id, items = doc["user_id"], doc["items"]
-        except KeyError as exc:
-            raise ValidationError(f"candidate set missing field {exc}") from exc
+        """Build the columns straight from one parsed candidates line; a
+        missing field is a KeyError."""
+        user_id, items = doc["user_id"], doc["items"]
         where = f"candidate set {user_id}: "
         if not isinstance(items, list) or not all(isinstance(it, dict) for it in items):
             raise ValidationError(f"{where}items must be a list of objects")
-        try:
-            ids = [it["item_id"] for it in items]
-            rows = [it["embedding"] for it in items]
-            scores = [it["base_score"] for it in items]
-        except KeyError as exc:
-            raise ValidationError(f"{where}item record missing field {exc}") from exc
+        ids = [it["item_id"] for it in items]
+        rows = [it["embedding"] for it in items]
+        scores = [it["base_score"] for it in items]
         embs = _finite_rows(rows, ids, where)
         if not set(map(type, scores)) <= _NUMBER_TYPES:  # name the first item without one
             for item_id, score in zip(ids, scores):
@@ -355,10 +356,8 @@ class RerankResult:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
-        for name in ("user_id", "item_ids", *_RESULT_COLUMNS, "objective"):
-            if name not in doc:
-                raise ValidationError(f"result missing field {name!r}")
-        item_ids = doc["item_ids"]
+        """Read one parsed results line; a missing field is a KeyError."""
+        user_id, item_ids = doc["user_id"], doc["item_ids"]
         if not isinstance(item_ids, list):
             raise ValidationError("item_ids must be a list")
         exhausted = doc.get("exhausted", False)
@@ -368,7 +367,7 @@ class RerankResult:
             name: tuple(_finite_vector(doc[name], name, len(item_ids)).tolist()) for name in _RESULT_COLUMNS
         }
         return cls(
-            user_id=doc["user_id"],
+            user_id=user_id,
             item_ids=tuple(item_ids),
             **columns,
             objective=_finite_number(doc["objective"], "objective"),
@@ -447,10 +446,15 @@ class ExperimentConfig:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
-    """Yield (line number, object) per non-blank line.  `raw_decode` is the
-    scanner of `json.loads` without its per-call overhead; as there, text
-    after the object is an error."""
+def _load_lines(
+    path: str, what: str, build: Callable[[dict], object], key: Callable | None = None
+) -> Iterator[tuple[int, object]]:
+    """Yield (line number, build(object)) per non-blank line.  The one place a
+    line's failure becomes a ParseError naming `path` and the line: bad JSON,
+    a KeyError or ValidationError from `build`, or a `key` of its value that
+    an earlier line had (`build` checks the key first, so it is hashable).
+    `raw_decode` is `json.loads` without its per-call overhead."""
+    seen: set = set()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -460,16 +464,28 @@ def _iter_json_lines(path: str) -> Iterator[tuple[int, dict]]:
                 try:
                     doc, end = _raw_decode(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"malformed JSON ({exc.msg})", line=lineno) from exc
+                    raise ParseError(f"malformed JSON ({exc.msg})", lineno, path) from exc
                 except RecursionError as exc:
-                    raise ParseError("malformed JSON (nested too deeply)", line=lineno) from exc
-                if end != len(line):
-                    raise ParseError("malformed JSON (Extra data)", line=lineno)
+                    raise ParseError("malformed JSON (nested too deeply)", lineno, path) from exc
+                if end != len(line):  # text after the object, as json.loads refuses
+                    raise ParseError("malformed JSON (Extra data)", lineno, path)
                 if not isinstance(doc, dict):
-                    raise ParseError("expected a JSON object", line=lineno)
-                yield lineno, doc
+                    raise ParseError("expected a JSON object", lineno, path)
+                try:
+                    value = build(doc)
+                except KeyError as exc:
+                    raise ParseError(f"{what} missing field {exc}", lineno, path) from exc
+                except ValidationError as exc:
+                    entry = "" if exc.row is None else f"entry {exc.row}: "
+                    raise ParseError(entry + str(exc), lineno, path) from exc
+                if key is not None:
+                    k = key(value)
+                    if k in seen:
+                        raise ParseError(f"duplicate {what} for {k!r}", lineno, path)
+                    seen.add(k)
+                yield lineno, value
     except UnicodeDecodeError as exc:  # decoded a block at a time, so the line is not known
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
 
 
 def _load_json_object(path: str, what: str) -> dict:
@@ -478,13 +494,13 @@ def _load_json_object(path: str, what: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed {what} JSON ({exc.msg})") from exc
+        raise ParseError(f"malformed {what} JSON ({exc.msg})", path=path) from exc
     except RecursionError as exc:
-        raise ParseError(f"malformed {what} JSON (nested too deeply)") from exc
+        raise ParseError(f"malformed {what} JSON (nested too deeply)", path=path) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"{what} must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object", path=path)
     return doc
 
 
@@ -494,22 +510,12 @@ def load_items(path: str) -> EmbeddingTable:
     Fields other than `item_id` and `embedding`, such as `cluster_id` or
     `base_score`, are accepted and ignored: no stage reads them.
     """
-    linenos: list[int] = []
-    ids: list = []
-    rows: list = []
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            item_id, row = doc["item_id"], doc["embedding"]
-        except KeyError as exc:
-            raise ParseError(f"item record missing field {exc}", line=lineno) from exc
-        linenos.append(lineno)
-        ids.append(item_id)
-        rows.append(row)
+    lines = list(_load_lines(path, "item record", itemgetter("item_id", "embedding")))
+    ids = [item_id for _, (item_id, _) in lines]
     try:
-        return EmbeddingTable(tuple(ids), _finite_rows(rows, ids, ""))
-    except ValidationError as exc:
-        line = None if exc.row is None else linenos[exc.row]
-        raise ParseError(str(exc), line=line) from exc
+        return EmbeddingTable(tuple(ids), _finite_rows([row for _, (_, row) in lines], ids, ""))
+    except ValidationError as exc:  # a column check: map its row back to its line
+        raise ParseError(str(exc), None if exc.row is None else lines[exc.row][0], path) from exc
 
 
 def save_items(path: str, table: EmbeddingTable) -> None:
@@ -538,23 +544,24 @@ def _label_column(values: Sequence) -> np.ndarray:
     raise ValidationError(f"label must be null, 0 or 1, got {values[row]!r}", row)
 
 
-def _user_line(doc: dict, kind: str, columns: tuple[str, ...], seen) -> tuple[str, list, list]:
+def _user_line(doc: dict, columns: tuple[str, ...]) -> tuple[str, list, list]:
     """A behavior or label line's user id, item ids and `columns` lists, checked as both kinds
-    are: fields present (columns after the first default to nulls), lists aligned, user new."""
-    for name in ("user_id", "item_ids", columns[0]):
-        if name not in doc:
-            raise ValidationError(f"{kind} line missing field {name!r}")
-    user_id, ids = doc["user_id"], doc["item_ids"]
+    are: a missing field is a KeyError (columns after the first default to nulls), and the
+    lists must be aligned."""
+    user_id, ids, first = doc["user_id"], doc["item_ids"], doc[columns[0]]
     _check_id(user_id, "user_id")
     if not isinstance(ids, list):
         raise ValidationError("item_ids must be a list")
-    lists = [doc.get(name, [None] * len(ids)) for name in columns]
+    lists = [first, *(doc.get(name, [None] * len(ids)) for name in columns[1:])]
     for name, values in zip(columns, lists):
         if not isinstance(values, list) or len(values) != len(ids):
             raise ValidationError(f"{name} must be a list of {len(ids)} entries, one per item id")
-    if user_id in seen:
-        raise ValidationError(f"duplicate {kind} line for user {user_id!r}")
     return user_id, ids, lists
+
+
+def _behavior_line(doc: dict) -> UserEvents:
+    user_id, ids, (ts, labels) = _user_line(doc, ("ts", "labels"))
+    return UserEvents(user_id, ids, _ts_column(ts), _label_column(labels))
 
 
 def load_behaviors(path: str) -> list[UserEvents]:
@@ -564,36 +571,32 @@ def load_behaviors(path: str) -> list[UserEvents]:
     optional `labels`, checked whole as columns.  The first faulty line
     raises, its error citing the line and the entry's index.
     """
-    by_user: dict[str, UserEvents] = {}
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            user_id, ids, (ts, labels) = _user_line(doc, "behavior", ("ts", "labels"), by_user)
-            by_user[user_id] = UserEvents(user_id, ids, _ts_column(ts), _label_column(labels))
-        except ValidationError as exc:
-            raise ParseError(("" if exc.row is None else f"entry {exc.row}: ") + str(exc), line=lineno) from exc
-    return [by_user[user_id] for user_id in sorted(by_user)]
+    by_user = attrgetter("user_id")
+    records = [events for _, events in _load_lines(path, "behavior line", _behavior_line, by_user)]
+    return sorted(records, key=by_user)
+
+
+def _label_line(doc: dict) -> tuple[str, list, list]:
+    user_id, ids, (labels,) = _user_line(doc, ("labels",))
+    if not (set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
+        _label_column(labels)  # names an entry that is not null, 0 or 1
+        row = labels.index(None)
+        _check_id_column(ids, "item_id")
+        raise ValidationError(f"label line for ({user_id}, {ids[row]}) lacks a label", row)
+    _check_id_column(ids, "item_id")
+    return user_id, ids, labels
 
 
 def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
     """Each of `users`' item labels (0 or 1) from a label file, a repeated
     item keeping its last; a user without a line gets no entry.  Every line
     is checked, and an error cites the line and the index of its entry."""
-    wanted, seen, by_user = set(users), set(), {}
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            user_id, ids, (labels,) = _user_line(doc, "label", ("labels",), seen)
-            if not (set(map(type, labels)) <= {int} and set(labels) <= {0, 1}):
-                _label_column(labels)  # names an entry that is not null, 0 or 1
-                row = labels.index(None)
-                _check_id_column(ids, "item_id")
-                raise ValidationError(f"label line for ({user_id}, {ids[row]}) lacks a label", row)
-            _check_id_column(ids, "item_id")
-        except ValidationError as exc:
-            raise ParseError(("" if exc.row is None else f"entry {exc.row}: ") + str(exc), line=lineno) from exc
-        seen.add(user_id)
-        if user_id in wanted:
-            by_user[user_id] = dict(zip(ids, labels))
-    return by_user
+    wanted = set(users)
+    return {
+        user_id: dict(zip(ids, labels))
+        for _, (user_id, ids, labels) in _load_lines(path, "label line", _label_line, itemgetter(0))
+        if user_id in wanted
+    }
 
 
 # The writers below build each line from validated columns, keys in sorted
@@ -626,19 +629,10 @@ def save_behaviors(path: str, records: Iterable[UserEvents]) -> None:
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
-    """Read candidate sets in file order; with `limit`, stop after that many."""
-    sets: list[CandidateSet] = []
-    seen_users: set[str] = set()
-    for lineno, doc in islice(_iter_json_lines(path), limit):
-        try:
-            cs = CandidateSet.from_dict(doc)
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if cs.user_id in seen_users:
-            raise ParseError(f"duplicate candidate set for user {cs.user_id!r}", lineno)
-        seen_users.add(cs.user_id)
-        sets.append(cs)
-    return sets
+    """Read candidate sets in file order, at most one per user; with
+    `limit`, stop after that many lines."""
+    lines = _load_lines(path, "candidate set", CandidateSet.from_dict, attrgetter("user_id"))
+    return [cs for _, cs in islice(lines, limit)]
 
 
 def save_candidates(path: str, sets: Iterable[CandidateSet]) -> None:
@@ -659,18 +653,7 @@ def save_candidates(path: str, sets: Iterable[CandidateSet]) -> None:
 
 def load_results(path: str) -> list[RerankResult]:
     """Read result lists in file order, at most one per user."""
-    out: list[RerankResult] = []
-    seen_users: set[str] = set()
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            res = RerankResult.from_dict(doc)
-        except (ValidationError, KeyError, ValueError, TypeError) as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if res.user_id in seen_users:
-            raise ParseError(f"duplicate result for user {res.user_id!r}", lineno)
-        seen_users.add(res.user_id)
-        out.append(res)
-    return out
+    return [res for _, res in _load_lines(path, "result", RerankResult.from_dict, attrgetter("user_id"))]
 
 
 def save_results(path: str, results: Iterable[RerankResult]) -> None:
@@ -726,5 +709,5 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
                 raise ValueError(f"{name} shape must be two integers >= 0, got {entry['shape']!r}")
             arrays[name] = _finite_vector(data, f"{name} data", rows * cols).reshape(rows, cols)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed checkpoint tensor ({exc})") from exc
+        raise ParseError(f"malformed checkpoint tensor ({exc})", path=path) from exc
     return arrays, doc.get("meta", {})

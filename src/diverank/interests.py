@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .data import (
     EmbeddingTable,
-    ParseError,
     UserEvents,
     ValidationError,
     _check_id,
     _finite_vector,
-    _iter_json_lines,
+    _load_lines,
 )
 
 SECONDS_PER_HOUR = 3600
@@ -159,22 +159,17 @@ def save_profiles(path: str, profiles: list[InterestProfile]) -> None:
             fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _profile_line(doc: dict) -> InterestProfile:
+    user_id = doc["user_id"]
+    _check_id(user_id, "user_id")
+    return InterestProfile(
+        user_id=user_id,
+        h_macro=_finite_vector(doc["h_macro"], "h_macro"),
+        h_micro=_finite_vector(doc["h_micro"], "h_micro"),
+    )
+
+
 def load_profiles(path: str) -> dict[str, InterestProfile]:
     """Read one profile line per user; errors cite the bad line."""
-    out: dict[str, InterestProfile] = {}
-    for lineno, doc in _iter_json_lines(path):
-        try:
-            user_id = doc["user_id"]
-            _check_id(user_id, "user_id")
-            if user_id in out:
-                raise ValidationError(f"duplicate profile for {user_id!r}")
-            out[user_id] = InterestProfile(
-                user_id=user_id,
-                h_macro=_finite_vector(doc["h_macro"], "h_macro"),
-                h_micro=_finite_vector(doc["h_micro"], "h_micro"),
-            )
-        except KeyError as exc:
-            raise ParseError(f"profile record missing field {exc}", line=lineno) from exc
-        except ValidationError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    return out
+    lines = _load_lines(path, "profile record", _profile_line, attrgetter("user_id"))
+    return {profile.user_id: profile for _, profile in lines}

@@ -525,7 +525,7 @@ class TestLabelLookups:
         assert run(*map(str, argv)) == 1
         entry = len(outsider["labels"]) - 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: line {len(lines)}: entry {entry}: label must be null, 0 or 1, got 2"
+            f"error: {labels}: line {len(lines)}: entry {entry}: label must be null, 0 or 1, got 2"
         ]
         assert not out.exists()
 
@@ -994,84 +994,110 @@ MALFORMED_LINES = {
 }
 
 
+def stage_argv(stage, bad, root):
+    """The argv of `stage` ("command --flag") reading `bad` at that flag.
+
+    Every other input is valid (or empty), so `bad` holds the one error.
+    """
+    write_duplicate_fixture(root)
+    empty = root / "empty.jsonl"
+    empty.write_text("")
+    command, flag = stage.split()
+    inputs = {
+        "rerank": {
+            "--candidates": root / "candidates.jsonl",
+            "--profiles": root / "profiles.jsonl",
+            "--checkpoint": root / "checkpoint.json",
+            "--out": root / "results.jsonl",
+        },
+        "eval": {
+            "--results": empty,
+            "--labels": empty,
+            "--items": empty,
+            "--out": root / "eval.csv",
+        },
+        "cluster": {
+            "--items": empty,
+            "--behaviors": empty,
+            "--out": root / "clusters.jsonl",
+        },
+        "train-scorer": {
+            "--items": empty,
+            "--behaviors": empty,
+            "--clusters": empty,
+            "--out": root / "model",
+        },
+    }[command]
+    inputs[flag] = bad
+    return [command, *(str(part) for pair in inputs.items() for part in pair)]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED_LINES))
     def test_malformed_line_is_one_error_line(self, case, tmp_path, capsys):
         stage, doc, fragment = MALFORMED_LINES[case]
-        write_duplicate_fixture(tmp_path)
         bad = tmp_path / "bad.jsonl"
         bad.write_text((doc if isinstance(doc, str) else json.dumps(doc)) + "\n", encoding="utf-8")
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        command, flag = stage.split()
-        # Every other input is valid (or empty), so the bad line is the one error.
-        inputs = {
-            "rerank": {
-                "--candidates": tmp_path / "candidates.jsonl",
-                "--profiles": tmp_path / "profiles.jsonl",
-                "--checkpoint": tmp_path / "checkpoint.json",
-                "--out": tmp_path / "results.jsonl",
-            },
-            "eval": {
-                "--results": empty,
-                "--labels": empty,
-                "--items": empty,
-                "--out": tmp_path / "eval.csv",
-            },
-            "cluster": {
-                "--items": empty,
-                "--behaviors": empty,
-                "--out": tmp_path / "clusters.jsonl",
-            },
-            "train-scorer": {
-                "--items": empty,
-                "--behaviors": empty,
-                "--clusters": empty,
-                "--out": tmp_path / "model",
-            },
-        }[command]
-        inputs[flag] = bad
-        argv = [command, *(part for pair in inputs.items() for part in pair)]
-        assert run(*map(str, argv)) == 1
+        assert run(*stage_argv(stage, bad, tmp_path)) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: line 1:")
+        assert lines[0].startswith(f"error: {bad}: line 1:")
         assert fragment in lines[0]
 
     @pytest.mark.parametrize(
         "stage, lines, expected",
         [
-            ("eval --results", [_result(), _result()], "error: line 2: duplicate result for user 'u1'"),
+            ("eval --results", [_result(), _result()], "line 2: duplicate result for 'u1'"),
             # u1 sorts first, so its row index and its line number differ.
             ("eval --labels", [_judgment(user_id="u2"), _judgment(item_ids=["i1", "i2"], labels=[0, None])],
-             "error: line 2: entry 1: label line for (u1, i2) lacks a label"),
+             "line 2: entry 1: label line for (u1, i2) lacks a label"),
             ("eval --labels", [_judgment(), _judgment(user_id="u2"), _judgment(item_ids=["i2"])],
-             "error: line 3: duplicate label line for user 'u1'"),
+             "line 3: duplicate label line for 'u1'"),
             ("cluster --behaviors", [_event(user_id="u2"), _event(), _event(ts=[2])],
-             "error: line 3: duplicate behavior line for user 'u1'"),
+             "line 3: duplicate behavior line for 'u1'"),
             ("cluster --behaviors", [_event(user_id="u2", item_ids=["i1", "i2"], ts=[4, 3], labels=[0, 1]),
                                      _event(item_ids=["i1", "i2"], ts=[2, -1], labels=[1, 1])],
-             "error: line 2: entry 1: ts must be an integer >= 0, got -1"),
+             "line 2: entry 1: ts must be an integer >= 0, got -1"),
+            ("rerank --candidates", [_line(_item()), _line(_item(item_id="i2"))],
+             "line 2: duplicate candidate set for 'u1'"),
+            ("rerank --profiles", [_profile(), _profile(h_macro=[0.0, 1.0])],
+             "line 2: duplicate profile record for 'u1'"),
+            ("train-scorer --clusters", [_cluster(), _cluster(cluster_id=2)],
+             "line 2: duplicate cluster record for 'i1'"),
         ],
         ids=["duplicate result", "unlabelled label line", "second label line for a user",
-             "second behavior line for a user", "bad entry of a later line"],
+             "second behavior line for a user", "bad entry of a later line", "second candidate set for a user",
+             "second profile for a user", "second cluster line for an item"],
     )
     def test_bad_later_line_cites_its_line(self, stage, lines, expected, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        command, flag = stage.split()
-        if command == "eval":
-            inputs = {"--results": empty, "--labels": empty, "--items": empty, "--out": tmp_path / "eval.csv"}
-        else:
-            inputs = {"--items": empty, "--behaviors": empty, "--out": tmp_path / "clusters.jsonl"}
-        inputs[flag] = bad
-        argv = [command, *(part for pair in inputs.items() for part in pair)]
-        assert run(*map(str, argv)) == 1
-        assert capsys.readouterr().err.splitlines() == [expected]
+        assert run(*stage_argv(stage, bad, tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {expected}"]
+
+    def test_each_faulty_file_is_named(self, tmp_path, capsys):
+        """`eval` reads three line files: the same bad line in each gives a
+        different error, naming that file; so do a bad config and checkpoint."""
+        errors = []
+        for flag in ("--results", "--labels", "--items"):
+            bad = tmp_path / f"bad_{flag[2:]}.jsonl"
+            bad.write_text("not json\n")
+            assert run(*stage_argv(f"eval {flag}", bad, tmp_path)) == 1
+            errors += capsys.readouterr().err.splitlines()
+            assert errors[-1] == f"error: {bad}: line 1: malformed JSON (Expecting value)"
+        assert len(errors) == len(set(errors)) == 3
+        bad = tmp_path / "bad_config.json"
+        bad.write_text('{"alpha": 1.0')
+        assert run(*stage_argv("eval --config", bad, tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {bad}: malformed config JSON (Expecting ',' delimiter)"
+        ]
+        bad = tmp_path / "bad_checkpoint.json"
+        bad.write_text("[]")
+        assert run(*stage_argv("rerank --checkpoint", bad, tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: checkpoint must be a JSON object"]
 
     @pytest.mark.parametrize("flag", ["--results", "--config"])
     def test_non_utf8_file_is_one_error_line(self, flag, tmp_path, capsys):
@@ -1148,7 +1174,7 @@ class TestMalformedInput:
         ] + (["--labels", labels] if stage == "sweep" else [])
         assert run(*map(str, argv)) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: malformed checkpoint tensor (scorer.mlp_b2 data must be a list of 2 numbers)"
+            f"error: {path}: malformed checkpoint tensor (scorer.mlp_b2 data must be a list of 2 numbers)"
         ]
 
     @pytest.mark.parametrize("field", ["cluster_id", "base_score"])
