@@ -19,7 +19,6 @@ one small matrix product.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable
@@ -27,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import autodiff as ad
-from .data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError
+from .data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError, _save_csv
 from .interests import InterestProfile
 from .metrics import auc
 
@@ -311,8 +310,5 @@ def train_scorer(
 
 
 def save_training_log(path: str, curve: list[dict[str, float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "auc"])
-        for row in curve:
-            writer.writerow([int(row["epoch"]), f"{row['loss']:.12g}", f"{row['auc']:.12g}"])
+    rows = [[int(row["epoch"]), f"{row['loss']:.12g}", f"{row['auc']:.12g}"] for row in curve]
+    _save_csv(path, [["epoch", "loss", "auc"], *rows])

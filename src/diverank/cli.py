@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 validation or parse error, 2 IO error,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -44,6 +43,7 @@ from .data import (
     NumericalError,
     ParseError,
     ValidationError,
+    _save_csv,
     load_behaviors,
     load_candidates,
     load_checkpoint,
@@ -200,21 +200,26 @@ def cmd_train_scorer(args) -> None:
     )
 
 
-def _check_dims(candidates: list[CandidateSet], profiles: dict[str, InterestProfile], dim: int) -> None:
-    """Reject inputs whose dimension differs from the checkpoint's, before any arithmetic."""
+def _check_dims(args, candidates: list[CandidateSet], profiles: dict[str, InterestProfile], dim: int) -> None:
+    """Reject inputs whose dimension differs from the checkpoint's, before any arithmetic;
+    the error names the file at fault."""
     for cs in candidates:
         if cs.dim != dim:
-            raise ValidationError(f"candidate set {cs.user_id}: embedding dim {cs.dim} != checkpoint dim {dim}")
+            raise ValidationError(
+                f"{args.candidates}: candidate set {cs.user_id}: embedding dim {cs.dim} != checkpoint dim {dim}")
     for profile in profiles.values():
         if profile.h_macro.shape != (dim,):
             raise ValidationError(
-                f"profile {profile.user_id}: dim {profile.h_macro.size} != checkpoint dim {dim}")
+                f"{args.profiles}: profile {profile.user_id}: dim {profile.h_macro.size} != checkpoint dim {dim}")
 
 
 def _load_scorer_checkpoint(path: str) -> ScorerParams:
     arrays, _meta = load_checkpoint(path)
     scoped = {name.removeprefix("scorer."): arr for name, arr in arrays.items() if name.startswith("scorer.")}
-    return scorer_params_from_arrays(scoped)
+    try:
+        return scorer_params_from_arrays(scoped)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ----- rerank -----
@@ -223,9 +228,13 @@ def _load_scorer_checkpoint(path: str) -> ScorerParams:
 def cmd_rerank(args) -> None:
     cfg = _load_experiment_config(args)
     candidates = load_candidates(args.candidates)
+    if args.dump_kernel:  # each list's dump is named by its user id
+        for cs in candidates:
+            if cs.user_id in (".", "..") or {"/", os.sep, "\0"} & set(cs.user_id):
+                raise ValidationError(f"{args.candidates}: user {cs.user_id!r} cannot name a --dump-kernel file")
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
-    _check_dims(candidates, profiles, params.dim)
+    _check_dims(args, candidates, profiles, params.dim)
 
     results = []
     diag_rows = []
@@ -241,22 +250,15 @@ def cmd_rerank(args) -> None:
                           _fmt(result.objective), _fmt(trace.min_d2_before_clamp)])
 
     save_results(args.out, results)
-    with open(args.out + ".diag.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["user_id", "n_candidates", "n_selected", "exhausted", "objective", "min_d2"]
-        )
-        writer.writerows(diag_rows)
+    _save_csv(args.out + ".diag.csv", [
+        ["user_id", "n_candidates", "n_selected", "exhausted", "objective", "min_d2"], *diag_rows
+    ])
     short = sum(1 for r in results if r.exhausted)
     print(f"rerank: {len(results)} lists (k={cfg.k}, alpha={cfg.alpha}, short={short}) -> {args.out}")
 
 
 def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
-    path = f"{prefix}{user_id}.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in values:
-            writer.writerow([f"{v:.17g}" for v in row])
+    _save_csv(f"{prefix}{user_id}.csv", ([f"{v:.17g}" for v in row] for row in values))
 
 
 # ----- eval -----
@@ -287,11 +289,8 @@ def cmd_eval(args) -> None:
 
     # No lists, or none with two items for ILAD, leaves a mean blank.
     mean_ndcg, mean_ilad = _mean_or_blank(ndcgs), _mean_or_blank(ilads)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "n_selected", f"ndcg_at_{cfg.k}", "ilad"])
-        writer.writerows(rows)
-        writer.writerow(["__mean__", "", mean_ndcg, mean_ilad])
+    _save_csv(args.out, [["user_id", "n_selected", f"ndcg_at_{cfg.k}", "ilad"], *rows,
+                         ["__mean__", "", mean_ndcg, mean_ilad]])
     print(
         f"eval: {len(results)} lists, mean ndcg@{cfg.k}={mean_ndcg}, "
         f"mean ilad={mean_ilad} -> {args.out}"
@@ -321,7 +320,7 @@ def cmd_sweep(args) -> None:
     labels = load_labels(args.labels, (cs.user_id for cs in candidates))
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
-    _check_dims(candidates, profiles, params.dim)
+    _check_dims(args, candidates, profiles, params.dim)
 
     methods = ("bs_dpp", "fixed_dpp", "mmr")
     cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
@@ -373,12 +372,9 @@ def cmd_sweep(args) -> None:
                 ]
             )
 
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "method", "lambda", "mean_ndcg", "mean_ilad", "mean_objective", "wall_time_s"]
-        )
-        writer.writerows(table_rows)
+    _save_csv(args.out, [
+        ["alpha", "method", "lambda", "mean_ndcg", "mean_ilad", "mean_objective", "wall_time_s"], *table_rows
+    ])
     print(f"sweep: {len(alphas)} alpha values x {len(candidates)} users -> {args.out}")
 
 

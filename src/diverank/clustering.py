@@ -11,7 +11,6 @@ gain, until a full pass changes nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -19,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import EmbeddingTable, ValidationError, _check_id, _load_lines
+from .data import EmbeddingTable, ValidationError, _check_id, _load_lines, _save_lines
 
 
 @dataclass(frozen=True)
@@ -268,10 +267,7 @@ def assign_new_items(
 
 def save_clusters(path: str, item_clusters: dict[str, int]) -> None:
     """Write item cluster lines ordered by item_id."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in sorted(item_clusters):
-            doc = {"cluster_id": int(item_clusters[item_id]), "item_id": item_id}
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _save_lines(path, ({"item_id": i, "cluster_id": int(item_clusters[i])} for i in sorted(item_clusters)))
 
 
 def _cluster_line(doc: dict) -> tuple[str, int]:

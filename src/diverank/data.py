@@ -1,20 +1,20 @@
-"""Core record types, validation, and line-delimited JSON persistence.
+"""Core record types, validation, and the reading and writing of every file.
 
 Item lines, candidate sets, behavior and label lines, experiment
 configuration, re-ranking results and scorer checkpoints are read and
 written here; candidates, behaviors, labels and results hold one line
-per user.
-The other formats live with their stage: cluster lines in `clustering`,
-profile lines in `interests`, the training log in `accuracy`, and the
-diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Every line file,
-theirs too, is read by `_load_lines`, and every reader fails fast with
-an error that names the file and, where it is known, the line;
-serializers are deterministic so a pipeline re-run with the same seed
-writes byte-identical files.
+per user.  The other formats are built by their stage: cluster lines in
+`clustering`, profile lines in `interests`, the training log in
+`accuracy`, and the diagnostics, eval, sweep and kernel-dump CSVs in
+`cli`.  Every file, theirs too, is read by `_load_lines`, whose errors
+name the file and, where it is known, the line, and written by
+`_save_lines` (JSON, one deterministic encoder) or `_save_csv`, so a
+pipeline re-run with the same seed writes byte-identical files.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -349,11 +349,6 @@ class RerankResult:
         if len(set(self.item_ids)) != len(self.item_ids):
             raise ValidationError("result contains duplicate item ids")
 
-    def to_json(self) -> str:
-        doc = {name: list(getattr(self, name)) for name in ("item_ids", *_RESULT_COLUMNS)}
-        doc.update(user_id=self.user_id, objective=float(self.objective), exhausted=bool(self.exhausted))
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
     @classmethod
     def from_dict(cls, doc: dict) -> "RerankResult":
         """Read one parsed results line; a missing field is a KeyError."""
@@ -384,8 +379,9 @@ class ExperimentConfig:
     """All re-ranking knobs.
 
     Field names are the canonical config-file keys.  Every instance is
-    checked when it is built, `dataclasses.replace` included: types first,
-    then ranges, with one ValidationError naming each violation.
+    checked when it is built, `dataclasses.replace` included: types and
+    finiteness first, then ranges, with one ValidationError naming each
+    violation.
     """
 
     alpha: float = 1.0
@@ -414,25 +410,21 @@ class ExperimentConfig:
                     _finite_number(val, f.name)
                 except ValidationError as exc:
                     problems.append(str(exc))
-        if problems:  # range checks below assume the declared types
+            elif kind == "float" and not math.isfinite(val):
+                problems.append(f"{f.name} must be finite, got {val}")
+        if problems:  # range checks below assume the declared types and finite floats
             raise ValidationError("; ".join(problems))
-        if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
+        if self.alpha < 0:
             problems.append("alpha must be >= 0")
-        for name in ("beta1", "beta2"):
-            val = getattr(self, name)
-            if not (val >= 0.0) or not math.isfinite(val):
-                problems.append(f"{name} must be >= 0")
-        for name in ("b_l", "b_s", "b_item"):
-            val = getattr(self, name)
-            if not (val > 0.0) or not math.isfinite(val):
-                problems.append(f"{name} must be positive")
-        if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
+        problems += [f"{name} must be >= 0" for name in ("beta1", "beta2") if getattr(self, name) < 0]
+        problems += [f"{name} must be positive" for name in ("b_l", "b_s", "b_item") if getattr(self, name) <= 0]
+        if self.epsilon <= 0:
             problems.append("epsilon must be positive")
         if self.k < 1:
             problems.append("k must be >= 1")
         if self.top_m < 1:
             problems.append("top_m must be >= 1")
-        if not (self.jitter >= 0.0) or not math.isfinite(self.jitter):
+        if self.jitter < 0:
             problems.append("jitter must be >= 0")
         if self.recent_window < 1:
             problems.append("recent_window must be >= 1")
@@ -504,6 +496,22 @@ def _load_json_object(path: str, what: str) -> dict:
     return doc
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _save_lines(path: str, records: Iterable, encode: Callable[[object], str] = _encode) -> None:
+    """Write one line, `encode(record)`, per record: the one place a JSON file is
+    opened for writing.  `_encode` is `json.dumps` with sorted keys and no spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(encode(record) + "\n" for record in records)
+
+
+def _save_csv(path: str, rows: Iterable[Sequence]) -> None:
+    """Write rows, a header first where the file has one: the one place a CSV is opened for writing."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def load_items(path: str) -> EmbeddingTable:
     """Read an item file into an EmbeddingTable; errors cite the bad line.
 
@@ -519,10 +527,8 @@ def load_items(path: str) -> EmbeddingTable:
 
 
 def save_items(path: str, table: EmbeddingTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id, emb in zip(table.ids, table.embeddings.tolist()):
-            doc = {"embedding": emb, "item_id": item_id}
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    rows = zip(table.ids, table.embeddings.tolist())
+    _save_lines(path, ({"item_id": item_id, "embedding": emb} for item_id, emb in rows))
 
 
 def _ts_column(values: Sequence) -> np.ndarray:
@@ -599,13 +605,6 @@ def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
     }
 
 
-# The writers below build each line from validated columns, keys in sorted
-# order.  For the strs, ints, floats, None, lists and dicts they pass, this
-# encoder gives the text of json.dumps(..., separators=(",", ":")), so their
-# files match its output.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def save_behaviors(path: str, records: Iterable[UserEvents]) -> None:
     """Write one line per record, users sorted and each record's rows in
     its order.  A NO_LABEL row's label is null, a behavior line without
@@ -616,16 +615,17 @@ def save_behaviors(path: str, records: Iterable[UserEvents]) -> None:
     for a, b in zip(records, records[1:]):
         if a.user_id == b.user_id:
             raise ValidationError(f"two records for user {a.user_id!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        for events in records:
-            labels = [None if label == NO_LABEL else label for label in events.labels.tolist()]
-            doc = {"item_ids": list(events.item_ids), "labels": labels}
-            if events.ts is not None:
-                if labels.count(None) == len(labels):
-                    del doc["labels"]
-                doc["ts"] = events.ts.tolist()
-            doc["user_id"] = events.user_id
-            fh.write(_encode(doc) + "\n")
+
+    def line(events: UserEvents) -> dict:
+        labels = [None if label == NO_LABEL else label for label in events.labels.tolist()]
+        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids), "labels": labels}
+        if events.ts is not None:
+            if labels.count(None) == len(labels):
+                del doc["labels"]
+            doc["ts"] = events.ts.tolist()
+        return doc
+
+    _save_lines(path, map(line, records))
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
@@ -637,18 +637,21 @@ def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:
 
 def save_candidates(path: str, sets: Iterable[CandidateSet]) -> None:
     """Write one line per set.  Candidate rows are mostly copies of catalog
-    rows, so each distinct row's text is rendered once, keyed by its bytes."""
+    rows, so each distinct row's text is rendered once, keyed by its bytes;
+    a line's text is the one `_encode` gives for its dict."""
     rendered: dict[bytes, str] = {}
-    with open(path, "w", encoding="utf-8") as fh:
-        for cs in sets:
-            items = []
-            for item_id, row, score in zip(cs.ids, cs.embeddings, cs.base_scores.tolist()):
-                key = row.tobytes()
-                if key not in rendered:
-                    rendered[key] = _encode(row.tolist())
-                emb, item_id = rendered[key], _encode(item_id)
-                items.append(f'{{"base_score":{score!r},"embedding":{emb},"item_id":{item_id}}}')
-            fh.write(f'{{"items":[{",".join(items)}],"user_id":{_encode(cs.user_id)}}}\n')
+
+    def line(cs: CandidateSet) -> str:
+        items = []
+        for item_id, row, score in zip(cs.ids, cs.embeddings, cs.base_scores.tolist()):
+            key = row.tobytes()
+            if key not in rendered:
+                rendered[key] = _encode(row.tolist())
+            emb, item_id = rendered[key], _encode(item_id)
+            items.append(f'{{"base_score":{score!r},"embedding":{emb},"item_id":{item_id}}}')
+        return f'{{"items":[{",".join(items)}],"user_id":{_encode(cs.user_id)}}}'
+
+    _save_lines(path, sets, line)
 
 
 def load_results(path: str) -> list[RerankResult]:
@@ -657,19 +660,24 @@ def load_results(path: str) -> list[RerankResult]:
 
 
 def save_results(path: str, results: Iterable[RerankResult]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            fh.write(res.to_json() + "\n")
+    def line(res: RerankResult) -> dict:
+        doc = {name: getattr(res, name) for name in ("user_id", "item_ids", *_RESULT_COLUMNS)}
+        return dict(doc, objective=float(res.objective), exhausted=bool(res.exhausted))
+
+    _save_lines(path, map(line, results))
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a JSON config document whose keys mirror ExperimentConfig."""
+    """Read a JSON config document whose keys mirror ExperimentConfig; an
+    error in its content names the file."""
     doc = _load_json_object(path, "config")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
-    return ExperimentConfig(**doc)
+    unknown = sorted(set(doc) - {f.name for f in fields(ExperimentConfig)})
+    try:
+        if unknown:
+            raise ValidationError(f"unknown config fields: {', '.join(unknown)}")
+        return ExperimentConfig(**doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ----- checkpoint IO -----
@@ -687,11 +695,7 @@ def save_checkpoint(path: str, arrays: dict[str, np.ndarray], meta: dict | None 
         entries.append(
             {"name": name, "shape": [int(arr.shape[0]), int(arr.shape[1])], "data": arr.reshape(-1).tolist()}
         )
-    doc = {"version": CHECKPOINT_VERSION, "meta": meta or {}, "tensors": entries}
-    # One dumps call uses the C encoder; json.dump streams through the Python one.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _save_lines(path, [{"version": CHECKPOINT_VERSION, "meta": meta or {}, "tensors": entries}])
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
@@ -699,7 +703,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     doc = _load_json_object(path, "checkpoint")
     version = doc.get("version")
     if version != CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {version!r}")
+        raise ValidationError(f"{path}: unsupported checkpoint version {version!r}")
     arrays: dict[str, np.ndarray] = {}
     try:
         for entry in doc["tensors"]:

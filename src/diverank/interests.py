@@ -11,7 +11,6 @@ numbers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -24,6 +23,7 @@ from .data import (
     _check_id,
     _finite_vector,
     _load_lines,
+    _save_lines,
 )
 
 SECONDS_PER_HOUR = 3600
@@ -149,14 +149,10 @@ def build_profile(
 
 
 def save_profiles(path: str, profiles: list[InterestProfile]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in profiles:
-            doc = {
-                "user_id": p.user_id,
-                "h_macro": [float(v) for v in p.h_macro],
-                "h_micro": [float(v) for v in p.h_micro],
-            }
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _save_lines(path, (
+        {"user_id": p.user_id, "h_macro": [float(v) for v in p.h_macro], "h_micro": [float(v) for v in p.h_micro]}
+        for p in profiles
+    ))
 
 
 def _profile_line(doc: dict) -> InterestProfile:

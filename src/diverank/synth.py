@@ -11,7 +11,8 @@ trained scorer genuine headroom over the upstream scores.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +45,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        problems = [
+            f"{f.name} must be finite, got {getattr(self, f.name)}"
+            for f in fields(self)
+            if f.type == "float" and not math.isfinite(getattr(self, f.name))
+        ]
+        if problems:  # the range checks below assume finite floats
+            raise ValidationError("; ".join(problems))
         least = {"clusters": 1, "items_per_cluster": 1, "dim": 2, "noise": 0, "users": 1,
                  "behaviors_per_user": 1, "candidates_per_user": 1, "score_noise": 0}
         problems = [f"{name} must be >= {low}" for name, low in least.items() if getattr(self, name) < low]

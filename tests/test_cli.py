@@ -425,6 +425,31 @@ class TestCraftedRerank:
         assert values.shape == (3, 3)
         assert np.allclose(values, values.T, atol=1e-12)
 
+    @pytest.mark.parametrize("user_id", ["a\x00b", "no/such/dir", "../escaped", ".", ".."])
+    def test_dump_kernel_refuses_a_user_id_that_is_no_file_name(self, user_id, tmp_path, capsys):
+        """A dump is named by its user id, so an id that would not name one
+        file under the prefix is refused before any list, and nothing is written."""
+        write_duplicate_fixture(tmp_path)
+        cands = load_candidates(tmp_path / "candidates.jsonl")
+        bad = CandidateSet(user_id, cands[0].ids, cands[0].embeddings, cands[0].base_scores)
+        save_candidates(tmp_path / "candidates.jsonl", [*cands, bad])
+        prefix = tmp_path / "dk" / "kern"
+        prefix.mkdir(parents=True)
+        argv = [
+            "rerank",
+            "--candidates", tmp_path / "candidates.jsonl",
+            "--profiles", tmp_path / "profiles.jsonl",
+            "--checkpoint", tmp_path / "checkpoint.json",
+            "--out", tmp_path / "results.jsonl",
+            "--dump-kernel", f"{prefix}/",
+        ]
+        assert run(*map(str, argv)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'candidates.jsonl'}: user {user_id!r} cannot name a --dump-kernel file"
+        ]
+        assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "results.jsonl").exists()
+
     def test_diversity_only_init_runs_clean(self, tmp_path):
         write_duplicate_fixture(tmp_path)
         out = tmp_path / "results.jsonl"
@@ -1079,7 +1104,9 @@ class TestMalformedInput:
 
     def test_each_faulty_file_is_named(self, tmp_path, capsys):
         """`eval` reads three line files: the same bad line in each gives a
-        different error, naming that file; so do a bad config and checkpoint."""
+        different error, naming that file; so do a bad config and checkpoint,
+        and a config, checkpoint, profile or candidate file whose content is
+        at fault."""
         errors = []
         for flag in ("--results", "--labels", "--items"):
             bad = tmp_path / f"bad_{flag[2:]}.jsonl"
@@ -1098,6 +1125,24 @@ class TestMalformedInput:
         bad.write_text("[]")
         assert run(*stage_argv("rerank --checkpoint", bad, tmp_path)) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}: checkpoint must be a JSON object"]
+        # Well-formed files whose content is at fault name their file too.
+        doc = json.loads((write_duplicate_fixture(tmp_path) / "checkpoint.json").read_text())
+        no_b2 = dict(doc, tensors=[t for t in doc["tensors"] if t["name"] != "scorer.mlp_b2"])
+        cases = [
+            ("eval --config", {"bogus": 1}, "unknown config fields: bogus"),
+            ("eval --config", {"alpha": -1}, "alpha must be >= 0"),
+            ("rerank --checkpoint", dict(doc, version=2), "unsupported checkpoint version 2"),
+            ("rerank --checkpoint", no_b2, "checkpoint missing tensors: mlp_b2"),
+            ("rerank --profiles", _profile(h_macro=[1.0] * 3, h_micro=[1.0] * 3),
+             "profile u1: dim 3 != checkpoint dim 2"),
+            ("rerank --candidates", _line(_item(embedding=[1.0] * 3)),
+             "candidate set u1: embedding dim 3 != checkpoint dim 2"),
+        ]
+        for case, (stage, content, message) in enumerate(cases):
+            bad = tmp_path / f"bad_content_{case}.json"
+            bad.write_text(json.dumps(content) + "\n")
+            assert run(*stage_argv(stage, bad, tmp_path)) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
 
     @pytest.mark.parametrize("flag", ["--results", "--config"])
     def test_non_utf8_file_is_one_error_line(self, flag, tmp_path, capsys):
@@ -1195,11 +1240,11 @@ class TestMalformedInput:
         if source == "candidates":
             cands = CandidateSet("u1", ("i1",), np.ones((1, 3)), np.array([0.5]))
             save_candidates(tmp_path / "candidates.jsonl", [cands])
-            expected = "error: candidate set u1: embedding dim 3 != checkpoint dim 2"
+            expected = f"{tmp_path / 'candidates.jsonl'}: candidate set u1: embedding dim 3 != checkpoint dim 2"
         else:
             profile = InterestProfile("u1", np.ones(3), np.ones(3))
             save_profiles(tmp_path / "profiles.jsonl", [profile])
-            expected = "error: profile u1: dim 3 != checkpoint dim 2"
+            expected = f"{tmp_path / 'profiles.jsonl'}: profile u1: dim 3 != checkpoint dim 2"
         argv = [
             stage,
             "--candidates", tmp_path / "candidates.jsonl",
@@ -1213,7 +1258,7 @@ class TestMalformedInput:
             argv += ["--labels", labels]
         assert run(*map(str, argv)) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert lines == [expected]
+        assert lines == [f"error: {expected}"]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1243,7 +1288,7 @@ class TestMalformedInput:
         assert code == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith(f"error: {field} must be of type")
+        assert lines[0].startswith(f"error: {cfg}: {field} must be of type")
 
     def test_float_field_past_float64_is_one_error_line(self, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)
@@ -1256,7 +1301,7 @@ class TestMalformedInput:
         assert run(*map(str, argv)) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error: alpha ")
+        assert lines[0].startswith(f"error: {cfg}: alpha ")
         assert not (tmp_path / "results.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -1272,7 +1317,7 @@ class TestMalformedInput:
                 "--checkpoint", tmp_path / "checkpoint.json",
                 "--out", tmp_path / "results.jsonl", "--config", cfg]
         assert run(*map(str, argv)) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: unknown config fields: {field}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}: unknown config fields: {field}"]
         assert not (tmp_path / "results.jsonl").exists()
 
 
@@ -1322,6 +1367,24 @@ class TestBadTrainingArguments:
             flag, "2",
         ) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: {flag} 2"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("synth", "--noise", "nan"), ("synth", "--sharpness", "nan"), ("synth", "--score-noise", "inf"),
+         ("rerank", "--alpha", "inf")],
+    )
+    def test_non_finite_option_is_named_as_such(self, command, flag, value, tmp_path, capsys):
+        write_duplicate_fixture(tmp_path)
+        out = tmp_path / "out"
+        inputs = {"synth": [], "rerank": [
+            "--candidates", tmp_path / "candidates.jsonl",
+            "--profiles", tmp_path / "profiles.jsonl",
+            "--checkpoint", tmp_path / "checkpoint.json",
+        ]}[command]
+        assert run(*map(str, [command, *inputs, "--out", out, flag, value])) == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.splitlines() == [f"error: {name} must be finite, got {value}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("alphas, bad", [("0,x", "'x'"), ("0, 1e ,2", "'1e'"), ("one", "'one'")])

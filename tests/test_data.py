@@ -35,7 +35,9 @@ from diverank.data import (
     save_items,
     save_results,
 )
-from oracles import behavior_lines, candidates_line, label_lookups, user_records
+from diverank.clustering import save_clusters
+from diverank.interests import InterestProfile, save_profiles
+from oracles import _dumps, behavior_lines, candidates_line, label_lookups, user_records
 
 
 def make_item(item_id="it1", dim=4, base_score=0.5):
@@ -297,7 +299,7 @@ class TestCandidateSet:
 
 
 EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 2.0, 1e16, 0.1)
-EMBEDDING_ENTRIES = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+EDGE_NUMBERS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
 BASE_SCORES = st.sampled_from((-0.0, 0.0, 5e-324, 1.0)) | st.floats(0.0, 1.0)
 # Quotes, backslashes, control characters and non-ASCII text, which the
 # writers must escape as json.dumps does.
@@ -309,7 +311,7 @@ def candidate_sets(draw):
     """Sets drawing rows from one small pool and ids from one small pool, so
     one row sits under several ids and one id holds different rows."""
     dim = draw(st.integers(1, 3))
-    pool = draw(st.lists(st.lists(EMBEDDING_ENTRIES, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    pool = draw(st.lists(st.lists(EDGE_NUMBERS, min_size=dim, max_size=dim), min_size=1, max_size=4))
     id_pool = draw(st.lists(IDS, min_size=1, max_size=5, unique=True))
     sets = []
     for _ in range(draw(st.integers(1, 3))):
@@ -321,6 +323,28 @@ def candidate_sets(draw):
     return sets
 
 
+@st.composite
+def rerank_results(draw):
+    n = draw(st.integers(0, 4))
+    column = st.lists(EDGE_NUMBERS, min_size=n, max_size=n).map(tuple)
+    return RerankResult(
+        user_id=draw(IDS),
+        item_ids=tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True))),
+        scores=draw(column),
+        log_d2=draw(column),
+        marginals=draw(column),
+        objective=draw(EDGE_NUMBERS),
+        exhausted=draw(st.booleans()),
+    )
+
+
+def matrices(rows=st.integers(0, 3), cols=st.integers(1, 3)):
+    """(r, c) float matrices of EDGE_NUMBERS."""
+    return st.tuples(rows, cols).flatmap(lambda shape: st.lists(
+        EDGE_NUMBERS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]
+    ).map(lambda data: np.array(data, dtype=np.float64).reshape(shape)))
+
+
 EDGE_SETS = [
     CandidateSet('u"\\\x01é', ("a", "b\x7f中"), [[-0.0, 5e-324, 2.0]] * 2, [-0.0, 5e-324]),
     CandidateSet("u2", ("a",), [[1.7976931348623157e308, -1.7976931348623157e308, 1.0]], [1.0]),
@@ -329,8 +353,9 @@ EDGE_ROWS = [("u\x00", 'i"\\', 2**63 - 1, NO_LABEL), ("u1", "i\u2028", 0, 0), ("
 
 
 class TestWriterOracle:
-    """The writers build lines by hand; `json.dumps` with sorted keys is the
-    reference they must match byte for byte."""
+    """Every JSON writer must match, byte for byte, one `json.dumps` with
+    sorted keys per line (`oracles._dumps`), on edge floats and on ids
+    that need escaping."""
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(sets=candidate_sets())
@@ -369,6 +394,59 @@ class TestWriterOracle:
         save_behaviors(str(path), records)
         want = "".join(line + "\n" for line in behavior_lines(records))
         assert path.read_bytes() == want.encode("utf-8")
+
+    @staticmethod
+    def assert_lines(path, docs):
+        assert path.read_bytes() == "".join(_dumps(doc) + "\n" for doc in docs).encode("utf-8")
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(ids=st.lists(IDS, max_size=4, unique=True), embs=matrices(rows=st.just(4)))
+    @example(ids=['a"\\', "\x00", "\u2028", "中"], embs=np.array(EDGE_FLOATS[:4] * 2).reshape(4, 2))
+    def test_items_match_dumps(self, tmp_path_factory, ids, embs):
+        path = tmp_path_factory.getbasetemp() / "oracle_items.jsonl"
+        embs = embs[: len(ids)]
+        save_items(str(path), EmbeddingTable(tuple(ids), embs))
+        self.assert_lines(path, ({"item_id": i, "embedding": e} for i, e in zip(ids, embs.tolist())))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(rerank_results(), max_size=3))
+    def test_results_match_dumps(self, tmp_path_factory, results):
+        path = tmp_path_factory.getbasetemp() / "oracle_results.jsonl"
+        save_results(str(path), results)
+        self.assert_lines(path, (
+            {"user_id": r.user_id, "item_ids": list(r.item_ids), "scores": list(r.scores), "log_d2": list(r.log_d2),
+             "marginals": list(r.marginals), "objective": r.objective, "exhausted": r.exhausted}
+            for r in results
+        ))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.dictionaries(IDS, st.sampled_from((0, 2**63 - 1)) | st.integers(0, 10**6), max_size=5))
+    def test_clusters_match_dumps(self, tmp_path_factory, item_clusters):
+        path = tmp_path_factory.getbasetemp() / "oracle_clusters.jsonl"
+        save_clusters(str(path), item_clusters)
+        self.assert_lines(path, ({"item_id": i, "cluster_id": item_clusters[i]} for i in sorted(item_clusters)))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(IDS, matrices(rows=st.just(2))), max_size=3))
+    def test_profiles_match_dumps(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "oracle_profiles.jsonl"
+        save_profiles(str(path), [InterestProfile(user_id, *vectors) for user_id, vectors in rows])
+        self.assert_lines(path, (
+            {"user_id": user_id, "h_macro": vectors[0].tolist(), "h_micro": vectors[1].tolist()}
+            for user_id, vectors in rows
+        ))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        arrays=st.dictionaries(IDS, matrices(cols=st.integers(0, 3)), max_size=3),
+        meta=st.dictionaries(IDS, IDS | EDGE_NUMBERS | st.integers(), max_size=3),
+    )
+    def test_checkpoint_matches_dumps(self, tmp_path_factory, arrays, meta):
+        path = tmp_path_factory.getbasetemp() / "oracle_checkpoint.json"
+        save_checkpoint(str(path), arrays, meta)
+        tensors = [{"name": name, "shape": list(arrays[name].shape), "data": arrays[name].ravel().tolist()}
+                   for name in sorted(arrays)]
+        self.assert_lines(path, [{"version": 1, "meta": meta, "tensors": tensors}])
 
 
 USERS = ("u1", "u2", "u\u2028", "u9")  # u9 never has a line
@@ -451,6 +529,13 @@ class TestConfig:
         assert "k" in message
         assert "b_s" in message
 
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig) if f.type == "float"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_named_as_such(self, name, value):
+        with pytest.raises(ValidationError) as err:
+            ExperimentConfig(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value}"
+
     def test_replace_is_checked(self):
         with pytest.raises(ValidationError) as err:
             replace(ExperimentConfig(), alpha=-1.0)
@@ -475,24 +560,6 @@ class TestConfig:
         cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
         names = [name for cell in cells for name in re.findall(r"`(\w+)`", cell)]
         assert sorted(names) == sorted(f.name for f in fields(ExperimentConfig))
-
-
-RESULT_NUMBERS = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def rerank_results(draw):
-    n = draw(st.integers(0, 4))
-    column = st.lists(RESULT_NUMBERS, min_size=n, max_size=n).map(tuple)
-    return RerankResult(
-        user_id=draw(IDS),
-        item_ids=tuple(draw(st.lists(IDS, min_size=n, max_size=n, unique=True))),
-        scores=draw(column),
-        log_d2=draw(column),
-        marginals=draw(column),
-        objective=draw(RESULT_NUMBERS),
-        exhausted=draw(st.booleans()),
-    )
 
 
 def float_bits(res):

@@ -75,6 +75,13 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="catalog"):
             small_spec(candidates_per_user=11)
 
+    @pytest.mark.parametrize("name", ["noise", "sharpness", "threshold", "score_noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_named_as_such(self, name, value):
+        with pytest.raises(ValidationError) as err:
+            small_spec(**{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value}"
+
     def test_problems_collected(self):
         with pytest.raises(ValidationError) as err:
             small_spec(clusters=0, noise=-1.0)
