@@ -24,10 +24,14 @@ def section(title):
 
 
 def minibatch(rng, n=8):
-    """Targets, two interest rows and two context rows, and 0/1 labels."""
+    """Targets, two interest rows and two context rows, and 0/1 labels.
+
+    The scorer takes one row of each input per target; here every target
+    shares its user's interests and its list's contexts.
+    """
     targets = rng.normal(size=(n, DIM))
     labels = (targets[:, 0] > 0).astype(int)
-    return [targets, *(rng.normal(size=DIM) for _ in range(4))], labels
+    return [targets, *(np.repeat(rng.normal(size=(1, DIM)), n, axis=0) for _ in range(4))], labels
 
 
 def loss_of(inputs, params, labels):

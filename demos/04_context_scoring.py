@@ -38,8 +38,10 @@ def make_impressions(rng, n=80):
 
 
 def probability(embedding, h_prev, h_cand, params):
-    zero = np.zeros(DIM)
-    logits = ad.score_logits(embedding, zero, zero, h_prev, h_cand, params)
+    """One item's click probability; each input is one (1, DIM) row."""
+    zero = np.zeros((1, DIM))
+    rows = [np.reshape(v, (1, DIM)) for v in (embedding, h_prev, h_cand)]
+    logits = ad.score_logits(rows[0], zero, zero, *rows[1:], params)
     return float(ad.softmax(logits)[0, 1])
 
 

@@ -242,6 +242,14 @@ def build_impressions(records: Iterable[UserEvents], table: EmbeddingTable) -> I
     return Impressions(user_ids, embeddings, h_prev, h_cand, labels)
 
 
+def check_trainable(impressions: Impressions) -> None:
+    """Reject impressions no scorer can learn from: none, or all of one label."""
+    if not len(impressions):
+        raise ValidationError("no labeled impressions to train on")
+    if impressions.labels.min() == impressions.labels.max():
+        raise ValidationError("training labels are degenerate (single class)")
+
+
 def train_scorer(
     impressions: Impressions,
     profiles: dict[str, InterestProfile],
@@ -258,8 +266,7 @@ def train_scorer(
     lr = 0 performs the full loop but leaves parameters bit-identical; a
     non-finite loss or parameter after an epoch raises NumericalError.
     """
-    if not len(impressions):
-        raise ValidationError("no labeled impressions to train on")
+    check_trainable(impressions)
     if epochs < 1:
         raise ValidationError("epochs must be >= 1")
     if batch_size < 1:
@@ -267,8 +274,6 @@ def train_scorer(
     if not (math.isfinite(lr) and lr >= 0):
         raise ValidationError(f"lr must be finite and >= 0, got {lr}")
     labels_all = impressions.labels
-    if labels_all.min() == labels_all.max():
-        raise ValidationError("training labels are degenerate (single class)")
 
     n = len(impressions)
     # Each user's profile rows are looked up once, then spread to their rows.

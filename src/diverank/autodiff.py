@@ -1,5 +1,7 @@
 """The context-gated scorer's training math, on plain float64 arrays.
 
+Every input holds one row per target: its embedding, its user's two
+interest vectors and its two contexts, each an (n, d) array.
 `score_logits` is the forward pass: two logits per target row.  `backward`
 runs the same forward, keeping what its backward needs, takes the mean
 cross-entropy of the minibatch's labels, and chains the two analytic
@@ -19,21 +21,11 @@ from .data import ValidationError
 
 
 def _rows(a, n: int, name: str, dim: int) -> np.ndarray:
-    """An input's (n, dim) rows; a single row or 1-D vector is repeated n times.
-
-    Repeated rather than broadcast, because the composed graph tiled them
-    and a matmul's rounding can depend on the shapes it is given.
-    """
+    """An input as float64, checked to hold one row of `dim` columns per target."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValidationError(f"{name} must be rows of {dim} columns, got shape {arr.shape}")
-    if arr.shape[0] == n:
-        return arr
-    if arr.shape[0] == 1:
-        return np.repeat(arr, n, axis=0)
-    raise ValidationError(f"{name} must have 1 or {n} rows, got {arr.shape[0]}")
+    if arr.shape != (n, dim):
+        raise ValidationError(f"{name} must be ({n}, {dim}) rows, one per target, got shape {arr.shape}")
+    return arr
 
 
 def _gate(src: np.ndarray, w1: np.ndarray, w2: np.ndarray):
@@ -108,10 +100,12 @@ def _forward(targets, h_macro, h_micro, h_prev, h_cand, params):
 def score_logits(targets, h_macro, h_micro, h_prev, h_cand, params) -> np.ndarray:
     """Two logits per target row, as an (n, 2) array.
 
-    Feature layout per row: the raw target embedding, the target gated by
-    the previous and candidate contexts, then the macro and micro
-    interest vectors gated by each context.  Context and interest inputs
-    may be shared single rows or per-row matrices.
+    Every input is an (n, d) array holding one row per target: the
+    target embedding, its user's macro and micro interest vectors, and
+    its previous and candidate contexts.  Feature layout per row: the raw
+    target embedding, the target gated by the previous and candidate
+    contexts, then the macro and micro interest vectors gated by each
+    context.
     """
     return _forward(targets, h_macro, h_micro, h_prev, h_cand, params)[0]
 

@@ -23,6 +23,7 @@ from . import __version__
 from .accuracy import (
     ScorerParams,
     build_impressions,
+    check_trainable,
     init_scorer_params,
     save_training_log,
     scorer_params_from_arrays,
@@ -136,21 +137,20 @@ def cmd_cluster(args) -> None:
     behaviors = load_behaviors(args.behaviors)
     edges = [(events.user_id, item_id) for events in behaviors for item_id in events.item_ids]
     if not edges:
-        raise ValidationError("no behavior events to cluster on")
+        raise ValidationError(f"{args.behaviors}: no behavior events to cluster on")
     graph = BipartiteGraph.from_edges(edges)
     assignment = louvain(graph)
     item_clusters = assignment.item_clusters()
     q = modularity(graph, assignment.labels)
 
-    # Items never interacted with fall back to nearest-centroid labels.
-    covered = {i for i in item_clusters if i in table}
-    if covered:
-        centroids = cluster_centroids(table, {i: item_clusters[i] for i in covered})
-        missing = [i for i in table.ids if i not in item_clusters]
-        item_clusters.update(assign_new_items(missing, table.rows(missing), centroids))
-    save_clusters(args.out, {i: c for i, c in item_clusters.items() if i in table})
-    n_clusters = len(set(item_clusters.values()))
-    print(f"cluster: {n_clusters} clusters over {len(item_clusters)} items, Q={q:.6f}")
+    # Only catalog items are written; those never interacted with fall back
+    # to nearest-centroid labels.
+    clusters = {i: item_clusters[i] for i in table.ids if i in item_clusters}
+    if clusters:
+        missing = [i for i in table.ids if i not in clusters]
+        clusters.update(assign_new_items(missing, table.rows(missing), cluster_centroids(table, clusters)))
+    save_clusters(args.out, clusters)
+    print(f"cluster: {len(set(clusters.values()))} clusters over {len(clusters)} items, Q={q:.6f}")
 
 
 # ----- train-scorer -----
@@ -163,8 +163,10 @@ def cmd_train_scorer(args) -> None:
     item_clusters = load_clusters(args.clusters)
     latest = [int(events.ts[-1]) for events in behaviors if len(events)]
     if not latest:
-        raise ValidationError("no behavior events to train on")
+        raise ValidationError(f"{args.behaviors}: no behavior events to train on")
     now = max(latest)
+    if not len(table):
+        raise ValidationError(f"{args.items}: embedding table is empty")
 
     profiles = [
         build_profile(events, table, item_clusters, top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
@@ -173,6 +175,10 @@ def cmd_train_scorer(args) -> None:
     profile_map = {p.user_id: p for p in profiles}
 
     impressions = build_impressions(behaviors, table)
+    try:
+        check_trainable(impressions)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.behaviors}: {exc}") from None
     scorer_rng = np.random.default_rng(derive_seed(args.seed, "scorer-init"))
     params = init_scorer_params(
         table.dim, scorer_rng, reduction=args.reduction, hidden=args.hidden
@@ -229,8 +235,14 @@ def cmd_rerank(args) -> None:
     cfg = _load_experiment_config(args)
     candidates = load_candidates(args.candidates)
     if args.dump_kernel:  # each list's dump is named by its user id
+        folder, stem = os.path.split(args.dump_kernel)
+        name_max = os.pathconf(folder or ".", "PC_NAME_MAX")
         for cs in candidates:
-            if cs.user_id in (".", "..") or {"/", os.sep, "\0"} & set(cs.user_id):
+            try:
+                fits = len(os.fsencode(f"{stem}{cs.user_id}.csv")) <= name_max
+            except UnicodeEncodeError:  # a lone surrogate has no bytes in a file name
+                fits = False
+            if not fits or cs.user_id in (".", "..") or {"/", os.sep, "\0"} & set(cs.user_id):
                 raise ValidationError(f"{args.candidates}: user {cs.user_id!r} cannot name a --dump-kernel file")
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
@@ -264,10 +276,19 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 # ----- eval -----
 
 
-def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal: list[int], k: int):
-    """nDCG@k of one list against its user's labels, and its ILAD (NaN below two items)."""
+def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal: list[int], k: int, where: str):
+    """nDCG@k of one list against its user's labels, and its ILAD (NaN below two items).
+
+    ILAD is undefined for a zero embedding; the error names `where`, the file
+    and list the embeddings came from.
+    """
     ndcg = ndcg_at_k([user_labels.get(item_id, 0) for item_id in item_ids], k, ideal_relevances=ideal)
-    return ndcg, ilad(embs) if len(item_ids) >= 2 else float("nan")
+    if len(item_ids) < 2:
+        return ndcg, float("nan")
+    try:
+        return ndcg, ilad(embs)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def cmd_eval(args) -> None:
@@ -281,7 +302,12 @@ def cmd_eval(args) -> None:
     for res in results:
         user_labels = labels.get(res.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]  # all that nDCG@k reads
-        ndcg, diversity = _list_metrics(res.item_ids, table.rows(res.item_ids), user_labels, ideal, cfg.k)
+        try:
+            embs = table.rows(res.item_ids)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.results}: result {res.user_id}: {exc}") from None
+        where = f"{args.items}: items of result {res.user_id}"
+        ndcg, diversity = _list_metrics(res.item_ids, embs, user_labels, ideal, cfg.k, where)
         ndcgs.append(ndcg)
         if not np.isnan(diversity):
             ilads.append(diversity)
@@ -316,7 +342,7 @@ def cmd_sweep(args) -> None:
         raise ValidationError("--runs must be >= 1")
     candidates = load_candidates(args.candidates, limit=args.runs)
     if not candidates:
-        raise ValidationError("no candidate sets to sweep over")
+        raise ValidationError(f"{args.candidates}: no candidate sets to sweep over")
     labels = load_labels(args.labels, (cs.user_id for cs in candidates))
     profiles = load_profiles(args.profiles)
     params = _load_scorer_checkpoint(args.checkpoint)
@@ -334,6 +360,7 @@ def cmd_sweep(args) -> None:
         row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]
+        where = f"{args.candidates}: candidate set {cs.user_id}"
         # Neither depends on alpha, so each is built once per user.
         scorer = profile_scorer(cs, profile, params)
         sim = cosine_similarity_fn(cs.embeddings)
@@ -350,7 +377,7 @@ def cmd_sweep(args) -> None:
                 times_a[method] += time.perf_counter() - t0
                 item_ids = picked if method == "mmr" else picked.item_ids  # MMR returns bare ids
                 rows = [row_of[i] for i in item_ids]
-                ndcg, div = _list_metrics(item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k)
+                ndcg, div = _list_metrics(item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k, where)
                 if method == "mmr":  # h of its subset stands in for an objective
                     h = subset_objective(kernel.values, cs.base_scores, rows, alpha)
                 else:

@@ -84,12 +84,6 @@ class ClusterAssignment:
     labels: np.ndarray  # int array, one entry per node
     move_log: list[tuple[int, int, int, float]] = field(default_factory=list)
 
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if labels.shape != (self.graph.n_nodes,):
-            raise ValidationError("labels must cover every node exactly once")
-        self.labels = labels
-
     @property
     def n_clusters(self) -> int:
         return int(len(np.unique(self.labels)))
@@ -101,17 +95,6 @@ class ClusterAssignment:
             item: int(self.labels[offset + n])
             for n, item in enumerate(self.graph.item_ids)
         }
-
-    def relabeled(self) -> "ClusterAssignment":
-        """Dense cluster ids in [0, count), ordered by first node occurrence."""
-        mapping: dict[int, int] = {}
-        out = np.empty_like(self.labels)
-        for node, lab in enumerate(self.labels):
-            key = int(lab)
-            if key not in mapping:
-                mapping[key] = len(mapping)
-            out[node] = mapping[key]
-        return ClusterAssignment(self.graph, out, list(self.move_log))
 
 
 def modularity(graph: BipartiteGraph, labels: np.ndarray) -> float:
@@ -201,7 +184,8 @@ def louvain(graph: BipartiteGraph) -> ClusterAssignment:
     Deterministic: the scan order is ascending node id and ties break to
     the lowest cluster id, so output depends only on the graph.  Every
     accepted move strictly increases modularity; the move log records
-    (node, from_cluster, to_cluster, gain) for audit.
+    (node, from_cluster, to_cluster, gain) for audit.  The returned
+    cluster ids are dense, numbered in order of each cluster's first node.
     """
     labels = np.arange(graph.n_nodes, dtype=np.int64)
     state = _MoveState(graph, labels)
@@ -232,7 +216,8 @@ def louvain(graph: BipartiteGraph) -> ClusterAssignment:
                 moved = True
         if not moved:
             break
-    return ClusterAssignment(graph, labels, move_log).relabeled()
+    _, first, dense = np.unique(labels, return_index=True, return_inverse=True)
+    return ClusterAssignment(graph, np.argsort(np.argsort(first))[dense], move_log)
 
 
 def cluster_centroids(table: EmbeddingTable, item_clusters: dict[str, int]) -> dict[int, np.ndarray]:

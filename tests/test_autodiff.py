@@ -33,10 +33,18 @@ def assert_scorer_grads_match(inputs, params, labels):
         np.testing.assert_allclose(a, n, rtol=FD_RTOL, atol=1e-7, err_msg=name)
 
 
+def per_row(n, row):
+    """A (d,) row shared by all n targets as the (n, d) input the scorer math takes."""
+    return np.repeat(np.reshape(row, (1, -1)), n, axis=0)
+
+
 def scorer_case(rng, d=4, n=5, shared=True):
+    """Params, the five (n, d) inputs and labels; `shared` repeats one row of
+    each interest and context input for every target."""
     params = init_scorer_params(d, rng)
     rows = 1 if shared else n
-    inputs = [rng.normal(size=(n, d))] + [rng.normal(size=(rows, d)) for _ in range(4)]
+    inputs = [rng.normal(size=(n, d))]
+    inputs += [np.repeat(rng.normal(size=(rows, d)), n // rows, axis=0) for _ in range(4)]
     return params, inputs, np.arange(n) % 2
 
 
@@ -81,25 +89,35 @@ class TestCrossEntropy:
         assert not np.any((grad == 0.0) & np.signbit(grad)), grad
 
 
-class TestScoreLogits:
-    def test_one_dim_inputs_are_single_rows(self, rng):
-        params, inputs, _ = scorer_case(rng, n=1)
-        as_rows = ad.score_logits(*inputs, params)
-        as_vectors = ad.score_logits(*[a.reshape(-1) for a in inputs], params)
-        assert as_vectors.tobytes() == as_rows.tobytes()
+NAMES = ("targets", "h_macro", "h_micro", "h_prev", "h_cand")
 
+
+class TestScoreLogits:
     @pytest.mark.parametrize("position", range(5))
     def test_input_of_wrong_width_is_rejected(self, rng, position):
         params, inputs, _ = scorer_case(rng, d=3, n=2, shared=False)
         inputs[position] = np.zeros((2, 4))
-        with pytest.raises(ValidationError, match="columns"):
+        with pytest.raises(ValidationError, match=rf"^{NAMES[position]} must be \(2, 3\) rows"):
             ad.score_logits(*inputs, params)
 
     def test_context_of_wrong_row_count_is_rejected(self, rng):
         params, inputs, _ = scorer_case(rng, n=4)
         inputs[3] = np.zeros((3, 4))
-        with pytest.raises(ValidationError, match="1 or 4 rows"):
+        want = r"^h_prev must be \(4, 4\) rows, one per target, got shape \(3, 4\)$"
+        with pytest.raises(ValidationError, match=want):
             ad.score_logits(*inputs, params)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4)], ids=["vector", "one row"])
+    @pytest.mark.parametrize("position", range(1, 5))
+    @pytest.mark.parametrize("step", ["score_logits", "backward"])
+    def test_shared_row_is_rejected(self, rng, step, position, shape):
+        """Every input holds one row per target: a single row is not repeated."""
+        params, inputs, labels = scorer_case(rng, n=3)
+        inputs[position] = inputs[position][0].reshape(shape)
+        call = {"score_logits": lambda: ad.score_logits(*inputs, params),
+                "backward": lambda: ad.backward(*inputs, params, labels)}[step]
+        with pytest.raises(ValidationError, match=rf"^{NAMES[position]} must be \(3, 4\) rows, one per target"):
+            call()
 
 
 class TestBackward:

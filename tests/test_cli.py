@@ -35,6 +35,7 @@ from diverank.data import (
 )
 from diverank.interests import InterestProfile, save_profiles
 from diverank.metrics import ilad
+from diverank.synth import SyntheticSpec
 
 SYNTH_ARGS = [
     "--seed", "0",
@@ -177,6 +178,20 @@ class TestPipelineArtifacts:
                 assert r["lambda"] == ""
             assert 0.0 <= float(r["mean_ndcg"]) <= 1.0
             assert 0.0 <= float(r["mean_ilad"]) <= 2.0
+
+
+    @pytest.mark.parametrize("kept", [30, 15, 0], ids=["whole catalog", "first half", "empty catalog"])
+    def test_cluster_summary_counts_what_it_writes(self, kept, pipeline, tmp_path, capsys):
+        """Only catalog items are written, so only they are counted."""
+        items = tmp_path / "items.jsonl"
+        items.write_text("".join((pipeline["fix"] / "items.jsonl").read_text().splitlines(keepends=True)[:kept]))
+        out = tmp_path / "clusters.jsonl"
+        argv = ["cluster", "--items", items, "--behaviors", pipeline["fix"] / "behaviors.jsonl", "--out", out]
+        assert run(*map(str, argv)) == 0
+        written = [json.loads(line) for line in out.read_text().splitlines()]
+        n_clusters = len({doc["cluster_id"] for doc in written})
+        assert len(written) == kept
+        assert capsys.readouterr().out.startswith(f"cluster: {n_clusters} clusters over {kept} items, Q=")
 
 
 class TestCheckpoint:
@@ -425,10 +440,15 @@ class TestCraftedRerank:
         assert values.shape == (3, 3)
         assert np.allclose(values, values.T, atol=1e-12)
 
-    @pytest.mark.parametrize("user_id", ["a\x00b", "no/such/dir", "../escaped", ".", ".."])
+    @pytest.mark.parametrize(
+        "user_id",
+        ["a\x00b", "no/such/dir", "../escaped", ".", "..",
+         pytest.param("x" * 300, id="past-name-limit"), pytest.param("\ud800", id="lone-surrogate")],
+    )
     def test_dump_kernel_refuses_a_user_id_that_is_no_file_name(self, user_id, tmp_path, capsys):
         """A dump is named by its user id, so an id that would not name one
-        file under the prefix is refused before any list, and nothing is written."""
+        file under the prefix (the file system's name length limit included)
+        is refused before any list, and nothing is written."""
         write_duplicate_fixture(tmp_path)
         cands = load_candidates(tmp_path / "candidates.jsonl")
         bad = CandidateSet(user_id, cands[0].ids, cands[0].embeddings, cands[0].base_scores)
@@ -1052,6 +1072,13 @@ def stage_argv(stage, bad, root):
             "--clusters": empty,
             "--out": root / "model",
         },
+        "sweep": {
+            "--candidates": root / "candidates.jsonl",
+            "--labels": empty,
+            "--profiles": root / "profiles.jsonl",
+            "--checkpoint": root / "checkpoint.json",
+            "--out": root / "sweep.csv",
+        },
     }[command]
     inputs[flag] = bad
     return [command, *(str(part) for pair in inputs.items() for part in pair)]
@@ -1143,6 +1170,35 @@ class TestMalformedInput:
             bad.write_text(json.dumps(content) + "\n")
             assert run(*stage_argv(stage, bad, tmp_path)) == 1
             assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
+        # So do the checks a stage makes after its readers return.  Each case
+        # is the faulty file's lines, other inputs' lines, and the message.
+        catalog = [{"item_id": "a", "embedding": [0.0, 0.0]}, {"item_id": "i1", "embedding": [1.0, 0.0]}]
+        pair = _result(item_ids=["a", "i1"], scores=[0.5] * 2, log_d2=[0.0] * 2, marginals=[0.5] * 2)
+        zero_norm = "ilad is undefined for zero-norm embeddings"
+        cases = [
+            ("eval --results", [_result(item_ids=["x"])], {}, "result u1: unknown item_id 'x'"),
+            ("eval --items", catalog, {"--results": [pair]}, f"items of result u1: {zero_norm}"),
+            ("sweep --candidates", [_line(_item(embedding=[0.0, 0.0]), _item(item_id="i2"))], {},
+             f"candidate set u1: {zero_norm}"),
+            ("sweep --candidates", [], {}, "no candidate sets to sweep over"),
+            ("train-scorer --items", [], {"--behaviors": [_event()]}, "embedding table is empty"),
+            ("cluster --behaviors", [], {}, "no behavior events to cluster on"),
+            ("train-scorer --behaviors", [], {}, "no behavior events to train on"),
+            ("train-scorer --behaviors", [_event(labels=[None])], {"--items": catalog},
+             "no labeled impressions to train on"),
+            ("train-scorer --behaviors", [_event()], {"--items": catalog},
+             "training labels are degenerate (single class)"),
+        ]
+        for case, (stage, lines, others, message) in enumerate(cases):
+            bad = tmp_path / f"bad_stage_{case}.jsonl"
+            bad.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+            argv = stage_argv(stage, bad, tmp_path)
+            for flag, other_lines in others.items():
+                other = tmp_path / f"other_{case}{flag}.jsonl"
+                other.write_text("".join(json.dumps(doc) + "\n" for doc in other_lines))
+                argv[argv.index(flag) + 1] = str(other)
+            assert run(*argv) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"], stage
 
     @pytest.mark.parametrize("flag", ["--results", "--config"])
     def test_non_utf8_file_is_one_error_line(self, flag, tmp_path, capsys):
@@ -1472,6 +1528,15 @@ def test_every_option_is_read_by_its_stage():
                 if action.dest not in read:
                     unread.add((command, action.dest))
     assert unread == set(IGNORED_OPTIONS)
+
+
+def test_every_synthetic_spec_field_is_a_synth_option():
+    """A spec field with no `synth` option can be set by no caller; each
+    option's default is the field's."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    defaults = {a.dest: a.default for a in subparsers.choices["synth"]._actions if a.dest not in ("help", "out")}
+    assert defaults == {f.name: f.default for f in fields(SyntheticSpec)}
 
 
 def test_every_config_field_is_read():

@@ -182,8 +182,10 @@ class TestLouvain:
             assert q_new - q == pytest.approx(delta, abs=1e-10)
             assert delta > 0.0
             q = q_new
-        # Returned labels are relabeled to dense ids: compare as partitions.
-        assert partition_sets(labels) == partition_sets(result.labels)
+        # The returned ids number the replayed clusters densely, in order of first node.
+        first_seen = {}
+        dense = [first_seen.setdefault(lab, len(first_seen)) for lab in labels.tolist()]
+        assert result.labels.tolist() == dense
 
     def test_beats_singletons_and_random_assignments(self, rng):
         edges = set()
@@ -212,13 +214,12 @@ class TestLouvain:
         b = louvain(g)
         assert np.array_equal(a.labels, b.labels)
 
-    def test_relabeled_dense_ids(self):
+    def test_cluster_ids_are_dense_in_first_node_order(self):
         g = BipartiteGraph.from_edges(
             [("u1", "i1"), ("u2", "i2"), ("u3", "i3")]
         )
-        result = louvain(g).relabeled()
-        labs = sorted(set(result.labels))
-        assert labs == list(range(len(labs)))
+        labels = louvain(g).labels.tolist()
+        assert list(dict.fromkeys(labels)) == list(range(len(set(labels))))
 
 
 class TestCentroidsAndAssignment:

@@ -6,7 +6,7 @@ analytic backward in `test_accuracy`.
 """
 
 import tape as ad
-from composed_scorer import concat_cols, log, scale, sigmoid, tile_rows
+from composed_scorer import concat_cols, log, scale, sigmoid
 from tape import Tensor
 from test_tape import assert_grads_match
 
@@ -23,11 +23,6 @@ class TestPrimitiveGradients:
         assert_grads_match(
             lambda: ad.sum_all(ad.mul_elementwise(concat_cols([a, b]), weight)), [a, b]
         )
-
-    def test_tile_rows(self, rng):
-        a = Tensor(rng.normal(size=(1, 4)))
-        weight = ad.constant(rng.normal(size=(5, 4)))
-        assert_grads_match(lambda: ad.sum_all(ad.mul_elementwise(tile_rows(a, 5), weight)), [a])
 
     def test_sigmoid(self, rng):
         a = Tensor(rng.normal(size=(3, 4)))

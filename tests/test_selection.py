@@ -32,6 +32,7 @@ from diverank.selection import (
     profile_scorer,
 )
 from oracles import exhaustive_map, initial_context, reference_greedy, reference_scores, update_context
+from test_autodiff import per_row
 
 
 def make_candidates(scores, dim=2, embs=None):
@@ -463,9 +464,8 @@ class TestProfileScorer:
                     ctx = update_context(ctx, embs[j])
                 got = score_batch(embs, ctx.h_prev, params, state)
                 np.testing.assert_array_equal(got, step.scores)
-                logits = ad.score_logits(
-                    embs, profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand, params
-                )
+                shared = (profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand)
+                logits = ad.score_logits(embs, *(per_row(n, v) for v in shared), params)
                 want = ad.softmax(logits)[:, 1]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
                 assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))

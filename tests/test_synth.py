@@ -75,7 +75,7 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="catalog"):
             small_spec(candidates_per_user=11)
 
-    @pytest.mark.parametrize("name", ["noise", "sharpness", "threshold", "score_noise"])
+    @pytest.mark.parametrize("name", ["noise", "sharpness", "score_noise"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_named_as_such(self, name, value):
         with pytest.raises(ValidationError) as err:
@@ -98,10 +98,9 @@ class TestWorldShape:
         assert all(cs.size == 6 for cs in world.candidates)
         assert [len(events) for events in world.labels] == [6] * 3
 
-    def test_item_ids_and_true_clusters(self):
+    def test_item_ids(self):
         world = generate(small_spec())
         assert list(world.items.ids) == [f"it{i:04d}" for i in range(10)]
-        assert [world.true_clusters[f"it{i:04d}"] for i in range(10)] == [0] * 5 + [1] * 5
 
     def test_behavior_timestamps_in_window_and_per_user_ascending(self):
         world = generate(small_spec())
@@ -136,7 +135,6 @@ class TestDeterminism:
         b = generate(small_spec(seed=3))
         assert same_records(a.behaviors, b.behaviors)
         assert same_records(a.labels, b.labels)
-        assert a.true_clusters == b.true_clusters
         assert a.items.ids == b.items.ids
         assert np.array_equal(a.items.embeddings, b.items.embeddings)
         for ca, cb in zip(a.candidates, b.candidates):
