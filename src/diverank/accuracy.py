@@ -11,10 +11,10 @@ two-logit softmax.
 Training runs on plain arrays: each minibatch is one call of
 `autodiff.backward`, which returns the loss and all eight parameter
 gradients from analytic backwards that the tests hold bit for bit to the
-composed graph of tape primitives.  Inference folds the terms fixed for a
-candidate list once (`list_state`), the candidate context among them, so
-a greedy step (`score_batch`) takes only the previous context and adds
-one small matrix product.
+composed graph of tape primitives; the training set is scored in fixed
+row chunks.  Inference folds a list's fixed terms once (`list_state`),
+the candidate context among them, so a greedy step (`score_batch`)
+takes only the previous context and adds one small matrix product.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from . import autodiff as ad
 from .data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError, _save_csv
 from .interests import InterestProfile
 from .metrics import auc
+
+SCORE_CHUNK_ROWS = 1024  # impressions per forward when scoring the training set, not a knob
 
 
 @dataclass
@@ -261,7 +263,8 @@ def train_scorer(
 ) -> list[dict[str, float]]:
     """Minibatch SGD on cross-entropy; returns the per-epoch loss curve.
 
-    Each curve entry holds the epoch's mean training loss and AUC.
+    Each curve entry holds the epoch's mean training loss and AUC; the AUC
+    and the divergence advice score the training set in fixed row chunks.
     Degenerate label sets (all positive or all negative) are rejected.
     lr = 0 performs the full loop but leaves parameters bit-identical; a
     non-finite loss or parameter after an epoch raises NumericalError.
@@ -276,14 +279,20 @@ def train_scorer(
     labels_all = impressions.labels
 
     n = len(impressions)
-    # Each user's profile rows are looked up once, then spread to their rows.
+    # Each user's profile rows are looked up once; a minibatch or chunk gathers its own by `rows`.
     users = sorted(set(impressions.user_ids))
     user_row = {user_id: row for row, user_id in enumerate(users)}
     zero = np.zeros(params.dim)
     macro = np.stack([profiles[u].h_macro if u in profiles else zero for u in users])
     micro = np.stack([profiles[u].h_micro if u in profiles else zero for u in users])
     rows = np.fromiter(map(user_row.__getitem__, impressions.user_ids), np.intp, n)
-    columns = (impressions.embeddings, macro[rows], micro[rows], impressions.h_prev, impressions.h_cand)
+
+    def columns(at):  # the scorer's five inputs for the impressions at `at`
+        return impressions.embeddings[at], macro[rows[at]], micro[rows[at]], impressions.h_prev[at], impressions.h_cand[at]
+
+    def logits(p: ScorerParams) -> np.ndarray:  # chunk by chunk, so the forward's temporaries stay bounded
+        step = SCORE_CHUNK_ROWS
+        return np.concatenate([ad.score_logits(*columns(slice(lo, lo + step)), p) for lo in range(0, n, step)])
 
     weights = list(params.arrays().values())
     initial = ScorerParams(*(w.copy() for w in weights))  # a few KB, read only on divergence
@@ -297,19 +306,19 @@ def train_scorer(
             losses: list[float] = []
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                loss, grads = ad.backward(*[c[batch] for c in columns], params, labels_all[batch])
+                loss, grads = ad.backward(*columns(batch), params, labels_all[batch])
                 losses.append(loss * len(batch))
                 for w, g in zip(weights, grads):
                     w -= lr * g
             epoch_loss = float(np.sum(losses) / n)
             if not math.isfinite(epoch_loss) or not all(np.isfinite(w).all() for w in weights):
-                at_init = ad.cross_entropy(ad.score_logits(*columns, initial), labels_all)[0]
+                at_init = ad.cross_entropy(logits(initial), labels_all)[0]
                 advice = "lower the learning rate" if math.isfinite(at_init) else (
                     "the scorer's inputs (item embeddings or interest vectors) overflow at its "
                     "initial weights; rescale or normalize the catalog")
                 raise NumericalError(
                     f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); {advice}")
-            probs = ad.softmax(ad.score_logits(*columns, params))[:, 1]
+            probs = ad.softmax(logits(params))[:, 1]
             curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels_all, probs))})
     return curve
 

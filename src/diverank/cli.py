@@ -146,9 +146,10 @@ def cmd_cluster(args) -> None:
     # Only catalog items are written; those never interacted with fall back
     # to nearest-centroid labels.
     clusters = {i: item_clusters[i] for i in table.ids if i in item_clusters}
-    if clusters:
-        missing = [i for i in table.ids if i not in clusters]
-        clusters.update(assign_new_items(missing, table.rows(missing), cluster_centroids(table, clusters)))
+    if not clusters:
+        raise ValidationError(f"{args.behaviors}: no behavior item is in {args.items}")
+    missing = [i for i in table.ids if i not in clusters]
+    clusters.update(assign_new_items(missing, table.rows(missing), cluster_centroids(table, clusters)))
     save_clusters(args.out, clusters)
     print(f"cluster: {len(set(clusters.values()))} clusters over {len(clusters)} items, Q={q:.6f}")
 

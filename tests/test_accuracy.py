@@ -8,10 +8,12 @@ layer, and the two-logit softmax.  The training math of
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import diverank.accuracy as accuracy
 import diverank.autodiff as ad
 from composed_scorer import composed_backward, composed_step
 from diverank.accuracy import (
@@ -414,6 +416,81 @@ class TestTrainingCallsBackward:
         assert wrapped_curve == plain_curve
         for name, w in plain_params.arrays().items():
             assert wrapped_params.arrays()[name].tobytes() == w.tobytes(), name
+
+
+def count_score_logits(monkeypatch):
+    """Wrap `autodiff.score_logits`; the returned list gets each call's row count."""
+    seen, original = [], ad.score_logits
+
+    def counted(*args):
+        seen.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(ad, "score_logits", counted)
+    return seen
+
+
+class TestChunkedScoring:
+    """`train_scorer` scores the whole training set `SCORE_CHUNK_ROWS` rows
+    at a time, and gathers each minibatch's interest rows by user."""
+
+    # 70 = 4 * 16 + 6 = 10 * 7 = 69 + 1: a partial last chunk, whole chunks only, a one-row last chunk.
+    @pytest.mark.parametrize("chunk", [16, 7, 69])
+    def test_chunk_boundaries_change_no_bit(self, rng, monkeypatch, chunk):
+        n, epochs = 70, 2
+        base = separable_impressions(rng, n=n)
+        users = tuple(f"u{r % 5}" for r in range(n))
+        impressions = Impressions(users, base.embeddings, rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), base.labels)
+        profiles = {f"u{u}": make_profile(f"u{u}", rng, 4) for u in range(4)}  # u4 has none: zero rows
+        seen = count_score_logits(monkeypatch)
+
+        def train():
+            params = init_scorer_params(4, np.random.default_rng(7))
+            return params, train_scorer(impressions, profiles, params, lr=0.1, epochs=epochs, seed=3)
+
+        whole_params, whole_curve = train()
+        assert seen == [n] * epochs
+        seen.clear()
+        monkeypatch.setattr(accuracy, "SCORE_CHUNK_ROWS", chunk)
+        chunked_params, chunked_curve = train()
+        assert seen == ([chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)) * epochs
+        assert chunked_curve == whole_curve
+        for name, w in whole_params.arrays().items():
+            assert chunked_params.arrays()[name].tobytes() == w.tobytes(), name
+
+    def test_extra_peak_grows_by_under_256_bytes_per_impression(self):
+        """Scoring every impression in one forward allocated about 2.6 KB
+        per impression at d=16.  In chunks, the peak above the inputs grows
+        only by per-impression vectors such as the epoch's order, the
+        logits and the AUC's ranks: about 33 bytes per impression."""
+
+        def extra_peak(n, d=16):
+            rng = np.random.default_rng(n)
+            users = tuple(f"u{r % 50}" for r in range(n))
+            impressions = Impressions(users, *(rng.normal(size=(n, d)) for _ in range(3)), np.arange(n) % 2)
+            params = init_scorer_params(d, rng)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                train_scorer(impressions, {}, params, lr=0.1, epochs=1, seed=0)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        small, large = 2048, 8192
+        assert (extra_peak(large) - extra_peak(small)) / (large - small) < 256
+
+    def test_overflow_in_the_last_partial_chunk_gets_the_overflow_advice(self, rng, monkeypatch):
+        base = separable_impressions(rng, n=70)
+        embeddings = base.embeddings.copy()
+        embeddings[-1, 0] = 1e200  # row 69, in the last chunk of rows 64 to 69
+        impressions = Impressions(base.user_ids, embeddings, base.h_prev, base.h_cand, base.labels)
+        monkeypatch.setattr(accuracy, "SCORE_CHUNK_ROWS", 16)
+        seen = count_score_logits(monkeypatch)
+        params = init_scorer_params(4, np.random.default_rng(2))
+        with pytest.raises(NumericalError, match="epoch 0 .*overflow at its initial weights"):
+            train_scorer(impressions, {}, params, lr=0.1, epochs=3, seed=0)
+        assert seen == [16, 16, 16, 16, 6]
 
 
 class TestInit:

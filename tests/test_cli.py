@@ -180,13 +180,27 @@ class TestPipelineArtifacts:
             assert 0.0 <= float(r["mean_ilad"]) <= 2.0
 
 
-    @pytest.mark.parametrize("kept", [30, 15, 0], ids=["whole catalog", "first half", "empty catalog"])
-    def test_cluster_summary_counts_what_it_writes(self, kept, pipeline, tmp_path, capsys):
-        """Only catalog items are written, so only they are counted."""
+    @pytest.mark.parametrize(
+        "kept, prefix",
+        [(30, ""), (15, ""), (0, ""), (30, "new-")],
+        ids=["whole catalog", "first half", "empty catalog", "no shared id"],
+    )
+    def test_cluster_summary_counts_what_it_writes(self, kept, prefix, pipeline, tmp_path, capsys):
+        """Only catalog items are written, so only they are counted.  With no
+        behaviour item in the catalog there is nothing to seed a cluster: the
+        run fails, names both files and writes nothing."""
+        lines = (pipeline["fix"] / "items.jsonl").read_text().splitlines(keepends=True)[:kept]
+        if prefix:
+            lines = [json.dumps({**doc, "item_id": prefix + doc["item_id"]}) + "\n" for doc in map(json.loads, lines)]
         items = tmp_path / "items.jsonl"
-        items.write_text("".join((pipeline["fix"] / "items.jsonl").read_text().splitlines(keepends=True)[:kept]))
-        out = tmp_path / "clusters.jsonl"
-        argv = ["cluster", "--items", items, "--behaviors", pipeline["fix"] / "behaviors.jsonl", "--out", out]
+        items.write_text("".join(lines))
+        behaviors, out = pipeline["fix"] / "behaviors.jsonl", tmp_path / "clusters.jsonl"
+        argv = ["cluster", "--items", items, "--behaviors", behaviors, "--out", out]
+        if not kept or prefix:
+            assert run(*map(str, argv)) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {behaviors}: no behavior item is in {items}"]
+            assert not out.exists()
+            return
         assert run(*map(str, argv)) == 0
         written = [json.loads(line) for line in out.read_text().splitlines()]
         n_clusters = len({doc["cluster_id"] for doc in written})
