@@ -168,18 +168,20 @@ def cmd_train_scorer(args) -> None:
     now = max(latest)
     if not len(table):
         raise ValidationError(f"{args.items}: embedding table is empty")
+    impressions = build_impressions(behaviors, table)
+    try:
+        check_trainable(impressions)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.behaviors}: {exc}") from None
+    # With no clustered catalog item every macro interest would be zero.
+    if not any(item_id in table for item_id in item_clusters):
+        raise ValidationError(f"{args.clusters}: no clustered item is in {args.items}")
 
     profiles = [
         build_profile(events, table, item_clusters, top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
         for events in behaviors
     ]
     profile_map = {p.user_id: p for p in profiles}
-
-    impressions = build_impressions(behaviors, table)
-    try:
-        check_trainable(impressions)
-    except ValidationError as exc:
-        raise ValidationError(f"{args.behaviors}: {exc}") from None
     scorer_rng = np.random.default_rng(derive_seed(args.seed, "scorer-init"))
     params = init_scorer_params(
         table.dim, scorer_rng, reduction=args.reduction, hidden=args.hidden

@@ -6,7 +6,10 @@ modularity is the normalized excess of realized over expected weight
 inside clusters.  Local moves in the style of Louvain maximize it over a
 single level (no graph contraction): nodes are scanned in ascending node
 id and moved to the adjacent cluster with the largest strictly positive
-gain, until a full pass changes nothing.
+gain, until a full pass changes nothing.  The moves keep their state in
+plain Python ints (labels and degrees in lists, each side's per-cluster
+degree sums in dicts), so a move's gain costs O(degree) with no numpy
+scalar reads; numpy numbers the final clusters.
 """
 
 from __future__ import annotations
@@ -64,9 +67,6 @@ class BipartiteGraph:
     def n_edges(self) -> int:
         return sum(len(ns) for ns in self.adjacency) // 2
 
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
     def is_user(self, node: int) -> bool:
         return node < self.n_users
 
@@ -121,59 +121,6 @@ def modularity(graph: BipartiteGraph, labels: np.ndarray) -> float:
     return (inside - float(d_user @ d_item) / e) / e
 
 
-class _MoveState:
-    """Bookkeeping for O(degree) local-move gains.
-
-    For a user node, only the total item degree inside each cluster
-    matters; for an item node, only the total user degree.  Those sums
-    and per-cluster link counts give the modularity change of a move
-    without touching the rest of the graph.
-    """
-
-    def __init__(self, graph: BipartiteGraph, labels: np.ndarray):
-        self.graph = graph
-        self.labels = labels
-        self.e = graph.n_edges
-        self.user_degree_sum: dict[int, int] = {}
-        self.item_degree_sum: dict[int, int] = {}
-        for node in range(graph.n_nodes):
-            lab = int(labels[node])
-            side = self.user_degree_sum if graph.is_user(node) else self.item_degree_sum
-            side[lab] = side.get(lab, 0) + graph.degree(node)
-
-    def links_to(self, node: int) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for nb in self.graph.adjacency[node]:
-            lab = int(self.labels[nb])
-            counts[lab] = counts.get(lab, 0) + 1
-        return counts
-
-    def gain(self, node: int, target: int, links: dict[int, int]) -> float:
-        """Modularity change of moving `node` to cluster `target`."""
-        current = int(self.labels[node])
-        if target == current:
-            return 0.0
-        k = self.graph.degree(node)
-        other = self.item_degree_sum if self.graph.is_user(node) else self.user_degree_sum
-        links_new = links.get(target, 0)
-        links_old = links.get(current, 0)
-        deg_new = other.get(target, 0)
-        deg_old = other.get(current, 0)
-        delta_links = links_new - links_old
-        delta_null = k * (deg_new - deg_old) / self.e
-        return (delta_links - delta_null) / self.e
-
-    def apply(self, node: int, target: int) -> None:
-        current = int(self.labels[node])
-        k = self.graph.degree(node)
-        side = self.user_degree_sum if self.graph.is_user(node) else self.item_degree_sum
-        side[current] -= k
-        if side[current] == 0:
-            del side[current]
-        side[target] = side.get(target, 0) + k
-        self.labels[node] = target
-
-
 # Local-move passes stop when a pass moves no node or after this many.
 MAX_PASSES = 50
 
@@ -187,36 +134,48 @@ def louvain(graph: BipartiteGraph) -> ClusterAssignment:
     (node, from_cluster, to_cluster, gain) for audit.  The returned
     cluster ids are dense, numbered in order of each cluster's first node.
     """
-    labels = np.arange(graph.n_nodes, dtype=np.int64)
-    state = _MoveState(graph, labels)
+    adjacency, nu, n, e = graph.adjacency, graph.n_users, graph.n_nodes, graph.n_edges
+    labels = list(range(n))
+    degree = [len(ns) for ns in adjacency]
+    # Cluster id -> summed degree of its users, and of its items.
+    user_sum = dict(enumerate(degree[:nu]))
+    item_sum = dict(zip(range(nu, n), degree[nu:]))
     move_log: list[tuple[int, int, int, float]] = []
-    fresh = graph.n_nodes  # ids below n_nodes are taken by the singleton init
+    fresh = n  # ids below n are taken by the singleton init
     for _ in range(MAX_PASSES):
         moved = False
-        for node in range(graph.n_nodes):
-            links = state.links_to(node)
-            current = int(labels[node])
-            best_target = current
-            best_gain = 0.0
+        for node in range(n):
+            links: dict[int, int] = {}  # cluster id -> edges from node into it
+            for nb in adjacency[node]:
+                lab = labels[nb]
+                links[lab] = links.get(lab, 0) + 1
+            current, k = labels[node], degree[node]
+            # A user's gain weighs the item degree in each cluster; an item's the user degree.
+            own, other = (user_sum, item_sum) if node < nu else (item_sum, user_sum)
+            links_old, deg_old = links.get(current, 0), other.get(current, 0)
+            best_target, best_gain = current, 0.0
             # Neighbor clusters in ascending id, then a fresh singleton
             # escape; strict improvement keeps every accepted move a real
             # modularity increase and ties resolve to the lowest id.
             for target in sorted(links) + [fresh]:
                 if target == current:
                     continue
-                gain = state.gain(node, target, links)
+                gain = ((links.get(target, 0) - links_old) - k * (other.get(target, 0) - deg_old) / e) / e
                 if gain > best_gain + 1e-13:
-                    best_gain = gain
-                    best_target = target
+                    best_gain, best_target = gain, target
             if best_target != current:
                 move_log.append((node, current, best_target, best_gain))
-                state.apply(node, best_target)
+                own[current] -= k
+                if not own[current]:
+                    del own[current]
+                own[best_target] = own.get(best_target, 0) + k
+                labels[node] = best_target
                 if best_target == fresh:
                     fresh += 1
                 moved = True
         if not moved:
             break
-    _, first, dense = np.unique(labels, return_index=True, return_inverse=True)
+    _, first, dense = np.unique(np.array(labels, np.int64), return_index=True, return_inverse=True)
     return ClusterAssignment(graph, np.argsort(np.argsort(first))[dense], move_log)
 
 

@@ -5,9 +5,11 @@ greedy selector, the greedy loop and scorer as they were before the
 scorer's list-invariant terms were hoisted, with the selection context
 they kept as a record (`ContextState`), a full check of a built kernel
 matrix, a clamped binary log-loss for the metric goldens, central
-finite differences for every analytic gradient, and candidate and behavior
-lines written by one `json.dumps` call each.  `user_records` builds the
-behavior records that the tests feed to the stages from plain rows.
+finite differences for every analytic gradient, the local-move clustering
+as it was with its state in numpy (`reference_louvain`), and candidate
+and behavior lines written by one `json.dumps` call each.  `user_records`
+builds the behavior records that the tests feed to the stages from plain
+rows.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from diverank.accuracy import ScorerParams
+from diverank.clustering import MAX_PASSES, BipartiteGraph, ClusterAssignment
 from diverank.data import (
     NO_LABEL,
     CandidateSet,
@@ -229,6 +232,102 @@ def finite_difference(loss_fn: Callable[[], float], arrays: Iterable[np.ndarray]
             grad_flat[idx] = (hi - lo) / (2.0 * FD_STEP)
         grads.append(grad)
     return grads
+
+
+class _MoveState:
+    """Bookkeeping for O(degree) local-move gains.
+
+    For a user node, only the total item degree inside each cluster
+    matters; for an item node, only the total user degree.  Those sums
+    and per-cluster link counts give the modularity change of a move
+    without touching the rest of the graph.
+    """
+
+    def __init__(self, graph: BipartiteGraph, labels: np.ndarray):
+        self.graph = graph
+        self.labels = labels
+        self.e = graph.n_edges
+        self.user_degree_sum: dict[int, int] = {}
+        self.item_degree_sum: dict[int, int] = {}
+        for node in range(graph.n_nodes):
+            lab = int(labels[node])
+            side = self.user_degree_sum if graph.is_user(node) else self.item_degree_sum
+            side[lab] = side.get(lab, 0) + len(graph.adjacency[node])
+
+    def links_to(self, node: int) -> dict[int, int]:
+        counts: dict[int, int] = {}
+        for nb in self.graph.adjacency[node]:
+            lab = int(self.labels[nb])
+            counts[lab] = counts.get(lab, 0) + 1
+        return counts
+
+    def gain(self, node: int, target: int, links: dict[int, int]) -> float:
+        """Modularity change of moving `node` to cluster `target`."""
+        current = int(self.labels[node])
+        if target == current:
+            return 0.0
+        k = len(self.graph.adjacency[node])
+        other = self.item_degree_sum if self.graph.is_user(node) else self.user_degree_sum
+        links_new = links.get(target, 0)
+        links_old = links.get(current, 0)
+        deg_new = other.get(target, 0)
+        deg_old = other.get(current, 0)
+        delta_links = links_new - links_old
+        delta_null = k * (deg_new - deg_old) / self.e
+        return (delta_links - delta_null) / self.e
+
+    def apply(self, node: int, target: int) -> None:
+        current = int(self.labels[node])
+        k = len(self.graph.adjacency[node])
+        side = self.user_degree_sum if self.graph.is_user(node) else self.item_degree_sum
+        side[current] -= k
+        if side[current] == 0:
+            del side[current]
+        side[target] = side.get(target, 0) + k
+        self.labels[node] = target
+
+
+def reference_louvain(graph: BipartiteGraph) -> ClusterAssignment:
+    """`louvain` as it was with its state in numpy and `_MoveState`: every
+    label a numpy scalar read, and every gain and move a method call.
+
+    Deterministic: the scan order is ascending node id and ties break to
+    the lowest cluster id, so output depends only on the graph.  Every
+    accepted move strictly increases modularity; the move log records
+    (node, from_cluster, to_cluster, gain) for audit.  The returned
+    cluster ids are dense, numbered in order of each cluster's first node.
+    """
+    labels = np.arange(graph.n_nodes, dtype=np.int64)
+    state = _MoveState(graph, labels)
+    move_log: list[tuple[int, int, int, float]] = []
+    fresh = graph.n_nodes  # ids below n_nodes are taken by the singleton init
+    for _ in range(MAX_PASSES):
+        moved = False
+        for node in range(graph.n_nodes):
+            links = state.links_to(node)
+            current = int(labels[node])
+            best_target = current
+            best_gain = 0.0
+            # Neighbor clusters in ascending id, then a fresh singleton
+            # escape; strict improvement keeps every accepted move a real
+            # modularity increase and ties resolve to the lowest id.
+            for target in sorted(links) + [fresh]:
+                if target == current:
+                    continue
+                gain = state.gain(node, target, links)
+                if gain > best_gain + 1e-13:
+                    best_gain = gain
+                    best_target = target
+            if best_target != current:
+                move_log.append((node, current, best_target, best_gain))
+                state.apply(node, best_target)
+                if best_target == fresh:
+                    fresh += 1
+                moved = True
+        if not moved:
+            break
+    _, first, dense = np.unique(labels, return_index=True, return_inverse=True)
+    return ClusterAssignment(graph, np.argsort(np.argsort(first))[dense], move_log)
 
 
 def _dumps(doc: dict) -> str:

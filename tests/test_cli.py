@@ -207,6 +207,19 @@ class TestPipelineArtifacts:
         assert len(written) == kept
         assert capsys.readouterr().out.startswith(f"cluster: {n_clusters} clusters over {kept} items, Q=")
 
+    @pytest.mark.parametrize("lines", [[], [{"item_id": "nope", "cluster_id": 0}]], ids=["empty", "unknown item"])
+    def test_train_scorer_needs_a_clustered_catalog_item(self, lines, pipeline, tmp_path, capsys):
+        """With no `--clusters` item in the catalog every macro interest would
+        be zero: the run fails, names both files and writes nothing.  The
+        empty-catalog and empty-behaviour checks come first (TestMalformedInput)."""
+        clusters, out = tmp_path / "clusters.jsonl", tmp_path / "model"
+        clusters.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        items, behaviors = pipeline["fix"] / "items.jsonl", pipeline["fix"] / "behaviors.jsonl"
+        argv = ["train-scorer", "--items", items, "--behaviors", behaviors, "--clusters", clusters, "--out", out]
+        assert run(*map(str, argv)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {clusters}: no clustered item is in {items}"]
+        assert not out.exists()
+
 
 class TestCheckpoint:
     def test_holds_only_scorer_tensors(self, pipeline):

@@ -2,13 +2,17 @@
 
 The modularity oracle is a direct double loop over user-item pairs; the
 toy-graph maximum is certified by enumerating all set partitions of the
-nodes (Bell(4) = 15 for the 2x2 graph).
+nodes (Bell(4) = 15 for the 2x2 graph).  `louvain` is held move for move,
+gains bit for bit, to `reference_louvain`, the same local moves with their
+state in numpy.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diverank.clustering import (
     BipartiteGraph,
@@ -20,6 +24,7 @@ from diverank.clustering import (
     save_clusters,
 )
 from diverank.data import EmbeddingTable, ValidationError
+from oracles import reference_louvain
 
 
 def modularity_oracle(graph, labels):
@@ -28,13 +33,13 @@ def modularity_oracle(graph, labels):
     e = graph.n_edges
     total = 0.0
     for ui in range(graph.n_users):
-        k_u = graph.degree(ui)
+        k_u = len(graph.adjacency[ui])
         for ij in range(len(graph.item_ids)):
             node_j = graph.n_users + ij
             if labels[ui] != labels[node_j]:
                 continue
             a = 1.0 if node_j in graph.adjacency[ui] else 0.0
-            total += a - k_u * graph.degree(node_j) / e
+            total += a - k_u * len(graph.adjacency[node_j]) / e
     return total / e
 
 
@@ -58,6 +63,20 @@ def partition_sets(labels):
     return frozenset(frozenset(g) for g in groups.values())
 
 
+@st.composite
+def bipartite_edges(draw):
+    """A random user-item edge set, or a circulant one (user u linked to
+    items u + s mod n for a set of shifts s) in which every node has the
+    same degree, so that equal gains tie."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        shifts = draw(st.sets(st.integers(0, n - 1), min_size=1))
+        return [(f"u{u}", f"i{(u + s) % n}") for u in range(n) for s in shifts]
+    users, items = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    cells = draw(st.sets(st.tuples(st.integers(0, users - 1), st.integers(0, items - 1)), min_size=1))
+    return [(f"u{u}", f"i{i}") for u, i in cells]
+
+
 def toy_graph():
     # Two users, two items, one edge each: (u1,i1), (u2,i2).
     return BipartiteGraph.from_edges([("u1", "i1"), ("u2", "i2")])
@@ -68,7 +87,7 @@ class TestGraphConstruction:
         g = toy_graph()
         assert g.n_nodes == 4
         assert g.n_edges == 2
-        assert all(g.degree(n) == 1 for n in range(4))
+        assert all(len(g.adjacency[n]) == 1 for n in range(4))
 
     def test_duplicate_edges_collapse(self):
         g = BipartiteGraph.from_edges([("u1", "i1"), ("u1", "i1")])
@@ -77,7 +96,7 @@ class TestGraphConstruction:
     def test_star(self):
         g = BipartiteGraph.from_edges([("u1", "i1"), ("u1", "i2"), ("u1", "i3")])
         assert g.n_edges == 3
-        assert g.degree(0) == 3
+        assert len(g.adjacency[0]) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -186,6 +205,16 @@ class TestLouvain:
         first_seen = {}
         dense = [first_seen.setdefault(lab, len(first_seen)) for lab in labels.tolist()]
         assert result.labels.tolist() == dense
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edges=bipartite_edges())
+    @example(edges=[("u1", "i1"), ("u1", "i2"), ("u2", "i1"), ("u2", "i2")])  # one tie after another
+    def test_matches_the_reference_move_for_move(self, edges):
+        g = BipartiteGraph.from_edges(edges)
+        got, want = louvain(g), reference_louvain(g)
+        assert got.move_log == want.move_log  # gains compared exactly
+        assert got.labels.dtype == want.labels.dtype == np.int64
+        assert got.labels.tolist() == want.labels.tolist()
 
     def test_beats_singletons_and_random_assignments(self, rng):
         edges = set()
