@@ -73,24 +73,23 @@ def main():
     print("determinant objective is happier to spend picks on them")
 
     section("3. A duplicate's marginal volume collapses")
-    twin_kernel = KernelMatrix(
-        ids=("a", "a_copy", "b"),
-        values=np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-    )
+    d = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    twin_kernel = KernelMatrix(ids=("a", "a_copy", "b"), values=d)
     twins = CandidateSet(
         user_id="u",
         ids=("a", "a_copy", "b"),
         embeddings=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         base_scores=np.array([0.9, 0.9, 0.5]),
     )
-    result, trace = bs_dpp_select(
+    result, _ = bs_dpp_select(
         twins, twin_kernel, constant_scorer(np.array([0.9, 0.9, 0.5])),
-        ExperimentConfig(alpha=1.0, k=2), collect_trace=True,
+        ExperimentConfig(alpha=1.0, k=2),
     )
-    for step in trace.steps:
-        print(f"step {len(step.selected_before)}: d^2 = {step.d2}  "
-              f"eligible = {step.eligible}")
-    print(f"selected: {result.item_ids}")
+    for item_id, log_d2 in zip(result.item_ids, result.log_d2):
+        print(f"pick {item_id!r}: log d^2 = {log_d2:.3f}")
+    a, c = 0, 1
+    # d^2 of 'a_copy' given 'a': the Schur complement D[c,c] - D[c,a]^2 / D[a,a].
+    print(f"d^2 of 'a_copy' after 'a' = {d[c, c] - d[c, a] ** 2 / d[a, a]:.3f}")
     print("after 'a' goes in, 'a_copy' spans no new volume: d^2 hits 0")
     print("and it drops out of the running; the weaker but novel 'b' wins")
 
@@ -99,7 +98,7 @@ def main():
     pool = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores)
     for alpha in (0.0, 1.0, 4.0):
         cfg = ExperimentConfig(alpha=alpha, k=4)
-        res = bs_dpp_select(pool, kernel, constant_scorer(scores), cfg)
+        res, _ = bs_dpp_select(pool, kernel, constant_scorer(scores), cfg)
         chosen = [i for i, item_id in enumerate(ids) if item_id in res.item_ids]
         spread = ilad(embs[chosen])
         genres = sorted({item_id.split("_")[0] for item_id in res.item_ids})

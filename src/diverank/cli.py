@@ -259,10 +259,10 @@ def cmd_rerank(args) -> None:
         if args.dump_kernel:
             _dump_kernel(args.dump_kernel, cs.user_id, kernel.values)
         # Built inline, so its per-list terms are freed before the next kernel build.
-        result, trace = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg, collect_trace=True)
+        result, min_d2 = bs_dpp_select(cs, kernel, profile_scorer(cs, profile, params), cfg)
         results.append(result)
         diag_rows.append([cs.user_id, cs.size, len(result.item_ids), int(result.exhausted),
-                          _fmt(result.objective), _fmt(trace.min_d2_before_clamp)])
+                          _fmt(result.objective), _fmt(min_d2)])
 
     save_results(args.out, results)
     _save_csv(args.out + ".diag.csv", [
@@ -370,7 +370,7 @@ def cmd_sweep(args) -> None:
         for alpha, cfg_a, acc_a, times_a in zip(alphas, cfgs, acc, times):
             # Looked up at call time, so that a wrapped module global is the one timed.
             select = {
-                "bs_dpp": lambda: bs_dpp_select(cs, kernel, scorer, cfg_a),
+                "bs_dpp": lambda: bs_dpp_select(cs, kernel, scorer, cfg_a)[0],
                 "fixed_dpp": lambda: fixed_score_dpp_select(cs, kernel, cfg_a),
                 "mmr": lambda: mmr_select(cs, sim, 1.0 / (1.0 + alpha), cfg.k),
             }

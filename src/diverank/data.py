@@ -702,13 +702,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
     """Read named finite 2-D arrays; a malformed document is a ParseError."""
     doc = _load_json_object(path, "checkpoint")
     version = doc.get("version")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1 == 1.0 in Python
         raise ValidationError(f"{path}: unsupported checkpoint version {version!r}")
     arrays: dict[str, np.ndarray] = {}
     try:
         for entry in doc["tensors"]:
             name, (rows, cols), data = entry["name"], entry["shape"], entry["data"]
             _check_id(name, "tensor name")
+            if name in arrays:
+                raise ValueError(f"{name} appears twice")
             if type(rows) is not int or type(cols) is not int or rows < 0 or cols < 0:
                 raise ValueError(f"{name} shape must be two integers >= 0, got {entry['shape']!r}")
             arrays[name] = _finite_vector(data, f"{name} data", rows * cols).reshape(rows, cols)

@@ -72,15 +72,6 @@ def normalize_rows(embeddings: np.ndarray) -> np.ndarray:
     return embs / np.where(norms > 0.0, norms, 1.0)
 
 
-def modulated_vectors(embeddings: np.ndarray, interest: np.ndarray) -> np.ndarray:
-    """Project embeddings through an interest vector, componentwise."""
-    embs = np.asarray(embeddings, dtype=np.float64)
-    interest = np.asarray(interest, dtype=np.float64)
-    if embs.ndim != 2 or interest.shape != (embs.shape[1],):
-        raise ValidationError("embeddings (n, d) and interest (d,) expected")
-    return embs * interest
-
-
 def composite_matrix(
     ids,
     embeddings: np.ndarray,
@@ -149,9 +140,9 @@ def _terms(base: np.ndarray, profile: InterestProfile, cfg: ExperimentConfig) ->
     """Per term: vectors, finite 1/b^2, beta, and the knobs that name it, beta first."""
     specs = [(base, 1.0, "", "b_item", cfg.b_item)]
     if cfg.beta1 > 0.0:
-        specs.append((modulated_vectors(base, profile.h_macro), cfg.beta1, f"beta1={cfg.beta1:g}, ", "b_l", cfg.b_l))
+        specs.append((base * profile.h_macro, cfg.beta1, f"beta1={cfg.beta1:g}, ", "b_l", cfg.b_l))
     if cfg.beta2 > 0.0:
-        specs.append((modulated_vectors(base, profile.h_micro), cfg.beta2, f"beta2={cfg.beta2:g}, ", "b_s", cfg.b_s))
+        specs.append((base * profile.h_micro, cfg.beta2, f"beta2={cfg.beta2:g}, ", "b_s", cfg.b_s))
     terms = []
     for vectors, beta, knobs, b_name, b in specs:
         b2 = b * b

@@ -23,7 +23,6 @@ marginal relevance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,32 +54,15 @@ def profile_scorer(
     return lambda h_prev: score_batch(embs, h_prev, params, state)
 
 
-@dataclass
-class StepTrace:
-    """Numerical snapshot of one greedy step, for audit and testing.  The arrays
-    are the loop's own, not copies: it rebinds them and never writes into them."""
-
-    chosen: int
-    selected_before: tuple[int, ...]
-    d2: np.ndarray
-    scores: np.ndarray
-    eligible: np.ndarray
-
-
-@dataclass
-class SelectionTrace:
-    steps: list[StepTrace] = field(default_factory=list)
-    min_d2_before_clamp: float = np.inf
-
-
 def bs_dpp_select(
     candidates: CandidateSet,
     kernel: KernelMatrix,
     scorer: Scorer,
     cfg: ExperimentConfig,
-    collect_trace: bool = False,
-) -> RerankResult | tuple[RerankResult, SelectionTrace]:
-    """Greedy joint accuracy-diversity selection of up to cfg.k items.
+) -> tuple[RerankResult, float]:
+    """Greedy joint accuracy-diversity selection of up to cfg.k items, and
+    its d^2 floor: the smallest d_i^2 of any candidate not yet picked,
+    before clamping, over every step.
 
     The scorer is re-evaluated after every pick with h_prev, the mean
     embedding of the items picked so far.  The first pick maximizes the joint objective
@@ -98,8 +80,7 @@ def bs_dpp_select(
     embs = candidates.embeddings
     d2 = np.diag(d_matrix).astype(np.float64)
     cis = np.zeros((k, n))
-    trace = SelectionTrace()
-    trace.min_d2_before_clamp = float(d2.min())
+    min_d2 = float(d2.min())
 
     selected: list[int] = []
     unselected = np.ones(n, dtype=bool)
@@ -131,8 +112,6 @@ def bs_dpp_select(
             values = log_d2 if not selected and cfg.diversity_only_init else joint
             # Some entry is eligible, so its finite value wins; ties go to the lowest index.
             j = int(np.where(eligible, values, -np.inf).argmax())
-            if collect_trace:
-                trace.steps.append(StepTrace(j, tuple(selected), d2, scores, eligible))
             marginal = float(joint[j])
             picks.append((float(scores[j]), float(log_d2[j]), marginal))
             objective += marginal
@@ -148,7 +127,7 @@ def bs_dpp_select(
             cis[t, :] = e
             d2 = d2 - np.square(e)
             # Fewer than k <= n items are selected, so some entry is left.
-            trace.min_d2_before_clamp = min(trace.min_d2_before_clamp, float(d2[unselected].min()))
+            min_d2 = min(min_d2, float(d2[unselected].min()))
             d2 = np.maximum(d2, 0.0)
 
             eligible = (d2 > epsilon) & unselected
@@ -161,10 +140,7 @@ def bs_dpp_select(
     if not np.isfinite(objective):
         raise NumericalError(f"objective sum overflows at alpha={alpha:g}; lower alpha")
     item_ids = tuple(candidates.ids[j] for j in selected)
-    result = RerankResult(candidates.user_id, item_ids, *zip(*picks), objective, exhausted)
-    if collect_trace:
-        return result, trace
-    return result
+    return RerankResult(candidates.user_id, item_ids, *zip(*picks), objective, exhausted), min_d2
 
 
 def fixed_score_dpp_select(
@@ -173,9 +149,10 @@ def fixed_score_dpp_select(
     """Greedy DPP with the scorer frozen to the base scores.
 
     Identical machinery to bs_dpp_select; only the score source differs,
-    so it doubles as the fast-greedy comparator baseline.
+    so it doubles as the fast-greedy comparator baseline.  Returns the
+    result alone: its one caller, `sweep`, reads no d^2 floor.
     """
-    return bs_dpp_select(candidates, kernel, constant_scorer(candidates.base_scores), cfg)
+    return bs_dpp_select(candidates, kernel, constant_scorer(candidates.base_scores), cfg)[0]
 
 
 def subset_objective(

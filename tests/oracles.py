@@ -3,19 +3,20 @@
 Each is slow or narrow by design: exhaustive subset search for the
 greedy selector, the greedy loop and scorer as they were before the
 scorer's list-invariant terms were hoisted, with the selection context
-they kept as a record (`ContextState`), a full check of a built kernel
-matrix, a clamped binary log-loss for the metric goldens, central
-finite differences for every analytic gradient, the local-move clustering
-as it was with its state in numpy (`reference_louvain`), and candidate
-and behavior lines written by one `json.dumps` call each.  `user_records`
-builds the behavior records that the tests feed to the stages from plain
-rows.
+they kept as a record (`ContextState`) and the per-step trace the loop
+records for audits (`StepTrace`, `SelectionTrace`), a full check of a
+built kernel matrix, a clamped binary log-loss for the metric goldens,
+central finite differences for every analytic gradient, the local-move
+clustering as it was with its state in numpy (`reference_louvain`), and
+candidate and behavior lines written by one `json.dumps` call each.
+`user_records` builds the behavior records that the tests feed to the
+stages from plain rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -34,7 +35,7 @@ from diverank.data import (
 )
 from diverank.interests import InterestProfile
 from diverank.kernels import KernelMatrix
-from diverank.selection import SelectionTrace, StepTrace, subset_objective
+from diverank.selection import subset_objective
 
 FD_STEP = 1e-5
 
@@ -116,6 +117,27 @@ def reference_scores(
     row = gated @ w1[3 * d :] + params.mlp_b1[0]
     gap = np.maximum(targets @ weight + row, 0.0) @ (w2[:, 1] - w2[:, 0]) + (b2[1] - b2[0])
     return sigmoid(gap)
+
+
+@dataclass
+class StepTrace:
+    """Numerical snapshot of one greedy step of `reference_greedy`: the pick,
+    the picks before it, and copies of d^2, the scores and eligibility."""
+
+    chosen: int
+    selected_before: tuple[int, ...]
+    d2: np.ndarray
+    scores: np.ndarray
+    eligible: np.ndarray
+
+
+@dataclass
+class SelectionTrace:
+    """Every step of one `reference_greedy` run, and the smallest d^2 of any
+    candidate not yet picked, before clamping, over those steps."""
+
+    steps: list[StepTrace] = field(default_factory=list)
+    min_d2_before_clamp: float = np.inf
 
 
 def reference_greedy(

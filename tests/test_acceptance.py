@@ -26,7 +26,7 @@ from diverank.selection import (
     constant_scorer,
     profile_scorer,
 )
-from oracles import exhaustive_map, logloss
+from oracles import exhaustive_map, logloss, reference_greedy
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -50,7 +50,9 @@ def random_instance(rng, n, d=None, identity_weight=None):
 
 def test_criterion_01_incremental_determinant_oracle(capsys):
     """Every step's conditional d_i^2 must equal the naive log-det
-    difference, for every still-eligible candidate."""
+    difference, for every still-eligible candidate.  The reference loop
+    records every step; the production loop must pick, and report each
+    pick's d^2 and the floor, bit for bit as it does."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -60,8 +62,10 @@ def test_criterion_01_incremental_determinant_oracle(capsys):
         kernel, cands, scores = random_instance(rng, n)
         alpha = float(rng.uniform(0.25, 3.0))
         cfg = ExperimentConfig(alpha=alpha, k=k)
-        _, trace = bs_dpp_select(
-            cands, kernel, constant_scorer(scores), cfg, collect_trace=True
+        want, trace = reference_greedy(cands, kernel, lambda ctx: scores, cfg)
+        got, min_d2 = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        assert (got.item_ids, got.log_d2, min_d2) == (
+            want.item_ids, want.log_d2, trace.min_d2_before_clamp
         )
         vals = kernel.values
         for step in trace.steps:
@@ -72,12 +76,20 @@ def test_criterion_01_incremental_determinant_oracle(capsys):
                 logdet = np.linalg.slogdet(vals[np.ix_(idx, idx)])[1]
                 diff = abs(alpha * np.log(step.d2[i]) - alpha * (logdet - base))
                 worst = max(worst, diff)
+        # Each production pick against the naive log-det of its prefix.
+        picks = [kernel.ids.index(item_id) for item_id in got.item_ids]
+        prev_logdet = 0.0
+        for t, log_d2 in enumerate(got.log_d2):
+            idx = picks[: t + 1]
+            logdet = np.linalg.slogdet(vals[np.ix_(idx, idx)])[1]
+            worst = max(worst, abs(alpha * log_d2 - alpha * (logdet - prev_logdet)))
+            prev_logdet = logdet
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-8 and elapsed < 30.0
     announce(
         capsys, 1,
         ok,
-        f"200 kernels, every eligible candidate at every step: "
+        f"200 kernels, every eligible candidate at every step and every pick: "
         f"max |alpha*log d^2 - logdet diff| = {worst:.2e} (atol 1e-8), {elapsed:.1f}s (< 30s)",
     )
     assert ok
@@ -98,7 +110,7 @@ def test_criterion_02_greedy_near_optimal(capsys):
         scores = rng.uniform(0.5, 1.0, n)
         alpha = 0.0 if trial % 4 == 0 else float(rng.uniform(0.1, 0.5))
         cfg = ExperimentConfig(alpha=alpha, k=k)
-        greedy = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        greedy, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         subset, optimum = exhaustive_map(kernel, scores, alpha, k)
         assert optimum > 0.0  # construction guarantees a positive target
         assert greedy.objective <= optimum + 1e-9
@@ -131,7 +143,7 @@ def test_criterion_03_duplicate_suppression(capsys):
     scores = np.array([0.9, 0.9, 0.5])
     cands = CandidateSet(user_id="u", ids=ids, embeddings=embs, base_scores=scores)
     cfg = ExperimentConfig(alpha=1.0, k=2)
-    greedy = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+    greedy, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
     subset, optimum = exhaustive_map(kernel, scores, 1.0, 2)
     ok = (
         greedy.item_ids == ("i1", "i3")
@@ -497,7 +509,7 @@ def test_criterion_07_complexity_contract(capsys):
     for _ in range(3):
         t0 = time.perf_counter()
         kernel = composite_matrix(cands.ids, cands.embeddings, profile, cfg)
-        result = bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
+        result, _ = bs_dpp_select(cands, kernel, profile_scorer(cands, profile, params), cfg)
         rerank_best = min(rerank_best, time.perf_counter() - t0)
     assert len(result.item_ids) == 50
 

@@ -33,9 +33,12 @@ from diverank.data import (
     save_items,
     save_results,
 )
-from diverank.interests import InterestProfile, save_profiles
+from diverank.interests import InterestProfile, load_profiles, save_profiles
+from diverank.kernels import composite_matrix
 from diverank.metrics import ilad
+from diverank.selection import profile_scorer
 from diverank.synth import SyntheticSpec
+from oracles import reference_greedy
 
 SYNTH_ARGS = [
     "--seed", "0",
@@ -148,12 +151,25 @@ class TestPipelineArtifacts:
             assert set(res.item_ids) <= offered[res.user_id]
 
     def test_diagnostics_cover_every_user_with_sane_d2(self, pipeline):
+        # Each floor is the reference loop's, run on rerank's inputs.
+        fix, model = pipeline["fix"], pipeline["model"]
+        cfg = ExperimentConfig()
+        params = cli._load_scorer_checkpoint(str(model / "checkpoint.json"))
+        profiles = load_profiles(model / "profiles.jsonl")
+        floors = {}
+        for cs in load_candidates(fix / "candidates.jsonl"):
+            profile = profiles.get(cs.user_id) or cli._zero_profile(cs.user_id, cs.dim)
+            kernel = composite_matrix(cs.ids, cs.embeddings, profile, cfg)
+            scorer = profile_scorer(cs, profile, params)
+            _, trace = reference_greedy(cs, kernel, lambda ctx: scorer(ctx.h_prev), cfg)
+            floors[cs.user_id] = cli._fmt(trace.min_d2_before_clamp)
         with open(pipeline["root"] / "results.jsonl.diag.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
         for row in rows:
             assert int(row["n_selected"]) == 10
             assert float(row["min_d2"]) >= -1e-8
+            assert row["min_d2"] == floors[row["user_id"]]
 
     def test_eval_emits_per_user_rows_and_mean(self, pipeline):
         with open(pipeline["root"] / "eval.csv") as fh:
@@ -1186,6 +1202,10 @@ class TestMalformedInput:
             ("eval --config", {"bogus": 1}, "unknown config fields: bogus"),
             ("eval --config", {"alpha": -1}, "alpha must be >= 0"),
             ("rerank --checkpoint", dict(doc, version=2), "unsupported checkpoint version 2"),
+            ("rerank --checkpoint", dict(doc, version=True), "unsupported checkpoint version True"),
+            ("rerank --checkpoint", dict(doc, version=1.0), "unsupported checkpoint version 1.0"),
+            ("rerank --checkpoint", dict(doc, tensors=doc["tensors"] + [doc["tensors"][0]]),
+             f"malformed checkpoint tensor ({doc['tensors'][0]['name']} appears twice)"),
             ("rerank --checkpoint", no_b2, "checkpoint missing tensors: mlp_b2"),
             ("rerank --profiles", _profile(h_macro=[1.0] * 3, h_micro=[1.0] * 3),
              "profile u1: dim 3 != checkpoint dim 2"),
@@ -1241,7 +1261,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "case",
         ["no tensors", "not json", "nested too deeply", "data length", "head width", "shape not a pair",
-         "nan data"],
+         "nan data", "version true", "version float", "repeated tensor"],
     )
     def test_malformed_checkpoint_is_one_error_line(self, case, tmp_path, capsys):
         write_duplicate_fixture(tmp_path)
@@ -1260,6 +1280,10 @@ class TestMalformedInput:
             entry["scorer.mlp_b2"]["shape"] = [2]
         elif case == "nan data":
             entry["scorer.w1_prev"]["data"][0] = float("nan")
+        elif case in ("version true", "version float"):
+            doc["version"] = True if case == "version true" else 1.0
+        elif case == "repeated tensor":  # a zeroed second copy: keeping the last one changes every score
+            doc["tensors"].append(dict(entry["scorer.mlp_b1"], data=[0.0] * len(entry["scorer.mlp_b1"]["data"])))
         text = {"not json": "not json", "nested too deeply": "[" * 100_000 + "]" * 100_000}
         path.write_text(text.get(case) or json.dumps(doc))
         code = run(
@@ -1274,7 +1298,7 @@ class TestMalformedInput:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1
-        assert lines[0].startswith("error:")
+        assert lines[0].startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("stage", ["rerank", "sweep"])
     @pytest.mark.parametrize("case", ["string number", "boolean", "nested lists"])

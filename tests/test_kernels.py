@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from diverank import kernels
 from diverank.data import ExperimentConfig, NumericalError, ValidationError
 from diverank.interests import InterestProfile
-from diverank.kernels import KernelMatrix, modulated_vectors, normalize_rows
+from diverank.kernels import KernelMatrix, normalize_rows
 from oracles import assert_valid_kernel
 
 # gemm row blocks against the oracle's one syrk: a relative gap of at most
@@ -88,12 +88,12 @@ def composite_oracle(ids, embeddings, profile, cfg):
     base = normalize_rows(embs) if cfg.normalize_embeddings else embs
     d = _exp_gram(base, cfg.b_item)
     if cfg.beta1 > 0.0:
-        macro = modulated_vectors(base, profile.h_macro)
+        macro = base * profile.h_macro
         term = _exp_gram(macro, cfg.b_l)
         term *= cfg.beta1
         d += term
     if cfg.beta2 > 0.0:
-        micro = modulated_vectors(base, profile.h_micro)
+        micro = base * profile.h_micro
         term = _exp_gram(micro, cfg.b_s)
         term *= cfg.beta2
         d += term
@@ -162,11 +162,6 @@ class TestNormalizeAndModulate:
         row /= np.abs(row).max()
         out = normalize_rows(np.stack([row * scale, row]))
         np.testing.assert_allclose(out[0], out[1], rtol=1e-12, atol=0.0)
-
-    def test_elementwise_modulation(self):
-        embs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = modulated_vectors(embs, np.array([0.5, 2.0]))
-        np.testing.assert_allclose(out, [[0.5, 4.0], [1.5, 8.0]])
 
 
 def perception_term(embs, profile, cfg):
@@ -550,7 +545,5 @@ class TestPsdGuard:
             cfg = ExperimentConfig(alpha=1.0, k=8)
             kernel = composite_matrix([f"i{k}" for k in range(n)], embs, prof, cfg)
             cands = CandidateSet(f"u{trial}", kernel.ids, embs, rng.random(n))
-            _, trace = bs_dpp_select(
-                cands, kernel, constant_scorer(cands.base_scores), cfg, collect_trace=True
-            )
-            assert trace.min_d2_before_clamp >= -1e-8
+            _, min_d2 = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
+            assert min_d2 >= -1e-8

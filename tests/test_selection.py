@@ -44,6 +44,18 @@ def make_candidates(scores, dim=2, embs=None):
     return CandidateSet("u1", ids, embs, scores)
 
 
+def recording(scorer):
+    """The scorer wrapped to store each call's `(h_prev, scores)`, and that list."""
+    calls = []
+
+    def record(h_prev):
+        scores = scorer(h_prev)
+        calls.append((h_prev, scores))
+        return scores
+
+    return record, calls
+
+
 def kernel_of(matrix):
     matrix = np.asarray(matrix, dtype=float)
     ids = tuple(f"i{k + 1}" for k in range(matrix.shape[0]))
@@ -66,7 +78,7 @@ class TestGreedyBasics:
         kernel = kernel_of(np.eye(3))
         for alpha in (0.0, 0.7, 3.0):
             cfg = ExperimentConfig(alpha=alpha, k=3)
-            result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
+            result, _ = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
             assert result.item_ids == ("i1", "i2", "i3")
 
     def test_duplicate_suppression_fixture(self):
@@ -76,7 +88,7 @@ class TestGreedyBasics:
         scores = np.array([0.9, 0.9, 0.5])
         cands = make_candidates(scores)
         cfg = ExperimentConfig(alpha=1.0, k=2)
-        result = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         assert set(result.item_ids) == {"i1", "i3"}
         assert result.objective == pytest.approx(1.4)
 
@@ -95,12 +107,9 @@ class TestGreedyBasics:
         kernel = kernel_of([[1.0, 0.5], [0.5, 1.0]])
         cands = make_candidates([0.9, 0.1])
         cfg = ExperimentConfig(alpha=0.0, k=2)
-        _, trace = bs_dpp_select(
-            cands, kernel, constant_scorer(cands.base_scores), cfg, collect_trace=True
-        )
-        second = trace.steps[1]
-        assert second.selected_before == (0,)
-        assert second.d2[1] == pytest.approx(0.75)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
+        assert result.item_ids == ("i1", "i2")
+        assert result.log_d2[1] == pytest.approx(math.log(0.75))
         assert np.linalg.det(kernel.values) == pytest.approx(0.75)
 
     def test_tie_breaks_to_lowest_index(self):
@@ -108,7 +117,7 @@ class TestGreedyBasics:
         scores = np.array([0.5, 0.5, 0.5, 0.5])
         cands = make_candidates(scores)
         cfg = ExperimentConfig(alpha=1.0, k=4)
-        result = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         assert result.item_ids == ("i1", "i2", "i3", "i4")
 
     def test_alpha_zero_exact_base_score_order(self, rng):
@@ -116,7 +125,7 @@ class TestGreedyBasics:
         cands = make_candidates(scores, dim=3)
         kernel = random_psd_kernel(rng, 10)
         cfg = ExperimentConfig(alpha=0.0, k=10)
-        result = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         expected = [f"i{j + 1}" for j in np.argsort(-scores, kind="stable")]
         assert list(result.item_ids) == expected
 
@@ -124,7 +133,7 @@ class TestGreedyBasics:
         cands = make_candidates([0.3, 0.6])
         kernel = kernel_of(np.eye(2))
         cfg = ExperimentConfig(alpha=0.5, k=9)
-        result = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(cands.base_scores), cfg)
         assert len(result.item_ids) == 2
 
     def test_kernel_id_mismatch_rejected(self, rng):
@@ -143,7 +152,7 @@ class TestNumericalBehavior:
         scores = np.array([0.9, 0.8, 0.1])
         cands = make_candidates(scores)
         cfg = ExperimentConfig(alpha=1.0, k=3)
-        result = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         assert result.item_ids == ("i1", "i3")
         assert result.exhausted
 
@@ -172,13 +181,18 @@ class TestNumericalBehavior:
 
     def test_d2_tracks_naive_determinant_ratio(self, rng):
         # d_i^2 produced by the incremental recursion equals
-        # det(D_{S + i}) / det(D_S) from naive determinants, every step.
+        # det(D_{S + i}) / det(D_S) from naive determinants, every step; the
+        # reference loop records each step, and production picks as it does.
         n, k = 10, 6
         kernel = random_psd_kernel(rng, n)
         scores = rng.random(n)
         cands = make_candidates(scores, dim=3)
         cfg = ExperimentConfig(alpha=0.8, k=k)
-        _, trace = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg, collect_trace=True)
+        want, trace = reference_greedy(cands, kernel, lambda ctx: scores, cfg)
+        got, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        assert got.item_ids == want.item_ids
+        assert got.log_d2 == want.log_d2
+        assert len(trace.steps) == k
         d = kernel.values
         for step in trace.steps:
             s = list(step.selected_before)
@@ -198,8 +212,8 @@ class TestNumericalBehavior:
         scores = rng.random(8)
         cands = make_candidates(scores, dim=3)
         cfg = ExperimentConfig(alpha=1.0, k=8)
-        _, trace = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg, collect_trace=True)
-        assert trace.min_d2_before_clamp >= -1e-8
+        _, min_d2 = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        assert min_d2 >= -1e-8
 
 
 class TestEquivalences:
@@ -209,7 +223,7 @@ class TestEquivalences:
         kernel = random_psd_kernel(rng, 8)
         cfg = ExperimentConfig(alpha=1.2, k=5)
         a = fixed_score_dpp_select(cands, kernel, cfg)
-        b = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        b, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         assert a.item_ids == b.item_ids
         assert a.objective == pytest.approx(b.objective)
 
@@ -218,7 +232,7 @@ class TestEquivalences:
         cands = make_candidates(scores, dim=3)
         kernel = kernel_of(np.eye(7))
         cfg = ExperimentConfig(alpha=2.5, k=4)
-        result = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+        result, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
         expected = [f"i{j + 1}" for j in np.argsort(-scores, kind="stable")[:4]]
         assert list(result.item_ids) == expected
 
@@ -229,11 +243,11 @@ class TestEquivalences:
         kernel = kernel_of(vals)
         scores = np.array([0.1, 0.9])
         cands = make_candidates(scores)
-        joint = bs_dpp_select(
+        joint, _ = bs_dpp_select(
             cands, kernel, constant_scorer(scores), ExperimentConfig(alpha=1.0, k=1)
         )
         assert joint.item_ids == ("i2",)  # 0.9 > 0.1 + log 2
-        div = bs_dpp_select(
+        div, _ = bs_dpp_select(
             cands,
             kernel,
             constant_scorer(scores),
@@ -267,9 +281,9 @@ class TestEquivalences:
         scores = rng.random(n)
         cands = make_candidates(scores, dim=3)
         cfg = ExperimentConfig(alpha=alpha, k=k, diversity_only_init=diversity_only_init)
-        want = bs_dpp_select(cands, kernel_of(values), constant_scorer(scores), cfg)
+        want, _ = bs_dpp_select(cands, kernel_of(values), constant_scorer(scores), cfg)
         scaled_cfg = replace(cfg, epsilon=c * cfg.epsilon)
-        got = bs_dpp_select(cands, kernel_of(c * values), constant_scorer(scores), scaled_cfg)
+        got, _ = bs_dpp_select(cands, kernel_of(c * values), constant_scorer(scores), scaled_cfg)
         assert got.item_ids == want.item_ids
         assert got.exhausted == want.exhausted
         np.testing.assert_allclose(np.subtract(got.log_d2, math.log(c)), want.log_d2, rtol=0, atol=1e-12)
@@ -319,7 +333,7 @@ class TestExhaustive:
             scores = 0.5 + 0.5 * local.random(n)
             cands = make_candidates(scores, dim=3)
             cfg = ExperimentConfig(alpha=0.4, k=k)
-            greedy = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
+            greedy, _ = bs_dpp_select(cands, kernel, constant_scorer(scores), cfg)
             _, optimum = exhaustive_map(kernel, scores, alpha=0.4, k=k)
             assert greedy.objective <= optimum + 1e-9
             assert optimum > 0
@@ -435,7 +449,8 @@ class TestProfileScorer:
     )
     def test_every_step_matches_autodiff_oracle(self, n, d, hidden, w2_scale):
         # Rebuild each step's context from the chosen order and hold the
-        # folded forward to the training forward it replaces.
+        # folded forward, as the greedy loop called it, to the training
+        # forward it replaces.
         from diverank import autodiff as ad
         from diverank.accuracy import init_scorer_params, list_state, score_batch
         from diverank.interests import InterestProfile
@@ -449,31 +464,28 @@ class TestProfileScorer:
         cfg = ExperimentConfig(k=10, alpha=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _, trace = bs_dpp_select(
-                cands,
-                random_psd_kernel(rng, n),
-                profile_scorer(cands, profile, params),
-                cfg,
-                collect_trace=True,
-            )
-            assert len(trace.steps) == cfg.k
+            scorer, calls = recording(profile_scorer(cands, profile, params))
+            result, _ = bs_dpp_select(cands, random_psd_kernel(rng, n), scorer, cfg)
+            picks = [cands.ids.index(item_id) for item_id in result.item_ids]
+            assert len(calls) == len(picks) == cfg.k
             state = list_state(embs, profile, initial_context(embs).h_cand, params)
-            for step in trace.steps:
+            for t, (h_prev, scores) in enumerate(calls):
                 ctx = initial_context(embs)
-                for j in step.selected_before:
+                for j in picks[:t]:
                     ctx = update_context(ctx, embs[j])
+                np.testing.assert_array_equal(h_prev, ctx.h_prev)
                 got = score_batch(embs, ctx.h_prev, params, state)
-                np.testing.assert_array_equal(got, step.scores)
+                np.testing.assert_array_equal(got, scores)
                 shared = (profile.h_macro, profile.h_micro, ctx.h_prev, ctx.h_cand)
                 logits = ad.score_logits(embs, *(per_row(n, v) for v in shared), params)
                 want = ad.softmax(logits)[:, 1]
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
                 assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
-                chosen = embs[[step.chosen]]  # a batch of one row
+                chosen = embs[[picks[t]]]  # a batch of one row
                 single_state = list_state(chosen, profile, ctx.h_cand, params)
                 single = score_batch(chosen, ctx.h_prev, params, single_state)
                 assert single.shape == (1,)
-                assert single[0] == pytest.approx(want[step.chosen], abs=1e-12)
+                assert single[0] == pytest.approx(want[picks[t]], abs=1e-12)
 
 
 def _scored_case(n, d, k, *, hidden=None, w2_scale=1.0, rank=None, seed=23, **cfg_fields):
@@ -521,27 +533,25 @@ class TestReferenceGreedy:
     @pytest.mark.parametrize("case", GREEDY_GRID.values(), ids=GREEDY_GRID.keys())
     def test_matches_reference_loop_and_scorer(self, case):
         cands, kernel, profile, params, cfg = _scored_case(**case)
-        got, trace = bs_dpp_select(
-            cands, kernel, profile_scorer(cands, profile, params), cfg, collect_trace=True
-        )
+        scorer, calls = recording(profile_scorer(cands, profile, params))
+        got, min_d2 = bs_dpp_select(cands, kernel, scorer, cfg)
         want, want_trace = reference_greedy(
             cands,
             kernel,
             lambda ctx: reference_scores(cands.embeddings, profile, ctx, params),
             cfg,
         )
-        assert got.item_ids == want.item_ids
-        assert got.exhausted == want.exhausted == ("rank" in case)
-        assert trace.min_d2_before_clamp == want_trace.min_d2_before_clamp
+        # The picks, their d^2 and the floor come from one recursion: equal bits.
+        assert (got.item_ids, got.log_d2, got.exhausted, min_d2) == (
+            want.item_ids, want.log_d2, want.exhausted, want_trace.min_d2_before_clamp
+        )
+        assert got.exhausted == ("rank" in case)
         assert got.objective == pytest.approx(want.objective, rel=0.0, abs=1e-12)
-        for name in ("scores", "log_d2", "marginals"):
+        for name in ("scores", "marginals"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=0.0, atol=1e-12)
-        assert len(trace.steps) == len(want_trace.steps) == len(got.item_ids)
-        for a, b in zip(trace.steps, want_trace.steps):
-            assert (a.chosen, a.selected_before) == (b.chosen, b.selected_before)
-            np.testing.assert_array_equal(a.eligible, b.eligible)
-            np.testing.assert_allclose(a.d2, b.d2, rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(a.scores, b.scores, rtol=0.0, atol=1e-12)
+        assert len(calls) == len(want_trace.steps) == len(got.item_ids)
+        for (_, scores), step in zip(calls, want_trace.steps):
+            np.testing.assert_allclose(scores, step.scores, rtol=0.0, atol=1e-12)
 
 
 class TestListState:
@@ -591,8 +601,9 @@ class TestScorerInput:
             scorer = profile_scorer(cands, profile, params)
         else:
             scorer = constant_scorer(cands.base_scores)
-        seen = []
-        result = bs_dpp_select(cands, kernel, lambda h_prev: seen.append(h_prev) or scorer(h_prev), cfg)
+        scorer, calls = recording(scorer)
+        result, _ = bs_dpp_select(cands, kernel, scorer, cfg)
+        seen = [h_prev for h_prev, _ in calls]
         picks = [cands.ids.index(item_id) for item_id in result.item_ids]
         assert len(seen) == len(picks) == cfg.k  # one call before each pick
         assert np.array_equal(seen[0], np.zeros(embs.shape[1]))
