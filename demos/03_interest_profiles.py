@@ -11,7 +11,7 @@ Run: python3 demos/03_interest_profiles.py
 
 import numpy as np
 
-from diverank.data import NO_LABEL, EmbeddingTable, UserEvents
+from diverank.data import EmbeddingTable, UserEvents
 from diverank.interests import (
     MACRO_SCALE,
     MICRO_SCALE,
@@ -30,7 +30,7 @@ def plays(user, names_days, now):
         user_id=user,
         item_ids=tuple(name for name, _ in names_days),
         ts=[now - days * DAY for _, days in names_days],
-        labels=[NO_LABEL] * len(names_days),
+        labels=[None] * len(names_days),
     )
 
 

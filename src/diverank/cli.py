@@ -56,6 +56,7 @@ from .data import (
     save_candidates,
     save_checkpoint,
     save_items,
+    save_labels,
     save_results,
 )
 from .interests import (
@@ -122,7 +123,7 @@ def cmd_synth(args) -> None:
     save_items(os.path.join(args.out, "items.jsonl"), world.items)
     save_behaviors(os.path.join(args.out, "behaviors.jsonl"), world.behaviors)
     save_candidates(os.path.join(args.out, "candidates.jsonl"), world.candidates)
-    save_behaviors(os.path.join(args.out, "labels.jsonl"), world.labels)
+    save_labels(os.path.join(args.out, "labels.jsonl"), world.labels)
     print(
         f"synth: {len(world.items)} items, {sum(map(len, world.behaviors))} behaviors, "
         f"{len(world.candidates)} candidate sets -> {args.out}"
@@ -177,18 +178,17 @@ def cmd_train_scorer(args) -> None:
     if not any(item_id in table for item_id in item_clusters):
         raise ValidationError(f"{args.clusters}: no clustered item is in {args.items}")
 
-    profiles = [
-        build_profile(events, table, item_clusters, top_m=cfg.top_m, recent_window=cfg.recent_window, now=now)
+    profiles = {
+        events.user_id: build_profile(events, table, item_clusters, cfg.top_m, cfg.recent_window, now)
         for events in behaviors
-    ]
-    profile_map = {p.user_id: p for p in profiles}
+    }
     scorer_rng = np.random.default_rng(derive_seed(args.seed, "scorer-init"))
     params = init_scorer_params(
         table.dim, scorer_rng, reduction=args.reduction, hidden=args.hidden
     )
     curve = train_scorer(
         impressions,
-        profile_map,
+        profiles,
         params,
         lr=args.lr,
         epochs=args.epochs,

@@ -2,14 +2,15 @@
 
 Item lines, candidate sets, behavior and label lines, experiment
 configuration, re-ranking results and scorer checkpoints are read and
-written here; candidates, behaviors, labels and results hold one line
-per user.  The other formats are built by their stage: cluster lines in
-`clustering`, profile lines in `interests`, the training log in
-`accuracy`, and the diagnostics, eval, sweep and kernel-dump CSVs in
-`cli`.  Every file, theirs too, is read by `_load_lines`, whose errors
-name the file and, where it is known, the line, and written by
-`_save_lines` (JSON, one deterministic encoder) or `_save_csv`, so a
-pipeline re-run with the same seed writes byte-identical files.
+written here; candidates, behaviors, labels and results hold one line per
+user, and each writer takes the form its reader returns.  The other
+formats are built by their stage: cluster lines in `clustering`, profile
+lines in `interests`, the training log in `accuracy`, and the
+diagnostics, eval, sweep and kernel-dump CSVs in `cli`.  Every file,
+theirs too, is read by `_load_lines`, whose errors name the file and,
+where it is known, the line, and written by `_save_lines` (JSON, one
+deterministic encoder) or `_save_csv`, so a pipeline re-run with the same
+seed writes byte-identical files.
 """
 
 from __future__ import annotations
@@ -166,48 +167,54 @@ def _check_columns(
 NO_LABEL = -1
 
 
+def _ts_column(values: Sequence) -> np.ndarray:
+    """JSON `ts` values as int64: each must be an int (not a bool) in [0, 2**63)."""
+    if set(map(type, values)) <= {int} and (not values or min(values) >= 0 and max(values) < 2**63):
+        return np.array(values, dtype=np.int64)
+    row = next(r for r, v in enumerate(values) if type(v) is not int or not 0 <= v < 2**63)
+    raise ValidationError(f"ts must be an integer >= 0, got {values[row]!r}", row)
+
+
+def _label_column(values: Sequence) -> np.ndarray:
+    """JSON label values as int8 codes: null is NO_LABEL, else the int 0 or 1."""
+    # Types first: a list label is unhashable, and True and 1.0 equal 1.
+    if set(map(type, values)) <= {int, type(None)} and set(values) <= {None, 0, 1}:
+        return np.array([NO_LABEL if v is None else v for v in values], dtype=np.int8)
+    row = next(
+        r for r, v in enumerate(values) if v is not None and (type(v) is not int or v not in (0, 1))
+    )
+    raise ValidationError(f"label must be null, 0 or 1, got {values[row]!r}", row)
+
+
 @dataclass(frozen=True, eq=False)
 class UserEvents:
-    """One user's events, as one behavior or label line holds them, in columns.
+    """One user's events, as one behavior line holds them, in columns.
 
-    Row r says that the user met `item_ids[r]` at time `ts[r]` (int64
-    seconds, >= 0) with label `labels[r]` (int8): 0, 1 or NO_LABEL.  A
-    label line has no times: its `ts` is None and every row is labelled.
-    Rows are held in the stable sort by `ts`.  The arrays are read-only
-    copies, validated once as whole columns before that sort; a failure
-    names its row in `ValidationError.row`.
+    Row r says that the user met `item_ids[r]` at time `ts[r]` with label
+    `labels[r]`.  The constructor takes the line's own lists, `ts` of ints
+    >= 0 and `labels` of null, 0 or 1, checks each once by the reader's
+    rule (ts, then labels, then item ids; a failure names its row in
+    `ValidationError.row`) and holds them as read-only int64 and int8
+    arrays, a null label as NO_LABEL, in the stable sort by `ts`.
     """
 
     user_id: str
     item_ids: tuple[str, ...]
-    ts: np.ndarray | None
+    ts: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         _check_id(self.user_id, "user_id")
+        ts, labels = _ts_column(self.ts), _label_column(self.labels)
         item_ids = _check_id_column(self.item_ids, "item_id")
         n = len(item_ids)
-        ts = None if self.ts is None else np.array(self.ts, dtype=np.int64)
-        labels = np.array(self.labels, dtype=np.int8)
-        if labels.shape != (n,) or (ts is not None and ts.shape != (n,)):
+        if ts.shape != (n,) or labels.shape != (n,):
             raise ValidationError(f"event columns must all hold {n} rows")
-        bad = (labels != 0) & (labels != 1)
-        if ts is not None:
-            bad &= labels != NO_LABEL
-        if bad.any():
-            row = int(np.argmax(bad))
-            rule = "0 or 1 on a label line" if ts is None else f"0, 1 or {NO_LABEL}"
-            raise ValidationError(f"label must be {rule}, got {labels[row]}", row)
-        if ts is not None:
-            if (ts < 0).any():
-                row = int(np.argmax(ts < 0))
-                raise ValidationError(f"ts must be >= 0, got {ts[row]}", row)
-            if (ts[1:] < ts[:-1]).any():
-                order = np.argsort(ts, kind="stable")
-                item_ids = tuple(item_ids[r] for r in order.tolist())
-                ts, labels = ts[order], labels[order]
-            ts.flags.writeable = False
-        labels.flags.writeable = False
+        if (ts[1:] < ts[:-1]).any():
+            order = np.argsort(ts, kind="stable")
+            item_ids = tuple(item_ids[r] for r in order.tolist())
+            ts, labels = ts[order], labels[order]
+        ts.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "item_ids", item_ids)
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "labels", labels)
@@ -531,25 +538,6 @@ def save_items(path: str, table: EmbeddingTable) -> None:
     _save_lines(path, ({"item_id": item_id, "embedding": emb} for item_id, emb in rows))
 
 
-def _ts_column(values: Sequence) -> np.ndarray:
-    """JSON `ts` values as int64: each must be an int (not a bool) in [0, 2**63)."""
-    if set(map(type, values)) <= {int} and (not values or min(values) >= 0 and max(values) < 2**63):
-        return np.array(values, dtype=np.int64)
-    row = next(r for r, v in enumerate(values) if type(v) is not int or not 0 <= v < 2**63)
-    raise ValidationError(f"ts must be an integer >= 0, got {values[row]!r}", row)
-
-
-def _label_column(values: Sequence) -> np.ndarray:
-    """JSON label values as int8 codes: null is NO_LABEL, else the int 0 or 1."""
-    # Types first: a list label is unhashable, and True and 1.0 equal 1.
-    if set(map(type, values)) <= {int, type(None)} and set(values) <= {None, 0, 1}:
-        return np.array([NO_LABEL if v is None else v for v in values], dtype=np.int8)
-    row = next(
-        r for r, v in enumerate(values) if v is not None and (type(v) is not int or v not in (0, 1))
-    )
-    raise ValidationError(f"label must be null, 0 or 1, got {values[row]!r}", row)
-
-
 def _user_line(doc: dict, columns: tuple[str, ...]) -> tuple[str, list, list]:
     """A behavior or label line's user id, item ids and `columns` lists, checked as both kinds
     are: a missing field is a KeyError (columns after the first default to nulls), and the
@@ -567,7 +555,7 @@ def _user_line(doc: dict, columns: tuple[str, ...]) -> tuple[str, list, list]:
 
 def _behavior_line(doc: dict) -> UserEvents:
     user_id, ids, (ts, labels) = _user_line(doc, ("ts", "labels"))
-    return UserEvents(user_id, ids, _ts_column(ts), _label_column(labels))
+    return UserEvents(user_id, ids, ts, labels)
 
 
 def load_behaviors(path: str) -> list[UserEvents]:
@@ -607,25 +595,33 @@ def load_labels(path: str, users: Iterable[str]) -> dict[str, dict[str, int]]:
 
 def save_behaviors(path: str, records: Iterable[UserEvents]) -> None:
     """Write one line per record, users sorted and each record's rows in
-    its order.  A NO_LABEL row's label is null, a behavior line without
-    labels leaves `labels` out, and a label record, having no `ts`, leaves
-    `ts` out.  Two records for one user are refused, as `load_behaviors`
-    refuses their lines."""
+    its order.  A NO_LABEL row's label is null, and a line without labels
+    leaves `labels` out.  Two records for one user are refused, as
+    `load_behaviors` refuses their lines."""
     records = sorted(records, key=lambda events: events.user_id)
     for a, b in zip(records, records[1:]):
         if a.user_id == b.user_id:
             raise ValidationError(f"two records for user {a.user_id!r}")
 
     def line(events: UserEvents) -> dict:
+        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids), "ts": events.ts.tolist()}
         labels = [None if label == NO_LABEL else label for label in events.labels.tolist()]
-        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids), "labels": labels}
-        if events.ts is not None:
-            if labels.count(None) == len(labels):
-                del doc["labels"]
-            doc["ts"] = events.ts.tolist()
+        if labels.count(None) != len(labels):
+            doc["labels"] = labels
         return doc
 
     _save_lines(path, map(line, records))
+
+
+def save_labels(path: str, labels: dict[str, dict[str, int]]) -> None:
+    """Write the `{user: {item: label}}` map `load_labels` returns, users sorted.  The
+    sort key is the user id `_label_line` returns, so every line passes the reader's
+    check before the file is opened: this refuses what `load_labels` refuses."""
+    docs = [
+        {"user_id": user_id, "item_ids": list(by_item), "labels": list(by_item.values())}
+        for user_id, by_item in labels.items()
+    ]
+    _save_lines(path, sorted(docs, key=lambda doc: _label_line(doc)[0]))
 
 
 def load_candidates(path: str, limit: int | None = None) -> list[CandidateSet]:

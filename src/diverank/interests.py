@@ -148,10 +148,11 @@ def build_profile(
 # ----- profile cache IO -----
 
 
-def save_profiles(path: str, profiles: list[InterestProfile]) -> None:
+def save_profiles(path: str, profiles: dict[str, InterestProfile]) -> None:
+    """Write the `{user: profile}` map that `load_profiles` returns, one line per user, users sorted."""
     _save_lines(path, (
         {"user_id": p.user_id, "h_macro": [float(v) for v in p.h_macro], "h_micro": [float(v) for v in p.h_micro]}
-        for p in profiles
+        for _, p in sorted(profiles.items())
     ))
 
 

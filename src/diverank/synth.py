@@ -71,7 +71,7 @@ class SyntheticWorld:
     items: EmbeddingTable
     behaviors: list[UserEvents]
     candidates: list[CandidateSet]
-    labels: list[UserEvents]  # candidate ground truth, without times
+    labels: dict[str, dict[str, int]]  # each candidate's 0/1 label, as `load_labels` returns them
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -95,7 +95,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
 
     behaviors: list[UserEvents] = []
     candidates: list[CandidateSet] = []
-    labels: list[UserEvents] = []
+    labels: dict[str, dict[str, int]] = {}
     for u in range(spec.users):
         user_id = f"u{u:04d}"
         n_pref = int(rng.integers(1, min(3, spec.clusters) + 1))
@@ -117,8 +117,8 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
             affinity = float(unit_embs[idx] @ taste)
             p_click = float(_sigmoid(spec.sharpness * (affinity - THRESHOLD)))
             behavior_items.append(item_ids[idx])
-            behavior_hits.append(rng.random() < p_click)
-        behaviors.append(UserEvents(user_id, behavior_items, NOW_TS - offsets, behavior_hits))
+            behavior_hits.append(int(rng.random() < p_click))
+        behaviors.append(UserEvents(user_id, behavior_items, (NOW_TS - offsets).tolist(), behavior_hits))
 
         # Candidates: half preferred-cluster items, rest catalog-wide.
         n_cand = spec.candidates_per_user
@@ -143,7 +143,7 @@ def generate(spec: SyntheticSpec) -> SyntheticWorld:
         drawn = rng.random(n_cand) < true_p
 
         cand_ids = tuple(item_ids[int(idx)] for idx in chosen_arr)
-        labels.append(UserEvents(user_id, cand_ids, None, drawn))
+        labels[user_id] = dict(zip(cand_ids, drawn.astype(int).tolist()))
         candidates.append(
             CandidateSet(
                 user_id=user_id,

@@ -369,31 +369,29 @@ def candidates_line(cs: CandidateSet) -> str:
 def user_records(*rows) -> list[UserEvents]:
     """One record per user from (user_id, item_id, ts, label) rows, users
     sorted as `load_behaviors` returns them and each user's rows passed in
-    the order given.  A row without a label is unlabelled (NO_LABEL), and a
-    user whose rows have a ts of None gets a label record."""
+    the order given.  A row without a label, or with NO_LABEL, passes null,
+    as an unlabelled entry of a behavior line does."""
     by_user: dict[str, list] = {}
     for user_id, item_id, ts, *label in rows:
-        by_user.setdefault(user_id, []).append((item_id, ts, label[0] if label else NO_LABEL))
+        label = label[0] if label else None
+        by_user.setdefault(user_id, []).append((item_id, ts, None if label == NO_LABEL else label))
     records = []
     for user_id in sorted(by_user):
         item_ids, ts, labels = zip(*by_user[user_id])
-        records.append(UserEvents(user_id, item_ids, None if None in ts else ts, labels))
+        records.append(UserEvents(user_id, item_ids, list(ts), list(labels)))
     return records
 
 
 def behavior_lines(records: Iterable[UserEvents]) -> list[str]:
     """One dumped dict per record, users sorted and each record's rows in
-    its order; a NO_LABEL entry is null, a behavior line with no label
-    leaves `labels` out, and a label record's line has no `ts`: the
-    reference that `save_behaviors` writes byte for byte."""
+    its order; a NO_LABEL entry is null, and a line with no label leaves
+    `labels` out: the reference that `save_behaviors` writes byte for byte."""
     lines = []
     for events in sorted(records, key=lambda events: events.user_id):
-        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids)}
+        doc = {"user_id": events.user_id, "item_ids": list(events.item_ids), "ts": [int(t) for t in events.ts]}
         labels = [int(label) for label in events.labels]
-        if events.ts is None or any(label != NO_LABEL for label in labels):
+        if any(label != NO_LABEL for label in labels):
             doc["labels"] = [None if label == NO_LABEL else label for label in labels]
-        if events.ts is not None:
-            doc["ts"] = [int(t) for t in events.ts]
         lines.append(_dumps(doc))
     return lines
 

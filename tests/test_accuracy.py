@@ -8,6 +8,7 @@ layer, and the two-logit softmax.  The training math of
 """
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import diverank.accuracy as accuracy
 import diverank.autodiff as ad
+from diverank import cli
 from composed_scorer import composed_backward, composed_step
 from diverank.accuracy import (
     build_impressions,
@@ -436,7 +438,10 @@ class TestChunkedScoring:
 
     # 70 = 4 * 16 + 6 = 10 * 7 = 69 + 1: a partial last chunk, whole chunks only, a one-row last chunk.
     @pytest.mark.parametrize("chunk", [16, 7, 69])
-    def test_chunk_boundaries_change_no_bit(self, rng, monkeypatch, chunk):
+    def test_chunks_of_a_70_row_set_give_the_one_forward_bits(self, rng, monkeypatch, chunk):
+        """At n=70 and d=4, each chunk size gives the curve and parameters of
+        one forward over all rows, bit for bit.  That holds at this size, not
+        for every size: at the pipeline shape 7-row chunks move an AUC."""
         n, epochs = 70, 2
         base = separable_impressions(rng, n=n)
         users = tuple(f"u{r % 5}" for r in range(n))
@@ -457,6 +462,29 @@ class TestChunkedScoring:
         assert chunked_curve == whole_curve
         for name, w in whole_params.arrays().items():
             assert chunked_params.arrays()[name].tobytes() == w.tobytes(), name
+
+    def test_pipeline_curve_equals_the_one_forward_curve(self, tmp_path, monkeypatch):
+        """At the pipeline benchmark's shape (`synth` seed 301: 200 users,
+        12,000 impressions, d=16), `training_log.csv` at `SCORE_CHUNK_ROWS`
+        is the one a single forward over every impression writes."""
+        root = str(tmp_path)
+        items, behaviors, clusters = (os.path.join(root, f"{name}.jsonl") for name in ("items", "behaviors", "clusters"))
+        shape = ["--users", "200", "--candidates-per-user", "100", "--dim", "16", "--items-per-cluster", "30"]
+        assert cli.main(["synth", "--out", root, "--seed", "301", *shape]) == 0
+        assert cli.main(["cluster", "--items", items, "--behaviors", behaviors, "--out", clusters, "--seed", "301"]) == 0
+        seen = count_score_logits(monkeypatch)
+
+        def training_log(out: str) -> str:
+            argv = ["--items", items, "--behaviors", behaviors, "--clusters", clusters, "--seed", "301"]
+            assert cli.main(["train-scorer", *argv, "--out", os.path.join(root, out), "--epochs", "1"]) == 0
+            return (tmp_path / out / "training_log.csv").read_text()
+
+        chunked = training_log("chunked")
+        assert seen[0] == accuracy.SCORE_CHUNK_ROWS and sum(seen) == 12_000
+        seen.clear()
+        monkeypatch.setattr(accuracy, "SCORE_CHUNK_ROWS", 12_000)
+        assert training_log("whole") == chunked
+        assert seen == [12_000]
 
     def test_extra_peak_grows_by_under_256_bytes_per_impression(self):
         """Scoring every impression in one forward allocated about 2.6 KB

@@ -417,7 +417,7 @@ def write_duplicate_fixture(root):
         base_scores=np.array([0.9, 0.9, 0.5]),
     )
     save_candidates(root / "candidates.jsonl", [cands])
-    save_profiles(root / "profiles.jsonl", [])
+    save_profiles(root / "profiles.jsonl", {})
     params = init_scorer_params(2, np.random.default_rng(0))
     for w in params.arrays().values():
         w[...] = 0.0
@@ -663,7 +663,7 @@ def write_extreme_fixture(root, row):
     save_items(root / "items.jsonl", EmbeddingTable(ids, embs))
     save_results(root / "results.jsonl", [RerankResult("u1", ids, (0.5,) * 6, (0.0,) * 6, (0.5,) * 6, 3.0)])
     (root / "labels.jsonl").write_text(json.dumps(_judgment(item_ids=ids, labels=[int(i < "i3") for i in ids])) + "\n")
-    save_profiles(root / "profiles.jsonl", [InterestProfile("u1", rng.normal(size=16), rng.normal(size=16))])
+    save_profiles(root / "profiles.jsonl", {"u1": InterestProfile("u1", rng.normal(size=16), rng.normal(size=16))})
     params = init_scorer_params(16, rng)
     save_checkpoint(root / "checkpoint.json", {f"scorer.{k}": v for k, v in params.arrays().items()}, {"dim": 16})
     return embs
@@ -834,7 +834,7 @@ class TestExitCodes:
     ):
         write_duplicate_fixture(tmp_path)
         # Unit interest weights: each term's diagonal entries are beta * e.
-        save_profiles(tmp_path / "profiles.jsonl", [InterestProfile("u1", np.ones(2), np.ones(2))])
+        save_profiles(tmp_path / "profiles.jsonl", {"u1": InterestProfile("u1", np.ones(2), np.ones(2))})
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out"
@@ -1350,7 +1350,7 @@ class TestMalformedInput:
             expected = f"{tmp_path / 'candidates.jsonl'}: candidate set u1: embedding dim 3 != checkpoint dim 2"
         else:
             profile = InterestProfile("u1", np.ones(3), np.ones(3))
-            save_profiles(tmp_path / "profiles.jsonl", [profile])
+            save_profiles(tmp_path / "profiles.jsonl", {"u1": profile})
             expected = f"{tmp_path / 'profiles.jsonl'}: profile u1: dim 3 != checkpoint dim 2"
         argv = [
             stage,

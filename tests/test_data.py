@@ -1,9 +1,11 @@
 """Record validation, JSONL parsing, and config handling tests."""
 
+import ast
 import json
 import math
 import re
 from dataclasses import asdict, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from diverank import cli
 from diverank.data import (
     NO_LABEL,
     CandidateSet,
@@ -33,10 +36,12 @@ from diverank.data import (
     save_candidates,
     save_checkpoint,
     save_items,
+    save_labels,
     save_results,
 )
 from diverank.clustering import save_clusters
-from diverank.interests import InterestProfile, save_profiles
+from diverank.interests import InterestProfile, load_profiles, save_profiles
+from diverank.synth import SyntheticSpec, generate
 from oracles import _dumps, behavior_lines, candidates_line, label_lookups, user_records
 
 
@@ -68,18 +73,38 @@ class TestUserEvents:
         with pytest.raises(ValidationError):
             user_records(("u", "i", 0, 2))
 
-    def test_label_record_with_an_unlabelled_row_refused(self):
-        user_records(("u1", "a", None, 0), ("u1", "b", None, 1))
-        with pytest.raises(ValidationError, match=r"^label must be 0 or 1 on a label line, got -1$") as err:
-            UserEvents("u1", ("a", "b"), None, [1, NO_LABEL])
+    def test_constructor_takes_the_line_values_not_the_stored_code(self):
+        """Null is an unlabelled entry; NO_LABEL is only how it is held."""
+        with pytest.raises(ValidationError, match=r"^label must be null, 0 or 1, got -1$") as err:
+            UserEvents("u1", ("a", "b"), [1, 2], [1, NO_LABEL])
         assert err.value.row == 1
 
+    @pytest.mark.parametrize(
+        "ts, labels, message",
+        [
+            ([1, -1], [True, 2], "entry 1: ts must be an integer >= 0, got -1"),
+            ([1, 2], [0, 1.0], "entry 1: label must be null, 0 or 1, got 1.0"),
+            ([1, 2], [0, None], "entry 0: item_id must be a non-empty string, got ''"),
+        ],
+    )
+    def test_first_fault_in_the_reader_order(self, tmp_path, ts, labels, message):
+        """ts, then labels, then item ids, whether the reader or a caller builds the record."""
+        line = {"user_id": "u1", "item_ids": ["", "b"], "ts": ts, "labels": labels}
+        path = tmp_path / "behaviors.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_behaviors(str(path))
+        assert str(err.value) == f"{path}: line 1: {message}"
+        with pytest.raises(ValidationError) as err:
+            UserEvents("u1", line["item_ids"], ts, labels)
+        assert f"entry {err.value.row}: {err.value}" == message
+
     @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(rows=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3), st.sampled_from((0, 1, NO_LABEL)))))
+    @given(rows=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3), st.sampled_from((0, 1, None)))))
     def test_rows_held_in_the_stable_sort_by_ts(self, rows):
         item_ids, ts, labels = zip(*rows) if rows else ((), (), ())
-        events = UserEvents("u1", item_ids, ts, labels)
-        want = sorted(rows, key=lambda row: row[1])  # sorted() is stable
+        events = UserEvents("u1", item_ids, list(ts), list(labels))
+        want = [(i, t, NO_LABEL if label is None else label) for i, t, label in sorted(rows, key=lambda row: row[1])]
         assert list(zip(events.item_ids, events.ts.tolist(), events.labels.tolist())) == want
 
 
@@ -204,6 +229,25 @@ class TestBehaviorIO:
         path = tmp_path / "labels.jsonl"
         path.write_text('{"user_id": "u1", "item_ids": ["a", "b"], "labels": [1, 0]}\n')
         assert load_labels(str(path), ["u1"]) == {"u1": {"a": 1, "b": 0}}
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ({"u1": {"a": 1, "b": None}}, "label line for (u1, b) lacks a label"),
+            ({"u1": {"a": True}}, "label must be null, 0 or 1, got True"),
+            ({"u1": {"": 0}}, "item_id must be a non-empty string, got ''"),
+            ({"u1": {"a": 0}, 7: {"a": 1}}, "user_id must be a non-empty string, got 7"),
+        ],
+    )
+    def test_label_writer_refuses_what_the_reader_refuses(self, tmp_path, labels, message):
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(ValidationError) as err:
+            save_labels(str(path), labels)
+        assert str(err.value) == message and not path.exists()
+        path.write_text("".join(json.dumps({"user_id": u, "item_ids": list(m), "labels": list(m.values())}) + "\n"
+                                for u, m in labels.items()))
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_labels(str(path), [])
 
     def test_a_behavior_line_is_not_a_label_line(self, tmp_path):
         path = tmp_path / "labels.jsonl"
@@ -387,13 +431,14 @@ class TestWriterOracle:
         assert path.read_bytes() == want.encode("utf-8")
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(rows=st.lists(st.tuples(IDS, IDS, st.none(), st.sampled_from((0, 1))), max_size=6))
-    def test_labels_match_dumps(self, tmp_path_factory, rows):
+    @given(labels=st.dictionaries(IDS, st.dictionaries(IDS, st.sampled_from((0, 1)), max_size=4), max_size=4))
+    def test_labels_match_dumps(self, tmp_path_factory, labels):
         path = tmp_path_factory.getbasetemp() / "oracle_labels.jsonl"
-        records = user_records(*rows)
-        save_behaviors(str(path), records)
-        want = "".join(line + "\n" for line in behavior_lines(records))
-        assert path.read_bytes() == want.encode("utf-8")
+        save_labels(str(path), labels)
+        self.assert_lines(path, (
+            {"user_id": user_id, "item_ids": list(labels[user_id]), "labels": list(labels[user_id].values())}
+            for user_id in sorted(labels)
+        ))
 
     @staticmethod
     def assert_lines(path, docs):
@@ -427,13 +472,13 @@ class TestWriterOracle:
         self.assert_lines(path, ({"item_id": i, "cluster_id": item_clusters[i]} for i in sorted(item_clusters)))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(IDS, matrices(rows=st.just(2))), max_size=3))
+    @given(st.dictionaries(IDS, matrices(rows=st.just(2)), max_size=3))
     def test_profiles_match_dumps(self, tmp_path_factory, rows):
         path = tmp_path_factory.getbasetemp() / "oracle_profiles.jsonl"
-        save_profiles(str(path), [InterestProfile(user_id, *vectors) for user_id, vectors in rows])
+        save_profiles(str(path), {user_id: InterestProfile(user_id, *vectors) for user_id, vectors in rows.items()})
         self.assert_lines(path, (
-            {"user_id": user_id, "h_macro": vectors[0].tolist(), "h_micro": vectors[1].tolist()}
-            for user_id, vectors in rows
+            {"user_id": user_id, "h_macro": rows[user_id][0].tolist(), "h_micro": rows[user_id][1].tolist()}
+            for user_id in sorted(rows)
         ))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
@@ -484,11 +529,20 @@ class TestBehaviorRoundTrip:
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(rows=behavior_rows(labelled=True), users=st.lists(st.sampled_from(USERS), max_size=4))
-    def test_saved_labels_load_as_the_json_reference(self, tmp_path_factory, rows, users):
-        """Repeated items (last label wins), absent users and empty requests included."""
+    def test_labels_load_as_the_json_reference_and_save_back(self, tmp_path_factory, rows, users):
+        """Repeated items (last label wins), absent users and empty requests
+        included; the map read back writes a file that reads as that map."""
         path = tmp_path_factory.getbasetemp() / "round_trip_labels.jsonl"
-        save_behaviors(str(path), user_records(*rows))
+        by_user: dict = {}
+        for user_id, item_id, _, label in rows:
+            by_user.setdefault(user_id, {"user_id": user_id, "item_ids": [], "labels": []})
+            by_user[user_id]["item_ids"].append(item_id)
+            by_user[user_id]["labels"].append(label)
+        path.write_text("".join(_dumps(doc) + "\n" for doc in by_user.values()), encoding="utf-8")
         assert load_labels(str(path), users) == label_lookups(str(path), users)
+        everyone = load_labels(str(path), USERS)
+        save_labels(str(path), everyone)
+        assert load_labels(str(path), USERS) == everyone
 
 
 class TestItemRoundTrip:
@@ -499,6 +553,46 @@ class TestItemRoundTrip:
         loaded = load_items(str(path))
         assert loaded.ids == table.ids
         assert np.array_equal(loaded.embeddings, table.embeddings)
+
+
+def bits(arr: np.ndarray) -> tuple:
+    """What bit-equality compares: dtype, shape and raw bytes (-0.0 included)."""
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+class TestEveryReaderReturnsWhatItsWriterTook:
+    """Each line file has one in-memory form, the one its reader returns:
+    reading back what a writer wrote gives it unchanged, arrays bit for bit."""
+
+    def test_synth_world(self, tmp_path):
+        spec = dict(clusters=3, items_per_cluster=6, dim=4, users=5, behaviors_per_user=7, candidates_per_user=9)
+        argv = [f"--{name.replace('_', '-')}={value}" for name, value in spec.items()]
+        assert cli.main(["synth", "--out", str(tmp_path), "--seed", "11", *argv]) == 0
+        world = generate(SyntheticSpec(**spec, seed=11))
+
+        items = load_items(str(tmp_path / "items.jsonl"))
+        assert items.ids == world.items.ids and bits(items.embeddings) == bits(world.items.embeddings)
+        columns = attrgetter("user_id", "item_ids")
+        for got, want in zip(load_behaviors(str(tmp_path / "behaviors.jsonl")), world.behaviors, strict=True):
+            assert columns(got) == columns(want)
+            assert (bits(got.ts), bits(got.labels)) == (bits(want.ts), bits(want.labels))
+        columns = attrgetter("user_id", "ids")
+        for got, want in zip(load_candidates(str(tmp_path / "candidates.jsonl")), world.candidates, strict=True):
+            assert columns(got) == columns(want)
+            assert (bits(got.embeddings), bits(got.base_scores)) == (bits(want.embeddings), bits(want.base_scores))
+        assert load_labels(str(tmp_path / "labels.jsonl"), world.labels) == world.labels
+
+    def test_profiles(self, tmp_path):
+        path = str(tmp_path / "profiles.jsonl")
+        edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+        profiles = {"u2": InterestProfile("u2", edge, -edge), 'u"1': InterestProfile('u"1', np.zeros(4), edge[::-1])}
+        save_profiles(path, profiles)
+        loaded = load_profiles(path)
+        assert sorted(loaded) == sorted(profiles)
+        for user_id, want in profiles.items():
+            got = loaded[user_id]
+            assert got.user_id == user_id
+            assert (bits(got.h_macro), bits(got.h_micro)) == (bits(want.h_macro), bits(want.h_micro))
 
 
 class TestConfig:
@@ -700,3 +794,25 @@ class TestCheckpoint:
         path.write_text('{"version": 999}\n')
         with pytest.raises(ValidationError):
             load_checkpoint(str(path))
+
+
+def test_only_the_line_and_csv_helpers_open_files():
+    """No code in `src/diverank` opens a file but the four IO helpers, so
+    every file is read and written under one rule."""
+    helpers = {"_load_lines", "_load_json_object", "_save_lines", "_save_csv"}
+    file_methods = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "diverank").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def visit(node, function):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in file_methods:
+                found.append((path.name, function, node.lineno))
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(tree, None)
+    assert found and all(function in helpers for _, function, _ in found), found

@@ -321,7 +321,7 @@ class TestProfileIO:
             ),
         }
         path = str(tmp_path / "profiles.jsonl")
-        save_profiles(path, list(profiles.values()))
+        save_profiles(path, profiles)
         loaded = load_profiles(path)
         assert set(loaded) == {"u1", "u2"}
         np.testing.assert_array_equal(loaded["u1"].h_macro, profiles["u1"].h_macro)

@@ -96,7 +96,7 @@ class TestWorldShape:
         assert [len(events) for events in world.behaviors] == [8] * 3
         assert len(world.candidates) == 3
         assert all(cs.size == 6 for cs in world.candidates)
-        assert [len(events) for events in world.labels] == [6] * 3
+        assert [len(by_item) for by_item in world.labels.values()] == [6] * 3
 
     def test_item_ids(self):
         world = generate(small_spec())
@@ -110,10 +110,11 @@ class TestWorldShape:
             assert set(events.labels.tolist()) <= {0, 1}
             assert ts == sorted(ts)
 
-    def test_labels_have_no_ts(self):
+    def test_labels_are_the_map_load_labels_returns(self):
         world = generate(small_spec())
-        assert all(events.ts is None for events in world.labels)
-        assert all(set(events.labels.tolist()) <= {0, 1} for events in world.labels)
+        assert list(world.labels) == [cs.user_id for cs in world.candidates]
+        assert all(set(map(type, by_item.values())) == {int} for by_item in world.labels.values())
+        assert all(set(by_item.values()) <= {0, 1} for by_item in world.labels.values())
 
     def test_candidate_sets_have_unique_scored_items(self):
         world = generate(small_spec())
@@ -124,7 +125,7 @@ class TestWorldShape:
 
     def test_labels_align_with_candidates(self):
         world = generate(small_spec())
-        labelled = {(events.user_id, i) for events in world.labels for i in events.item_ids}
+        labelled = {(user_id, i) for user_id, by_item in world.labels.items() for i in by_item}
         offered = {(cs.user_id, i) for cs in world.candidates for i in cs.ids}
         assert labelled == offered
 
@@ -134,7 +135,7 @@ class TestDeterminism:
         a = generate(small_spec(seed=3))
         b = generate(small_spec(seed=3))
         assert same_records(a.behaviors, b.behaviors)
-        assert same_records(a.labels, b.labels)
+        assert a.labels == b.labels
         assert a.items.ids == b.items.ids
         assert np.array_equal(a.items.embeddings, b.items.embeddings)
         for ca, cb in zip(a.candidates, b.candidates):
@@ -174,7 +175,7 @@ class TestWorldModel:
         quiet = generate(small_spec(seed=2, score_noise=0.0))
         loud = generate(small_spec(seed=2, score_noise=4.0))
         assert same_records(quiet.behaviors, loud.behaviors)
-        assert same_records(quiet.labels, loud.labels)
+        assert quiet.labels == loud.labels
         assert np.array_equal(quiet.items.embeddings, loud.items.embeddings)
         diffs = [
             abs(qa - la)
@@ -189,9 +190,7 @@ class TestWorldModel:
         # high-score half of each candidate set must collect more positives.
         world = generate(small_spec(seed=4, score_noise=0.0, candidates_per_user=10))
         label_of = {
-            (events.user_id, item_id): label
-            for events in world.labels
-            for item_id, label in zip(events.item_ids, events.labels.tolist())
+            (user_id, item_id): label for user_id, by_item in world.labels.items() for item_id, label in by_item.items()
         }
         high, low = [], []
         for cs in world.candidates:
