@@ -279,19 +279,26 @@ def _dump_kernel(prefix: str, user_id: str, values: np.ndarray) -> None:
 # ----- eval -----
 
 
-def _list_metrics(item_ids, embs: np.ndarray, user_labels: dict[str, int], ideal: list[int], k: int, where: str):
-    """nDCG@k of one list against its user's labels, and its ILAD (NaN below two items).
-
-    ILAD is undefined for a zero embedding; the error names `where`, the file
-    and list the embeddings came from.
-    """
-    ndcg = ndcg_at_k([user_labels.get(item_id, 0) for item_id in item_ids], k, ideal_relevances=ideal)
-    if len(item_ids) < 2:
-        return ndcg, float("nan")
-    try:
-        return ndcg, ilad(embs)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+def _score_lists(lists, embeddings: np.ndarray, k: int, stack: int = 256):
+    """nDCG@k and ILAD (NaN below two items) of each (relevances, ideal pool, rows of
+    `embeddings`) list, with one `ndcg_at_k` and one `ilad` call per (list length, pool
+    length) group of up to `stack` lists, so the stacked copies stay flat in the number of
+    lists.  A zero embedding's error has the first list holding one as `row`."""
+    groups = {}
+    for pos, (rel, ideal, _) in enumerate(lists):
+        groups.setdefault((len(rel), len(ideal)), []).append(pos)
+    ndcg, div, failed = np.empty(len(lists)), np.full(len(lists), np.nan), []
+    for (length, _), group in groups.items():
+        for pos in (group[start:start + stack] for start in range(0, len(group), stack)):
+            rels, ideals, rows = zip(*(lists[p] for p in pos))
+            ndcg[pos] = ndcg_at_k(rels, k, ideal_relevances=ideals)
+            try:
+                div[pos] = ilad(embeddings[np.array(rows)]) if length >= 2 else np.nan
+            except ValidationError as exc:
+                failed.append(ValidationError(str(exc), row=pos[exc.row]))
+    if failed:
+        raise min(failed, key=lambda exc: exc.row)
+    return ndcg, div
 
 
 def cmd_eval(args) -> None:
@@ -300,30 +307,27 @@ def cmd_eval(args) -> None:
     labels = load_labels(args.labels, (res.user_id for res in results))
     table = load_items(args.items)
 
-    rows = []
-    ndcgs, ilads = [], []
+    lists = []
     for res in results:
         user_labels = labels.get(res.user_id, {})
-        ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]  # all that nDCG@k reads
         try:
-            embs = table.rows(res.item_ids)
+            index = table.index(res.item_ids)
         except ValidationError as exc:
             raise ValidationError(f"{args.results}: result {res.user_id}: {exc}") from None
-        where = f"{args.items}: items of result {res.user_id}"
-        ndcg, diversity = _list_metrics(res.item_ids, embs, user_labels, ideal, cfg.k, where)
-        ndcgs.append(ndcg)
-        if not np.isnan(diversity):
-            ilads.append(diversity)
-        rows.append([res.user_id, len(res.item_ids), _fmt(ndcg), _fmt(diversity)])
+        ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]  # all that nDCG@k reads
+        lists.append(([user_labels.get(item_id, 0) for item_id in res.item_ids], ideal, index))
+    try:
+        ndcgs, ilads = _score_lists(lists, table.embeddings, cfg.k)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.items}: items of result {results[exc.row].user_id}: {exc}") from None
 
-    # No lists, or none with two items for ILAD, leaves a mean blank.
-    mean_ndcg, mean_ilad = _mean_or_blank(ndcgs), _mean_or_blank(ilads)
+    rows = [[res.user_id, len(res.item_ids), _fmt(ndcg), _fmt(diversity)]
+            for res, ndcg, diversity in zip(results, ndcgs, ilads)]
+    # ILAD's mean sums only the lists that have one (a NaN read as 0 regroups the sum); none leaves it blank.
+    mean_ndcg, mean_ilad = _mean_or_blank(ndcgs), _mean_or_blank(ilads[~np.isnan(ilads)])
     _save_csv(args.out, [["user_id", "n_selected", f"ndcg_at_{cfg.k}", "ilad"], *rows,
                          ["__mean__", "", mean_ndcg, mean_ilad]])
-    print(
-        f"eval: {len(results)} lists, mean ndcg@{cfg.k}={mean_ndcg}, "
-        f"mean ilad={mean_ilad} -> {args.out}"
-    )
+    print(f"eval: {len(results)} lists, mean ndcg@{cfg.k}={mean_ndcg}, mean ilad={mean_ilad} -> {args.out}")
 
 
 # ----- sweep -----
@@ -353,8 +357,8 @@ def cmd_sweep(args) -> None:
 
     methods = ("bs_dpp", "fixed_dpp", "mmr")
     cfgs = [replace(cfg, alpha=alpha) for alpha in alphas]
-    # Per alpha: each method's [ndcg, ilad, objective] rows in user order, and its wall time.
-    acc = [{m: [] for m in methods} for _ in alphas]
+    # Per user, the [ndcg, ilad, objective] row of each list, alpha-major; per alpha, each method's wall time.
+    scored = []
     times = [dict.fromkeys(methods, 0.0) for _ in alphas]
     # User-major, so that one user's n x n kernel at a time is alive.
     for cs in candidates:
@@ -363,11 +367,11 @@ def cmd_sweep(args) -> None:
         row_of = {item_id: row for row, item_id in enumerate(cs.ids)}
         user_labels = labels.get(cs.user_id, {})
         ideal = sorted(user_labels.values(), reverse=True)[: cfg.k]
-        where = f"{args.candidates}: candidate set {cs.user_id}"
         # Neither depends on alpha, so each is built once per user.
         scorer = profile_scorer(cs, profile, params)
         sim = cosine_similarity_fn(cs.embeddings)
-        for alpha, cfg_a, acc_a, times_a in zip(alphas, cfgs, acc, times):
+        lists, objectives = [], []
+        for alpha, cfg_a, times_a in zip(alphas, cfgs, times):
             # Looked up at call time, so that a wrapped module global is the one timed.
             select = {
                 "bs_dpp": lambda: bs_dpp_select(cs, kernel, scorer, cfg_a)[0],
@@ -380,27 +384,23 @@ def cmd_sweep(args) -> None:
                 times_a[method] += time.perf_counter() - t0
                 item_ids = picked if method == "mmr" else picked.item_ids  # MMR returns bare ids
                 rows = [row_of[i] for i in item_ids]
-                ndcg, div = _list_metrics(item_ids, cs.embeddings[rows], user_labels, ideal, cfg.k, where)
-                if method == "mmr":  # h of its subset stands in for an objective
-                    h = subset_objective(kernel.values, cs.base_scores, rows, alpha)
-                else:
-                    h = picked.objective
-                acc_a[method].append([ndcg, div, h])
+                lists.append(([user_labels.get(i, 0) for i in item_ids], ideal, rows))
+                objectives.append(  # for MMR, h of its subset stands in for an objective
+                    subset_objective(kernel.values, cs.base_scores, rows, alpha) if method == "mmr"
+                    else picked.objective)
+        try:
+            ndcgs, ilads = _score_lists(lists, cs.embeddings, cfg.k)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.candidates}: candidate set {cs.user_id}: {exc}") from None
+        scored.append(np.column_stack([ndcgs, ilads, objectives]))
         del scorer, sim  # freed before the next user's kernel build
 
-    table_rows = []
-    for alpha, acc_a, times_a in zip(alphas, acc, times):
-        for method in methods:
-            arr = np.asarray(acc_a[method])
-            table_rows.append(
-                [
-                    _fmt(alpha),
-                    method,
-                    _fmt(1.0 / (1.0 + alpha)) if method == "mmr" else "",
-                    *(_mean_or_blank(column) for column in arr.T),
-                    f"{times_a[method]:.6f}",
-                ]
-            )
+    scored = np.stack(scored).reshape(len(candidates), len(alphas), len(methods), 3)
+    table_rows = [
+        [_fmt(alpha), method, _fmt(1.0 / (1.0 + alpha)) if method == "mmr" else "",
+         *(_mean_or_blank(column) for column in scored[:, a, m].T), f"{times_a[method]:.6f}"]
+        for a, (alpha, times_a) in enumerate(zip(alphas, times)) for m, method in enumerate(methods)
+    ]
 
     _save_csv(args.out, [
         ["alpha", "method", "lambda", "mean_ndcg", "mean_ilad", "mean_objective", "wall_time_s"], *table_rows

@@ -254,12 +254,16 @@ class EmbeddingTable:
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._row_of
 
-    def rows(self, ids: Iterable[str]) -> np.ndarray:
-        """The (m, d) embedding rows of `ids`, in the order given."""
+    def index(self, ids: Iterable[str]) -> list[int]:
+        """The row of each of `ids` in `embeddings`, in the order given."""
         try:
-            return self.embeddings[[self._row_of[i] for i in ids]]
+            return [self._row_of[i] for i in ids]
         except KeyError as exc:
             raise ValidationError(f"unknown item_id {exc.args[0]!r}") from None
+
+    def rows(self, ids: Iterable[str]) -> np.ndarray:
+        """The (m, d) embedding rows of `ids`, in the order given."""
+        return self.embeddings[self.index(ids)]
 
 
 @dataclass(frozen=True, eq=False)

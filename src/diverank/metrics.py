@@ -1,11 +1,12 @@
 """Ranking and classification metrics used across evaluation and sweeps.
 
-All functions are pure numpy and operate on plain arrays.
+All functions are pure numpy and operate on plain arrays.  `dcg_at_k` and
+`ndcg_at_k` read a list along the last axis, `ilad` along the last two
+`(..., L, d)`: a stack of equal-length lists is one call, each list keeps the
+bits it gets alone, and a single list gives a `float`.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -13,37 +14,33 @@ from .data import ValidationError
 from .kernels import normalize_rows
 
 
-def _check_k(k: int) -> None:
+def _float_if_single(values: np.ndarray) -> float | np.ndarray:
+    return float(values) if values.ndim == 0 else values
+
+
+def dcg_at_k(relevances, k: int) -> float | np.ndarray:
+    """Discounted cumulative gain with gain 2^rel - 1, discount log2(pos + 1)."""
     if k < 1:
         raise ValidationError("k must be >= 1")
+    rel = np.asarray(relevances, dtype=np.float64)[..., :k]
+    positions = np.arange(1, rel.shape[-1] + 1, dtype=np.float64)
+    return _float_if_single(np.sum((np.exp2(rel) - 1.0) / np.log2(positions + 1.0), axis=-1))
 
 
-def dcg_at_k(relevances, k: int) -> float:
-    """Discounted cumulative gain with gain 2^rel - 1, discount log2(pos + 1)."""
-    _check_k(k)
-    rel = np.asarray(relevances, dtype=np.float64)[:k]
-    if rel.size == 0:
-        return 0.0
-    positions = np.arange(1, rel.size + 1, dtype=np.float64)
-    return float(np.sum((np.exp2(rel) - 1.0) / np.log2(positions + 1.0)))
-
-
-def ndcg_at_k(relevances, k: int, ideal_relevances=None) -> float:
+def ndcg_at_k(relevances, k: int, ideal_relevances=None) -> float | np.ndarray:
     """Normalized DCG; 0.0 when no relevant item exists.
 
     By default the ideal ordering is the list's own relevances sorted
     descending.  Pass `ideal_relevances` (the ground-truth relevance
     pool) to normalize against the best ranking achievable from the full
-    candidate universe instead of just the surfaced list.
+    candidate universe instead of just the surfaced list.  A stack of
+    (m, L) lists takes (m, P) pools, or one (P,) pool that all share.
     """
-    _check_k(k)
     rel = np.asarray(relevances, dtype=np.float64)
     pool = rel if ideal_relevances is None else np.asarray(ideal_relevances, dtype=np.float64)
-    ideal = np.sort(pool)[::-1]
-    denom = dcg_at_k(ideal, k)
-    if denom == 0.0:
-        return 0.0
-    return dcg_at_k(rel, k) / denom
+    gain, best = dcg_at_k(rel, k), dcg_at_k(np.flip(np.sort(pool, axis=-1), axis=-1), k)
+    ndcg = np.divide(gain, best, out=np.zeros(np.broadcast(gain, best).shape), where=np.not_equal(best, 0.0))
+    return _float_if_single(ndcg)
 
 
 def auc(labels, scores) -> float:
@@ -74,25 +71,22 @@ def auc(labels, scores) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(n, k=1)`, built once per list length and read-only."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def ilad(embeddings) -> float:
+def ilad(embeddings) -> float | np.ndarray:
     """Intra-list average distance: mean pairwise (1 - cosine similarity).
 
     Needs at least two items; zero-norm embeddings are rejected because
-    cosine similarity is undefined for them.
+    cosine similarity is undefined for them, and the error's `row` is the
+    flat index of the first list holding one.
     """
     embs = np.asarray(embeddings, dtype=np.float64)
-    if embs.ndim != 2 or embs.shape[0] < 2:
+    if embs.ndim < 2 or embs.shape[-2] < 2:
         raise ValidationError("ilad needs at least two embeddings")
     unit = normalize_rows(embs)
-    if not unit.any(axis=1).all():  # only an all-zero row stays zero
-        raise ValidationError("ilad is undefined for zero-norm embeddings")
-    cosine = unit @ unit.T
-    return float(np.mean(1.0 - cosine[_upper_pairs(embs.shape[0])]))
+    zero = ~unit.any(axis=-1).all(axis=-1)  # only an all-zero row stays zero
+    if zero.any():
+        raise ValidationError("ilad is undefined for zero-norm embeddings", row=int(np.argmax(zero)))
+    cosine = unit @ np.swapaxes(unit, -1, -2)
+    rows, cols = np.triu_indices(embs.shape[-2], k=1)
+    # A C-contiguous copy, so that each list's mean sums its pairs in the order a single list does.
+    distances = np.ascontiguousarray(1.0 - cosine[..., rows, cols])
+    return _float_if_single(distances.mean(axis=-1))

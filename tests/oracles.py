@@ -6,6 +6,7 @@ scorer's list-invariant terms were hoisted, with the selection context
 they kept as a record (`ContextState`) and the per-step trace the loop
 records for audits (`StepTrace`, `SelectionTrace`), a full check of a
 built kernel matrix, a clamped binary log-loss for the metric goldens,
+the per-list nDCG and ILAD that the stacked metrics must equal bit for bit,
 central finite differences for every analytic gradient, the local-move
 clustering as it was with its state in numpy (`reference_louvain`), and
 candidate and behavior lines written by one `json.dumps` call each.
@@ -34,7 +35,7 @@ from diverank.data import (
     ValidationError,
 )
 from diverank.interests import InterestProfile
-from diverank.kernels import KernelMatrix
+from diverank.kernels import KernelMatrix, normalize_rows
 from diverank.selection import subset_objective
 
 FD_STEP = 1e-5
@@ -231,6 +232,40 @@ def logloss(labels, probabilities) -> float:
         raise ValidationError("labels must be binary")
     clamped = np.clip(probs, 1e-15, 1.0 - 1e-15)
     return float(-np.mean(labels * np.log(clamped) + (1.0 - labels) * np.log(1.0 - clamped)))
+
+
+def reference_dcg_at_k(relevances, k: int) -> float:
+    """DCG of one list, gain 2^rel - 1 and discount log2(pos + 1), as
+    `metrics.dcg_at_k` computed it before it took stacks of lists."""
+    rel = np.asarray(relevances, dtype=np.float64)[:k]
+    if rel.size == 0:
+        return 0.0
+    positions = np.arange(1, rel.size + 1, dtype=np.float64)
+    return float(np.sum((np.exp2(rel) - 1.0) / np.log2(positions + 1.0)))
+
+
+def reference_ndcg_at_k(relevances, k: int, ideal_relevances=None) -> float:
+    """nDCG@k of one list against its own relevances or an ideal pool; 0.0
+    when the ideal DCG is 0."""
+    rel = np.asarray(relevances, dtype=np.float64)
+    pool = rel if ideal_relevances is None else np.asarray(ideal_relevances, dtype=np.float64)
+    ideal = np.sort(pool)[::-1]
+    denom = reference_dcg_at_k(ideal, k)
+    if denom == 0.0:
+        return 0.0
+    return reference_dcg_at_k(rel, k) / denom
+
+
+def reference_ilad(embeddings) -> float:
+    """ILAD of one (L, d) list: the mean of 1 - cosine over its upper-triangle pairs."""
+    embs = np.asarray(embeddings, dtype=np.float64)
+    if embs.ndim != 2 or embs.shape[0] < 2:
+        raise ValidationError("ilad needs at least two embeddings")
+    unit = normalize_rows(embs)
+    if not unit.any(axis=1).all():
+        raise ValidationError("ilad is undefined for zero-norm embeddings")
+    cosine = unit @ unit.T
+    return float(np.mean(1.0 - cosine[np.triu_indices(embs.shape[0], k=1)]))
 
 
 def finite_difference(loss_fn: Callable[[], float], arrays: Iterable[np.ndarray]) -> list[np.ndarray]:

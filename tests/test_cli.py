@@ -38,7 +38,7 @@ from diverank.kernels import composite_matrix
 from diverank.metrics import ilad
 from diverank.selection import profile_scorer
 from diverank.synth import SyntheticSpec
-from oracles import reference_greedy
+from oracles import reference_greedy, reference_ilad, reference_ndcg_at_k
 
 SYNTH_ARGS = [
     "--seed", "0",
@@ -407,6 +407,38 @@ class TestDeterminism:
         assert run(*argv, "--out", str(out)) == 0
         assert calls == {"profile_scorer": 3, "cosine_similarity_fn": 3}
 
+    def test_metrics_run_once_per_length_group(self, pipeline, tmp_path, monkeypatch):
+        """sweep scores each user's lists with one `ndcg_at_k` and one `ilad`
+        call per list length; both stay looked up as cli globals, which
+        `bench/layers.py` wraps as its `metrics.eval` layer."""
+        calls = record_metric_calls(monkeypatch, "profile_scorer")  # one profile_scorer call per user
+        argv = [
+            "sweep",
+            "--candidates", str(pipeline["fix"] / "candidates.jsonl"),
+            "--labels", str(pipeline["fix"] / "labels.jsonl"),
+            "--profiles", str(pipeline["model"] / "profiles.jsonl"),
+            "--checkpoint", str(pipeline["model"] / "checkpoint.json"),
+            "--alphas", "0,0.5,1,2",
+            "--runs", "3",
+            "--out", str(tmp_path / "sweep.csv"),
+        ]
+        assert run(*argv) == 0
+        per_user = []
+        for name, shape in calls:
+            if name == "profile_scorer":
+                per_user.append([])
+            else:
+                per_user[-1].append((name, shape))
+        assert len(per_user) == 3
+        for user_calls in per_user:
+            ndcg = [shape for name, shape in user_calls if name == "ndcg_at_k"]
+            lengths = [length for _, length in ndcg]
+            assert len(set(lengths)) == len(lengths)  # one call per list length
+            assert sum(m for m, _ in ndcg) == 4 * 3  # every alpha x method list
+            assert [shape for name, shape in user_calls if name == "ilad"] == [
+                (m, length, 8) for m, length in ndcg if length >= 2
+            ]
+
 
 def write_duplicate_fixture(root):
     """Two identical high-score items plus one orthogonal low-score item."""
@@ -580,6 +612,178 @@ class TestSingleItemLists:
         assert len(rows) == 6
         assert all(row["mean_ilad"] == "" for row in rows)
         assert all(row["mean_ndcg"] != "" and row["mean_objective"] != "" for row in rows)
+
+
+def record_metric_calls(monkeypatch, *others):
+    """Wrap `cli.ndcg_at_k`, `cli.ilad` and the cli globals `others`; each call
+    appends (name, shape of its first argument) to the returned list."""
+    calls = []
+    for name in ("ndcg_at_k", "ilad", *others):
+        original = getattr(cli, name)
+
+        def recorded(*args, _original=original, _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0]) if _name in ("ndcg_at_k", "ilad") else None))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+MIXED_K = 4
+# eval's mixed fixture in file order: each user's list and label line (None:
+# no line).  By (list length, pool length) the groups are (4, 4): u1, u7;
+# (3, 4): u2, u6; (1, 4): u3; (4, 0): u4; (4, 2): u5.  Item z is in u7 only
+# and y in u6 only.
+MIXED = (
+    ("u1", "abcd", {"a": 1, "b": 0, "c": 1, "d": 0, "x": 1}),
+    ("u2", "efg", {"e": 0, "f": 1, "g": 1, "q": 0}),
+    ("u3", "h", {"h": 1, "a": 0, "b": 0, "c": 1}),
+    ("u4", "aceg", None),
+    ("u5", "bdfh", {"b": 1, "r": 1}),
+    ("u6", "cdy", {"c": 1, "d": 0, "y": 1, "e": 0}),
+    ("u7", "zgfe", {"z": 1, "g": 0, "f": 1, "e": 0, "b": 1}),
+)
+
+
+def write_mixed_fixture(root, zero=""):
+    """Catalog (dimension 3; the rows of the items in `zero` are zero), results
+    and labels of MIXED; returns the catalog."""
+    ids = tuple("abcdefghyz")
+    embs = np.random.default_rng(12).normal(size=(len(ids), 3)) * np.logspace(-3, 3, len(ids))[:, None]
+    embs[[ids.index(i) for i in zero]] = 0.0
+    table = EmbeddingTable(ids, embs)
+    save_items(root / "items.jsonl", table)
+    save_results(root / "results.jsonl", [
+        RerankResult(user, tuple(items), (0.5,) * len(items), (0.0,) * len(items), (0.5,) * len(items), 1.0)
+        for user, items, _ in MIXED
+    ])
+    (root / "labels.jsonl").write_text("".join(
+        json.dumps({"user_id": user, "item_ids": list(labels), "labels": list(labels.values())}) + "\n"
+        for user, _, labels in MIXED if labels is not None
+    ))
+    return table
+
+
+def mixed_eval_argv(root):
+    return ["eval", "--results", str(root / "results.jsonl"), "--labels", str(root / "labels.jsonl"),
+            "--items", str(root / "items.jsonl"), "--out", str(root / "eval.csv"), "--k", str(MIXED_K)]
+
+
+class TestMixedLengthLists:
+    """Lists of several lengths and pools are scored in groups, each list
+    with the bits of the per-list oracles."""
+
+    def test_eval_equals_the_per_list_oracles(self, tmp_path, capsys):
+        table = write_mixed_fixture(tmp_path)
+        assert run(*mixed_eval_argv(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
+        rows, ndcgs, ilads = [], [], []
+        for user, items, labels in MIXED:
+            labels = labels or {}
+            ndcg = reference_ndcg_at_k([labels.get(i, 0) for i in items], MIXED_K,
+                                       ideal_relevances=list(labels.values()))
+            diversity = reference_ilad(table.rows(items)) if len(items) >= 2 else float("nan")
+            ndcgs.append(ndcg)
+            ilads += [diversity] if len(items) >= 2 else []
+            rows.append([user, str(len(items)), cli._fmt(ndcg), cli._fmt(diversity)])
+        assert list(csv.reader(open(tmp_path / "eval.csv"))) == [
+            ["user_id", "n_selected", f"ndcg_at_{MIXED_K}", "ilad"], *rows,
+            ["__mean__", "", cli._fmt(np.nanmean(ndcgs)), cli._fmt(np.nanmean(ilads))],
+        ]
+
+    @pytest.mark.parametrize("zero, user", [("z", "u7"), ("zy", "u6")])
+    def test_zero_norm_error_names_the_first_failing_list_in_file_order(self, zero, user, tmp_path, capsys):
+        """z is in the second list of its group; with y too, the first failing
+        list is in a group that starts later in the file."""
+        write_mixed_fixture(tmp_path, zero)
+        assert run(*mixed_eval_argv(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'items.jsonl'}: items of result {user}: ilad is undefined for zero-norm embeddings"
+        ]
+        assert not (tmp_path / "eval.csv").exists()
+
+    def test_unknown_id_is_reported_before_any_list_is_scored(self, tmp_path, capsys):
+        """Result ids are looked up in the catalog first, so an unknown id in a
+        later list is reported before u7's zero embedding."""
+        write_mixed_fixture(tmp_path, "z")
+        results = tmp_path / "results.jsonl"
+        save_results(results, [*load_results(results), RerankResult("u8", ("w",), (0.5,), (0.0,), (0.5,), 1.0)])
+        assert run(*mixed_eval_argv(tmp_path)) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {results}: result u8: unknown item_id 'w'"]
+
+    def test_eval_calls_each_metric_once_per_group(self, tmp_path, monkeypatch):
+        write_mixed_fixture(tmp_path)
+        calls = record_metric_calls(monkeypatch)
+        assert run(*mixed_eval_argv(tmp_path)) == 0
+        assert sorted(calls) == sorted([
+            *(("ndcg_at_k", (m, length)) for m, length in ((2, 4), (2, 3), (1, 1), (1, 4), (1, 4))),
+            *(("ilad", (m, length, 3)) for m, length in ((2, 4), (2, 3), (1, 4), (1, 4))),
+        ])
+
+    @pytest.mark.parametrize("zero", ["", "z", "zy"])
+    def test_capped_stacks_keep_each_lists_bits_and_the_failing_list(self, zero, tmp_path, monkeypatch):
+        """A group of more than `stack` lists is scored in slices of at most
+        `stack`, with the same values and the same first failing list as one
+        call per group."""
+        table = write_mixed_fixture(tmp_path, zero)
+        lists = [([(labels or {}).get(i, 0) for i in items], sorted((labels or {}).values(), reverse=True),
+                  table.index(items)) for _, items, labels in MIXED]
+
+        def score(stack):
+            try:
+                return cli._score_lists(lists, table.embeddings, MIXED_K, stack=stack)
+            except ValidationError as exc:
+                return exc.row
+
+        whole = score(len(lists))
+        calls = record_metric_calls(monkeypatch)
+        sliced = score(1)
+        assert {shape[0] for _, shape in calls} == {1}
+        if zero:
+            assert sliced == whole == [user for user, _, _ in MIXED].index("u6" if "y" in zero else "u7")
+        else:
+            np.testing.assert_array_equal(np.asarray(sliced), np.asarray(whole))
+            assert len([name for name, _ in calls if name == "ndcg_at_k"]) == len(MIXED)
+
+    def test_sweep_equals_the_per_list_oracles(self, tmp_path, monkeypatch):
+        """The duplicate fixture's lists exhaust at the default k."""
+        write_duplicate_fixture(tmp_path)
+        labels = write_labels(tmp_path)
+        picked = []  # [item ids, objective] of each list, in the order sweep makes them
+
+        def record(name, ids_and_objective):
+            original = getattr(cli, name)
+
+            def recorded(*args, **kwargs):
+                result = original(*args, **kwargs)
+                picked.append(list(ids_and_objective(result)))
+                return result
+
+            monkeypatch.setattr(cli, name, recorded)
+
+        record("bs_dpp_select", lambda result: (result[0].item_ids, result[0].objective))
+        record("fixed_score_dpp_select", lambda result: (result.item_ids, result.objective))
+        record("mmr_select", lambda result: (result, None))  # its h comes from subset_objective
+        record("subset_objective", lambda h: (picked.pop()[0], h))  # fills MMR's entry
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--candidates", tmp_path / "candidates.jsonl", "--labels", labels,
+                "--profiles", tmp_path / "profiles.jsonl", "--checkpoint", tmp_path / "checkpoint.json",
+                "--out", out, "--alphas", "0,1,2"]
+        assert run(*map(str, argv)) == 0
+        (cs,) = load_candidates(tmp_path / "candidates.jsonl")
+        user_labels = {"i1": 1}
+        want = []
+        for (item_ids, objective), (alpha, method) in zip(
+            picked, [(a, m) for a in (0.0, 1.0, 2.0) for m in ("bs_dpp", "fixed_dpp", "mmr")], strict=True
+        ):
+            assert len(item_ids) < 10
+            ndcg = reference_ndcg_at_k([user_labels.get(i, 0) for i in item_ids], 10,
+                                       ideal_relevances=list(user_labels.values()))
+            rows = [cs.ids.index(i) for i in item_ids]
+            diversity = reference_ilad(cs.embeddings[rows]) if len(rows) >= 2 else float("nan")
+            want.append([cli._fmt(alpha), method, cli._fmt(1.0 / (1.0 + alpha)) if method == "mmr" else "",
+                         *(cli._mean_or_blank([value]) for value in (ndcg, diversity, objective))])
+        assert [row[:6] for row in csv.reader(open(out))][1:] == want
 
 
 class TestLabelLookups:

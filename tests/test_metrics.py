@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from diverank.data import ValidationError
 from diverank.kernels import normalize_rows
-from diverank.metrics import _upper_pairs, auc, dcg_at_k, ilad, ndcg_at_k
-from oracles import logloss
+from diverank.metrics import auc, dcg_at_k, ilad, ndcg_at_k
+from oracles import logloss, reference_dcg_at_k, reference_ilad, reference_ndcg_at_k
 
 
 def pairwise_cosine_distance_mean(vectors):
@@ -225,15 +225,75 @@ class TestIlad:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_triu_indices_bit_for_bit(self, n, rng):
-        for _ in range(3):  # later calls read the cached index
+        for _ in range(3):
             v = rng.normal(size=(n, 16))
             unit = normalize_rows(v)
             want = float(np.mean(1.0 - (unit @ unit.T)[np.triu_indices(n, k=1)]))
             assert ilad(v) == want
 
-    def test_cached_pairs_are_read_only(self):
-        rows, cols = _upper_pairs(5)
-        assert _upper_pairs(5)[0] is rows
-        for index in (rows, cols):
-            with pytest.raises(ValueError, match="read-only"):
-                index[0] = 4
+    def test_zero_norm_error_names_the_first_list_holding_one(self, rng):
+        stack = rng.normal(size=(5, 3, 4))
+        stack[3, 1] = 0.0
+        stack[1, 2] = 0.0
+        with pytest.raises(ValidationError, match="zero-norm") as err:
+            ilad(stack)
+        assert err.value.row == 1
+        with pytest.raises(ValidationError, match="zero-norm") as err:
+            ilad(stack[3])
+        assert err.value.row == 0
+
+
+# Rows scaled so that np.linalg.norm overflows (1e200) or underflows to 0
+# (1e-170) and normalize_rows takes its rescale path.
+EXTREME_SCALES = (1e200, 1e-170)
+
+
+@st.composite
+def stacks(draw):
+    """Equal-length lists as one stack: (relevances (m, L), ideal pools (m, P),
+    embeddings (m, L, d), k), with 1 <= L <= k and 0 <= P <= k."""
+    k = draw(st.sampled_from((1, 5, 10, 50)))
+    length, pool = draw(st.integers(1, k)), draw(st.integers(0, k))
+    m, d = draw(st.integers(1, 6)), draw(st.sampled_from((2, 16, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    relevances = rng.integers(0, 3, size=(m, length))
+    ideal = rng.integers(0, 3, size=(m, pool))
+    embs = rng.normal(size=(m, length, d)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, length, 1))
+    for scale in EXTREME_SCALES:
+        for _ in range(draw(st.integers(0, 2))):
+            embs[rng.integers(m), rng.integers(length)] = rng.normal(size=d) * scale
+    return relevances, ideal, embs, k
+
+
+class TestStackedLists:
+    """A stack of lists gets, list by list, the bits of the per-list oracles."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(stack=stacks())
+    def test_each_list_equals_its_oracle_bit_for_bit(self, stack):
+        relevances, ideal, embs, k = stack
+        assert dcg_at_k(relevances, k).tolist() == [reference_dcg_at_k(r, k) for r in relevances]
+        assert ndcg_at_k(relevances, k).tolist() == [reference_ndcg_at_k(r, k) for r in relevances]
+        assert ndcg_at_k(relevances, k, ideal_relevances=ideal).tolist() == [
+            reference_ndcg_at_k(r, k, ideal_relevances=p) for r, p in zip(relevances, ideal)
+        ]
+        # One pool that every list of the stack shares.
+        assert ndcg_at_k(relevances, k, ideal_relevances=ideal[0]).tolist() == [
+            reference_ndcg_at_k(r, k, ideal_relevances=ideal[0]) for r in relevances
+        ]
+        if embs.shape[1] >= 2:
+            assert ilad(embs).tolist() == [reference_ilad(e) for e in embs]
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(stack=stacks())
+    def test_one_list_gives_a_float(self, stack):
+        relevances, ideal, embs, k = stack
+        for value, want in (
+            (dcg_at_k(relevances[0], k), reference_dcg_at_k(relevances[0], k)),
+            (ndcg_at_k(relevances[0], k, ideal_relevances=ideal[0]),
+             reference_ndcg_at_k(relevances[0], k, ideal_relevances=ideal[0])),
+        ):
+            assert type(value) is float and value == want
+        if embs.shape[1] >= 2:
+            value = ilad(embs[0])
+            assert type(value) is float and value == reference_ilad(embs[0])
