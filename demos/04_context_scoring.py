@@ -24,17 +24,23 @@ def section(title):
     print("-" * 64)
 
 
-def make_impressions(rng, n=80):
-    """Two well-separated clouds on the first axis, labels by cloud.
-
-    Impressions are columns: one row per shown item, with the user, the
-    item's embedding, the two list contexts and the click label.
+def row_impressions(embeddings, h_prev, labels):
+    """Impressions name rows of an item catalog and hold one candidate
+    context per session, beside each row's previous context and click
+    label.  Here the rows are the catalog and each row is its own session,
+    with an empty candidate context.
     """
+    n = len(labels)
+    return Impressions(embeddings, np.arange(n), ("u1",) * n, np.arange(n), h_prev, np.zeros((n, DIM)), labels)
+
+
+def make_impressions(rng, n=80):
+    """Two well-separated clouds on the first axis, labels by cloud."""
     labels = np.arange(n) % 2
     centers = np.zeros((n, DIM))
     centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
     embeddings = centers + 0.3 * rng.normal(size=(n, DIM))
-    return Impressions(("u1",) * n, embeddings, np.zeros((n, DIM)), np.zeros((n, DIM)), labels)
+    return row_impressions(embeddings, np.zeros((n, DIM)), labels)
 
 
 def probability(embedding, h_prev, h_cand, params):
@@ -80,7 +86,7 @@ def main():
         embs[i] += 0.3 * rng.normal(size=DIM)
         prevs[i] += 0.3 * rng.normal(size=DIM)
         labels[i] = 1 if e_sign != p_sign else 0
-    novelty = Impressions(("u1",) * n, embs, prevs, np.zeros((n, DIM)), labels)
+    novelty = row_impressions(embs, prevs, labels)
     ctx_params = init_scorer_params(DIM, np.random.default_rng(2))
     ctx_curve = train_scorer(novelty, {}, ctx_params, lr=0.1, epochs=60, seed=0)
     for epoch in (0, 29, 44, 59):

@@ -11,16 +11,18 @@ two-logit softmax.
 Training runs on plain arrays: each minibatch is one call of
 `autodiff.backward`, which returns the loss and all eight parameter
 gradients from analytic backwards that the tests hold bit for bit to the
-composed graph of tape primitives; the training set is scored in fixed
+composed graph of tape primitives; the training set (`Impressions`:
+catalog rows, with one candidate context per session) is scored in fixed
 row chunks.  Inference folds a list's fixed terms once (`list_state`),
-the candidate context among them, so a greedy step (`score_batch`)
-takes only the previous context and adds one small matrix product.
+the candidate context among them, so a greedy step (`score_batch`) takes
+only the previous context and adds one small matrix product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -187,68 +189,69 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Impressions:
-    """Labelled training rows with their session contexts, held as columns.
+    """Labelled training rows, held as columns that name shared rows.
 
-    Row r: `user_ids[r]` saw the item embedded as `embeddings[r]` (an
-    (N, d) float64 array, like `h_prev` and `h_cand`) after items whose
-    mean is `h_prev[r]`, in a session whose mean is `h_cand[r]`;
-    `labels[r]` is 0 or 1.
+    Row r: the user of session `user_rows[r]` saw `catalog[item_rows[r]]`
+    (the (M, d) item catalog, referenced, not copied) after items whose
+    mean is `h_prev[r]`, in a session whose mean is `h_cand[user_rows[r]]`;
+    `labels[r]` is 0 or 1.  `user_ids` and `h_cand` hold a row per session.
     """
 
+    catalog: np.ndarray
+    item_rows: np.ndarray
     user_ids: tuple[str, ...]
-    embeddings: np.ndarray
+    user_rows: np.ndarray
     h_prev: np.ndarray
     h_cand: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        n = len(self.user_ids)
-        cols = [np.asarray(c, dtype=np.float64) for c in (self.embeddings, self.h_prev, self.h_cand)]
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if cols[0].ndim != 2 or len(cols[0]) != n or any(c.shape != cols[0].shape for c in cols):
-            raise ValidationError(f"impression columns must be ({n}, d) arrays")
-        if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
-            raise ValidationError(f"impression labels must be {n} values of 0 or 1")
-        for f, value in zip(fields(self), (tuple(self.user_ids), *cols, labels)):
-            object.__setattr__(self, f.name, value)
+        catalog, h_prev, h_cand = (np.asarray(c, dtype=np.float64) for c in (self.catalog, self.h_prev, self.h_cand))
+        item_rows, user_rows, labels = (np.asarray(c) for c in (self.item_rows, self.user_rows, self.labels))
+        n, u = item_rows.size, len(self.user_ids)
+        if catalog.ndim != 2 or h_prev.shape != (n, catalog.shape[1]) or h_cand.shape != (u, catalog.shape[1]):
+            raise ValidationError(f"impression contexts must be ({n}, d) and ({u}, d), d as in the (M, d) catalog")
+        bounds = {"item_rows": (item_rows, len(catalog)), "user_rows": (user_rows, u), "labels": (labels, 2)}
+        for name, (col, bound) in bounds.items():
+            if col.shape != (n,) or col.dtype.kind not in "iu" or not ((0 <= col) & (col < bound)).all():
+                raise ValidationError(f"impression {name} must be {n} integers in [0, {bound})")
+        for f, v in zip(fields(self), (catalog, item_rows, tuple(self.user_ids), user_rows, h_prev, h_cand, labels)):
+            object.__setattr__(self, f.name, v)
 
     def __len__(self) -> int:
-        return len(self.user_ids)
+        return len(self.labels)
 
 
 def build_impressions(records: Iterable[UserEvents], table: EmbeddingTable) -> Impressions:
     """Reconstruct per-user session contexts from labelled behavior records.
 
-    Users come in the order given, sorted by id as `load_behaviors` returns
-    them, and each session in its record's order, which is by time.  For
-    the t-th event of a user's session the previous context is the mean of
-    the earlier session embeddings (zero for the first) and the candidate
-    context is the mean over the whole session, mirroring how contexts
-    behave at serving time.  Unlabelled events and events without
-    embeddings are skipped.
+    Each record with a kept event is one session, users in the order given
+    (sorted by id, as `load_behaviors` returns them) and events in the
+    record's order, which is by time.  For the t-th event of a session the
+    previous context is the mean of the earlier session embeddings (zero
+    for the first) and the candidate context, held once per session, is the
+    mean over the whole session, mirroring how contexts behave at serving
+    time.  Unlabelled events and events without embeddings are skipped.
     """
-    kept, sizes = [], []  # (user_id, item_id, label) per kept row, and kept rows per user
+    sessions = []  # (user id, catalog rows, labels) of each record's kept events
     for events in records:
-        session = [
-            (events.user_id, item_id, label)
-            for item_id, label in zip(events.item_ids, events.labels.tolist())
-            if label != NO_LABEL and item_id in table
-        ]
-        kept += session
-        if session:
-            sizes.append(len(session))
-    user_ids, item_ids, labels = zip(*kept) if kept else ((), (), ())
-    embeddings = table.rows(item_ids)
-    h_prev, h_cand = np.zeros_like(embeddings), np.empty_like(embeddings)
+        keep = np.fromiter(map(table.__contains__, events.item_ids), bool, len(events)) & (events.labels != NO_LABEL)
+        if keep.any():
+            sessions.append((events.user_id, table.index(compress(events.item_ids, keep)), events.labels[keep]))
+    catalog, n = table.embeddings, sum(len(rows) for _, rows, _ in sessions)
+    item_rows, user_rows, labels = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, np.int64)
+    h_prev, h_cand = np.zeros((n, catalog.shape[1])), np.empty((len(sessions), catalog.shape[1]))
     lo = 0
-    for size in sizes:
-        embs = embeddings[lo : lo + size]
-        h_cand[lo : lo + size] = embs.mean(axis=0)
+    for u, (_, rows, session_labels) in enumerate(sessions):
+        hi = lo + len(rows)
+        item_rows[lo:hi], user_rows[lo:hi], labels[lo:hi] = rows, u, session_labels
+        embs = catalog[rows]
+        h_cand[u] = embs.mean(axis=0)
         # Running sums from zero, added in session order.
         running = np.cumsum(np.vstack((np.zeros(embs.shape[1]), embs[:-1])), axis=0)
-        h_prev[lo + 1 : lo + size] = running[1:] / np.arange(1, size)[:, None]
-        lo += size
-    return Impressions(user_ids, embeddings, h_prev, h_cand, labels)
+        h_prev[lo + 1 : hi] = running[1:] / np.arange(1, hi - lo)[:, None]
+        lo = hi
+    return Impressions(catalog, item_rows, tuple(s[0] for s in sessions), user_rows, h_prev, h_cand, labels)
 
 
 def check_trainable(impressions: Impressions) -> None:
@@ -283,19 +286,15 @@ def train_scorer(
         raise ValidationError("batch_size must be >= 1")
     if not (math.isfinite(lr) and lr >= 0):
         raise ValidationError(f"lr must be finite and >= 0, got {lr}")
-    labels_all = impressions.labels
-
-    n = len(impressions)
-    # Each user's profile rows are looked up once; a minibatch or chunk gathers its own by `rows`.
-    users = sorted(set(impressions.user_ids))
-    user_row = {user_id: row for row, user_id in enumerate(users)}
+    n, labels = len(impressions), impressions.labels
+    # One interest row per session, as `h_cand`; a minibatch or chunk gathers its own through `user_rows`.
     zero = np.zeros(params.dim)
-    macro = np.stack([profiles[u].h_macro if u in profiles else zero for u in users])
-    micro = np.stack([profiles[u].h_micro if u in profiles else zero for u in users])
-    rows = np.fromiter(map(user_row.__getitem__, impressions.user_ids), np.intp, n)
+    macro = np.stack([profiles[u].h_macro if u in profiles else zero for u in impressions.user_ids])
+    micro = np.stack([profiles[u].h_micro if u in profiles else zero for u in impressions.user_ids])
 
     def columns(at):  # the scorer's five inputs for the impressions at `at`
-        return impressions.embeddings[at], macro[rows[at]], micro[rows[at]], impressions.h_prev[at], impressions.h_cand[at]
+        u, imp = impressions.user_rows[at], impressions
+        return imp.catalog[imp.item_rows[at]], macro[u], micro[u], imp.h_prev[at], imp.h_cand[u]
 
     def logits(p: ScorerParams) -> np.ndarray:  # chunk by chunk, so the forward's temporaries stay bounded
         step = SCORE_CHUNK_ROWS
@@ -313,20 +312,20 @@ def train_scorer(
             losses: list[float] = []
             for start in range(0, n, batch_size):
                 batch = order[start : start + batch_size]
-                loss, grads = ad.backward(*columns(batch), params, labels_all[batch])
+                loss, grads = ad.backward(*columns(batch), params, labels[batch])
                 losses.append(loss * len(batch))
                 for w, g in zip(weights, grads):
                     w -= lr * g
             epoch_loss = float(np.sum(losses) / n)
             if not math.isfinite(epoch_loss) or not all(np.isfinite(w).all() for w in weights):
-                at_init = ad.cross_entropy(logits(initial), labels_all)[0]
+                at_init = ad.cross_entropy(logits(initial), labels)[0]
                 advice = "lower the learning rate" if math.isfinite(at_init) else (
                     "the scorer's inputs (item embeddings or interest vectors) overflow at its "
                     "initial weights; rescale or normalize the catalog")
                 raise NumericalError(
                     f"training diverged in epoch {epoch} (loss {epoch_loss:g} at lr={lr:g}); {advice}")
             probs = ad.softmax(logits(params))[:, 1]
-            curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels_all, probs))})
+            curve.append({"epoch": float(epoch), "loss": epoch_loss, "auc": float(auc(labels, probs))})
     return curve
 
 

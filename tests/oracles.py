@@ -11,7 +11,8 @@ central finite differences for every analytic gradient, the local-move
 clustering as it was with its state in numpy (`reference_louvain`), and
 candidate and behavior lines written by one `json.dumps` call each.
 `user_records` builds the behavior records that the tests feed to the
-stages from plain rows.
+stages from plain rows, and `row_impressions` a training set of one
+session per row from per-row columns.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from diverank.accuracy import ScorerParams
+from diverank.accuracy import Impressions, ScorerParams
 from diverank.clustering import MAX_PASSES, BipartiteGraph, ClusterAssignment
 from diverank.data import (
     NO_LABEL,
@@ -415,6 +416,14 @@ def user_records(*rows) -> list[UserEvents]:
         item_ids, ts, labels = zip(*by_user[user_id])
         records.append(UserEvents(user_id, item_ids, list(ts), list(labels)))
     return records
+
+
+def row_impressions(user_ids, embeddings, h_prev, h_cand, labels) -> Impressions:
+    """Training impressions with one session per row: the rows are the
+    catalog, and row r is session r, so a per-row `h_cand` that varies
+    within a user keeps its meaning and its bits."""
+    n = len(labels)
+    return Impressions(embeddings, np.arange(n), tuple(user_ids), np.arange(n), h_prev, h_cand, labels)
 
 
 def behavior_lines(records: Iterable[UserEvents]) -> list[str]:

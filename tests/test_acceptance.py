@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 from diverank import cli
-from diverank.accuracy import Impressions, init_scorer_params, train_scorer
+from diverank.accuracy import init_scorer_params, train_scorer
 from diverank.clustering import BipartiteGraph, louvain, modularity
 from diverank.data import CandidateSet, ExperimentConfig
 from diverank.interests import InterestProfile
@@ -26,7 +26,7 @@ from diverank.selection import (
     constant_scorer,
     profile_scorer,
 )
-from oracles import exhaustive_map, logloss, reference_greedy
+from oracles import exhaustive_map, logloss, reference_greedy, row_impressions
 
 
 def announce(capsys, number: int, ok: bool, detail: str) -> None:
@@ -535,7 +535,7 @@ def separable_impressions(rng, n=60, dim=4):
     centers = np.zeros((n, dim))
     centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
     embeddings = centers + 0.3 * rng.normal(size=(n, dim))
-    return Impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
+    return row_impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
 
 
 def test_criterion_08_scorer_trainability(capsys):

@@ -27,9 +27,9 @@ from diverank.accuracy import (
     train_scorer,
     Impressions,
 )
-from diverank.data import NO_LABEL, EmbeddingTable, NumericalError, ValidationError
+from diverank.data import NO_LABEL, EmbeddingTable, NumericalError, UserEvents, ValidationError
 from diverank.interests import InterestProfile
-from oracles import initial_context, update_context, user_records
+from oracles import initial_context, row_impressions, update_context, user_records
 from test_autodiff import assert_scorer_grads_match, per_row
 
 
@@ -201,10 +201,10 @@ class TestImpressions:
     def test_session_context_reconstruction(self):
         table = EmbeddingTable(("a", "b"), np.array([[2.0, 0.0], [0.0, 2.0]]))
         imps = build_impressions(user_records(("u1", "b", 20, 0), ("u1", "a", 10, 1)), table)
-        assert len(imps) == 2
+        assert len(imps) == 2 and imps.catalog is table.embeddings  # shared, not copied
         # Session order is by timestamp: a then b.
         assert np.array_equal(imps.h_prev, [[0.0, 0.0], [2.0, 0.0]])
-        assert np.array_equal(imps.h_cand, [[1.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(imps.h_cand[imps.user_rows], [[1.0, 1.0], [1.0, 1.0]])
         assert imps.labels.tolist() == [1, 0]
 
     def test_unlabeled_skipped(self):
@@ -227,25 +227,63 @@ class TestImpressions:
         expected = impressions_oracle(rows, table)
         imps = build_impressions(user_records(*rows), table)
         assert 0 < len(imps) == len(expected) < len(rows)
-        assert imps.user_ids == tuple(e[0] for e in expected)
-        for col, pos in (("embeddings", 1), ("h_prev", 2), ("h_cand", 3)):
+        assert [imps.user_ids[u] for u in imps.user_rows] == [e[0] for e in expected]
+        gathered = (imps.catalog[imps.item_rows], imps.h_prev, imps.h_cand[imps.user_rows])
+        for col, got, pos in zip(("embeddings", "h_prev", "h_cand"), gathered, (1, 2, 3)):
             want = np.stack([e[pos] for e in expected])
-            assert getattr(imps, col).tobytes() == want.tobytes(), col
+            assert got.tobytes() == want.tobytes(), col
         assert imps.labels.tolist() == [e[4] for e in expected]
+
+    def test_result_under_200_bytes_per_impression_and_build_peak_under_twice_it(self):
+        """At d=16 an impression holds a catalog row number, its previous
+        context and its label, and each session one candidate context: about
+        155 bytes.  Copying each row's embedding and session mean took 401."""
+        rng = np.random.default_rng(5)
+        d, users, events = 16, 100, 60
+        table = EmbeddingTable(tuple(f"i{k}" for k in range(300)), rng.normal(size=(300, d)))
+        records = [
+            UserEvents(f"u{u:03d}", tuple(f"i{k}" for k in rng.integers(300, size=events)),
+                       list(range(events)), rng.integers(2, size=events).tolist())
+            for u in range(users)
+        ]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            imps = build_impressions(records, table)
+            result, peak = (m - start for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(imps) == users * events
+        assert result / len(imps) < 200
+        assert peak < 2 * result
+
+    # Two impressions of one session over a three-item catalog of d=3.
+    WELL_FORMED = dict(catalog=np.zeros((3, 3)), item_rows=[0, 2], user_ids=("u1",), user_rows=[0, 0],
+                       h_prev=np.zeros((2, 3)), h_cand=np.zeros((1, 3)), labels=[0, 1])
+
+    def test_well_formed_columns_accepted(self):
+        assert len(Impressions(**self.WELL_FORMED)) == 2
 
     @pytest.mark.parametrize(
         "columns",
         [
-            (("u1",), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [0, 1]),
-            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)), [0, 1]),
-            (("u1", "u1"), np.zeros(3), np.zeros(3), np.zeros(3), [0, 1]),
-            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [0, 2]),
-            (("u1", "u1"), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), [1]),
+            dict(user_ids=("u1", "u2")),  # user_ids whose length differs from h_cand's rows
+            dict(h_prev=np.zeros((2, 2))),  # a context of another dimension than the catalog
+            dict(catalog=np.zeros(3), h_prev=np.zeros(3), h_cand=np.zeros(3)),
+            dict(labels=[0, 2]),
+            dict(labels=[1]),
+            dict(catalog=np.zeros(3)),
+            dict(labels=[0.0, 1.0]),  # an integer column, like the row numbers
+            dict(item_rows=[-1, 0]),
+            dict(item_rows=[0, 3]),  # >= M
+            dict(user_rows=[0, 1]),  # >= U
+            dict(item_rows=[0.0, 2.0]),
+            dict(h_cand=np.zeros((2, 3))),  # one row per impression, not per session
         ],
     )
     def test_malformed_columns_rejected(self, columns):
         with pytest.raises(ValidationError):
-            Impressions(*columns)
+            Impressions(**{**self.WELL_FORMED, **columns})
 
 
 def separable_impressions(rng, n=60, dim=4):
@@ -254,7 +292,7 @@ def separable_impressions(rng, n=60, dim=4):
     centers = np.zeros((n, dim))
     centers[:, 0] = np.where(labels == 1, 3.0, -3.0)
     embeddings = centers + 0.3 * rng.normal(size=(n, dim))
-    return Impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
+    return row_impressions(("u1",) * n, embeddings, np.zeros((n, dim)), np.zeros((n, dim)), labels)
 
 
 class TestTraining:
@@ -284,7 +322,7 @@ class TestTraining:
         assert curve[1]["loss"] <= curve[0]["loss"] + 1e-12
 
     def test_degenerate_labels_rejected(self, rng):
-        impressions = Impressions(("u1",) * 4, rng.normal(size=(4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), [1] * 4)
+        impressions = row_impressions(("u1",) * 4, rng.normal(size=(4, 4)), np.zeros((4, 4)), np.zeros((4, 4)), [1] * 4)
         params = init_scorer_params(4, rng)
         with pytest.raises(ValidationError):
             train_scorer(impressions, {}, params, lr=0.1, epochs=1, seed=0)
@@ -445,7 +483,7 @@ class TestChunkedScoring:
         n, epochs = 70, 2
         base = separable_impressions(rng, n=n)
         users = tuple(f"u{r % 5}" for r in range(n))
-        impressions = Impressions(users, base.embeddings, rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), base.labels)
+        impressions = row_impressions(users, base.catalog, rng.normal(size=(n, 4)), rng.normal(size=(n, 4)), base.labels)
         profiles = {f"u{u}": make_profile(f"u{u}", rng, 4) for u in range(4)}  # u4 has none: zero rows
         seen = count_score_logits(monkeypatch)
 
@@ -494,8 +532,9 @@ class TestChunkedScoring:
 
         def extra_peak(n, d=16):
             rng = np.random.default_rng(n)
-            users = tuple(f"u{r % 50}" for r in range(n))
-            impressions = Impressions(users, *(rng.normal(size=(n, d)) for _ in range(3)), np.arange(n) % 2)
+            users = tuple(f"u{s}" for s in range(50))
+            catalog, h_prev, h_cand = (rng.normal(size=shape) for shape in ((n, d), (n, d), (50, d)))
+            impressions = Impressions(catalog, np.arange(n), users, np.arange(n) % 50, h_prev, h_cand, np.arange(n) % 2)
             params = init_scorer_params(d, rng)
             tracemalloc.start()
             try:
@@ -510,9 +549,9 @@ class TestChunkedScoring:
 
     def test_overflow_in_the_last_partial_chunk_gets_the_overflow_advice(self, rng, monkeypatch):
         base = separable_impressions(rng, n=70)
-        embeddings = base.embeddings.copy()
+        embeddings = base.catalog.copy()
         embeddings[-1, 0] = 1e200  # row 69, in the last chunk of rows 64 to 69
-        impressions = Impressions(base.user_ids, embeddings, base.h_prev, base.h_cand, base.labels)
+        impressions = row_impressions(base.user_ids, embeddings, base.h_prev, base.h_cand, base.labels)
         monkeypatch.setattr(accuracy, "SCORE_CHUNK_ROWS", 16)
         seen = count_score_logits(monkeypatch)
         params = init_scorer_params(4, np.random.default_rng(2))
